@@ -52,6 +52,7 @@ Modeling assumptions (documented, load-bearing):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -480,7 +481,9 @@ class ServingRuntime:
         link faults and regional outages) merge into one time-sorted
         injection stream.  The plan is validated against the device pool
         and network topology *before* any serving starts — unknown names
-        raise :class:`ValueError`, never silently skip.
+        raise :class:`ValueError`, never silently skip.  So does an arrival
+        whose time is negative, infinite or NaN: the error names the first
+        such arrival's index.
 
         The report enforces conservation: every arrival is completed,
         rejected, or timed out, never lost — a violation raises
@@ -491,6 +494,12 @@ class ServingRuntime:
         engine — both produce identical reports for identical inputs,
         faulted or not.
         """
+        for index, arrival in enumerate(trace.arrivals):
+            if not 0.0 <= arrival.time < math.inf:
+                raise ValueError(
+                    f"arrival {index} has time {arrival.time!r}; arrival times "
+                    "must be finite and non-negative"
+                )
         if faults is not None:
             pool = set(self.device_names) | {self.requester}
             # build_testbed always wires the paper's Table III topology, so

@@ -49,7 +49,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule_event(self, event: Event, delay: float = 0.0) -> None:
         """Enqueue ``event`` to be processed ``delay`` seconds from now."""
-        if delay < 0:
+        # Written so that NaN fails too.
+        if not delay >= 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self._counter += 1
         heapq.heappush(self._queue, (self._now + delay, self._counter, event))

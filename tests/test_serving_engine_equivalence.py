@@ -18,13 +18,18 @@ import pytest
 
 from repro.serving import (
     BrownoutPolicy,
+    FaultPlan,
     RetryPolicy,
     ServingRuntime,
     SLOPolicy,
     WorkloadGenerator,
+    crash,
     fault_scenario,
     generate_churn,
+    regional_outage,
+    slowdown,
 )
+from repro.serving.workload import Arrival, ArrivalTrace
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 
@@ -223,3 +228,63 @@ class TestEngineEquivalence:
     def test_max_events_validation(self):
         with pytest.raises(ValueError):
             ServingRuntime(MODELS, max_events=0)
+
+
+#: Fault instants that hand-built arrivals land on exactly.
+CRASH_AT, SLOW_AT, RECOVER_AT = 4.0, 6.0, 9.0
+#: Duplicate arrival times, arrivals at t=0 (scheduled at the loop's own
+#: clock), at every fault instant, and one out of trace order.
+COINCIDENT_TIMES = (
+    0.0, 0.0, 1.0, 1.0, 1.0, 2.5, CRASH_AT, CRASH_AT, CRASH_AT, 5.0, 5.0,
+    SLOW_AT, SLOW_AT, 7.5, RECOVER_AT, RECOVER_AT, RECOVER_AT, 3.0, 12.0, 12.0,
+)
+
+
+def _coincident_trace():
+    return ArrivalTrace(
+        arrivals=tuple(
+            Arrival(time, MODELS[i % len(MODELS)]) for i, time in enumerate(COINCIDENT_TIMES)
+        ),
+        duration_s=15.0,
+        kind="poisson",
+        seed=0,
+    )
+
+
+def _coincident_plan():
+    return FaultPlan.ordered(
+        crash("desktop", at=CRASH_AT, until=RECOVER_AT)
+        + regional_outage(["jetson-b"], start=CRASH_AT, end=RECOVER_AT)
+        + slowdown("laptop", factor=3.0, start=SLOW_AT, end=RECOVER_AT)
+    )
+
+
+class TestCoincidentTimestamps:
+    """Same-instant ties between arrivals, fault events and the continuations
+    they trigger: where the flat loop's queues (in-order lane, heap, ready
+    queue) must replay the legacy kernel's single insertion counter."""
+
+    @pytest.mark.parametrize(
+        "runtime_kwargs",
+        [
+            pytest.param({}, id="admission"),
+            pytest.param(
+                dict(slo=SLOPolicy(admission=False), batch_window_s=0.5,
+                     retry=RetryPolicy(timeout_s=2.0, max_retries=2, backoff_s=0.5),
+                     brownout=BrownoutPolicy(interval_s=0.5, high_backlog_s=1.0,
+                                             low_backlog_s=0.25)),
+                id="graceful",
+            ),
+            pytest.param(dict(autoscale=True, replicate=False), id="autoscale"),
+        ],
+    )
+    def test_flat_matches_legacy_on_ties(self, runtime_kwargs):
+        reports = [
+            ServingRuntime(MODELS, engine=engine, **runtime_kwargs).run(
+                _coincident_trace(), faults=_coincident_plan()
+            )
+            for engine in ("flat", "processes")
+        ]
+        assert_reports_identical(*reports)
+        assert reports[0].arrivals == len(COINCIDENT_TIMES)
+        assert reports[0].churn

@@ -93,6 +93,17 @@ class TestServingBasics:
         with pytest.raises(ValueError):
             SLOPolicy(latency_multiplier=0.5)
 
+    @pytest.mark.parametrize("engine", ["flat", "processes"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_invalid_arrival_time_rejected(self, engine, bad):
+        """A trace with one bad arrival time fails at the boundary, naming
+        the arrival, instead of being served as if valid."""
+        arrivals = list(burst_trace(10).arrivals)
+        arrivals[3] = Arrival(bad, arrivals[3].model_name)
+        trace = ArrivalTrace(arrivals=tuple(arrivals), duration_s=10.0, kind="poisson", seed=0)
+        with pytest.raises(ValueError, match="arrival 3 has time"):
+            ServingRuntime(MODELS, engine=engine).run(trace)
+
 
 class TestChurn:
     def test_mid_stream_failure_conserves_requests(self):

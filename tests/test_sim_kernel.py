@@ -1,8 +1,13 @@
 """The discrete-event simulation kernel: events, processes, clock."""
 
-import pytest
+import heapq
+from collections import deque
 
-from repro.sim import Simulator, Timeout
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import FlatEventLoop, Simulator, Timeout
 
 
 class TestSimulatorBasics:
@@ -19,6 +24,14 @@ class TestSimulatorBasics:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.schedule_event(sim.event(), delay=float("nan"))
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.timeout(float("nan"))
+        assert sim.run() == 0.0  # nothing was scheduled
 
     def test_run_until_stops_early(self):
         sim = Simulator()
@@ -277,3 +290,135 @@ class TestFlatEventLoop:
         loop.push(0.0, spin)
         with pytest.raises(RuntimeError, match="livelock"):
             loop.run(max_events=50)
+
+    def test_nan_times_rejected(self):
+        loop = FlatEventLoop()
+        with pytest.raises(ValueError, match="non-negative"):
+            loop.push(float("nan"), lambda: None)
+        with pytest.raises(ValueError, match="must be a number"):
+            loop.push_at(float("nan"), lambda: None)
+        assert len(loop) == 0
+        assert loop.run() == 0.0
+
+    def test_past_time_rejected(self):
+        loop = FlatEventLoop()
+        loop.push(1.0, lambda: loop.push_at(0.5, lambda: None))
+        with pytest.raises(ValueError, match=">= now"):
+            loop.run()
+
+    def test_len_counts_lane_entries(self):
+        loop = FlatEventLoop()
+        for time in (1.0, 2.0, 2.0, 3.0):
+            loop.push_at(time, lambda: None)   # in order: the lane
+        loop.push_at(0.5, lambda: None)        # out of order: the heap
+        loop.push(0.0, lambda: None)           # now: the ready queue
+        assert (len(loop._lane), len(loop._heap), len(loop._ready)) == (4, 1, 1)
+        assert len(loop) == 6
+
+    def test_livelock_cap_counts_lane_entries(self, monkeypatch):
+        import repro.sim.flat as flat
+
+        real, seen = flat.default_max_events, []
+        monkeypatch.setattr(
+            flat, "default_max_events", lambda pending: seen.append(pending) or real(pending)
+        )
+        loop = FlatEventLoop()
+        for i in range(5):
+            loop.push_at(1.0 + i, lambda: None)
+        loop.run()
+        assert seen == [5]
+
+
+# ----------------------------------------------------------------------
+# Dispatch order: the three-queue loop against a single-heap reference
+# ----------------------------------------------------------------------
+class _ReferenceLoop:
+    """The flat loop before the in-order lane: one heap for every timed
+    entry plus the delay-zero ready queue.  Kept as the ordering oracle."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._ready = deque()
+        self._seq = 0
+
+    def push(self, delay, fn, *args):
+        if delay == 0:
+            self._ready.append((fn, args))
+            return
+        assert delay > 0
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
+
+    def push_at(self, time, fn, *args):
+        if time == self.now:
+            self._ready.append((fn, args))
+            return
+        assert time > self.now
+        self._seq += 1
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
+
+    def run(self):
+        heap, ready, now = self._heap, self._ready, self.now
+        while True:
+            if ready:
+                if heap and heap[0][0] == now:
+                    _time, _seq, fn, args = heapq.heappop(heap)
+                else:
+                    fn, args = ready.popleft()
+            elif heap:
+                time, _seq, fn, args = heapq.heappop(heap)
+                self.now = now = time
+            else:
+                break
+            fn(*args)
+        return self.now
+
+
+#: Offsets on a binary grid so sums stay exact and collide (ties, including
+#: ``time == now`` for a zero offset), plus one far below an ulp of ``now``.
+OFFSETS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.75, 1e-18])
+#: A program is a tuple of (kind, offset, program): the child program runs
+#: when the entry is dispatched, so handlers push more work.
+PROGRAMS = st.recursive(
+    st.just(()),
+    lambda children: st.lists(
+        st.tuples(st.sampled_from(["push", "push_at"]), OFFSETS, children),
+        max_size=4,
+    ).map(tuple),
+    max_leaves=40,
+)
+#: Up-front absolute times, like a replay's arrival trace.
+TIMES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 4.0, 7.75]), max_size=25)
+
+
+def _dispatch_order(loop, times, sort, program):
+    log = []
+
+    def fire(tag, children):
+        log.append((tag, loop.now))
+        schedule(children, tag)
+
+    def schedule(children, parent):
+        for i, (kind, offset, grandchildren) in enumerate(children):
+            tag = f"{parent}.{i}"
+            if kind == "push":
+                loop.push(offset, fire, tag, grandchildren)
+            else:
+                loop.push_at(loop.now + offset, fire, tag, grandchildren)
+
+    for i, time in enumerate(sorted(times) if sort else times):
+        loop.push_at(time, fire, f"a{i}", program if i == 0 else ())
+    schedule(program, "p")
+    final = loop.run()
+    return log, final, loop.now
+
+
+class TestFlatEventLoopOrdering:
+    @settings(max_examples=300, deadline=None)
+    @given(times=TIMES, sort=st.booleans(), program=PROGRAMS)
+    def test_matches_single_heap_reference(self, times, sort, program):
+        got = _dispatch_order(FlatEventLoop(), times, sort, program)
+        want = _dispatch_order(_ReferenceLoop(), times, sort, program)
+        assert got == want
+

@@ -1,53 +1,69 @@
 """Exact branch-and-bound placement — brute force's result beyond its scale.
 
 The paper's "Upper" baseline enumerates all ``N^M`` single-copy assignments
-(fine at 4 modules x 5 devices = 625, hopeless at 10 x 32 ≈ 10^15).  This
-solver searches the same space with an admissible lower bound and residual
-memory pruning, and returns **the identical placement and objective** as
-:func:`~repro.core.placement.optimal.optimal_placement`'s brute force —
-including its deterministic tie-break toward the lexicographically smallest
-assignment.
+(fine at 4 modules x 5 devices = 625, hopeless at 10 x 32 ≈ 10^15).  The
+solvers here search the same space with admissible lower bounds and
+residual memory pruning, and return **the identical placement and
+objective** as brute force — including its deterministic tie-break toward
+the lexicographically smallest assignment.
+
+One search core serves every exact solver, the replica search in
+:mod:`repro.core.placement.replicas` included:
+
+- :func:`_dfs` — the single depth-first walk.  Each search supplies only a
+  ``children(m)`` that yields ``(bound, choice)`` pairs in visit order,
+  plus its ``descend``/``ascend`` undo pair, a prune rule and a leaf hook.
+- :func:`_two_phase` — the latency and replica searches' two passes over
+  that walk.  Eq. 2's max-over-paths creates large equal-objective
+  plateaus (moving a non-bottleneck encoder changes nothing), so:
+
+  1. **Value phase** — heads-first, best-bound-first DFS seeded with an
+     attained (greedy) incumbent, pruning ``bound >= best``: a subtree
+     whose bound ties the incumbent cannot *strictly* improve it, so
+     plateaus die instantly.  Yields the optimal objective ``V``.
+  2. **Tie-break phase** — DFS in the brute-force tie-key order (modules by
+     sorted name, devices by sorted name), pruning ``bound > V``, stopping
+     at the **first** leaf whose objective equals ``V`` — by construction
+     the lexicographically-smallest optimal assignment, brute force's pick.
+- :class:`_SearchState` — request classes (each (model, source) pair is
+  priced once and fanned out in request order), memory residuals and the
+  partial assignment.
+- :class:`_GroupBound` — the per-class bound, for latency and energy alike.
 
 Bound (per request class, fanned out in request order):
 
-- an *assigned* encoder path costs exactly ``in + compute + out`` (its true
-  cost minus the non-negative same-device queue wait);
+- an *assigned* encoder path costs exactly its prefix plus its output hop
+  (latency: ``in + compute + out``, its true cost minus the non-negative
+  same-device queue wait; energy: ``compute + input radio + embedding
+  radio``);
 - an *unassigned* encoder path is lower-bounded by the cheapest such cost
   over every device whose total memory fits the module (and the cheapest
   head host when the head is also unassigned);
-- the head costs its compute time, minimized over fitting devices while
-  unassigned; the parallel encoder stage takes the max over path bounds.
+- the head costs its own row, minimized over fitting devices while
+  unassigned; the parallel encoder stage takes the max over path bounds,
+  every other objective their sum.
 
 Every term is a min/max/sum over the *same precomputed floats*
 (:mod:`repro.core.placement.tensors`) the exact objective uses, and
 IEEE-754 addition/min/max are monotonic, so the bound never exceeds the
 true objective of any completion.
 
-The search runs in two phases because Eq. 2's max-over-paths creates large
-equal-objective plateaus (moving a non-bottleneck encoder changes nothing):
-
-1. **Value phase** — heads-first, best-bound-first DFS seeded with the
-   greedy incumbent, pruning ``bound >= best``: a subtree whose bound ties
-   the incumbent cannot *strictly* improve it, so plateaus die instantly.
-   Yields the optimal objective ``V``.
-2. **Tie-break phase** — DFS in the brute-force tie-key order (modules by
-   sorted name, devices by sorted name), pruning ``bound > V``, stopping at
-   the **first** leaf whose objective equals ``V`` — by construction the
-   lexicographically-smallest optimal assignment, i.e. brute force's pick.
-
-The module also hosts :func:`energy_branch_and_bound` — the **energy**
-counterpart (paper Sec. VII): minimum total joules subject to the latency
-objective staying within a budget.  Energy is additive (no max-plateaus),
-so it runs a single phase: a budget-constrained energy-descent incumbent,
-strict ``bound > best`` pruning with the lexicographic tie-key compared at
-leaves, and the latency budget enforced through the same admissible
-latency bounds — again bit-identical to brute-force enumeration.
+:func:`energy_branch_and_bound` is the **energy** counterpart (paper
+Sec. VII): minimum total joules subject to the latency objective staying
+within a budget.  Energy is additive (no max-plateaus), so it makes a
+single pass: a budget-constrained energy-descent incumbent, strict
+``bound > best`` pruning with the lexicographic tie-key compared at leaves,
+and the latency budget enforced through the same admissible latency
+bounds — again bit-identical to brute-force enumeration.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial, reduce
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +73,6 @@ from repro.core.placement.problem import Placement, PlacementProblem
 from repro.core.placement.tensors import (
     CongestionModel,
     CostTensors,
-    EnergyRequestGroup,
     EnergyTensors,
     IncrementalEnergy,
     IncrementalObjective,
@@ -69,12 +84,30 @@ from repro.utils.errors import PlacementError
 
 
 class _GroupBound:
-    """Admissible per-(model, source) latency bounds under partial assignment."""
+    """Admissible per-(model, source) bounds under partial assignment.
 
-    def __init__(self, tensors: CostTensors, group: RequestGroup) -> None:
+    One class for every single-copy objective.  ``A[e]`` is encoder path
+    ``e``'s prefix cost per device (latency: input transfer + compute;
+    energy: compute + input radio), ``group.out[e]`` its ``[N, N]`` output
+    hop, ``head`` the head's cost row, and ``exact(assign)`` the class's
+    true total once every member is placed.  ``parallel`` selects Eq. 2's
+    max over paths (with slot contention and LPT queue waits); otherwise
+    paths add up, and the plain formula is already exact at completion.
+    """
+
+    def __init__(
+        self,
+        tensors: CostTensors,
+        group,
+        A: Sequence[np.ndarray],
+        head: np.ndarray,
+        exact: Callable[[np.ndarray], float],
+        parallel: bool,
+    ) -> None:
         self.group = group
         self.tensors = tensors
-        self.parallel = tensors.parallel
+        self.parallel = parallel
+        self.exact = exact
         self.encoder_idx = group.encoder_idx
         self.head_idx = group.head_idx
         self.members = tuple(set(group.encoder_idx) | {group.head_idx})
@@ -84,14 +117,14 @@ class _GroupBound:
                 f"module {group.head_name!r} fits on no device; "
                 "apply compression or intra-module partitioning first (paper Sec. V-B)"
             )
-        self.head_comp = group.head_comp
-        self.head_min = float(np.min(group.head_comp[head_fit]))
+        self.head = head
+        self.head_min = float(np.min(head[head_fit]))
         # Per encoder path e (arrays over the device axis):
-        #   A[e][ne]          in_comm + compute with the encoder on ne
+        #   A[e][ne]          the path prefix with the encoder on ne
         #   enc_assigned[e]   A + (cheapest out over fitting head hosts)
         #   head_assigned[e]  cheapest (A + out[:, nh]) over fitting encoder hosts
         #   free[e]           cheapest over both endpoints
-        self.A: List[np.ndarray] = []
+        self.A = list(A)
         self.enc_assigned: List[np.ndarray] = []
         self.head_assigned: List[np.ndarray] = []
         self.free: List[float] = []
@@ -103,13 +136,11 @@ class _GroupBound:
                     f"module {group.encoder_names[e]!r} fits on no device; "
                     "apply compression or intra-module partitioning first (paper Sec. V-B)"
                 )
-            A = group.in_comm[e] + group.enc_comp[e]
             out = group.out[e]
             out_min = np.min(out[:, head_fit], axis=1)
-            masked = np.where(fit[:, None], A[:, None] + out, np.inf)
-            self.A.append(A)
+            masked = np.where(fit[:, None], self.A[e][:, None] + out, np.inf)
             self.out_min.append(out_min)
-            self.enc_assigned.append(A + out_min)
+            self.enc_assigned.append(self.A[e] + out_min)
             self.head_assigned.append(np.min(masked, axis=0))
             self.free.append(float(np.min(self.enc_assigned[e][fit])))
 
@@ -169,24 +200,22 @@ class _GroupBound:
         """Scalar bound for the current partial assignment.
 
         **Exact** (queue waits included) once every member module is
-        assigned — at that point the bound equals the group's true latency,
+        assigned — at that point the bound equals the group's true total,
         so the value phase's ``>=`` prune filters deep nodes exactly.
         """
         if all(assign[i] >= 0 for i in self.members):
-            return float(self.group.total_for_assignment(self.tensors, assign))
+            return float(self.exact(assign))
+        out = self.group.out
         nh = int(assign[self.head_idx])
         terms = []
         for e, idx in enumerate(self.encoder_idx):
             ne = int(assign[idx])
             if ne >= 0:
-                if nh >= 0:
-                    terms.append(self.A[e][ne] + self.group.out[e][ne, nh])
-                else:
-                    terms.append(self.enc_assigned[e][ne])
-            elif nh >= 0:
-                terms.append(self.head_assigned[e][nh])
+                terms.append(
+                    self.A[e][ne] + out[e][ne, nh] if nh >= 0 else self.enc_assigned[e][ne]
+                )
             else:
-                terms.append(self.free[e])
+                terms.append(self.head_assigned[e][nh] if nh >= 0 else self.free[e])
         if not terms:
             encoder = 0.0
         elif self.parallel:
@@ -195,10 +224,8 @@ class _GroupBound:
             if contention > encoder:
                 encoder = contention
         else:
-            encoder = 0.0
-            for term in terms:
-                encoder = encoder + term
-        head = self.head_comp[nh] if nh >= 0 else self.head_min
+            encoder = reduce(operator.add, terms, 0.0)
+        head = self.head[nh] if nh >= 0 else self.head_min
         return float(encoder + head)
 
     def bound_vector(self, assign: np.ndarray, module_index: int) -> np.ndarray:
@@ -206,10 +233,11 @@ class _GroupBound:
 
         ``module_index`` must be used by this group (as an encoder, the
         head, or both roles at once).  When placing it *completes* the
-        group, the vector holds exact (wait-inclusive) latencies.
+        group, the vector holds exact (wait-inclusive) totals.
         """
-        if all(assign[i] >= 0 for i in self.members if i != module_index):
+        if self.parallel and all(assign[i] >= 0 for i in self.members if i != module_index):
             return self._exact_vector(assign, module_index)
+        out = self.group.out
         nh = int(assign[self.head_idx])
         head_here = module_index == self.head_idx
         terms: List[object] = []  # scalars and [N] vectors, in path order
@@ -219,38 +247,30 @@ class _GroupBound:
                 # This path's encoder is the module being placed.
                 if head_here:
                     # Module doubles as the head: both endpoints co-locate.
-                    terms.append(self.A[e] + np.diagonal(self.group.out[e]))
+                    terms.append(self.A[e] + np.diagonal(out[e]))
                 elif nh >= 0:
-                    terms.append(self.A[e] + self.group.out[e][:, nh])
+                    terms.append(self.A[e] + out[e][:, nh])
                 else:
                     terms.append(self.enc_assigned[e])
             elif head_here:
                 # The head is being placed; encoder e is fixed or free.
                 if ne >= 0:
-                    terms.append(self.A[e][ne] + self.group.out[e][ne, :])
+                    terms.append(self.A[e][ne] + out[e][ne, :])
                 else:
                     terms.append(self.head_assigned[e])
-            else:
+            elif ne >= 0:
                 # Path untouched by this move: same scalar as lower_bound.
-                if ne >= 0:
-                    if nh >= 0:
-                        terms.append(self.A[e][ne] + self.group.out[e][ne, nh])
-                    else:
-                        terms.append(self.enc_assigned[e][ne])
-                elif nh >= 0:
-                    terms.append(self.head_assigned[e][nh])
-                else:
-                    terms.append(self.free[e])
+                terms.append(
+                    self.A[e][ne] + out[e][ne, nh] if nh >= 0 else self.enc_assigned[e][ne]
+                )
+            else:
+                terms.append(self.head_assigned[e][nh] if nh >= 0 else self.free[e])
         if not terms:
             encoder = 0.0
         elif self.parallel:
-            encoder = terms[0]
-            for term in terms[1:]:
-                encoder = np.maximum(encoder, term)
+            encoder = reduce(np.maximum, terms)
         else:
-            encoder = 0.0
-            for term in terms:
-                encoder = encoder + term
+            encoder = reduce(operator.add, terms, 0.0)
         if terms and self.parallel:
             # Base contention (moving module still unassigned) is admissible
             # for every candidate; candidates that oversubscribe a device's
@@ -259,14 +279,11 @@ class _GroupBound:
             if base > 0.0:
                 encoder = np.maximum(encoder, base)
             if not head_here:
-                encoder = np.asarray(encoder, dtype=np.float64) + np.zeros(len(self.head_comp))
+                encoder = np.asarray(encoder, dtype=np.float64) + np.zeros(len(self.head))
                 loads, members, unassigned = self._contention_state(assign)
-                e0 = next(
-                    e for e in range(len(self.encoder_idx))
-                    if self.encoder_idx[e] == module_index
-                )
+                e0 = self.encoder_idx.index(module_index)
                 joiners = [e for e in unassigned if e != e0]
-                for n in range(len(self.head_comp)):
+                for n in range(len(self.head)):
                     here = members.get(n, ())
                     if len(here) + 1 <= self.tensors.slots[n]:
                         continue
@@ -274,13 +291,14 @@ class _GroupBound:
                     term = self._contention_term(n, list(here) + [e0] + joiners, load, nh)
                     if term > encoder[n]:
                         encoder[n] = term
-        head = self.head_comp if head_here else (self.head_comp[nh] if nh >= 0 else self.head_min)
+        head = self.head if head_here else (self.head[nh] if nh >= 0 else self.head_min)
         return np.broadcast_to(
-            np.asarray(encoder + head, dtype=np.float64), self.head_comp.shape
+            np.asarray(encoder + head, dtype=np.float64), self.head.shape
         ).copy()
 
     def _exact_vector(self, assign: np.ndarray, module_index: int) -> np.ndarray:
-        """True group latency per candidate device for the last free member.
+        """True parallel group latency per candidate device for the last
+        free member.
 
         Queue waits are per-device: placing the last module on ``n`` can
         only change waits *on* ``n``, so the LPT recomputation is confined
@@ -289,7 +307,7 @@ class _GroupBound:
         same float-operation order, so entries stay bit-exact).
         """
         group, tensors = self.group, self.tensors
-        n_devices = len(self.head_comp)
+        n_devices = len(self.head)
         n_encoders = len(self.encoder_idx)
         moving = [e for e in range(n_encoders) if self.encoder_idx[e] == module_index]
         head_moving = self.head_idx == module_index
@@ -306,68 +324,48 @@ class _GroupBound:
             # Encoder hosts (hence waits) are fixed; only out_comm varies.
             hosts = [int(assign[i]) for i in self.encoder_idx]
             comps = [group.enc_comp[e][hosts[e]] for e in range(n_encoders)]
-            if self.parallel:
-                waits = _lpt_waits(hosts, comps, tensors.slots)
-            else:
-                waits = [0.0] * n_encoders
-            stage: object = 0.0
-            path_vectors = [
-                (group.in_comm[e][hosts[e]] + waits[e] + comps[e])
-                + group.out[e][hosts[e], :]
+            waits = _lpt_waits(hosts, comps, tensors.slots)
+            paths = [
+                (group.in_comm[e][hosts[e]] + waits[e] + comps[e]) + group.out[e][hosts[e], :]
                 for e in range(n_encoders)
             ]
-            if self.parallel:
-                stage = path_vectors[0]
-                for vector in path_vectors[1:]:
-                    stage = np.maximum(stage, vector)
-            else:
-                for vector in path_vectors:
-                    stage = stage + vector
-            return stage + self.head_comp
+            return reduce(np.maximum, paths) + self.head
 
         # One encoder is moving; the head and all other encoders are fixed.
         e0 = moving[0]
         nh = int(assign[self.head_idx])
         hosts = [int(assign[self.encoder_idx[e]]) if e != e0 else -1 for e in range(n_encoders)]
         others = [e for e in range(n_encoders) if e != e0]
-        if self.parallel:
-            counts: Dict[int, int] = {}
-            for e in others:
-                counts[hosts[e]] = counts.get(hosts[e], 0) + 1
-            base_waits = _lpt_waits(
-                [hosts[e] for e in others],
-                [group.enc_comp[e][hosts[e]] for e in others],
-                self.tensors.slots,
+        counts: Dict[int, int] = {}
+        for e in others:
+            counts[hosts[e]] = counts.get(hosts[e], 0) + 1
+        waits = _lpt_waits(
+            [hosts[e] for e in others], [group.enc_comp[e][hosts[e]] for e in others], tensors.slots
+        )
+        stage = (group.in_comm[e0] + group.enc_comp[e0]) + group.out[e0][:, nh]
+        for pos, e in enumerate(others):
+            stage = np.maximum(
+                stage,
+                group.in_comm[e][hosts[e]] + waits[pos] + group.enc_comp[e][hosts[e]]
+                + group.out[e][hosts[e], nh],
             )
-            waits = [0.0] * n_encoders
-            for pos, e in enumerate(others):
-                waits[e] = base_waits[pos]
-        else:
-            counts = {}
-            waits = [0.0] * n_encoders
-        fixed_totals = [
-            group.in_comm[e][hosts[e]] + waits[e] + group.enc_comp[e][hosts[e]]
-            + group.out[e][hosts[e], nh]
-            for e in others
-        ]
-        moving_vector = (group.in_comm[e0] + group.enc_comp[e0]) + group.out[e0][:, nh]
-        if self.parallel:
-            stage = moving_vector
-            for value in fixed_totals:
-                stage = np.maximum(stage, value)
-        else:
-            stage = 0.0
-            for e in range(n_encoders):
-                stage = stage + (moving_vector if e == e0 else fixed_totals[others.index(e)])
-        values = np.asarray(stage + self.head_comp[nh], dtype=np.float64).copy()
-        if self.parallel:
-            # Candidates where the newcomer overflows the device's slots
-            # need the true LPT schedule (waits change on that device only).
-            for n in range(n_devices):
-                if counts.get(n, 0) + 1 > self.tensors.slots[n]:
-                    full_hosts = [n if e == e0 else hosts[e] for e in range(n_encoders)]
-                    values[n] = group.total(self.tensors, full_hosts, nh)
+        values = np.asarray(stage + self.head[nh], dtype=np.float64)
+        # Candidates where the newcomer overflows the device's slots need
+        # the true LPT schedule (waits change on that device only).
+        for n in range(n_devices):
+            if counts.get(n, 0) + 1 > tensors.slots[n]:
+                full_hosts = [n if e == e0 else hosts[e] for e in range(n_encoders)]
+                values[n] = group.total(tensors, full_hosts, nh)
         return values
+
+
+def _latency_bound(tensors: CostTensors, group: RequestGroup) -> _GroupBound:
+    """The latency :class:`_GroupBound` of one request class."""
+    A = [in_comm + comp for in_comm, comp in zip(group.in_comm, group.enc_comp)]
+    return _GroupBound(
+        tensors, group, A, group.head_comp,
+        partial(group.total_for_assignment, tensors), tensors.parallel,
+    )
 
 
 @dataclass
@@ -379,6 +377,236 @@ class BnBStats:
     pruned: int = 0
 
 
+def _dfs(
+    order: Sequence[int],
+    children: Callable[[int], Iterable[Tuple[object, object]]],
+    descend: Callable[[int, object], object],
+    ascend: Callable[[int, object, object], None],
+    prune: Callable[[object], bool],
+    at_leaf: Callable[[object], object],
+    stats: BnBStats,
+):
+    """The depth-first walk every exact search runs; modules in ``order``.
+
+    At a node for module ``m``, ``children(m)`` yields ``(bound, choice)``
+    pairs in visit order.  A child whose ``prune(bound)`` holds when the
+    walk reaches it is skipped (asked then, so an incumbent improved by an
+    earlier sibling prunes later ones).  Otherwise ``descend(m, choice)``
+    applies it and returns an undo token — or ``None`` to reject it after
+    all, having undone itself — and ``ascend(m, choice, token)`` reverts
+    it.  At full depth ``at_leaf(bound)`` runs on the complete assignment;
+    the first non-``None`` value it returns ends the walk and is returned.
+    ``stats`` counts nodes expanded, leaves reached and children pruned.
+    """
+    last = len(order) - 1
+
+    def walk(depth: int):
+        stats.nodes += 1
+        m = order[depth]
+        for bound, choice in children(m):
+            if prune(bound):
+                stats.pruned += 1
+                continue
+            undo = descend(m, choice)
+            if undo is None:
+                stats.pruned += 1
+                continue
+            if depth == last:
+                stats.leaves += 1
+                found = at_leaf(bound)
+            else:
+                found = walk(depth + 1)
+            ascend(m, choice, undo)
+            if found is not None:
+                return found
+        return None
+
+    return walk(0)
+
+
+def _two_phase(search, value_order: Sequence[int], best: float, stats: BnBStats):
+    """Value phase, then tie-break phase: brute force's ``(argmin, V)``.
+
+    ``best`` is an attained incumbent objective (or ``inf``).  ``search``
+    provides ``value_children``/``tie_children`` (the per-phase child
+    order), ``descend``/``ascend``, ``leaf_value(bound)`` (the exact
+    objective at a leaf) and ``winner()`` (the placement at a leaf).
+    """
+
+    def improve(bound) -> None:
+        nonlocal best
+        value = search.leaf_value(bound)
+        if value < best:
+            best = value
+
+    # ``best`` is always attained (the seed or a visited leaf), so a
+    # subtree whose bound ties it cannot strictly improve — prune on >=,
+    # which collapses Eq. 2's max-plateaus.
+    _dfs(value_order, search.value_children, search.descend, search.ascend,
+         lambda bound: bound >= best, improve, stats)
+    if best == float("inf"):
+        raise PlacementError("no memory-feasible placement exists for this instance")
+    winner = _dfs(
+        search.tie_order(), search.tie_children, search.descend, search.ascend,
+        lambda bound: bound > best,
+        lambda bound: search.winner() if search.leaf_value(bound) == best else None,
+        stats,
+    )
+    if winner is None:  # pragma: no cover - phase 1 proved V is attained
+        raise PlacementError("no memory-feasible placement exists for this instance")
+    return winner, best
+
+
+class _SearchState:
+    """What every exact search tracks: request classes and memory.
+
+    Requests sharing a (model, source) pair form one class, priced once
+    and fanned out over the request list in request order (keeping the
+    objective's left-to-right summation bit-identical to the scalar path).
+    ``groups_using[m]`` lists the classes whose model uses module ``m``.
+    """
+
+    def __init__(self, tensors: CostTensors, requests: Sequence[InferenceRequest]) -> None:
+        self.tensors = tensors
+        self.requests = list(requests)
+        self.n_modules = tensors.n_modules
+        self.n_devices = tensors.n_devices
+        self.memory = [int(b) for b in tensors.memory]
+        self.residual = [int(b) for b in tensors.capacity]
+        self.assign = np.full(self.n_modules, -1, dtype=np.int64)
+        self.groups: List[RequestGroup] = []
+        self.group_of_request: List[int] = []
+        index_of: Dict[Tuple[int, str], int] = {}
+        for request in requests:
+            key = (id(request.model), request.source)
+            if key not in index_of:
+                index_of[key] = len(self.groups)
+                self.groups.append(tensors.group(request.model, request.source))
+            self.group_of_request.append(index_of[key])
+        self.groups_using: List[List[int]] = [[] for _ in range(self.n_modules)]
+        for g, group in enumerate(self.groups):
+            for idx in group.member_idx:
+                self.groups_using[idx].append(g)
+        #: Per-module class bound vectors from the latest node expansion,
+        #: read back by ``descend`` (each module sits once on a DFS path).
+        self.vectors: Dict[int, Dict[int, np.ndarray]] = {}
+
+    def fan(self, values: Sequence, total=0.0):
+        """Request-order sum of per-class ``values`` (scalars or vectors)."""
+        for g in self.group_of_request:
+            total = total + values[g]
+        return total
+
+    def node_vector(self, m: int, bounds: Sequence[_GroupBound], lbs: List[float]) -> np.ndarray:
+        """Fanned per-device bound if module ``m`` went to each device."""
+        vectors = {g: bounds[g].bound_vector(self.assign, m) for g in self.groups_using[m]}
+        self.vectors[m] = vectors
+        values = [vectors[g] if g in vectors else lb for g, lb in enumerate(lbs)]
+        return self.fan(values, np.zeros(self.n_devices, dtype=np.float64))
+
+    def place(self, m: int, n: int, lbs: List[float]) -> List[Tuple[int, float]]:
+        """Put ``m`` on ``n``, taking its classes' bounds from the node's
+        vectors; returns the undo list for :meth:`unplace`."""
+        self.assign[m] = n
+        self.residual[n] -= self.memory[m]
+        vectors = self.vectors[m]
+        saved = [(g, lbs[g]) for g in vectors]
+        for g, vector in vectors.items():
+            lbs[g] = float(vector[n])
+        return saved
+
+    def unplace(self, m: int, n: int, lbs: List[float], saved: List[Tuple[int, float]]) -> None:
+        for g, value in saved:
+            lbs[g] = value
+        self.residual[n] += self.memory[m]
+        self.assign[m] = -1
+
+    def fitting(self, m: int, devices: Iterable[int]) -> List[int]:
+        """``devices``, in order, that still have room for module ``m``."""
+        return [n for n in devices if self.residual[n] >= self.memory[m]]
+
+    def ranked(self, m: int, bound: np.ndarray) -> List[Tuple[float, int]]:
+        """Devices with room for ``m`` as ``(bound, n)``, best bound first
+        (stable: equal bounds keep device-index order)."""
+        devices = self.fitting(m, range(self.n_devices))
+        devices.sort(key=bound.__getitem__)
+        return [(bound[n], n) for n in devices]
+
+    def value_order(self, bounds: Sequence[_GroupBound]) -> List[int]:
+        """The value-phase branching order.
+
+        Heads first (they pin every path's output endpoint, tightening all
+        bounds at once), then encoders by descending best-case path cost
+        from ``bounds`` — under Eq. 2's max the most expensive path decides
+        the stage, so fixing critical encoders early moves the bound most —
+        then by descending memory; modules no request uses go last.
+        """
+        head_modules = {g.head_idx for g in self.groups}
+        criticality = [0.0] * self.n_modules
+        for bound in bounds:
+            for e, idx in enumerate(bound.encoder_idx):
+                criticality[idx] = max(criticality[idx], bound.free[e])
+        names = self.tensors.module_names
+
+        def key(m: int) -> Tuple[int, int, float, int, str]:
+            unused = 0 if self.groups_using[m] else 1
+            is_head = 0 if m in head_modules else 1
+            return (unused, is_head, -criticality[m], -self.memory[m], names[m])
+
+        return sorted(range(self.n_modules), key=key)
+
+    def tie_order(self) -> List[int]:
+        """Modules by sorted name — brute force's enumeration order."""
+        return sorted(range(self.n_modules), key=lambda m: self.tensors.module_names[m])
+
+    def placement(self, assign: np.ndarray) -> Placement:
+        """The single-copy placement of a full assignment."""
+        names = self.tensors.device_names
+        return Placement(
+            {
+                self.tensors.module_names[m]: (names[int(assign[m])],)
+                for m in range(self.n_modules)
+            }
+        )
+
+
+#: Per-solver wording of the shared entry errors: (what is solved, the
+#: solver's name, the dispatcher whose brute force honours jitter).
+_SOLVER_NAMES = {
+    "latency": ("optimal placement", "branch-and-bound", "optimal_placement"),
+    "energy": ("energy-optimal placement", "energy branch-and-bound", "energy_optimal_placement"),
+    "replica": ("replica placement", "replica branch-and-bound", "replica_optimal_placement"),
+}
+
+
+def _prologue(
+    problem: PlacementProblem,
+    requests: Sequence[InferenceRequest],
+    network: Optional[Network],
+    parallel: bool,
+    tensors: Optional[CostTensors],
+    kind: str,
+) -> Tuple[Network, CostTensors]:
+    """The entry checks shared by the exact solvers: ``(network, tensors)``."""
+    what, solver, dispatcher = _SOLVER_NAMES[kind]
+    if not requests:
+        raise PlacementError(f"{what} needs at least one request to score")
+    net = network if network is not None else Network()
+    if net.has_jitter:
+        # Cost tensors cache transfer prices, which would freeze one random
+        # jitter draw into the whole search — silently diverging from the
+        # scalar path.  The brute-force solver prices through the scalar
+        # fallback and stays correct under (deterministic) jitter hooks.
+        raise PlacementError(
+            f"{solver} prices through cached cost tensors, which would freeze "
+            "the network's jitter hook; clear the jitter or use "
+            f"{dispatcher}(..., solver='brute')"
+        )
+    if tensors is None:
+        tensors = CostTensors(problem, net, parallel=parallel)
+    else:
+        tensors.check_compatible(problem, net, parallel)
+    return net, tensors
 
 
 class _WaitState:
@@ -405,20 +633,14 @@ class _WaitState:
 
     _SLACK = 1.0 - 1e-9
 
-    def __init__(
-        self,
-        wait: WaitTensors,
-        requests: Sequence[InferenceRequest],
-        groups: Sequence[RequestGroup],
-        group_of_request: Sequence[int],
-    ) -> None:
+    def __init__(self, wait: WaitTensors, search: _SearchState) -> None:
         tensors = wait.tensors
         self.wait = wait
         n_modules = tensors.n_modules
         n_devices = tensors.n_devices
         self.du = np.zeros((n_modules, n_devices), dtype=np.float64)
         self.dr = np.zeros((n_modules, n_devices), dtype=np.float64)
-        for model, lam, members, comp in wait.entries(requests):
+        for model, lam, members, comp in wait.entries(search.requests):
             if lam == 0.0:
                 continue
             for m in members:
@@ -427,8 +649,8 @@ class _WaitState:
                 self.du[m] += load
                 self.dr[m] += load * row
         self.wreq = np.zeros(n_modules, dtype=np.float64)
-        for g in group_of_request:
-            for idx in groups[g].member_idx:
+        for g in search.group_of_request:
+            for idx in search.groups[g].member_idx:
                 self.wreq[idx] += 1.0
         self.u = np.zeros(n_devices, dtype=np.float64)
         self.r = np.zeros(n_devices, dtype=np.float64)
@@ -460,88 +682,46 @@ class _WaitState:
         self.u[n] -= self.du[m, n]
 
 
-class _Search:
-    """Shared state for both phases of the branch-and-bound."""
+class _Search(_SearchState):
+    """The latency search: per-class bounds plus the optional wait add-on."""
 
     def __init__(
         self,
         tensors: CostTensors,
         requests: Sequence[InferenceRequest],
-        stats: BnBStats,
         congestion: Optional[CongestionModel] = None,
     ) -> None:
-        self.tensors = tensors
-        self.stats = stats
-        self.requests = list(requests)
-        self.n_modules = tensors.n_modules
-        self.n_devices = tensors.n_devices
-        self.memory = [int(b) for b in tensors.memory]
-        self.residual = [int(b) for b in tensors.capacity]
-        self.assign = np.full(self.n_modules, -1, dtype=np.int64)
+        super().__init__(tensors, requests)
+        self.bounds = [_latency_bound(tensors, group) for group in self.groups]
+        self.lbs = [bound.lower_bound(self.assign) for bound in self.bounds]
+        self.wait_tensors = WaitTensors(tensors, congestion) if congestion is not None else None
+        self.wait = _WaitState(self.wait_tensors, self) if self.wait_tensors is not None else None
+        self.tie_devices = sorted(range(self.n_devices), key=lambda n: tensors.device_names[n])
 
-        # Request-class bookkeeping: price each (model, source) class once.
-        self.groups: List[RequestGroup] = []
-        self.bounds: List[_GroupBound] = []
-        self.group_of_request: List[int] = []
-        index_of: Dict[Tuple[int, str], int] = {}
-        for request in requests:
-            key = (id(request.model), request.source)
-            if key not in index_of:
-                index_of[key] = len(self.groups)
-                group = tensors.group(request.model, request.source)
-                self.groups.append(group)
-                self.bounds.append(_GroupBound(tensors, group))
-            self.group_of_request.append(index_of[key])
-        self.groups_using: List[List[int]] = [[] for _ in range(self.n_modules)]
-        for g, group in enumerate(self.groups):
-            for idx in set(group.encoder_idx) | {group.head_idx}:
-                self.groups_using[idx].append(g)
-        self.group_lb = [bound.lower_bound(self.assign) for bound in self.bounds]
-        if congestion is not None:
-            self.wait_tensors: Optional[WaitTensors] = WaitTensors(tensors, congestion)
-            self.wait: Optional[_WaitState] = _WaitState(
-                self.wait_tensors, self.requests, self.groups, self.group_of_request
-            )
-        else:
-            self.wait_tensors = None
-            self.wait = None
-
-    # ------------------------------------------------------------------
-    def leaf_objective(self) -> float:
+    def leaf_value(self, bound=None) -> float:
         """Exact objective of the full assignment (request-order summation,
         bit-identical to ``CostTensors.objective`` — or, queue-aware, to
         ``WaitTensors.assignment_objective`` — on the same placement)."""
         if self.wait_tensors is not None:
             return self.wait_tensors.assignment_objective(self.requests, self.assign)
-        total = 0.0
-        cache: List[Optional[float]] = [None] * len(self.groups)
-        for g in self.group_of_request:
-            value = cache[g]
-            if value is None:
-                value = self.groups[g].total_for_assignment(self.tensors, self.assign)
-                cache[g] = value
-            total = total + value
-        return float(total)
+        return float(self.fan([b.exact(self.assign) for b in self.bounds]))
 
-    def node_bounds(self, m: int) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+    def node_bounds(self, m: int) -> np.ndarray:
         """Per-device total bound if module ``m`` went to each device."""
-        affected = self.groups_using[m]
-        per_group: Dict[int, np.ndarray] = {
-            g: self.bounds[g].bound_vector(self.assign, m) for g in affected
-        }
-        total = np.zeros(self.n_devices, dtype=np.float64)
-        for g in self.group_of_request:
-            total = total + (per_group[g] if g in per_group else self.group_lb[g])
+        total = self.node_vector(m, self.bounds, self.lbs)
         if self.wait is not None:
             total = total + self.wait.bound_vector(m)
-        return total, per_group
+        return total
 
-    def descend(self, m: int, n: int, per_group: Dict[int, np.ndarray]) -> List[Tuple[int, float]]:
-        self.assign[m] = n
-        self.residual[n] -= self.memory[m]
-        saved = [(g, self.group_lb[g]) for g in per_group]
-        for g, vector in per_group.items():
-            self.group_lb[g] = float(vector[n])
+    def value_children(self, m: int) -> List[Tuple[float, int]]:
+        return self.ranked(m, self.node_bounds(m))
+
+    def tie_children(self, m: int) -> List[Tuple[float, int]]:
+        bound = self.node_bounds(m)
+        return [(bound[n], n) for n in self.fitting(m, self.tie_devices)]
+
+    def descend(self, m: int, n: int) -> List[Tuple[int, float]]:
+        saved = self.place(m, n, self.lbs)
         if self.wait is not None:
             self.wait.descend(m, n)
         return saved
@@ -549,10 +729,10 @@ class _Search:
     def ascend(self, m: int, n: int, saved: List[Tuple[int, float]]) -> None:
         if self.wait is not None:
             self.wait.ascend(m, n)
-        for g, value in saved:
-            self.group_lb[g] = value
-        self.residual[n] += self.memory[m]
-        self.assign[m] = -1
+        self.unplace(m, n, self.lbs, saved)
+
+    def winner(self) -> Placement:
+        return self.placement(self.assign)
 
 
 def branch_and_bound_placement(
@@ -578,47 +758,9 @@ def branch_and_bound_placement(
     ``tests/test_placement_wait.py``).  ``congestion=None`` leaves the
     historical solver bit-identical.
     """
-    if not requests:
-        raise PlacementError("optimal placement needs at least one request to score")
-    net = network if network is not None else Network()
-    if net.has_jitter:
-        # Cost tensors cache transfer prices, which would freeze one random
-        # jitter draw into the whole search — silently diverging from the
-        # scalar path.  The brute-force solver prices through the scalar
-        # fallback and stays correct under (deterministic) jitter hooks.
-        raise PlacementError(
-            "branch-and-bound prices through cached cost tensors, which "
-            "would freeze the network's jitter hook; clear the jitter or "
-            "use optimal_placement(..., solver='brute')"
-        )
-    if tensors is None:
-        tensors = CostTensors(problem, net, parallel=parallel)
-    else:
-        tensors.check_compatible(problem, net, parallel)
+    _, tensors = _prologue(problem, requests, network, parallel, tensors, "latency")
     stats = stats if stats is not None else BnBStats()
-    search = _Search(tensors, requests, stats, congestion=congestion)
-
-    # ------------------------------------------------------------------
-    # Phase 1 — optimal value.  Branch heads first (they pin every path's
-    # output-transfer endpoint, tightening all bounds at once), then
-    # encoders by descending best-case path cost: Eq. 2's max means the
-    # most expensive path decides the stage, so fixing critical encoders
-    # early moves the bound the most; modules no request uses go last.
-    # Pruning is ``bound >= best``: such subtrees cannot strictly improve.
-    # ------------------------------------------------------------------
-    head_modules = {g.head_idx for g in search.groups}
-    criticality = [0.0] * search.n_modules
-    for bound in search.bounds:
-        for e, idx in enumerate(bound.encoder_idx):
-            criticality[idx] = max(criticality[idx], bound.free[e])
-
-    def value_order_key(m: int) -> Tuple[int, int, float, int, str]:
-        unused = 0 if search.groups_using[m] else 1
-        is_head = 0 if m in head_modules else 1
-        return (unused, is_head, -criticality[m], -search.memory[m], tensors.module_names[m])
-
-    value_order = sorted(range(search.n_modules), key=value_order_key)
-
+    search = _Search(tensors, requests, congestion=congestion)
     best_value = float("inf")
     # Seed the incumbent with greedy Algorithm 1 (a member of the search
     # space) so deep subtrees prune early; exactness does not depend on it.
@@ -628,210 +770,26 @@ def branch_and_bound_placement(
         seed = greedy_placement(problem)
         for name, hosts in seed.as_dict().items():
             search.assign[tensors.module_idx(name)] = tensors.device_idx(hosts[0])
-        best_value = search.leaf_objective()
+        best_value = search.leaf_value()
     except PlacementError:
         pass
     finally:
         search.assign[:] = -1
-
-    def value_dfs(depth: int) -> None:
-        nonlocal best_value
-        stats.nodes += 1
-        m = value_order[depth]
-        node_bound, per_group = search.node_bounds(m)
-        candidates = [
-            n for n in range(search.n_devices)
-            if search.residual[n] >= search.memory[m]
-        ]
-        candidates.sort(key=lambda n: node_bound[n])
-        for n in candidates:
-            # ``best_value`` is always *attained* (greedy seed or a visited
-            # leaf), so a subtree whose bound ties it cannot strictly
-            # improve — prune on >=, which collapses Eq. 2's max-plateaus.
-            if node_bound[n] >= best_value:
-                stats.pruned += 1
-                continue
-            saved = search.descend(m, n, per_group)
-            if depth + 1 == search.n_modules:
-                stats.leaves += 1
-                objective = search.leaf_objective()
-                if objective < best_value:
-                    best_value = objective
-            else:
-                value_dfs(depth + 1)
-            search.ascend(m, n, saved)
-
-    value_dfs(0)
-    if best_value == float("inf"):
-        raise PlacementError("no memory-feasible placement exists for this instance")
-
-    # ------------------------------------------------------------------
-    # Phase 2 — brute force's argmin.  Enumerate in tie-key order (modules
-    # by sorted name, devices by sorted name) pruning ``bound > V``; the
-    # first leaf that attains V is the lexicographically-smallest optimum.
-    # ------------------------------------------------------------------
-    tie_module_order = sorted(range(search.n_modules), key=lambda m: tensors.module_names[m])
-    tie_device_order = sorted(range(search.n_devices), key=lambda n: tensors.device_names[n])
-
-    def tie_dfs(depth: int) -> Optional[np.ndarray]:
-        stats.nodes += 1
-        m = tie_module_order[depth]
-        node_bound, per_group = search.node_bounds(m)
-        for n in tie_device_order:
-            if search.residual[n] < search.memory[m]:
-                continue
-            if node_bound[n] > best_value:
-                stats.pruned += 1
-                continue
-            saved = search.descend(m, n, per_group)
-            if depth + 1 == search.n_modules:
-                stats.leaves += 1
-                if search.leaf_objective() == best_value:
-                    winner = search.assign.copy()
-                    search.ascend(m, n, saved)
-                    return winner
-            else:
-                winner = tie_dfs(depth + 1)
-                if winner is not None:
-                    search.ascend(m, n, saved)
-                    return winner
-            search.ascend(m, n, saved)
-        return None
-
-    best_assign = tie_dfs(0)
-    if best_assign is None:  # pragma: no cover - phase 1 proved V is attained
-        raise PlacementError("no memory-feasible placement exists for this instance")
-    placement = Placement(
-        {
-            tensors.module_names[m]: (tensors.device_names[int(best_assign[m])],)
-            for m in range(search.n_modules)
-        }
-    )
-    return placement, best_value
+    return _two_phase(search, search.value_order(search.bounds), best_value, stats)
 
 
 # ======================================================================
 # Energy-under-latency-budget branch-and-bound (paper Sec. VII made real)
 # ======================================================================
 
-class _EnergyGroupBound:
-    """Admissible per-(model, source) *energy* bounds under partial assignment.
-
-    Energy is additive — per encoder path ``(compute + input radio) +
-    embedding radio``, plus the head's joules — so the bound is the latency
-    bound's structure without Eq. 2's max, LPT waits, or contention terms.
-    Every term is a min over the same precomputed floats the exact total
-    uses, accumulated in the exact total's operation order; IEEE-754
-    addition and min are monotonic, so the bound never exceeds the true
-    joules of any completion, and it **equals** them once every member
-    module is assigned.
-    """
-
-    def __init__(self, energy: EnergyTensors, group: EnergyRequestGroup) -> None:
-        tensors = energy.tensors
-        self.group = group
-        self.encoder_idx = group.encoder_idx
-        self.head_idx = group.head_idx
-        self.members = tuple(set(group.encoder_idx) | {group.head_idx})
-        head_fit = tensors.fits[group.head_idx]
-        if not head_fit.any():
-            raise PlacementError(
-                f"module {group.head_name!r} fits on no device; "
-                "apply compression or intra-module partitioning first (paper Sec. V-B)"
-            )
-        self.head_joules = group.head_joules
-        self.head_min = float(np.min(group.head_joules[head_fit]))
-        # Per encoder path e (arrays over the device axis), mirroring the
-        # latency _GroupBound with A[e] = compute + input radio:
-        self.enc_assigned: List[np.ndarray] = []
-        self.head_assigned: List[np.ndarray] = []
-        self.free: List[float] = []
-        for e, idx in enumerate(group.encoder_idx):
-            fit = tensors.fits[idx]
-            if not fit.any():
-                raise PlacementError(
-                    f"module {group.encoder_names[e]!r} fits on no device; "
-                    "apply compression or intra-module partitioning first (paper Sec. V-B)"
-                )
-            A = group.A[e]
-            out = group.out[e]
-            out_min = np.min(out[:, head_fit], axis=1)
-            masked = np.where(fit[:, None], A[:, None] + out, np.inf)
-            self.enc_assigned.append(A + out_min)
-            self.head_assigned.append(np.min(masked, axis=0))
-            self.free.append(float(np.min(self.enc_assigned[e][fit])))
-
-    def lower_bound(self, assign: np.ndarray) -> float:
-        """Scalar joule bound for the current partial assignment (exact —
-        equal to the group's true joules — once every member is assigned)."""
-        if all(assign[i] >= 0 for i in self.members):
-            return float(self.group.total_for_assignment(assign))
-        group = self.group
-        nh = int(assign[self.head_idx])
-        total = 0.0
-        for e, idx in enumerate(self.encoder_idx):
-            ne = int(assign[idx])
-            if ne >= 0:
-                if nh >= 0:
-                    term = group.A[e][ne] + group.out[e][ne, nh]
-                else:
-                    term = self.enc_assigned[e][ne]
-            elif nh >= 0:
-                term = self.head_assigned[e][nh]
-            else:
-                term = self.free[e]
-            total = total + term
-        total = total + (self.head_joules[nh] if nh >= 0 else self.head_min)
-        return float(total)
-
-    def bound_vector(self, assign: np.ndarray, module_index: int) -> np.ndarray:
-        """Joule bound per candidate device if ``module_index`` were placed
-        there; exact (true group joules) when placing it completes the group."""
-        group = self.group
-        nh = int(assign[self.head_idx])
-        head_here = module_index == self.head_idx
-        total: object = 0.0
-        for e, idx in enumerate(self.encoder_idx):
-            ne = int(assign[idx])
-            if idx == module_index:
-                if head_here:
-                    # Module doubles as the head: both endpoints co-locate.
-                    term: object = group.A[e] + np.diagonal(group.out[e])
-                elif nh >= 0:
-                    term = group.A[e] + group.out[e][:, nh]
-                else:
-                    term = self.enc_assigned[e]
-            elif head_here:
-                if ne >= 0:
-                    term = group.A[e][ne] + group.out[e][ne, :]
-                else:
-                    term = self.head_assigned[e]
-            else:
-                if ne >= 0:
-                    if nh >= 0:
-                        term = group.A[e][ne] + group.out[e][ne, nh]
-                    else:
-                        term = self.enc_assigned[e][ne]
-                elif nh >= 0:
-                    term = self.head_assigned[e][nh]
-                else:
-                    term = self.free[e]
-            total = total + term
-        head = self.head_joules if head_here else (
-            self.head_joules[nh] if nh >= 0 else self.head_min
-        )
-        return np.broadcast_to(
-            np.asarray(total + head, dtype=np.float64), self.head_joules.shape
-        ).copy()
-
-
-class _EnergySearch:
-    """Shared state for both phases of the energy branch-and-bound.
+class _EnergySearch(_SearchState):
+    """The energy search's state.
 
     Tracks **two** admissible bound families per request class — joules
     (the objective being minimized) and latency (the Eq. 4a budget
-    constraint, via the latency :class:`_GroupBound`) — both fanned out in
-    request order so leaf values are bit-identical to the scalar oracles.
+    constraint) — both :class:`_GroupBound`\\ s fanned out in request order
+    so leaf values are bit-identical to the scalar oracles.  Energy paths
+    add up, so its bounds run ``parallel=False`` over the energy arrays.
     """
 
     def __init__(
@@ -839,113 +797,64 @@ class _EnergySearch:
         tensors: CostTensors,
         energy: EnergyTensors,
         requests: Sequence[InferenceRequest],
-        stats: BnBStats,
+        latency_budget: float,
     ) -> None:
-        self.tensors = tensors
-        self.energy = energy
-        self.stats = stats
-        self.n_modules = tensors.n_modules
-        self.n_devices = tensors.n_devices
-        self.memory = [int(b) for b in tensors.memory]
-        self.residual = [int(b) for b in tensors.capacity]
-        self.assign = np.full(self.n_modules, -1, dtype=np.int64)
-
-        self.lat_groups: List[RequestGroup] = []
-        self.en_groups: List[EnergyRequestGroup] = []
-        self.lat_bounds: List[_GroupBound] = []
-        self.en_bounds: List[_EnergyGroupBound] = []
-        self.group_of_request: List[int] = []
-        index_of: Dict[Tuple[int, str], int] = {}
-        for request in requests:
-            key = (id(request.model), request.source)
-            if key not in index_of:
-                index_of[key] = len(self.lat_groups)
-                lat_group = tensors.group(request.model, request.source)
-                en_group = energy.group(request.model, request.source)
-                self.lat_groups.append(lat_group)
-                self.en_groups.append(en_group)
-                self.lat_bounds.append(_GroupBound(tensors, lat_group))
-                self.en_bounds.append(_EnergyGroupBound(energy, en_group))
-            self.group_of_request.append(index_of[key])
-        self.groups_using: List[List[int]] = [[] for _ in range(self.n_modules)]
-        for g, group in enumerate(self.en_groups):
-            for idx in set(group.encoder_idx) | {group.head_idx}:
-                self.groups_using[idx].append(g)
+        super().__init__(tensors, requests)
+        self.latency_budget = latency_budget
+        self.lat_bounds = [_latency_bound(tensors, group) for group in self.groups]
+        self.en_bounds = []
+        for group in self.groups:
+            en = energy.group(group.model, group.source)
+            self.en_bounds.append(
+                _GroupBound(tensors, en, en.A, en.head_joules, en.total_for_assignment, False)
+            )
         self.lat_lb = [bound.lower_bound(self.assign) for bound in self.lat_bounds]
         self.en_lb = [bound.lower_bound(self.assign) for bound in self.en_bounds]
 
-    # ------------------------------------------------------------------
     def leaf_energy(self) -> float:
         """Exact joules of the full assignment (request-order summation,
         bit-identical to ``EnergyTensors.objective`` on the same placement)."""
-        total = 0.0
-        cache: List[Optional[float]] = [None] * len(self.en_groups)
-        for g in self.group_of_request:
-            value = cache[g]
-            if value is None:
-                value = self.en_groups[g].total_for_assignment(self.assign)
-                cache[g] = value
-            total = total + value
-        return float(total)
+        return float(self.fan([b.exact(self.assign) for b in self.en_bounds]))
 
-    def node_energy_bounds(self, m: int) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        """Per-device total *energy* bound if module ``m`` went to each device.
+    def children(self, m: int) -> List[Tuple[float, int]]:
+        """Candidates by ascending energy bound.
 
         Latency is deliberately not vectorized here: its bound (with the
         per-candidate contention tightening) costs an order of magnitude
         more than the additive energy bound, and the energy prune discards
         most candidates first — the survivors get a scalar latency check in
-        :meth:`latency_after` instead.
+        :meth:`descend` instead.
         """
-        affected = self.groups_using[m]
-        en_per_group: Dict[int, np.ndarray] = {
-            g: self.en_bounds[g].bound_vector(self.assign, m) for g in affected
-        }
-        en_total = np.zeros(self.n_devices, dtype=np.float64)
-        for g in self.group_of_request:
-            en_total = en_total + (en_per_group[g] if g in en_per_group else self.en_lb[g])
-        return en_total, en_per_group
+        return self.ranked(m, self.node_vector(m, self.en_bounds, self.en_lb))
 
-    def descend(
-        self, m: int, n: int, en_per_group: Dict[int, np.ndarray]
-    ) -> List[Tuple[int, float]]:
-        self.assign[m] = n
-        self.residual[n] -= self.memory[m]
-        saved = [(g, self.en_lb[g]) for g in en_per_group]
-        for g, vector in en_per_group.items():
-            self.en_lb[g] = float(vector[n])
-        return saved
-
-    def latency_after(self, m: int) -> Tuple[List[Tuple[int, float]], float]:
-        """Refresh the latency bounds of the groups using ``m`` (which
-        :meth:`descend` just placed) and return (undo list, fanned total).
+    def descend(self, m: int, n: int):
+        """Place ``m`` on ``n`` and refresh the latency bounds of its
+        classes; ``None`` (undone) when the latency bound breaks the budget.
 
         ``_GroupBound.lower_bound`` on the updated assignment is admissible
-        at interior nodes and **exact** once a group is complete, so at a
+        at interior nodes and **exact** once a class is complete, so at a
         leaf the fanned total is the true latency objective, bit-identical
         to ``CostTensors.objective``.
         """
-        saved = []
+        saved = self.place(m, n, self.en_lb)
+        lat_saved = []
         for g in self.groups_using[m]:
-            saved.append((g, self.lat_lb[g]))
+            lat_saved.append((g, self.lat_lb[g]))
             self.lat_lb[g] = self.lat_bounds[g].lower_bound(self.assign)
-        total = 0.0
-        for g in self.group_of_request:
-            total = total + self.lat_lb[g]
-        return saved, float(total)
+        undo = (saved, lat_saved)
+        if float(self.fan(self.lat_lb)) > self.latency_budget:
+            self.ascend(m, n, undo)
+            return None
+        return undo
 
-    def restore_latency(self, saved: List[Tuple[int, float]]) -> None:
-        for g, value in saved:
+    def ascend(self, m: int, n: int, undo) -> None:
+        saved, lat_saved = undo
+        for g, value in lat_saved:
             self.lat_lb[g] = value
-
-    def ascend(self, m: int, n: int, saved: List[Tuple[int, float]]) -> None:
-        for g, en_value in saved:
-            self.en_lb[g] = en_value
-        self.residual[n] += self.memory[m]
-        self.assign[m] = -1
+        self.unplace(m, n, self.en_lb, saved)
 
 
-def _any_memory_feasible(search: "_EnergySearch") -> bool:
+def _any_memory_feasible(search: _SearchState) -> bool:
     """Whether any assignment satisfies the memory constraints alone.
 
     First-fit backtracking over modules by descending memory — only called
@@ -1045,20 +954,11 @@ def energy_branch_and_bound(
     meets the budget (the budget is inclusive: ``latency == budget`` is
     feasible); raises :class:`PlacementError` when no memory-feasible
     placement exists at all — the same contract as the brute oracle.
+    ``+inf`` means no budget; a NaN budget raises :class:`ValueError`.
     """
-    if not requests:
-        raise PlacementError("energy-optimal placement needs at least one request to score")
-    net = network if network is not None else Network()
-    if net.has_jitter:
-        raise PlacementError(
-            "energy branch-and-bound prices through cached cost tensors, "
-            "which would freeze the network's jitter hook; clear the jitter "
-            "or use energy_optimal_placement(..., solver='brute')"
-        )
-    if tensors is None:
-        tensors = CostTensors(problem, net, parallel=parallel)
-    else:
-        tensors.check_compatible(problem, net, parallel)
+    if math.isnan(latency_budget):
+        raise ValueError("latency_budget must be a number (inf for no budget), got nan")
+    _, tensors = _prologue(problem, requests, network, parallel, tensors, "energy")
     if energy is None:
         energy = EnergyTensors(tensors)
     elif energy.tensors is not tensors:
@@ -1067,25 +967,7 @@ def energy_branch_and_bound(
             "cache; pass the matching tensors= they were built with"
         )
     stats = stats if stats is not None else BnBStats()
-    search = _EnergySearch(tensors, energy, requests, stats)
-
-    # ------------------------------------------------------------------
-    # Branching order: heads first (they pin every path's embedding
-    # endpoint, tightening all bounds at once), then encoders by descending
-    # best-case path joules; modules no request uses go last.
-    # ------------------------------------------------------------------
-    head_modules = {g.head_idx for g in search.en_groups}
-    criticality = [0.0] * search.n_modules
-    for bound in search.en_bounds:
-        for e, idx in enumerate(bound.encoder_idx):
-            criticality[idx] = max(criticality[idx], bound.free[e])
-
-    def value_order_key(m: int) -> Tuple[int, int, float, int, str]:
-        unused = 0 if search.groups_using[m] else 1
-        is_head = 0 if m in head_modules else 1
-        return (unused, is_head, -criticality[m], -search.memory[m], tensors.module_names[m])
-
-    value_order = sorted(range(search.n_modules), key=value_order_key)
+    search = _EnergySearch(tensors, energy, requests, latency_budget)
 
     def tie_key(assign: np.ndarray) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
         """Brute force's deterministic tie-break key for a full assignment."""
@@ -1112,53 +994,22 @@ def energy_branch_and_bound(
         best_assign = search.assign.copy()
         search.assign[:] = -1
 
-    # ------------------------------------------------------------------
-    # Single-phase DFS.  Pruning is ``energy bound > best`` (strictly:
+    # A single pass.  Pruning is ``energy bound > best`` (strictly:
     # equal-bound subtrees may still hold an equal-joule leaf with a
-    # smaller tie-key) and ``latency bound > budget``; at a leaf both
-    # bounds are exact, so the incumbent update compares the true
-    # (joules, tie-key) pair exactly as brute force's argmin does.
-    # Energy is additive, so exact-tie plateaus are rare and the strict
-    # prune stays sharp (unlike Eq. 2's max-plateaus in the latency search).
-    # ------------------------------------------------------------------
-    def dfs(depth: int) -> None:
+    # smaller tie-key) and ``latency bound > budget`` (in descend); at a
+    # leaf both bounds are exact, so the incumbent update compares the true
+    # (joules, tie-key) pair exactly as brute force's argmin does.  Energy
+    # is additive, so exact-tie plateaus are rare and the strict prune
+    # stays sharp (unlike Eq. 2's max-plateaus in the latency search).
+    def at_leaf(bound) -> None:
         nonlocal best_energy, best_key, best_assign
-        stats.nodes += 1
-        m = value_order[depth]
-        en_bound, en_pg = search.node_energy_bounds(m)
-        candidates = [
-            n for n in range(search.n_devices)
-            if search.residual[n] >= search.memory[m]
-        ]
-        candidates.sort(key=lambda n: en_bound[n])
-        for n in candidates:
-            if en_bound[n] > best_energy:
-                stats.pruned += 1
-                continue
-            saved = search.descend(m, n, en_pg)
-            lat_saved, lat_total = search.latency_after(m)
-            if lat_total > latency_budget:
-                stats.pruned += 1
-            elif depth + 1 == search.n_modules:
-                stats.leaves += 1
-                # Bounds are exact at leaves: en_bound[n] is the true total
-                # joules, lat_total the true latency (already <= budget).
-                leaf = float(en_bound[n])
-                if leaf < best_energy:
-                    best_energy = leaf
-                    best_key = tie_key(search.assign)
-                    best_assign = search.assign.copy()
-                elif leaf == best_energy:
-                    key = tie_key(search.assign)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_assign = search.assign.copy()
-            else:
-                dfs(depth + 1)
-            search.restore_latency(lat_saved)
-            search.ascend(m, n, saved)
+        leaf = float(bound)
+        key = tie_key(search.assign) if leaf <= best_energy else None
+        if leaf < best_energy or (leaf == best_energy and (best_key is None or key < best_key)):
+            best_energy, best_key, best_assign = leaf, key, search.assign.copy()
 
-    dfs(0)
+    _dfs(search.value_order(search.en_bounds), search.children, search.descend,
+         search.ascend, lambda bound: bound > best_energy, at_leaf, stats)
     if best_assign is None:
         # Distinguish "over budget" from "memory-infeasible outright" so
         # both solvers keep the same contract: the brute oracle raises when
@@ -1166,10 +1017,4 @@ def energy_branch_and_bound(
         if not _any_memory_feasible(search):
             raise PlacementError("no memory-feasible placement exists for this instance")
         return None, float("inf")
-    placement = Placement(
-        {
-            tensors.module_names[m]: (tensors.device_names[int(best_assign[m])],)
-            for m in range(search.n_modules)
-        }
-    )
-    return placement, best_energy
+    return search.placement(best_assign), best_energy

@@ -19,6 +19,7 @@ Candidate scoring runs on the shared cost tensors
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.cluster.network import Network
@@ -149,9 +150,10 @@ def energy_optimal_placement(
     The energy counterpart of :func:`optimal_placement`: minimizes the
     total joules of :func:`repro.profiles.energy.energy_objective` over all
     memory-feasible single-copy placements whose latency objective does not
-    exceed ``latency_budget`` (``None`` means unconstrained; the budget is
-    inclusive).  Ties break toward the lexicographically-smallest
-    assignment under every ``solver`` (``"auto"``/``"bnb"`` run the energy
+    exceed ``latency_budget`` (``None`` or ``inf`` means unconstrained, a
+    NaN budget raises :class:`ValueError`; the budget is inclusive).  Ties
+    break toward the lexicographically-smallest assignment under every
+    ``solver`` (``"auto"``/``"bnb"`` run the energy
     branch-and-bound in :mod:`repro.core.placement.bnb`, ``"brute"`` the
     exhaustive sweep; results are identical, brute force just caps out at
     :data:`MAX_ASSIGNMENTS`).  Returns ``(None, inf)`` when memory-feasible
@@ -165,6 +167,8 @@ def energy_optimal_placement(
     if not requests:
         raise PlacementError("energy-optimal placement needs at least one request to score")
     budget = float("inf") if latency_budget is None else float(latency_budget)
+    if math.isnan(budget):
+        raise ValueError("latency_budget must be a number (None for no budget), got nan")
     if solver == "auto" and network is not None and network.has_jitter:
         solver = "brute"
     if solver in ("auto", "bnb"):

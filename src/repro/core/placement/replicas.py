@@ -23,11 +23,14 @@ Three solvers, same contract as the single-copy stack:
   ``replicate_with_leftover``).
 - :func:`replica_brute_force` — enumerate every memory-feasible host-set
   assignment (capped at :data:`MAX_REPLICA_ASSIGNMENTS`).
-- :func:`replica_branch_and_bound` — the exact search: admissible
-  per-request-class bounds pruned over subset candidates, two phases
-  (value, then a tie-break walk in brute-force key order), returning the
-  **identical placement, objective, and tie-break** as brute force —
-  property-tested in ``tests/test_replicas.py``.
+- :func:`replica_branch_and_bound` — the exact search, on the single-copy
+  solvers' search core in :mod:`repro.core.placement.bnb` (one DFS
+  driver, two phases: value, then a tie-break walk in brute-force key
+  order).  It supplies only its ``children(m)`` — memory-feasible host
+  sets, each priced by a trial descend under admissible per-request-class
+  bounds — and its host-set descend/ascend, returning the **identical
+  placement, objective, and tie-break** as brute force (property-tested
+  in ``tests/test_replicas.py``).
 
 All durations are **seconds**; module sizes are **bytes**.  Host tuples in
 returned placements are in sorted device-name order (the canonical form the
@@ -39,12 +42,14 @@ tie-break compares), and ties break toward the lexicographically smallest
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
+from repro.core.placement.bnb import BnBStats, _prologue, _SearchState, _two_phase
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.problem import Placement, PlacementProblem
 from repro.core.placement.tensors import (
@@ -324,8 +329,8 @@ class _ReplicaGroupBound:
         return self.group.best_hosts(self.tensors, candidates)[0]
 
 
-class _ReplicaSearch:
-    """Shared state for both phases of the replica branch-and-bound."""
+class _ReplicaSearch(_SearchState):
+    """The replica search's state: host sets instead of single devices."""
 
     def __init__(
         self,
@@ -334,13 +339,7 @@ class _ReplicaSearch:
         max_copies: int,
         congestion: Optional[CongestionModel] = None,
     ) -> None:
-        self.tensors = tensors
-        self.requests = list(requests)
-        self.max_copies = max_copies
-        self.n_modules = tensors.n_modules
-        self.n_devices = tensors.n_devices
-        self.memory = [int(b) for b in tensors.memory]
-        self.residual = [int(b) for b in tensors.capacity]
+        super().__init__(tensors, requests)
         #: Per-module assigned host set (device indices, name-sorted) or None.
         self.sets: List[Optional[Tuple[int, ...]]] = [None] * self.n_modules
 
@@ -365,23 +364,7 @@ class _ReplicaSearch:
                 if fitting
                 else []
             )
-
-        self.groups: List[RequestGroup] = []
-        self.bounds: List[_ReplicaGroupBound] = []
-        self.group_of_request: List[int] = []
-        index_of: Dict[Tuple[int, str], int] = {}
-        for request in requests:
-            key = (id(request.model), request.source)
-            if key not in index_of:
-                index_of[key] = len(self.groups)
-                group = tensors.group(request.model, request.source)
-                self.groups.append(group)
-                self.bounds.append(_ReplicaGroupBound(tensors, group))
-            self.group_of_request.append(index_of[key])
-        self.groups_using: List[List[int]] = [[] for _ in range(self.n_modules)]
-        for g, group in enumerate(self.groups):
-            for idx in group.member_idx:
-                self.groups_using[idx].append(g)
+        self.bounds = [_ReplicaGroupBound(tensors, group) for group in self.groups]
         self.group_lb = [bound.lower_bound(self.sets) for bound in self.bounds]
 
         # Queue-wait bound state: per-device utilization/residual load sums
@@ -408,14 +391,26 @@ class _ReplicaSearch:
             self._wslots = np.asarray(tensors.slots, dtype=float)
 
     # ------------------------------------------------------------------
-    def feasible_subsets(self, m: int) -> List[Tuple[int, ...]]:
-        """Candidate host sets for module ``m`` under the current residuals."""
+    def _scored(self, m: int) -> Iterator[Tuple[float, Tuple[int, ...]]]:
+        """Memory-feasible host sets for ``m`` in tie-key order, each with
+        the total bound it would leave (priced by a trial descend)."""
         need = self.memory[m]
-        return [
-            subset
-            for subset in self.subsets_of[m]
-            if all(self.residual[n] >= need for n in subset)
-        ]
+        for subset in self.subsets_of[m]:
+            if all(self.residual[n] >= need for n in subset):
+                saved = self.descend(m, subset)
+                bound = self.total_bound()
+                self.ascend(m, subset, saved)
+                yield bound, subset
+
+    def value_children(self, m: int) -> List[Tuple[float, Tuple[int, ...]]]:
+        return sorted(self._scored(m), key=operator.itemgetter(0))
+
+    def tie_children(self, m: int) -> Iterator[Tuple[float, Tuple[int, ...]]]:
+        return self._scored(m)
+
+    @staticmethod
+    def leaf_value(bound: float) -> float:
+        return bound  # exact: every class is complete at a leaf
 
     def descend(self, m: int, subset: Tuple[int, ...]) -> List[Tuple[int, float]]:
         self.sets[m] = subset
@@ -475,9 +470,7 @@ class _ReplicaSearch:
         """
         if self.wait is not None and all(s is not None for s in self.sets):
             return self._leaf_value()
-        total = 0.0
-        for g in self.group_of_request:
-            total = total + self.group_lb[g]
+        total = self.fan(self.group_lb)
         if self.wait is None:
             return float(total)
         sets = self.sets
@@ -494,10 +487,7 @@ class _ReplicaSearch:
                     continue
                 extra = extra + min(waits[n] for n in assigned)
             group_extra.append(extra)
-        extra = 0.0
-        for g in self.group_of_request:
-            extra = extra + group_extra[g]
-        return float(total + extra * _WAIT_SLACK)
+        return float(total + self.fan(group_extra) * _WAIT_SLACK)
 
     def _leaf_value(self) -> float:
         """Exact queue-aware objective for a fully-assigned host-set state.
@@ -510,19 +500,13 @@ class _ReplicaSearch:
         sets = self.sets
         assert self.wait is not None
         waits = self.wait.device_waits(self.requests, lambda m: sets[m])
-        values: List[Optional[float]] = [None] * len(self.groups)
-        total = 0.0
-        for g in self.group_of_request:
-            value = values[g]
-            if value is None:
-                group = self.groups[g]
-                candidates = [list(sets[idx]) for idx in group.member_idx]  # type: ignore[arg-type]
-                value, _ = group.best_hosts(self.tensors, candidates, device_waits=waits)
-                values[g] = value
-            total = total + value
-        return float(total)
+        values = []
+        for group in self.groups:
+            candidates = [list(sets[idx]) for idx in group.member_idx]  # type: ignore[arg-type]
+            values.append(group.best_hosts(self.tensors, candidates, device_waits=waits)[0])
+        return float(self.fan(values))
 
-    def placement(self) -> Placement:
+    def winner(self) -> Placement:
         names = self.tensors.device_names
         return Placement(
             {
@@ -548,42 +532,18 @@ def replica_branch_and_bound(
     Searches host-set space (1..``max_copies`` devices per module under
     Eq. 4d memory) with admissible per-class bounds and returns **the
     identical placement, objective (seconds), and tie-break** as
-    :func:`replica_brute_force` — two phases, like the single-copy
-    branch-and-bound: a value search pruning ``bound >= best`` (the
-    incumbent is always attained, so ties cannot strictly improve), then a
-    tie-break walk in brute's enumeration order pruning ``bound > V`` that
-    stops at the first leaf attaining V.  ``congestion`` switches the
-    objective to the queue-aware one (wait-inclusive bounds, exact leaves);
-    ``None`` keeps the historical objective bit-identical.
+    :func:`replica_brute_force` — through the same two-phase driver as the
+    single-copy branch-and-bound: a value search pruning ``bound >= best``
+    (the incumbent is always attained, so ties cannot strictly improve),
+    then a tie-break walk in brute's enumeration order pruning ``bound >
+    V`` that stops at the first leaf attaining V.  ``congestion`` switches
+    the objective to the queue-aware one (wait-inclusive bounds, exact
+    leaves); ``None`` keeps the historical objective bit-identical.
     """
-    if not requests:
-        raise PlacementError("replica placement needs at least one request to score")
     if max_copies < 1:
         raise ValueError(f"max_copies must be >= 1, got {max_copies}")
-    net = network if network is not None else Network()
-    if net.has_jitter:
-        raise PlacementError(
-            "replica branch-and-bound prices through cached cost tensors, "
-            "which would freeze the network's jitter hook; clear the jitter "
-            "or use replica_optimal_placement(..., solver='brute')"
-        )
-    if tensors is None:
-        tensors = CostTensors(problem, net, parallel=parallel)
-    else:
-        tensors.check_compatible(problem, net, parallel)
+    net, tensors = _prologue(problem, requests, network, parallel, tensors, "replica")
     search = _ReplicaSearch(tensors, requests, max_copies, congestion=congestion)
-
-    # Branching order: heads first (they pin every path's output endpoint),
-    # then by descending memory (big modules constrain residuals most).
-    head_modules = {g.head_idx for g in search.groups}
-
-    def value_order_key(m: int) -> Tuple[int, int, int, str]:
-        unused = 0 if search.groups_using[m] else 1
-        is_head = 0 if m in head_modules else 1
-        return (unused, is_head, -search.memory[m], tensors.module_names[m])
-
-    value_order = sorted(range(search.n_modules), key=value_order_key)
-
     # Attained incumbent: the replica-aware greedy (always a member of the
     # search space: <= max_copies sorted host tuples, memory-feasible).
     best_value = float("inf")
@@ -594,60 +554,9 @@ def replica_branch_and_bound(
         )
     except PlacementError:
         pass
-
-    def value_dfs(depth: int) -> None:
-        nonlocal best_value
-        m = value_order[depth]
-        scored = []
-        for subset in search.feasible_subsets(m):
-            saved = search.descend(m, subset)
-            bound = search.total_bound()
-            search.ascend(m, subset, saved)
-            if bound < best_value:
-                scored.append((bound, subset))
-        scored.sort(key=lambda item: item[0])
-        for bound, subset in scored:
-            if bound >= best_value:
-                continue  # the incumbent moved since scoring
-            saved = search.descend(m, subset)
-            if depth + 1 == search.n_modules:
-                objective = search.total_bound()  # exact: all groups complete
-                if objective < best_value:
-                    best_value = objective
-            else:
-                value_dfs(depth + 1)
-            search.ascend(m, subset, saved)
-
-    value_dfs(0)
-    if best_value == float("inf"):
-        raise PlacementError("no memory-feasible placement exists for this instance")
-
-    tie_order = sorted(range(search.n_modules), key=lambda m: tensors.module_names[m])
-
-    def tie_dfs(depth: int) -> Optional[Placement]:
-        m = tie_order[depth]
-        for subset in search.feasible_subsets(m):
-            saved = search.descend(m, subset)
-            if search.total_bound() > best_value:
-                search.ascend(m, subset, saved)
-                continue
-            if depth + 1 == search.n_modules:
-                if search.total_bound() == best_value:
-                    winner = search.placement()
-                    search.ascend(m, subset, saved)
-                    return winner
-            else:
-                winner = tie_dfs(depth + 1)
-                if winner is not None:
-                    search.ascend(m, subset, saved)
-                    return winner
-            search.ascend(m, subset, saved)
-        return None
-
-    winner = tie_dfs(0)
-    if winner is None:  # pragma: no cover - phase 1 proved V is attained
-        raise PlacementError("no memory-feasible placement exists for this instance")
-    return winner, best_value
+    # Heads first (they pin every path's output endpoint), then by
+    # descending memory (big modules constrain residuals most).
+    return _two_phase(search, search.value_order(()), best_value, BnBStats())
 
 
 def replica_optimal_placement(

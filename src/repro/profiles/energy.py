@@ -195,7 +195,7 @@ def energy_aware_placement(
     from repro.core.placement.greedy import greedy_placement
     from repro.core.placement.optimal import energy_optimal_placement
 
-    if latency_budget_factor <= 0:
+    if not latency_budget_factor > 0:
         raise ConfigurationError(
             f"latency_budget_factor must be positive, got {latency_budget_factor}"
         )

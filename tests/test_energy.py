@@ -29,7 +29,7 @@ from repro.profiles.energy import (
     request_energy_joules,
     resolve_energy_profile,
 )
-from repro.utils.errors import PlacementError
+from repro.utils.errors import ConfigurationError, PlacementError
 from repro.utils.seeding import rng_for
 
 from conftest import seeded_noisy_problem
@@ -268,6 +268,21 @@ class TestEnergyBnBExactness:
         for solver in ("bnb", "brute"):
             with pytest.raises(PlacementError):
                 energy_optimal_placement(problem, [request], solver=solver)
+
+    def test_nan_budget_is_rejected_not_unconstrained(self):
+        # A NaN budget compares false against every latency, so without a
+        # guard it silently meant "no budget".  +inf stays the valid one.
+        instance = synthetic_instance(4, 5, seed=3)
+        args = (instance.problem, list(instance.requests), instance.network)
+        for solver in ("bnb", "brute"):
+            with pytest.raises(ValueError, match="latency_budget"):
+                energy_optimal_placement(*args, latency_budget=float("nan"), solver=solver)
+            _, joules = energy_optimal_placement(*args, latency_budget=float("inf"), solver=solver)
+            assert joules == energy_optimal_placement(*args, solver=solver)[1]
+        with pytest.raises(ValueError, match="latency_budget"):
+            energy_branch_and_bound(*args, latency_budget=float("nan"))
+        with pytest.raises(ConfigurationError, match="latency_budget_factor"):
+            energy_aware_placement(*args, latency_budget_factor=float("nan"))
 
     def test_infeasible_budget_returns_none(self):
         problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())

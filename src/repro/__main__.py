@@ -24,6 +24,7 @@ And the multi-cluster WAN federation (see docs/federation.md):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict
 
@@ -177,14 +178,14 @@ def serve_main(argv=None) -> int:
 
     def positive(text: str) -> float:
         value = float(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
         return value
 
     def non_negative(text: str) -> float:
         value = float(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
         return value
 
     parser = argparse.ArgumentParser(

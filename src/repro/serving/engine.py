@@ -31,9 +31,10 @@ an *event-order-faithful* translation, not a re-modeling:
   handler runs the ``k`` continuations inline in the same order.
 
 Caches (service seconds, transfer seconds, batch services, isolated
-estimates keyed by a placement/live-set generation counter) memoize pure
-deterministic functions only, so they change *when* a float is computed,
-never *which* float.
+estimates and autoscaler views keyed by a placement/live-set generation
+counter, isolated totals keyed by routed hosts) memoize pure deterministic
+functions only, so they change *when* a float is computed, never *which*
+float.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ class _ModelInfo:
 #: completion against double firing; ``key`` is the micro-batch queue the
 #: job sits in once enqueued, None before).
 _IS_HEAD, _IDX, _PATH, _EST, _MODEL, _CANCELLED, _NOTIFIED, _KEY = range(8)
+
+#: The autoscaler's per-module view: (queue keys of the live hosts, their
+#: summed slot capacity, scale-up plan ``(chosen, load seconds)`` or None).
+_ScaleView = Tuple[Tuple[Tuple[str, str], ...], int, Optional[Tuple[str, float]]]
 
 
 class FlatServingEngine:
@@ -197,8 +202,15 @@ class FlatServingEngine:
         self._scale_cache: Dict[Tuple[int, str], float] = {}
         self._transfer_cache: Dict[Tuple[str, str, int], float] = {}
         self._isolated_cache: Dict[int, Tuple[int, Optional[float]]] = {}
-        # Invalidated wholesale by _bump_generation (placement/live changes).
+        # Isolated totals by (info.index, routed hosts): a routed breakdown
+        # reads no placement, so this survives generation bumps that leave
+        # every module's chosen host unchanged; only a link fault (transfer
+        # prices) clears it.
+        self._isolated_memo: Dict[Tuple[int, Tuple[str, ...]], float] = {}
+        # Both invalidated wholesale by _bump_generation, which every change
+        # to the placement, the live set or device memory goes through.
         self._route_cache: Dict[Tuple[int, str], List[Tuple[float, str]]] = {}
+        self._scale_views: Dict[str, _ScaleView] = {}
         # Queue-pressure memo: info.index -> (state_version, pressure).
         # _state_version advances at every routing-state mutation (slots,
         # waiters, backlog, reserved, generation), so a hit means the exact
@@ -860,24 +872,27 @@ class FlatServingEngine:
             return cached[1]
         hosts: Dict[str, str] = {}
         value: Optional[float] = None
-        routable = True
         for module_name in info.module_names:
             pairs = self._live_pairs(info, module_name)
             if not pairs:
-                routable = False
                 break
             hosts[module_name] = min(pairs)[1]
-        if routable:
-            decision = RoutingDecision(request=info.proto, hosts=hosts)
-            value = self._latency_model.breakdown(
-                info.proto, self._placement, routing=decision
-            ).total
+        else:
+            key = (info.index, tuple(hosts.values()))
+            value = self._isolated_memo.get(key)
+            if value is None:
+                decision = RoutingDecision(request=info.proto, hosts=hosts)
+                value = self._latency_model.breakdown(
+                    info.proto, self._placement, routing=decision
+                ).total
+                self._isolated_memo[key] = value
         self._isolated_cache[info.index] = (self._generation, value)
         return value
 
     def _bump_generation(self) -> None:
         self._generation += 1
         self._route_cache.clear()
+        self._scale_views.clear()
         self._state_version += 1
 
     # ------------------------------------------------------------------
@@ -1011,6 +1026,7 @@ class FlatServingEngine:
         # link invalidates them even when the placement generation and
         # reachability are unchanged.
         self._isolated_cache.clear()
+        self._isolated_memo.clear()
         changed, change_detail = self._refresh_reachability()
         if change_detail:
             detail = f"{detail}; {change_detail}" if detail else change_detail
@@ -1226,11 +1242,31 @@ class FlatServingEngine:
         if self._unresolved <= 0:
             return
         idle_rounds = self._idle_rounds
+        queues = self._queues
         for module_name in self._sorted_modules:
-            pressure, queued_seconds = self._module_pressure(module_name)
+            # Looked up per module, never once per tick: a scale-down below
+            # unloads its victim and bumps the generation mid-tick, which
+            # can change ``can_load`` for the modules after it.
+            keys, capacity, plan = self._scale_view(module_name)
+            queued = 0.0
+            for key in keys:
+                for job in queues.get(key, ()):
+                    queued += job[_EST]
+            pressure = queued / capacity if keys else 0.0
             if pressure > rt.scale_up_backlog_s:
                 idle_rounds[module_name] = 0
-                self._scale_up(module_name, pressure, queued_seconds)
+                # An add may cost at most the queued work it relieves.
+                if (
+                    plan is not None
+                    and plan[1] <= queued
+                    and module_name not in self._pending_adds
+                ):
+                    chosen, cost = plan
+                    self._pending_adds.add(module_name)
+                    detail = f"backlog {pressure:.2f}s/slot > {rt.scale_up_backlog_s:.2f}s"
+                    self._loop.push(
+                        0.0, self._scale_up_start, module_name, chosen, cost, detail
+                    )
             elif pressure == 0.0:
                 idle_rounds[module_name] = idle_rounds.get(module_name, 0) + 1
                 if idle_rounds[module_name] >= rt.scale_down_idle_rounds:
@@ -1241,55 +1277,45 @@ class FlatServingEngine:
         if self._unresolved > 0:
             self._loop.push(rt.autoscale_interval_s, self._autoscale_tick)
 
-    def _module_pressure(self, module_name: str) -> Tuple[float, float]:
-        hosts = [h for h in self._placement.hosts(module_name) if h in self._live]
-        if not hosts:
-            return 0.0, 0.0
-        queued = 0.0
-        for host in hosts:
-            for job in self._queues.get((module_name, host), ()):
-                queued += job[_EST]
-        capacity = sum(self._slot_cap[h] for h in hosts)
-        return queued / capacity, queued
+    def _scale_view(self, module_name: str) -> _ScaleView:
+        """The autoscaler's per-module view, cached until the next
+        generation bump."""
+        view = self._scale_views.get(module_name)
+        if view is None:
+            view = self._scale_views[module_name] = self._build_scale_view(module_name)
+        return view
 
-    def _scale_up(self, module_name: str, pressure: float, queued_seconds: float) -> None:
-        rt = self.rt
-        if module_name in self._pending_adds:
-            return
+    def _build_scale_view(self, module_name: str) -> _ScaleView:
+        """``(queue keys, slot capacity, plan)`` over the module's live hosts
+        in placement order.  ``plan`` is the scale-up add ``(chosen, load
+        seconds)``, or None when the module is at ``max_replicas``, has no
+        live host (churn re-placement owns that case) or no live non-host
+        that fits it within ``scale_up_speed_ratio`` of its fastest host.
+        Pure in (placement, live set, device memory)."""
         hosts = self._placement.hosts(module_name)
-        if len(hosts) >= rt.max_replicas:
-            return
+        live_hosts = [h for h in hosts if h in self._live]
+        keys = tuple((module_name, h) for h in live_hosts)
+        capacity = sum(self._slot_cap[h] for h in live_hosts)
+        if not live_hosts or len(hosts) >= self.rt.max_replicas:
+            return keys, capacity, None
         module = self._module_specs[module_name]
         problem = self._engine.problem
-        live_hosts = [h for h in hosts if h in self._live]
-        if not live_hosts:
-            return  # churn re-placement, not the autoscaler, owns this
-        fastest = min(
+        limit = self.rt.scale_up_speed_ratio * min(
             problem.compute_seconds(module, self._devices[h].profile)
             for h in live_hosts
         )
-        candidates = [
-            name for name in self._device_names
-            if name in self._live and name not in hosts
-            and self._devices[name].can_load(module)
-            and problem.compute_seconds(module, self._devices[name].profile)
-            <= rt.scale_up_speed_ratio * fastest
-        ]
+        candidates = []
+        for name in self._device_names:
+            device = self._devices[name]
+            if name in self._live and name not in hosts and device.can_load(module):
+                seconds = problem.compute_seconds(module, device.profile)
+                if seconds <= limit:
+                    candidates.append((seconds, name))
         if not candidates:
-            return
-        chosen = min(
-            candidates,
-            key=lambda name: (
-                problem.compute_seconds(module, self._devices[name].profile),
-                name,
-            ),
-        )
+            return keys, capacity, None
+        chosen = min(candidates)[1]
         cost = problem.compute_model.load_seconds(module, self._devices[chosen].profile)
-        if cost > queued_seconds:
-            return
-        self._pending_adds.add(module_name)
-        detail = f"backlog {pressure:.2f}s/slot > {rt.scale_up_backlog_s:.2f}s"
-        self._loop.push(0.0, self._scale_up_start, module_name, chosen, cost, detail)
+        return keys, capacity, (chosen, cost)
 
     def _scale_up_start(self, module_name: str, chosen: str, cost: float, detail: str) -> None:
         decided_at = self._loop.now

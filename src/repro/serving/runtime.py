@@ -374,15 +374,20 @@ class ServingRuntime:
             raise ValueError("need at least one model to serve")
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if batch_window_s < 0:
-            raise ValueError(f"batch_window_s must be non-negative, got {batch_window_s}")
-        if autoscale_interval_s <= 0:
-            raise ValueError(f"autoscale_interval_s must be positive, got {autoscale_interval_s}")
-        if scale_up_backlog_s is not None and scale_up_backlog_s <= 0:
+        # Written as negated comparisons so NaN fails them too.
+        if not 0 <= batch_window_s < math.inf:
+            raise ValueError(
+                f"batch_window_s must be finite and non-negative, got {batch_window_s}"
+            )
+        if not 0 < autoscale_interval_s < math.inf:
+            raise ValueError(
+                f"autoscale_interval_s must be finite and positive, got {autoscale_interval_s}"
+            )
+        if scale_up_backlog_s is not None and not scale_up_backlog_s > 0:
             raise ValueError(f"scale_up_backlog_s must be positive, got {scale_up_backlog_s}")
         if scale_down_idle_rounds < 1:
             raise ValueError(f"scale_down_idle_rounds must be >= 1, got {scale_down_idle_rounds}")
-        if scale_up_speed_ratio < 1:
+        if not scale_up_speed_ratio >= 1:
             raise ValueError(f"scale_up_speed_ratio must be >= 1, got {scale_up_speed_ratio}")
         if max_replicas < 1:
             raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")

@@ -34,12 +34,12 @@ from repro.serving.workload import Arrival, ArrivalTrace
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 
 
-def _run(engine, *, kind="poisson", rate=0.4, duration=30.0, seed=0,
+def _run(engine, *, models=MODELS, kind="poisson", rate=0.4, duration=30.0, seed=0,
          churn_rate=0.0, faults=None, runtime_kwargs=None):
     trace = WorkloadGenerator(
-        MODELS, kind=kind, rate_rps=rate, duration_s=duration, seed=seed
+        models, kind=kind, rate_rps=rate, duration_s=duration, seed=seed
     ).generate()
-    runtime = ServingRuntime(MODELS, engine=engine, **(runtime_kwargs or {}))
+    runtime = ServingRuntime(models, engine=engine, **(runtime_kwargs or {}))
     churn = ()
     if churn_rate:
         churn = generate_churn(
@@ -168,6 +168,32 @@ CONFIGS = [
                  autoscale=True, replicate=False,
                  retry=RetryPolicy(timeout_s=8.0, max_retries=5))),
         id="poisson-outage-autoscale-retry",
+    ),
+    # Autoscaling under link faults: a repriced link must clear the
+    # isolated-latency memo keyed by routed hosts, while scale-ups and drops
+    # bump the placement generation around it.
+    pytest.param(
+        dict(kind="bursty", rate=0.6, seed=7, duration=60.0, faults="flaky-links",
+             runtime_kwargs=dict(
+                 slo=SLOPolicy(admission=False), autoscale=True, replicate=False,
+                 retry=RetryPolicy(timeout_s=6.0, max_retries=3, backoff_s=0.05),
+                 brownout=BrownoutPolicy(interval_s=0.5, high_backlog_s=1.5,
+                                         low_backlog_s=0.5),
+                 batch_window_s=0.05)),
+        id="bursty-flaky-links-autoscale",
+    ),
+    # Jetson-sized memory and a wide speed ratio: a scale-down's unload
+    # frees the memory a later module in the same autoscale tick needs for
+    # its scale-up, so the autoscaler's view must be re-read per module.
+    pytest.param(
+        dict(models=["clip-rn50", "clip-vit-b32", "clip-rn101"], rate=3.0,
+             duration=60.0, seed=17,
+             runtime_kwargs=dict(
+                 device_names=["desktop", "jetson-b", "jetson-a"],
+                 slo=SLOPolicy(admission=False), autoscale=True,
+                 scale_up_speed_ratio=30.0, scale_down_idle_rounds=2,
+                 max_replicas=4)),
+        id="poisson-tight-memory-autoscale",
     ),
     pytest.param(
         dict(kind="bursty", rate=0.8, seed=2, churn_rate=0.05,

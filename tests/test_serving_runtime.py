@@ -297,6 +297,24 @@ class TestAutoscale:
         with pytest.raises(ValueError, match="scale_up_speed_ratio"):
             ServingRuntime(MODELS, autoscale=True, scale_up_speed_ratio=0.5)
 
+    # NaN fails every comparison, so a guard written as ``x <= 0`` let it
+    # through: NaN thresholds silently disabled scaling, an infinite
+    # interval ran the clock to inf, and a NaN window meant "no window".
+    @pytest.mark.parametrize(
+        "setting, bad",
+        [
+            ("scale_up_backlog_s", float("nan")),
+            ("scale_up_speed_ratio", float("nan")),
+            ("autoscale_interval_s", float("nan")),
+            ("autoscale_interval_s", float("inf")),
+            ("batch_window_s", float("nan")),
+            ("batch_window_s", float("inf")),
+        ],
+    )
+    def test_non_finite_setting_rejected(self, setting, bad):
+        with pytest.raises(ValueError, match=setting):
+            ServingRuntime(MODELS, autoscale=True, **{setting: bad})
+
 
 class TestServeCli:
     def test_serve_smoke(self, capsys):
@@ -316,6 +334,13 @@ class TestServeCli:
             main(["serve", "--autoscale", "--max-replicas", "0"])
         with pytest.raises(SystemExit):
             main(["serve", "--autoscale", "--autoscale-interval", "0"])
+
+    @pytest.mark.parametrize("flag", ["--autoscale-interval", "--batch-window"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_serve_rejects_non_finite_args(self, flag, bad, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--autoscale", flag, bad])
+        assert "finite" in capsys.readouterr().err
 
     def test_serve_with_churn(self, capsys):
         assert main([

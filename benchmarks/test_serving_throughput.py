@@ -86,39 +86,3 @@ def test_micro_batching_beats_serial_service(benchmark, once, capsys):
     # slower on average, and should win on the tail under bursts.
     assert batched.latency.mean <= serial.latency.mean * 1.01
     assert batched.latency.p95 <= serial.latency.p95 * 1.01
-
-
-def test_flat_engine_beats_process_engine(benchmark, once, capsys):
-    """The vectorized event-loop engine vs the generator-process engine on
-    the identical overloaded trace: reports must agree metric for metric,
-    and the flat engine must be decisively faster (the checked-in
-    ``BENCH_serving.json`` gates >= 10x at 100k arrivals; this in-suite
-    point is smaller and uses a looser bar so CI never flakes on it)."""
-    import time
-
-    trace = WorkloadGenerator(
-        MODELS, kind="poisson", rate_rps=20.0, duration_s=400.0, seed=0
-    ).generate()
-
-    def run_pair():
-        start = time.perf_counter()
-        flat = ServingRuntime(MODELS, engine="flat").run(trace)
-        flat_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        legacy = ServingRuntime(MODELS, engine="processes").run(trace)
-        legacy_wall = time.perf_counter() - start
-        return flat, flat_wall, legacy, legacy_wall
-
-    flat, flat_wall, legacy, legacy_wall = once(benchmark, run_pair)
-    with capsys.disabled():
-        print()
-        print(
-            f"flat    : {flat_wall:.3f}s ({flat.arrivals / flat_wall:,.0f} arrivals/s)"
-        )
-        print(
-            f"legacy  : {legacy_wall:.3f}s ({legacy.arrivals / legacy_wall:,.0f} arrivals/s)"
-        )
-        print(f"speedup : {legacy_wall / flat_wall:.1f}x")
-    assert flat.metrics_tuple() == legacy.metrics_tuple()
-    assert flat.completed + flat.rejected == flat.arrivals
-    assert legacy_wall > 2.0 * flat_wall

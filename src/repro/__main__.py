@@ -244,10 +244,6 @@ def serve_main(argv=None) -> int:
                         help="plan the deployment with the queue-aware exact solver: "
                         "arrival rates measured from the trace price per-device "
                         "expected waits into the placement objective (docs/placement.md)")
-    parser.add_argument("--engine", choices=("flat", "processes"), default="flat",
-                        help="serving core: 'flat' is the vectorized event-loop engine, "
-                        "'processes' the legacy one-generator-per-request engine; both "
-                        "produce bit-identical reports (default: flat)")
     args = parser.parse_args(argv)
 
     from repro.core.catalog import MODEL_CATALOG
@@ -287,7 +283,6 @@ def serve_main(argv=None) -> int:
         autoscale=args.autoscale,
         autoscale_interval_s=args.autoscale_interval,
         max_replicas=args.max_replicas,
-        engine=args.engine,
         congestion_aware=args.congestion_aware,
         retry=RetryPolicy(
             timeout_s=args.timeout,
@@ -354,17 +349,13 @@ def federation_main(argv=None) -> int:
     parser.add_argument("--parallel", action="store_true",
                         help="simulate clusters in separate worker processes; "
                         "the report is bit-identical to the sequential oracle")
-    parser.add_argument("--engine", choices=("flat", "processes"), default="flat",
-                        help="per-cluster serving core (default: flat)")
     args = parser.parse_args(argv)
 
     if args.study:
         print(render_federation(args.duration, args.seed, parallel=args.parallel))
         return 0
     scenario = "regional-outage" if args.outage else "offset-diurnal"
-    runtime = study_runtime(
-        spillover=not args.no_spillover, duration_s=args.duration, engine=args.engine
-    )
+    runtime = study_runtime(spillover=not args.no_spillover, duration_s=args.duration)
     report = runtime.run(
         args.seed,
         fault_plans=study_fault_plans(scenario, args.duration),

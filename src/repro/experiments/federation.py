@@ -126,7 +126,6 @@ def study_runtime(
     duration_s: float = STUDY_DURATION_S,
     rate_rps: float = STUDY_RATE_RPS,
     capacity_rps: float = STUDY_CAPACITY_RPS,
-    engine: str = "flat",
 ) -> FederationRuntime:
     """A study-configured :class:`FederationRuntime` (admission off: the
     router and the queues, not arrival-time shedding, absorb overload)."""
@@ -137,7 +136,6 @@ def study_runtime(
         diurnal_period_s=STUDY_PERIOD_S * duration_s / STUDY_DURATION_S,
         diurnal_amplitude=STUDY_AMPLITUDE,
         slo=SLOPolicy(admission=False),
-        engine=engine,
         spillover=spillover,
     )
 
@@ -147,7 +145,6 @@ def run_federation_study(
     seed: int = STUDY_SEED,
     *,
     parallel: bool = False,
-    engine: str = "flat",
 ) -> List[Tuple[str, str, "object"]]:
     """Run every (scenario, mode) cell of the study.
 
@@ -160,9 +157,7 @@ def run_federation_study(
     for scenario in FEDERATION_SCENARIOS:
         plans = study_fault_plans(scenario, duration_s)
         for key, _ in FEDERATION_MODES:
-            runtime = study_runtime(
-                spillover=(key == "spillover"), duration_s=duration_s, engine=engine
-            )
+            runtime = study_runtime(spillover=(key == "spillover"), duration_s=duration_s)
             out.append(
                 (scenario, key, runtime.run(seed, fault_plans=plans, parallel=parallel))
             )

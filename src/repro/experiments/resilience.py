@@ -16,10 +16,10 @@ configurations on the same seeded workload and fault schedule:
   shed the lowest-SLO-slack model classes first).
 
 Run with ``python -m repro resilience``.  ``scripts/run_benchmarks.py``
-records the SAME study into ``BENCH_resilience.json`` (plus engine
-cross-checks and determinism gates), so there is exactly one definition
-to drift.  All latencies are **seconds** of simulated time; goodput is
-SLO-met completions per second.
+records the SAME study into ``BENCH_resilience.json`` (plus conservation
+and determinism gates), so there is exactly one definition to drift.  All
+latencies are **seconds** of simulated time; goodput is SLO-met
+completions per second.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ def run_resilience_study(
     rate_rps: float = STUDY_RATE_RPS,
     duration_s: float = STUDY_DURATION_S,
     seed: int = STUDY_SEED,
-    engine: str = "flat",
 ) -> List[Tuple[str, str, "object"]]:
     """Serve one seeded bursty stream under every (scenario, config) pair.
 
@@ -108,9 +107,7 @@ def run_resilience_study(
             # Admission off: arrival-time shedding would hide the backlog
             # the degradation machinery exists to manage, so the brownout
             # controller and the retry budget are the only relief valves.
-            runtime = ServingRuntime(
-                list(models), slo=SLOPolicy(admission=False), engine=engine, **kwargs
-            )
+            runtime = ServingRuntime(list(models), slo=SLOPolicy(admission=False), **kwargs)
             out.append((name, key, runtime.run(trace, faults=plan)))
     return out
 

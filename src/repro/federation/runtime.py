@@ -65,7 +65,6 @@ class ClusterTask:
     route: ClusterRoute
     fault_plan: Optional[FaultPlan]
     slo: Optional[SLOPolicy]
-    engine: str
 
 
 def _simulate_cluster(task: ClusterTask) -> ClusterReport:
@@ -81,7 +80,6 @@ def _simulate_cluster(task: ClusterTask) -> ClusterReport:
         list(task.models),
         device_names=list(task.device_names) if task.device_names else None,
         slo=task.slo,
-        engine=task.engine,
         keep_records=True,
     )
     report = runtime.run(task.route.trace, faults=task.fault_plan)
@@ -151,7 +149,6 @@ class FederationRuntime:
             cluster's :attr:`~repro.federation.topology.ClusterSpec.
             phase_offset_s` shifts the phase).
         slo: SLO policy applied identically in every cluster.
-        engine: Per-cluster serving engine (``"flat"`` or ``"processes"``).
         spillover: ``False`` disables WAN forwarding — the
             isolated-clusters baseline.
         window_s / payload_mb: Router pricing knobs (see
@@ -168,7 +165,6 @@ class FederationRuntime:
         diurnal_period_s: float = 120.0,
         diurnal_amplitude: float = 0.8,
         slo: Optional[SLOPolicy] = None,
-        engine: str = "flat",
         spillover: bool = True,
         window_s: float = SPILLOVER_WINDOW_S,
         payload_mb: float = SPILLOVER_PAYLOAD_MB,
@@ -184,7 +180,6 @@ class FederationRuntime:
         self.diurnal_period_s = float(diurnal_period_s)
         self.diurnal_amplitude = float(diurnal_amplitude)
         self.slo = slo
-        self.engine = engine
         self.spillover = bool(spillover)
         self.window_s = float(window_s)
         self.payload_mb = float(payload_mb)
@@ -245,7 +240,6 @@ class FederationRuntime:
                     route=routes[name],
                     fault_plan=fault_plans.get(name),
                     slo=self.slo,
-                    engine=self.engine,
                 )
             )
         return tuple(out)

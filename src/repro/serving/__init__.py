@@ -15,14 +15,13 @@ The batch experiments evaluate one-shot request sets; this package serves
   terminate as *timed out*, the report's third terminal state), and
   backlog-pressure admission tiering that sheds the lowest-SLO-slack model
   classes first.
-- :class:`ServingRuntime` — drives the serving run with the queue-aware
-  router, per-(module, device) micro-batching, SLO admission, and adaptive
+- :class:`ServingRuntime` — drives the serving run with queue-aware
+  routing, per-(module, device) micro-batching, SLO admission, and adaptive
   re-placement under faults; returns a :class:`ServingReport` with
-  p50/p95/p99 latency, goodput, and SLO attainment.  Two interchangeable
-  cores: the vectorized :class:`FlatServingEngine` event loop (default,
-  ``engine="flat"``) and the legacy generator-process engine
-  (``engine="processes"``) — bit-identical reports either way, faulted
-  or not.
+  p50/p95/p99 latency, goodput, and SLO attainment.  The run is one
+  :class:`FlatServingEngine` event loop; :meth:`ServingReport.digest`
+  hashes a whole report, and ``tests/golden/serving_digests.json`` pins
+  the digests of a grid of configs, ties and fault schedules.
 
 Quickstart::
 
@@ -66,7 +65,7 @@ from repro.serving.report import (
     ScalingRecord,
     ServingReport,
 )
-from repro.serving.runtime import ServingRuntime, StreamingQueueAwareRouter
+from repro.serving.runtime import ServingRuntime
 from repro.serving.scenarios import fault_scenario, scenario_names
 from repro.serving.slo import RetryPolicy, SLOPolicy
 from repro.serving.workload import WORKLOAD_KINDS, Arrival, ArrivalTrace, WorkloadGenerator
@@ -92,7 +91,6 @@ __all__ = [
     "SLOPolicy",
     "ServingReport",
     "ServingRuntime",
-    "StreamingQueueAwareRouter",
     "WORKLOAD_KINDS",
     "WorkloadGenerator",
     "compile_faults",

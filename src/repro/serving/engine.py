@@ -1,34 +1,33 @@
-"""The flat (vectorized) serving engine: one event loop, no generator frames.
+"""The serving engine: one flat event loop, no generator frames.
 
-:class:`FlatServingEngine` replays an arrival trace through the exact same
-serving semantics as the legacy process engine in
-:mod:`repro.serving.runtime` — admission, streaming queue-aware routing,
-micro-batching, churn re-placement, replica autoscaling, and the energy
-ledger — but keeps all live-request state in preallocated numpy columns
-(SLO/finish/retry/pending/assigned-host arrays indexed by arrival number)
-and advances a single :class:`~repro.sim.flat.FlatEventLoop` of plain
-``(time, seq, fn, args)`` continuations.  The legacy engine spends a Python
-generator frame plus several Event objects per request per hop; here a hop
-is one function call, which is what lets one run replay millions of
+:class:`FlatServingEngine` replays an arrival trace for a
+:class:`~repro.serving.runtime.ServingRuntime` — admission, streaming
+queue-aware routing, micro-batching, churn re-placement, replica
+autoscaling, and the energy ledger — keeping all live-request state in
+preallocated numpy columns (SLO/finish/retry/pending/assigned-host arrays
+indexed by arrival number) and advancing a single
+:class:`~repro.sim.flat.FlatEventLoop` of plain ``(time, seq, fn, args)``
+continuations.  A hop is one function call rather than a generator frame
+plus several event objects, which is what lets one run replay millions of
 arrivals.
 
-**Bit-identity contract.**  Same runtime config + same trace + same fault
-schedule ⇒ a :class:`~repro.serving.report.ServingReport` identical to the
-legacy engine's, record for record.  This holds because the flat engine is
-an *event-order-faithful* translation, not a re-modeling:
+**Golden-digest contract.**  Same runtime config + same trace + same fault
+schedule ⇒ the same :meth:`~repro.serving.report.ServingReport.digest`,
+record for record; ``tests/golden/serving_digests.json`` pins the digests
+of a grid of workloads, fault schedules, same-instant ties, autoscaling
+and energy runs.  What those digests pin:
 
-- every continuation pushed here corresponds 1:1 (or as a contiguous
-  fusion) to an event the legacy kernel would push at the same simulated
-  time and in the same relative insertion order, so the ``(time, seq)``
-  heap pops in the same order and every float is computed from identical
-  operand state;
-- process bootstraps are mirrored by *gate entries* pushed at setup in the
-  same order legacy starts its processes, so same-time interleavings match
-  even when an arrival coincides with a churn tick to the last ulp;
-- the only skipped events are provable no-ops (process-completion events
-  nothing waits on), and the only fusion is a batch's per-job completion
-  broadcast — ``k`` contiguous pushes collapsed into one entry whose
-  handler runs the ``k`` continuations inline in the same order.
+- **event order** — continuations at the same simulated time run in
+  insertion order (the loop's ``seq``), and setup pushes its entries in a
+  fixed order (arrivals in trace order, then the fault walker, then the
+  brownout tick, then the autoscale tick), so same-time interleavings are
+  fixed even when an arrival coincides with a fault to the last ulp;
+- **float op order** — every price (service seconds, waits, isolated
+  latency, reservation ledgers, energy) is computed from the same operand
+  state in the same operation order run after run;
+- **event count shape** — the only fusion is a batch's per-job completion
+  broadcast: ``k`` contiguous completions run inline, in order, from one
+  entry.
 
 Caches (service seconds, transfer seconds, batch services, isolated
 estimates and autoscaler views keyed by a placement/live-set generation
@@ -101,8 +100,9 @@ class _ModelInfo:
 
 #: Job layout: [is_head, arrival_index, encoder_path, est_service,
 #: model_info_index, cancelled, notified, queue_key].  A plain list — a
-#: million queued jobs stay cheap, and the three mutable tail slots mirror
-#: the legacy ``_Job`` watchdog flags (``cancelled`` marks an attempt
+#: million queued jobs stay cheap; the watchdog dequeues a job by identity
+#: (``is``), never a value-equal sibling attempt.  The three mutable tail
+#: slots are the retry watchdog flags (``cancelled`` marks an attempt
 #: abandoned by its retry watchdog; ``notified`` guards the one-shot
 #: completion against double firing; ``key`` is the micro-batch queue the
 #: job sits in once enqueued, None before).
@@ -159,7 +159,7 @@ class FlatServingEngine:
         self._module_specs = self._engine.module_specs
         self._sorted_modules = sorted(self._module_specs)
 
-        # Mirrors of the legacy runtime's mutable serving state.
+        # Mutable serving state: slots, uplink, ledgers, queues, logs.
         self._slot_cap = {
             name: self._devices[name].slots.capacity for name in self._device_names
         }
@@ -256,14 +256,12 @@ class FlatServingEngine:
         if rt.brownout is not None:
             self._brownout_rank = self._brownout_ranking()
 
-        # Entry order mirrors the legacy process bootstraps — arrivals in
+        # Entry order is part of the golden-digest contract — arrivals in
         # trace order, then the fault walker, then the brownout tick, then
-        # the autoscale tick — so same-time continuations keep the legacy
-        # counter interleaving to the last ulp.  Arrivals are scheduled
-        # directly at their times (insertion order alone fixes the relative
-        # sequence; the t=0 trampoline pop the legacy engine pays per
-        # request is skipped).  The fault stream arrives pre-sorted from
-        # compile_faults, exactly as the legacy engine receives it.
+        # the autoscale tick — so same-time continuations interleave the
+        # same way to the last ulp.  Arrivals are scheduled directly at
+        # their times (insertion order alone fixes the relative sequence).
+        # The fault stream arrives pre-sorted from compile_faults.
         loop = self._loop
         push_at = loop.push_at
         on_arrival = self._on_arrival
@@ -278,7 +276,7 @@ class FlatServingEngine:
             loop.push(0.0, self._autoscale_gate)
 
         loop.run(max_events=rt.max_events)
-        return self._build_report(trace)
+        return self._assemble_report(trace)
 
     # ==================================================================
     # Arrival, admission
@@ -381,8 +379,8 @@ class FlatServingEngine:
     # ==================================================================
     def _enc_route(self, idx: int, path: int) -> None:
         if self._timed_out[idx]:
-            # A sibling path exhausted the shared retry budget; mirror the
-            # legacy generator's loop-top return (one completion event).
+            # A sibling path exhausted the shared retry budget; the path
+            # ends through one completion entry (event order is pinned).
             self._loop.push(0.0, self._enc_path_ended, idx)
             return
         info = self._infos[self._info_of[idx]]
@@ -465,7 +463,7 @@ class FlatServingEngine:
 
     def _encs_joined(self, idx: int) -> None:
         if self._timed_out[idx]:
-            # Terminal: the legacy request process unwinds here.
+            # Terminal: the request ends timed out, with no finish time.
             self._unresolved -= 1
             return
         self._head_route(idx)
@@ -475,8 +473,8 @@ class FlatServingEngine:
     # ==================================================================
     def _head_route(self, idx: int) -> None:
         if self._timed_out[idx]:
-            # Terminal: mirror the legacy _head_op loop-top return (the
-            # request process unwinds without a finish time).
+            # Terminal: a sibling path spent the retry budget; the request
+            # ends timed out, with no finish time.
             self._unresolved -= 1
             return
         info = self._infos[self._info_of[idx]]
@@ -497,7 +495,7 @@ class FlatServingEngine:
     def _head_transfers(self, job: list, host: str, start_path: int) -> None:
         """Ship cached embeddings to the head's host, one hop at a time.
 
-        Sequential like the legacy loop: a hop with positive transfer time
+        Sequential: a hop with positive transfer time
         suspends here and resumes at ``start_path + 1`` when it lands.  A
         watchdog cancellation or a partition between an encoder's host and
         the head abandons the attempt (reservation released, retry spent).
@@ -578,7 +576,8 @@ class FlatServingEngine:
             self._loop.push(0.0, self._server_drain, module_name, host)
 
     def _server_drain(self, module_name: str, host: str) -> None:
-        """The legacy server loop, flattened; returning means "suspended"."""
+        """Drain one (module, host) queue in FIFO micro-batches; returning
+        means "suspended" (a window, a slot wait, or a running batch)."""
         rt = self.rt
         key = (module_name, host)
         queue = self._queues[key]
@@ -674,8 +673,7 @@ class FlatServingEngine:
         """Schedule the per-job completion broadcast for a chunk.
 
         Jobs already resumed by their retry watchdog are skipped; the rest
-        are marked ``notified`` *now* — mirroring the legacy engine, where
-        the one-shot done events fire synchronously here — so a watchdog
+        are marked ``notified`` *now*, when the batch ends, so a watchdog
         popping before the broadcast entry sees them as settled.
         """
         jobs = [job for job in chunk if not job[_NOTIFIED]]
@@ -746,14 +744,14 @@ class FlatServingEngine:
         self._loop.push(0.0, self._timeout_resume, job)
 
     def _timeout_resume(self, job: list) -> None:
-        """The owner's resume after a watchdog fired (done event mirror)."""
+        """The owner's resume after a watchdog fired: the attempt failed."""
         if job[_IS_HEAD]:
             self._head_failed(job)
         else:
             self._enc_failed(job)
 
     # ==================================================================
-    # Streaming queue-aware routing (exact router-math mirror)
+    # Streaming queue-aware routing
     # ==================================================================
     def _live_pairs(self, info: _ModelInfo, module_name: str) -> List[Tuple[float, str]]:
         """(service_seconds, device) for the module's live hosts, in
@@ -776,7 +774,8 @@ class FlatServingEngine:
     ) -> Optional[Tuple[str, float, float]]:
         """First-min scan of (service + wait, name); returns
         (host, service, wait) or None when no live host exists.  The wait
-        arithmetic keeps the streaming router's exact float op order."""
+        is ``occupancy / capacity * service + backlog / capacity +
+        reserved / capacity``, in that float op order."""
         pairs = self._live_pairs(info, module_name)
         if not pairs:
             return None
@@ -789,8 +788,8 @@ class FlatServingEngine:
         best_total = best_name = best_service = best_wait = None
         for service, device_name in pairs:
             # The cached pairs are nominal; straggler factors are applied
-            # here so routing prices the degraded speed (legacy router op
-            # order: compute_seconds, then `service * slow`).
+            # here so routing prices the degraded speed (float op order:
+            # compute_seconds, then `service * slow`).
             service = service * slow[device_name]
             capacity = slot_cap[device_name]
             outstanding = slot_used[device_name] + len(slot_waiters[device_name])
@@ -834,8 +833,10 @@ class FlatServingEngine:
         self._state_version += 1
 
     def _release(self, device_name: str, service_seconds: float) -> None:
-        # Sub-nanosecond residues snap to 0.0 exactly like the streaming
-        # router's release (scale-down eligibility compares against zero).
+        # The ledger is a float sum of reserve/release pairs; IEEE-754
+        # residues below a nanosecond snap to 0.0 so they never read as
+        # work still in flight (scale-down eligibility compares against
+        # zero).
         outstanding = self._reserved[device_name] - service_seconds
         if outstanding < 1e-9:
             outstanding = 0.0
@@ -846,9 +847,9 @@ class FlatServingEngine:
         cached = self._pressure_cache.get(info.index)
         if cached is not None and cached[0] == self._state_version:
             return cached[1]
-        # Routing mutates nothing here (reserve=False in the legacy path),
-        # so the per-module waits captured during the scan equal the waits
-        # the legacy code recomputes after choosing all hosts.
+        # A what-if routing: nothing is reserved (admission must not poison
+        # the waits of requests it rejects), so the per-module waits
+        # captured during the scan equal the waits at the chosen hosts.
         waits: Dict[str, float] = {}
         pressure = float("inf")
         for module_name in info.module_names:
@@ -988,8 +989,8 @@ class FlatServingEngine:
     def _apply_fault(self, event: FaultEvent) -> Tuple[bool, str, bool]:
         """Apply one fault; returns ``(applied, detail, reconfigure)``.
 
-        The exact mirror of the legacy runtime's ``_apply_fault``, plus the
-        flat engine's cache invalidations: straggler factors bump the
+        Alongside the fault itself come the cache invalidations: straggler
+        factors bump the
         routing-state version (scores change), link faults clear the
         transfer-price cache (bandwidths changed).
         """
@@ -1021,10 +1022,9 @@ class FlatServingEngine:
             self._network.restore_link(a, b)
             detail = ""
         self._transfer_cache.clear()
-        # Isolated estimates price transfer legs at current bandwidths
-        # (the legacy engine recomputes them per arrival), so a repriced
-        # link invalidates them even when the placement generation and
-        # reachability are unchanged.
+        # Isolated estimates price transfer legs at current bandwidths, so
+        # a repriced link invalidates them even when the placement
+        # generation and reachability are unchanged.
         self._isolated_cache.clear()
         self._isolated_memo.clear()
         changed, change_detail = self._refresh_reachability()
@@ -1174,8 +1174,13 @@ class FlatServingEngine:
     # Brownout controller (graceful load shedding)
     # ==================================================================
     def _brownout_ranking(self) -> List[str]:
-        """Model classes ordered by SLO slack, smallest first (the exact
-        mirror of the legacy ranking: same prototypes, same floats)."""
+        """Model classes ordered by SLO slack, smallest first.
+
+        Slack = deadline minus isolated latency on the fresh deployment —
+        the classes already closest to their deadlines are shed first.
+        Scoring uses ``request_id=-1`` prototypes, so ranking never draws
+        from the process-global request-id counter.
+        """
         slacks = []
         for spec in self._engine.problem.models:
             info = self._info_for(spec.name)
@@ -1424,7 +1429,7 @@ class FlatServingEngine:
     # ==================================================================
     # Report
     # ==================================================================
-    def _build_report(self, trace: ArrivalTrace) -> ServingReport:
+    def _assemble_report(self, trace: ArrivalTrace) -> ServingReport:
         rt = self.rt
         records: Tuple[RequestRecord, ...] = ()
         if rt.keep_records:

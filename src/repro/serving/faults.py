@@ -2,9 +2,8 @@
 
 :class:`FaultPlan` generalizes the binary fail/recover churn of
 :mod:`repro.serving.churn` into a validated schedule of **fault events**
-that both serving engines inject identically (the bit-identical
-:class:`~repro.serving.report.ServingReport` contract extends to faulted
-runs):
+(the golden :meth:`~repro.serving.report.ServingReport.digest` contract
+extends to faulted runs):
 
 - ``fail`` / ``recover`` — device crash/comeback, exactly today's
   :class:`~repro.serving.churn.DeviceChurnEvent` semantics (feasibility

@@ -13,8 +13,9 @@ second.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,6 +278,33 @@ class ServingReport:
             self.timed_out,
         )
 
+    def digest(self) -> str:
+        """SHA-256 hex digest of everything a run reports.
+
+        Covers :meth:`metrics_tuple`, every request record, the migration,
+        churn, scaling and brownout logs, the energy ledger, and
+        ``render(show_energy=True)``.  Request ids come from a
+        process-global counter, so they are rebased to the smallest
+        non-negative id (relative order and density still count); negative
+        ids (never issued) are kept as they are.  Two runs with the same
+        config, trace and fault schedule digest equal, whatever ran before
+        them in the interpreter.
+        """
+        base = min((r.request_id for r in self.records if r.request_id >= 0), default=0)
+        records = tuple(
+            (
+                r.request_id - base if r.request_id >= 0 else r.request_id,
+                r.model_name, r.arrival_time, r.slo_s, r.admitted,
+                r.rejected_reason, r.finish_time, r.retries, r.timed_out,
+            )
+            for r in self.records
+        )
+        payload = (
+            self.metrics_tuple(), records, self.migrations, self.churn,
+            self.scaling, self.brownout, self.energy, self.render(show_energy=True),
+        )
+        return hashlib.sha256(repr(payload).encode()).hexdigest()
+
     def render(self, show_energy: bool = False) -> str:
         """Human-readable report for the CLI (``show_energy`` appends the
         per-device energy ledger when accounting was tracked)."""
@@ -375,7 +403,7 @@ def build_report_arrays(
 ) -> ServingReport:
     """Assemble the report from per-request columns, enforcing conservation.
 
-    The vectorized aggregation core shared by both serving engines:
+    The vectorized aggregation core of the serving engine:
     ``finish_times`` uses NaN for "never completed", ``rejected`` is the
     boolean rejection mask, ``timed_out`` is the retry-budget-exhausted
     mask (``None`` means no retry policy: all False), and every aggregate
@@ -415,54 +443,4 @@ def build_report_arrays(
         brownout=tuple(brownout or ()),
         records=records,
         energy=energy,
-    )
-
-
-def build_report(
-    workload_kind: str,
-    duration_s: float,
-    seed: int,
-    records: List[RequestRecord],
-    migrations: List[MigrationRecord],
-    churn: List[ChurnRecord],
-    energy: Optional[EnergyReport] = None,
-    scaling: Optional[List[ScalingRecord]] = None,
-    brownout: Optional[List[BrownoutRecord]] = None,
-    keep_records: bool = True,
-) -> ServingReport:
-    """Assemble the aggregate report from :class:`RequestRecord` objects.
-
-    Extracts the per-request columns once and delegates to
-    :func:`build_report_arrays`, so record-based (legacy engine) and
-    column-based (flat engine) runs aggregate through the same numpy code.
-    ``keep_records=False`` drops the per-request records from the report
-    (the aggregates are already computed) for memory-bound large runs.
-    """
-    n = len(records)
-    return build_report_arrays(
-        workload_kind,
-        duration_s,
-        seed,
-        request_ids=np.fromiter((r.request_id for r in records), dtype=np.int64, count=n),
-        arrival_times=np.fromiter(
-            (r.arrival_time for r in records), dtype=np.float64, count=n
-        ),
-        slo_s=np.fromiter((r.slo_s for r in records), dtype=np.float64, count=n),
-        admitted=np.fromiter((r.admitted for r in records), dtype=bool, count=n),
-        finish_times=np.fromiter(
-            (np.nan if r.finish_time is None else r.finish_time for r in records),
-            dtype=np.float64,
-            count=n,
-        ),
-        retries=np.fromiter((r.retries for r in records), dtype=np.int64, count=n),
-        rejected=np.fromiter(
-            (r.rejected_reason is not None for r in records), dtype=bool, count=n
-        ),
-        migrations=migrations,
-        churn=churn,
-        energy=energy,
-        scaling=scaling,
-        brownout=brownout,
-        timed_out=np.fromiter((r.timed_out for r in records), dtype=bool, count=n),
-        records=tuple(records) if keep_records else (),
     )

@@ -1,6 +1,8 @@
 """Shared fixtures and seeded instance generators for the test suite."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,20 @@ from repro.utils.seeding import rng_for
 #: federation suites (formerly duplicated per test module).
 SERVING_MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 TESTBED_DEVICES = ["desktop", "laptop", "jetson-b", "jetson-a"]
+
+
+#: Report digests recorded with the retired generator-process serving
+#: engine, after checking that it and the flat engine digested each case
+#: equal.  Keys name the case (see ``tests/test_serving_golden.py``).
+SERVING_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "serving_digests.json").read_text()
+)
+
+
+def assert_matches_golden(report, key):
+    """Widened conservation, then ``report.digest()`` against the golden."""
+    assert report.completed + report.rejected + report.timed_out == report.arrivals
+    assert report.digest() == SERVING_GOLDEN[key], f"digest changed for {key}"
 
 
 def burst_trace(count, spacing_s=0.1, model="clip-vit-b16", duration_s=10.0):

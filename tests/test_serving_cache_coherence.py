@@ -1,17 +1,21 @@
-"""Cache coherence of the flat engine's placement-generation views.
+"""Cache coherence of the flat engine's memoized lookups.
 
 The autoscaler's per-module scale view is cached per placement generation,
-and the isolated-latency estimate is cached per generation on top of a memo
-keyed by routed hosts.  These tests patch :class:`FlatServingEngine` so that
-every scale-view lookup and every isolated estimate is recomputed from
+the isolated-latency estimate per generation on top of a memo keyed by
+routed hosts, the route cache (each module's live ``(service, host)``
+pairs) per generation, the queue pressure per routing-state version, and
+transfer prices until a link fault.  These tests patch
+:class:`FlatServingEngine` so that every such lookup is recomputed from
 scratch and compared with ``==``.  A view that outlives a mid-tick
-scale-down, or a memo that outlives a link fault, fails here.
+scale-down, a memo that outlives a link fault, or a pressure that outlives
+a reservation fails here.
 """
 
 from collections import Counter
 
 import pytest
-from test_serving_engine_equivalence import CONFIGS, _run, assert_reports_identical
+from conftest import assert_matches_golden
+from test_serving_golden import CONFIGS, _run
 
 from repro.core.routing.latency import RoutingDecision
 from repro.serving.engine import FlatServingEngine
@@ -19,22 +23,61 @@ from repro.serving.engine import FlatServingEngine
 CONFIG_BY_ID = {param.id: param.values[0] for param in CONFIGS}
 
 
+def _live_pairs_from_scratch(engine, info, module_name):
+    """Nominal ``(service seconds, host)`` for every live host of the
+    module, in placement order."""
+    model = engine._latency_model
+    return [
+        (model.compute_seconds(info.proto, module_name, host), host)
+        for host in engine._placement.hosts(module_name)
+        if host in engine._live
+    ]
+
+
 def _isolated_from_scratch(engine, info):
     """The isolated estimate with no cache: route each module to its
     fastest live host, then price one breakdown at current bandwidths."""
-    model = engine._latency_model
     hosts = {}
     for module_name in info.module_names:
-        pairs = [
-            (model.compute_seconds(info.proto, module_name, host), host)
-            for host in engine._placement.hosts(module_name)
-            if host in engine._live
-        ]
+        pairs = _live_pairs_from_scratch(engine, info, module_name)
         if not pairs:
             return None
         hosts[module_name] = min(pairs)[1]
     decision = RoutingDecision(request=info.proto, hosts=hosts)
-    return model.breakdown(info.proto, engine._placement, routing=decision).total
+    return engine._latency_model.breakdown(
+        info.proto, engine._placement, routing=decision
+    ).total
+
+
+def _wait_from_scratch(engine, host, service):
+    """Queueing delay on ``host``: slot occupancy, micro-batch backlog and
+    in-flight reservations, each per slot."""
+    capacity = engine._slot_cap[host]
+    outstanding = engine._slot_used[host] + len(engine._slot_waiters[host])
+    return (
+        outstanding / capacity * service
+        + engine._backlog[host] / capacity
+        + engine._reserved[host] / capacity
+    )
+
+
+def _queue_pressure_from_scratch(engine, info):
+    """What-if routing of the whole request with no cache: each module goes
+    to the live host minimizing (service + wait, name) at the degraded
+    speed; the pressure is the slowest encoder's wait plus the head's
+    (inf while some module has no live host)."""
+    waits = {}
+    for module_name in info.module_names:
+        scored = []
+        for service, host in _live_pairs_from_scratch(engine, info, module_name):
+            service = service * engine._slow[host]
+            wait = _wait_from_scratch(engine, host, service)
+            scored.append((service + wait, host, wait))
+        if not scored:
+            return float("inf")
+        waits[module_name] = min(scored)[2]
+    encoder_wait = max((waits[name] for name in info.encoders), default=0.0)
+    return encoder_wait + waits[info.head]
 
 
 @pytest.fixture
@@ -42,23 +85,52 @@ def checked_engine(monkeypatch):
     """Patch the cached lookups to assert against a fresh recomputation;
     yields the per-lookup check counts."""
     checks = Counter()
-    scale_view = FlatServingEngine._scale_view
-    isolated = FlatServingEngine._isolated
+    originals = {
+        name: getattr(FlatServingEngine, name)
+        for name in (
+            "_scale_view", "_isolated", "_live_pairs", "_queue_pressure",
+            "_transfer_seconds",
+        )
+    }
 
     def checked_scale_view(self, module_name):
-        view = scale_view(self, module_name)
+        view = originals["_scale_view"](self, module_name)
         assert view == self._build_scale_view(module_name)
         checks["scale_view"] += 1
         return view
 
     def checked_isolated(self, info):
-        value = isolated(self, info)
+        value = originals["_isolated"](self, info)
         assert value == _isolated_from_scratch(self, info)
         checks["isolated"] += 1
         return value
 
+    def checked_live_pairs(self, info, module_name):
+        pairs = originals["_live_pairs"](self, info, module_name)
+        assert pairs == _live_pairs_from_scratch(self, info, module_name)
+        checks["live_pairs"] += 1
+        return pairs
+
+    def checked_queue_pressure(self, info):
+        value = originals["_queue_pressure"](self, info)
+        assert value == _queue_pressure_from_scratch(self, info)
+        checks["queue_pressure"] += 1
+        return value
+
+    def checked_transfer_seconds(self, src, dst, payload_bytes):
+        value = originals["_transfer_seconds"](self, src, dst, payload_bytes)
+        # A jittered network draws per call, so a second call would
+        # perturb the run; none of the checked configs jitter.
+        assert not self._network.has_jitter
+        assert value == self._network.transfer_seconds(src, dst, payload_bytes)
+        checks["transfer_seconds"] += 1
+        return value
+
     monkeypatch.setattr(FlatServingEngine, "_scale_view", checked_scale_view)
     monkeypatch.setattr(FlatServingEngine, "_isolated", checked_isolated)
+    monkeypatch.setattr(FlatServingEngine, "_live_pairs", checked_live_pairs)
+    monkeypatch.setattr(FlatServingEngine, "_queue_pressure", checked_queue_pressure)
+    monkeypatch.setattr(FlatServingEngine, "_transfer_seconds", checked_transfer_seconds)
     return checks
 
 
@@ -70,12 +142,12 @@ def checked_engine(monkeypatch):
         "poisson-tight-memory-autoscale",
     ],
 )
-def test_cached_views_match_recomputation(config_id, checked_engine):
-    kwargs = CONFIG_BY_ID[config_id]
-    checked = _run("flat", **kwargs)
-    assert checked_engine["scale_view"] > 0
-    assert checked_engine["isolated"] > 0
+def test_cached_lookups_match_recomputation(config_id, checked_engine):
+    checked = _run(**CONFIG_BY_ID[config_id])
+    for lookup in (
+        "scale_view", "isolated", "live_pairs", "queue_pressure", "transfer_seconds"
+    ):
+        assert checked_engine[lookup] > 0, lookup
     assert any(s.action == "add" and s.applied for s in checked.scaling)
-    # The checks only read: the patched run reports exactly what the
-    # legacy engine does.
-    assert_reports_identical(checked, _run("processes", **kwargs))
+    # The checks only read: the patched run reports exactly the golden.
+    assert_matches_golden(checked, f"config:{config_id}")

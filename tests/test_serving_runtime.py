@@ -93,16 +93,30 @@ class TestServingBasics:
         with pytest.raises(ValueError):
             SLOPolicy(latency_multiplier=0.5)
 
-    @pytest.mark.parametrize("engine", ["flat", "processes"])
+    # recent_window=0 made ``recents[-0:]`` price every re-placement with
+    # every request ever admitted while ``del recents[:-0]`` never trimmed
+    # the list; a negative window trimmed the wrong end.
+    @pytest.mark.parametrize("window", [0, -1, -32])
+    def test_recent_window_below_one_rejected(self, window):
+        with pytest.raises(ValueError, match="recent_window must be >= 1"):
+            ServingRuntime(MODELS, recent_window=window)
+
+    # Checked at construction, under the runtime's own argument name, not
+    # at the first churn controller built inside ``run``.
+    @pytest.mark.parametrize("expected", [0, -5])
+    def test_adapt_expected_requests_rejected_at_construction(self, expected):
+        with pytest.raises(ValueError, match="adapt_expected_requests must be >= 1"):
+            ServingRuntime(MODELS, adapt_expected_requests=expected)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_invalid_arrival_time_rejected(self, engine, bad):
+    def test_invalid_arrival_time_rejected(self, bad):
         """A trace with one bad arrival time fails at the boundary, naming
         the arrival, instead of being served as if valid."""
         arrivals = list(burst_trace(10).arrivals)
         arrivals[3] = Arrival(bad, arrivals[3].model_name)
         trace = ArrivalTrace(arrivals=tuple(arrivals), duration_s=10.0, kind="poisson", seed=0)
         with pytest.raises(ValueError, match="arrival 3 has time"):
-            ServingRuntime(MODELS, engine=engine).run(trace)
+            ServingRuntime(MODELS).run(trace)
 
 
 class TestChurn:

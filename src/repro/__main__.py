@@ -209,7 +209,8 @@ def serve_main(argv=None) -> int:
                         "still unfinished after this many simulated seconds (default: off)")
     parser.add_argument("--max-retries", type=int, default=None,
                         help="total retry budget per request across timeouts and device "
-                        "losses; exhausted requests terminate as timed out (default: unlimited)")
+                        "losses; exhausted requests terminate as timed out (default: "
+                        "unlimited; required with --timeout)")
     parser.add_argument("--retry-backoff", type=non_negative, default=0.0, metavar="SECONDS",
                         help="exponential backoff base before each retry (default: 0)")
     parser.add_argument("--brownout", action="store_true",
@@ -265,6 +266,9 @@ def serve_main(argv=None) -> int:
         parser.error("--max-replicas must be >= 1")
     if args.max_retries is not None and args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
+    if args.timeout is not None and args.max_retries is None:
+        parser.error("--timeout needs --max-retries: an unbounded retry budget "
+                     "re-routes forever when every attempt outlasts the timeout")
     trace = WorkloadGenerator(
         models,
         kind=args.workload,

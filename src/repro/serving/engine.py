@@ -8,8 +8,10 @@ preallocated numpy columns (SLO/finish/retry/pending/assigned-host arrays
 indexed by arrival number) and advancing a single
 :class:`~repro.sim.flat.FlatEventLoop` of plain ``(time, seq, fn, args)``
 continuations.  A hop is one function call rather than a generator frame
-plus several event objects, which is what lets one run replay millions of
-arrivals.
+plus several event objects, and the arrival trace is one
+:meth:`~repro.sim.flat.FlatEventLoop.feed` of its sorted time column, read
+by a cursor with nothing allocated per arrival up front, which is what
+lets one run replay millions of arrivals.
 
 **Golden-digest contract.**  Same runtime config + same trace + same fault
 schedule ⇒ the same :meth:`~repro.serving.report.ServingReport.digest`,
@@ -18,8 +20,8 @@ of a grid of workloads, fault schedules, same-instant ties, autoscaling
 and energy runs.  What those digests pin:
 
 - **event order** — continuations at the same simulated time run in
-  insertion order (the loop's ``seq``), and setup pushes its entries in a
-  fixed order (arrivals in trace order, then the fault walker, then the
+  insertion order (the loop's ``seq``), and setup schedules its entries in
+  a fixed order (arrivals in trace order, then the fault walker, then the
   brownout tick, then the autoscale tick), so same-time interleavings are
   fixed even when an arrival coincides with a fault to the last ulp;
 - **float op order** — every price (service seconds, waits, isolated
@@ -179,7 +181,8 @@ class FlatServingEngine:
         self._radio_joules: Dict[str, float] = {}
         self._busy_intervals: Dict[str, List[Tuple[float, float]]] = {}
         self._reconfig_waiters: List[Tuple[bool, int, int]] = []
-        self._recent_requests: List[InferenceRequest] = []
+        # Arrival indices of the latest admits, oldest first.
+        self._recent_admits: List[int] = []
         self._migrations: List[MigrationRecord] = []
         self._churn_log: List[ChurnRecord] = []
         self._scaling_log: List[ScalingRecord] = []
@@ -259,14 +262,16 @@ class FlatServingEngine:
         # Entry order is part of the golden-digest contract — arrivals in
         # trace order, then the fault walker, then the brownout tick, then
         # the autoscale tick — so same-time continuations interleave the
-        # same way to the last ulp.  Arrivals are scheduled directly at
-        # their times (insertion order alone fixes the relative sequence).
-        # The fault stream arrives pre-sorted from compile_faults.
+        # same way to the last ulp.  Arrivals are fed as one stream in
+        # stable time order: equal times keep trace order, so an unsorted
+        # trace dispatches as if each arrival were pushed at its time in
+        # trace order.  The fault stream arrives pre-sorted from
+        # compile_faults.
         loop = self._loop
-        push_at = loop.push_at
-        on_arrival = self._on_arrival
-        for idx, t in enumerate(self._arrival_times.tolist()):
-            push_at(t, on_arrival, idx)
+        order = np.argsort(self._arrival_times, kind="stable")
+        loop.feed(memoryview(self._arrival_times[order]), self._on_arrival, memoryview(order))
+        # The loop's stream now holds the only references, dropped once spent.
+        del order
         if fault_events:
             self._fault_events = list(fault_events)
             loop.push(0.0, self._fault_advance, 0)
@@ -311,8 +316,8 @@ class FlatServingEngine:
         info = self._info_for(model_name)
         # Mirrors engine.request(): the id is drawn from the same global
         # counter at the same point, but the (frozen, slow-to-construct)
-        # request object itself is only materialized for admitted requests,
-        # which are the only ones the controller's recents window sees.
+        # request object itself is only materialized by _replace_decision,
+        # for the admits in the controller's recents window.
         request_id = next(_request_counter)
         self._req_ids[idx] = request_id
         self._info_of[idx] = info.index
@@ -351,12 +356,10 @@ class FlatServingEngine:
                 self._reject(idx, reason)
                 return
         self._admitted[idx] = True
-        self._remember(
-            InferenceRequest(
-                model=info.spec, source=self._requester,
-                arrival_time=self._loop.now, request_id=request_id,
-            )
-        )
+        recent = self._recent_admits
+        recent.append(idx)
+        if len(recent) > 4 * rt.recent_window:
+            del recent[: -rt.recent_window]
 
         self._pending[idx] = info.n_enc
         if info.n_enc:
@@ -368,11 +371,6 @@ class FlatServingEngine:
     def _reject(self, idx: int, reason: str) -> None:
         self._rejected[idx] = reason
         self._unresolved -= 1
-
-    def _remember(self, request: InferenceRequest) -> None:
-        self._recent_requests.append(request)
-        if len(self._recent_requests) > 4 * self.rt.recent_window:
-            del self._recent_requests[: -self.rt.recent_window]
 
     # ==================================================================
     # Encoder paths
@@ -1034,8 +1032,20 @@ class FlatServingEngine:
 
     def _replace_decision(self):
         problem_now = self._live_problem()
-        requests = self._recent_requests[-self.rt.recent_window:]
-        if not requests:
+        recent = self._recent_admits[-self.rt.recent_window:]
+        if recent:
+            # Built only for the window; an admit's arrival time is its
+            # trace time.
+            requests = [
+                InferenceRequest(
+                    model=self._infos[self._info_of[idx]].spec,
+                    source=self._requester,
+                    arrival_time=float(self._arrival_times[idx]),
+                    request_id=int(self._req_ids[idx]),
+                )
+                for idx in recent
+            ]
+        else:
             requests = [self._engine.request(name) for name in self.rt.models]
         try:
             return self._controller.evaluate(problem_now, self._placement, requests)

@@ -79,7 +79,9 @@ class RetryPolicy:
     widened conservation invariant
     ``completed + rejected + timed_out == arrivals``.  ``backoff_s`` sleeps
     ``backoff_s * 2^retries_so_far`` before each retry to avoid hammering a
-    recovering pool.
+    recovering pool.  A timeout needs a bounded ``max_retries``: on an
+    unbounded budget, an attempt that always outlasts it would re-route
+    forever.
 
     The default (no timeout, unlimited retries, no backoff) reproduces the
     pre-policy runtime bit-for-bit.
@@ -96,6 +98,12 @@ class RetryPolicy:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.timeout_s is not None and self.max_retries is None:
+            # An attempt that always outlasts the timeout would re-route
+            # forever on an unbounded budget.
+            raise ValueError(
+                f"timeout_s={self.timeout_s} needs a bounded max_retries, got None"
+            )
         if not math.isfinite(self.backoff_s) or self.backoff_s < 0:
             raise ValueError(f"backoff_s must be non-negative, got {self.backoff_s}")
 

@@ -15,9 +15,17 @@ from collections import Counter
 
 import pytest
 from conftest import assert_matches_golden
-from test_serving_golden import CONFIGS, _run
+from test_serving_golden import CONFIGS, MODELS, _run
 
 from repro.core.routing.latency import RoutingDecision
+from repro.serving import (
+    FaultPlan,
+    RetryPolicy,
+    ServingRuntime,
+    SLOPolicy,
+    WorkloadGenerator,
+    degrade_link,
+)
 from repro.serving.engine import FlatServingEngine
 
 CONFIG_BY_ID = {param.id: param.values[0] for param in CONFIGS}
@@ -151,3 +159,29 @@ def test_cached_lookups_match_recomputation(config_id, checked_engine):
     assert any(s.action == "add" and s.applied for s in checked.scaling)
     # The checks only read: the patched run reports exactly the golden.
     assert_matches_golden(checked, f"config:{config_id}")
+
+
+def test_pressure_sees_release_of_a_cancelled_transfer(checked_engine):
+    """A release with no other routing-state change before the next read.
+
+    The degraded requester uplink makes image transfers outlast the 2 s
+    timeout, so attempts are cancelled mid-transfer.  When such a transfer
+    lands, the attempt releases its reservation and, with no retry budget,
+    ends without touching slots, backlog or reservations again.  The tight
+    SLO rejects most arrivals in between, and a rejection changes nothing
+    either.  So the next arrival's pressure read is fresh only if the
+    release itself advanced the routing-state version.
+    """
+    trace = WorkloadGenerator(
+        MODELS, kind="poisson", rate_rps=1.0, duration_s=30.0, seed=0
+    ).generate()
+    plan = FaultPlan.ordered(
+        degrade_link("jetson-a", "pan-router", factor=0.01, start=5.0, end=20.0)
+    )
+    report = ServingRuntime(
+        MODELS,
+        slo=SLOPolicy(latency_multiplier=1.5),
+        retry=RetryPolicy(timeout_s=2.0, max_retries=0),
+    ).run(trace, faults=plan)
+    assert checked_engine["queue_pressure"] == report.arrivals
+    assert report.rejected and report.timed_out

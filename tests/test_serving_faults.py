@@ -309,7 +309,7 @@ class TestRetryPolicyValidation:
     @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_timeout(self, timeout):
         with pytest.raises(ValueError, match="timeout_s"):
-            RetryPolicy(timeout_s=timeout)
+            RetryPolicy(timeout_s=timeout, max_retries=1)
 
     def test_bad_max_retries(self):
         with pytest.raises(ValueError, match="max_retries"):

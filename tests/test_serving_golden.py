@@ -294,8 +294,8 @@ def _coincident_plan():
 
 class TestCoincidentTimestamps:
     """Same-instant ties between arrivals, fault events and the continuations
-    they trigger: where the flat loop's queues (in-order lane, heap, ready
-    queue) must keep one insertion order."""
+    they trigger: where the flat loop's arrival stream, heap and ready
+    queue must keep one insertion order."""
 
     @pytest.mark.parametrize(
         "runtime_kwargs",

@@ -76,18 +76,20 @@ fault_plans = st.lists(fault_events(), max_size=3).map(
     lambda groups: FaultPlan.ordered(event for group in groups for event in group)
 )
 
-#: A timeout always comes with a bounded budget here: an attempt that
-#: can never finish inside its timeout retries forever on an unbounded
-#: one (``test_timeout_shorter_than_service_with_unbounded_retries``).
-retry_policies = st.one_of(
-    st.just(RetryPolicy()),
-    st.builds(
-        RetryPolicy,
-        timeout_s=st.sampled_from((1.0, 3.0, 8.0)),
-        max_retries=st.sampled_from((0, 2)),
-        backoff_s=st.sampled_from((0.0, 0.05)),
-    ),
-)
+@st.composite
+def retry_policies(draw):
+    """Every (timeout, budget, backoff) combination.  A timeout with an
+    unbounded budget, the old livelock, must be rejected at the boundary;
+    that example then serves with no timeout."""
+    timeout_s = draw(st.sampled_from((None, 1.0, 3.0, 8.0)))
+    max_retries = draw(st.sampled_from((None, 0, 2)))
+    backoff_s = draw(st.sampled_from((0.0, 0.05)))
+    if timeout_s is not None and max_retries is None:
+        with pytest.raises(ValueError, match="max_retries"):
+            RetryPolicy(timeout_s=timeout_s, backoff_s=backoff_s)
+        timeout_s = None
+    return RetryPolicy(timeout_s=timeout_s, max_retries=max_retries, backoff_s=backoff_s)
+
 
 brownout_policies = st.one_of(
     st.none(),
@@ -110,7 +112,7 @@ def scenarios(draw):
     ).generate()
     kwargs = dict(
         slo=SLOPolicy(admission=False),
-        retry=draw(retry_policies),
+        retry=draw(retry_policies()),
         brownout=draw(brownout_policies),
     )
     if draw(st.booleans()):
@@ -168,15 +170,16 @@ def test_fault_after_last_request_changes_nothing_served(scenario, device):
 
 def test_timeout_shorter_than_service_with_unbounded_retries():
     """Shrunk from the suite: one request whose every attempt outlasts a
-    1 s timeout, with no retry budget, retries forever; the run only ends
-    at the event cap.  Pins today's behaviour (a known open defect, see
-    ROADMAP) so a fix shows up here."""
+    1 s timeout, with no retry budget, used to re-route until the event cap
+    raised.  The policy now refuses that pairing before any run starts, and
+    the same timeout with a budget ends the request as timed out."""
+    with pytest.raises(ValueError, match="timeout_s.*max_retries"):
+        RetryPolicy(timeout_s=1.0)
     trace = ArrivalTrace(
         arrivals=(Arrival(1.0, "clip-vit-b16"),), duration_s=5.0, kind="poisson", seed=0
     )
-    runtime = ServingRuntime(
-        MODELS, slo=SLOPolicy(admission=False), retry=RetryPolicy(timeout_s=1.0),
-        max_events=20_000,
-    )
-    with pytest.raises(RuntimeError, match="livelock"):
-        runtime.run(trace)
+    report = ServingRuntime(
+        MODELS, slo=SLOPolicy(admission=False),
+        retry=RetryPolicy(timeout_s=1.0, max_retries=2), max_events=20_000,
+    ).run(trace)
+    assert (report.arrivals, report.timed_out) == (1, 1)

@@ -356,6 +356,12 @@ class TestServeCli:
             main(["serve", "--autoscale", flag, bad])
         assert "finite" in capsys.readouterr().err
 
+    def test_serve_timeout_needs_max_retries(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--timeout", "1"])
+        err = capsys.readouterr().err
+        assert "--timeout needs --max-retries" in err
+
     def test_serve_with_churn(self, capsys):
         assert main([
             "serve", "--workload", "bursty", "--duration", "30",

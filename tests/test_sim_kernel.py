@@ -306,16 +306,31 @@ class TestFlatEventLoop:
         with pytest.raises(ValueError, match=">= now"):
             loop.run()
 
-    def test_len_counts_lane_entries(self):
+    def test_sub_ulp_delay_runs_after_earlier_ready_entries(self):
+        # now + 1e-18 == now: a same-time push, FIFO behind the ready queue.
         loop = FlatEventLoop()
-        for time in (1.0, 2.0, 2.0, 3.0):
-            loop.push_at(time, lambda: None)   # in order: the lane
-        loop.push_at(0.5, lambda: None)        # out of order: the heap
-        loop.push(0.0, lambda: None)           # now: the ready queue
-        assert (len(loop._lane), len(loop._heap), len(loop._ready)) == (4, 1, 1)
-        assert len(loop) == 6
+        seen = []
+        loop.push(0.0, seen.append, "a")
+        loop.push(1e-18, seen.append, "b")
+        loop.push(1.0, lambda: (loop.push(0.0, seen.append, "c"),
+                                loop.push(1e-18, seen.append, "d")))
+        loop.run()
+        assert seen == ["a", "b", "c", "d"]
+        assert loop.now == 1.0
 
-    def test_livelock_cap_counts_lane_entries(self, monkeypatch):
+    def test_len_counts_stream_items(self):
+        loop = FlatEventLoop()
+        lens = []
+        loop.feed([1.0, 2.0, 2.0, 3.0], lambda key: lens.append(len(loop)), "abcd")
+        loop.push_at(0.5, lambda: None)        # the heap
+        loop.push(0.0, lambda: None)           # now: the ready queue
+        assert (loop._cursor, len(loop._heap), len(loop._ready)) == (0, 1, 1)
+        assert len(loop) == 6
+        loop.run()
+        assert lens == [3, 2, 1, 0]            # unfed items still count
+        assert len(loop) == 0
+
+    def test_livelock_cap_counts_stream_items(self, monkeypatch):
         import repro.sim.flat as flat
 
         real, seen = flat.default_max_events, []
@@ -323,18 +338,94 @@ class TestFlatEventLoop:
             flat, "default_max_events", lambda pending: seen.append(pending) or real(pending)
         )
         loop = FlatEventLoop()
-        for i in range(5):
-            loop.push_at(1.0 + i, lambda: None)
+        loop.feed([1.0 + i for i in range(5)], lambda key: None, range(5))
         loop.run()
         assert seen == [5]
 
+    @pytest.mark.parametrize(
+        "times, match",
+        [
+            ([float("nan")], ">= now"),
+            ([1.0, float("nan"), 2.0], "nondecreasing"),
+            ([1.0, float("nan")], "nondecreasing"),
+            ([2.0, 1.0], "nondecreasing"),
+            ([0.5], ">= now"),
+        ],
+    )
+    def test_feed_rejects_bad_times(self, times, match):
+        loop = FlatEventLoop()
+        loop.push(1.0, lambda: None)
+        loop.run()
+        with pytest.raises(ValueError, match=match):
+            loop.feed(times, lambda key: None, range(len(times)))
+        assert len(loop) == 0
+        assert loop.run() == 1.0
+
+    def test_feed_needs_an_idle_loop(self):
+        loop = FlatEventLoop()
+        with pytest.raises(ValueError, match="keys"):
+            loop.feed([1.0, 2.0], lambda key: None, [0])
+        loop.feed([1.0], lambda key: loop.feed([2.0], lambda key: None, [0]), [0])
+        with pytest.raises(RuntimeError, match="no unfed stream"):
+            loop.feed([1.0], lambda key: None, [0])
+        with pytest.raises(RuntimeError, match="idle loop"):
+            loop.run()
+
+    def test_feed_at_now_queues_behind_ready_entries(self):
+        # As push_at(now) would: same-time items join the ready queue.
+        loop = FlatEventLoop()
+        seen = []
+        loop.push(0.0, seen.append, "ready")
+        loop.feed([0.0, 0.0, 1.0], seen.append, ["s0", "s1", "s2"])
+        loop.push(0.0, seen.append, "later")
+        loop.run()
+        assert seen == ["ready", "s0", "s1", "later", "s2"]
+
+    def test_spent_stream_releases_its_sequences(self):
+        import weakref
+        from array import array
+
+        times = array("d", [1.0, 2.0])
+        released = weakref.ref(times)
+        loop = FlatEventLoop()
+        loop.feed(memoryview(times), lambda key: None, range(2))
+        del times
+        assert released() is not None
+        loop.run()
+        assert released() is None
+        loop.feed([3.0], lambda key: None, [0])   # the loop takes a new stream
+        assert loop.run() == 3.0
+
+    def test_feed_allocates_nothing_per_item(self):
+        import tracemalloc
+        from array import array
+
+        n = 100_000
+        times = array("d", (i * 0.01 for i in range(n)))
+        keys = range(n)
+        count = [0]
+
+        def on_item(key):
+            count[0] += 1
+
+        loop = FlatEventLoop()
+        tracemalloc.start()
+        try:
+            loop.feed(memoryview(times), on_item, keys)
+            loop.run()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count[0] == n
+        assert peak < 2_000_000
+
 
 # ----------------------------------------------------------------------
-# Dispatch order: the three-queue loop against a single-heap reference
+# Dispatch order: the stream-fed loop against a single-heap reference
 # ----------------------------------------------------------------------
 class _ReferenceLoop:
-    """The flat loop before the in-order lane: one heap for every timed
-    entry plus the delay-zero ready queue.  Kept as the ordering oracle."""
+    """The flat loop as one heap for every timed entry plus the same-time
+    ready queue, with no arrival stream.  Kept as the ordering oracle."""
 
     def __init__(self):
         self.now = 0.0
@@ -343,7 +434,7 @@ class _ReferenceLoop:
         self._seq = 0
 
     def push(self, delay, fn, *args):
-        if delay == 0:
+        if self.now + delay == self.now:
             self._ready.append((fn, args))
             return
         assert delay > 0
@@ -392,8 +483,13 @@ PROGRAMS = st.recursive(
 TIMES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 4.0, 7.75]), max_size=25)
 
 
-def _dispatch_order(loop, times, sort, program):
+def _dispatch_order(loop, times, sort, program, program_first):
+    """Run ``program`` plus one arrival per entry of ``times`` (in trace
+    order).  ``FlatEventLoop`` gets the arrivals through ``feed``, in stable
+    time order as the serving engine feeds them; the reference pushes each
+    one with ``push_at``."""
     log = []
+    times = sorted(times) if sort else times
 
     def fire(tag, children):
         log.append((tag, loop.now))
@@ -407,18 +503,28 @@ def _dispatch_order(loop, times, sort, program):
             else:
                 loop.push_at(loop.now + offset, fire, tag, grandchildren)
 
-    for i, time in enumerate(sorted(times) if sort else times):
-        loop.push_at(time, fire, f"a{i}", program if i == 0 else ())
-    schedule(program, "p")
+    def arrive(i):
+        fire(f"a{i}", program if i == 0 else ())
+
+    if program_first:
+        schedule(program, "p")
+    if isinstance(loop, FlatEventLoop):
+        order = sorted(range(len(times)), key=times.__getitem__)
+        loop.feed([times[i] for i in order], arrive, order)
+    else:
+        for i, time in enumerate(times):
+            loop.push_at(time, arrive, i)
+    if not program_first:
+        schedule(program, "p")
     final = loop.run()
     return log, final, loop.now
 
 
 class TestFlatEventLoopOrdering:
     @settings(max_examples=300, deadline=None)
-    @given(times=TIMES, sort=st.booleans(), program=PROGRAMS)
-    def test_matches_single_heap_reference(self, times, sort, program):
-        got = _dispatch_order(FlatEventLoop(), times, sort, program)
-        want = _dispatch_order(_ReferenceLoop(), times, sort, program)
+    @given(times=TIMES, sort=st.booleans(), program=PROGRAMS,
+           program_first=st.booleans())
+    def test_matches_single_heap_reference(self, times, sort, program, program_first):
+        got = _dispatch_order(FlatEventLoop(), times, sort, program, program_first)
+        want = _dispatch_order(_ReferenceLoop(), times, sort, program, program_first)
         assert got == want
-

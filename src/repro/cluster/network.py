@@ -10,20 +10,25 @@ supports the randomized-trial experiments instead.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.profiles.communication import LINK_PROFILES, LinkProfile
 from repro.utils.errors import ConfigurationError
 
 
 class Network:
-    """A weighted undirected graph of devices, routers and links."""
+    """A weighted undirected graph of devices, routers and links.
+
+    Stored as an insertion-ordered adjacency map ``node -> {neighbour:
+    LinkProfile}``: nodes in order of first appearance, each node's
+    neighbours in link-insertion order.  Re-adding a link replaces its
+    profile in place.
+    """
 
     def __init__(self, links: Optional[Iterable[LinkProfile]] = None) -> None:
-        self.graph = nx.Graph()
+        self._adj: Dict[str, Dict[str, LinkProfile]] = {}
         self._jitter: Optional[Callable[[str, str], float]] = None
         self._version = 0
         # Bandwidth multipliers for degraded links, keyed by sorted endpoint
@@ -37,7 +42,8 @@ class Network:
 
     def add_link(self, link: LinkProfile) -> None:
         """Install a link; endpoints are created implicitly."""
-        self.graph.add_edge(link.a, link.b, profile=link, latency=link.latency_s)
+        self._adj.setdefault(link.a, {})[link.b] = link
+        self._adj.setdefault(link.b, {})[link.a] = link
         self._path_cache = {}
         self._version += 1
 
@@ -73,9 +79,13 @@ class Network:
     def _link_key(a: str, b: str) -> Tuple[str, str]:
         return (a, b) if a <= b else (b, a)
 
+    def has_node(self, node: str) -> bool:
+        """Whether ``node`` is an endpoint of some link."""
+        return node in self._adj
+
     def has_link(self, a: str, b: str) -> bool:
         """Whether the topology has a direct link between two nodes."""
-        return self.graph.has_edge(a, b)
+        return b in self._adj.get(a, ())
 
     def degrade_link(self, a: str, b: str, factor: float) -> None:
         """Scale one link's effective bandwidth by ``factor``.
@@ -86,7 +96,7 @@ class Network:
         The link's latency is unchanged — degradation models contention on
         the pipe, not a longer route.
         """
-        if not self.graph.has_edge(a, b):
+        if not self.has_link(a, b):
             raise ConfigurationError(f"cannot degrade unknown link {a!r} <-> {b!r}")
         if not isinstance(factor, (int, float)) or not math.isfinite(factor) or factor < 0:
             raise ValueError(f"link factor must be finite and >= 0, got {factor!r}")
@@ -106,34 +116,61 @@ class Network:
         """Current bandwidth multiplier for a link (1.0 when nominal)."""
         return self._degraded.get(self._link_key(a, b), 1.0)
 
-    def _routing_graph(self):
-        """The graph with cut links removed (views are cheap; only built
-        when a cut is actually active)."""
-        if not any(f == 0.0 for f in self._degraded.values()):
-            return self.graph
+    def _neighbours(self, node: str) -> Iterable[Tuple[str, LinkProfile]]:
+        """``node``'s routable neighbours, in link-insertion order; cut
+        links (factor ``0.0``) are skipped."""
+        links = self._adj[node].items()
+        if not self._degraded:
+            return links
         degraded = self._degraded
-
-        def keep(u: str, v: str) -> bool:
-            return degraded.get(Network._link_key(u, v), 1.0) > 0.0
-
-        return nx.subgraph_view(self.graph, filter_edge=keep)
+        return [
+            (other, link)
+            for other, link in links
+            if degraded.get(self._link_key(node, other), 1.0) > 0.0
+        ]
 
     # ------------------------------------------------------------------
     # Path queries
     # ------------------------------------------------------------------
     def path(self, src: str, dst: str) -> List[str]:
-        """Lowest-latency path between two nodes (cached)."""
+        """Lowest-latency path between two nodes (cached), cuts respected.
+
+        Dijkstra on ``latency_s``.  Among equal-latency paths the choice is
+        fixed: the heap orders entries by ``(distance, push counter)``,
+        neighbours are relaxed in link-insertion order, and a node's
+        predecessor changes only on a strict improvement.  Every topology
+        the repo builds (the testbed tree, the synthetic star) has a unique
+        shortest path, so the rule only matters for user-built graphs.
+        """
         key = (src, dst)
         if key not in self._path_cache:
-            if src not in self.graph or dst not in self.graph:
+            if src not in self._adj or dst not in self._adj:
                 raise ConfigurationError(f"unknown endpoint in transfer {src!r} -> {dst!r}")
-            try:
-                self._path_cache[key] = nx.shortest_path(
-                    self._routing_graph(), src, dst, weight="latency"
-                )
-            except nx.NetworkXNoPath:
-                raise ConfigurationError(f"no network path {src!r} -> {dst!r}") from None
+            self._path_cache[key] = self._dijkstra(src, dst)
         return self._path_cache[key]
+
+    def _dijkstra(self, src: str, dst: str) -> List[str]:
+        dist: Dict[str, float] = {src: 0.0}
+        pred: Dict[str, str] = {}
+        heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
+        pushes = 1
+        while heap:
+            d, _, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue  # superseded by a strictly shorter entry
+            if node == dst:
+                nodes = [dst]
+                while nodes[-1] != src:
+                    nodes.append(pred[nodes[-1]])
+                return nodes[::-1]
+            for other, link in self._neighbours(node):
+                candidate = d + link.latency_s
+                if candidate < dist.get(other, math.inf):
+                    dist[other] = candidate
+                    pred[other] = node
+                    heapq.heappush(heap, (candidate, pushes, other))
+                    pushes += 1
+        raise ConfigurationError(f"no network path {src!r} -> {dst!r}")
 
     def has_path(self, src: str, dst: str) -> bool:
         """Whether a route currently exists (cuts respected)."""
@@ -145,14 +182,21 @@ class Network:
 
     def reachable_from(self, src: str) -> Set[str]:
         """All nodes routable from ``src`` under the current cuts."""
-        if src not in self.graph:
+        if src not in self._adj:
             raise ConfigurationError(f"unknown node {src!r}")
-        return set(nx.node_connected_component(self._routing_graph(), src))
+        seen = {src}
+        stack = [src]
+        while stack:
+            for other, _ in self._neighbours(stack.pop()):
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return seen
 
     def path_links(self, src: str, dst: str) -> List[LinkProfile]:
         """The link profiles along the routing path."""
         nodes = self.path(src, dst)
-        return [self.graph.edges[a, b]["profile"] for a, b in zip(nodes, nodes[1:])]
+        return [self._adj[a][b] for a, b in zip(nodes, nodes[1:])]
 
     # ------------------------------------------------------------------
     # Transfer pricing
@@ -185,4 +229,4 @@ class Network:
 
     def device_nodes(self) -> List[str]:
         """All non-router nodes."""
-        return [node for node in self.graph.nodes if not node.endswith(("-router", "-gateway"))]
+        return [node for node in self._adj if not node.endswith(("-router", "-gateway"))]

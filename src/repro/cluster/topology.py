@@ -38,7 +38,7 @@ class EdgeCluster:
         self.devices: Dict[str, Device] = {device.name: device for device in devices}
         if len(self.devices) != len(devices):
             raise ConfigurationError("duplicate device name in cluster")
-        if requester not in self.devices and requester not in network.graph:
+        if requester not in self.devices and not network.has_node(requester):
             raise ConfigurationError(f"requester {requester!r} is not on the network")
         self.requester = requester
 

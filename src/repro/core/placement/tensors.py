@@ -33,6 +33,7 @@ jitter draw.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -753,9 +754,9 @@ class CongestionModel:
                 f"rho_max must be in (0, 1), got {self.rho_max}"
             )
         for name, rate in self.rates.items():
-            if rate < 0.0:
+            if not (math.isfinite(rate) and rate >= 0.0):
                 raise ConfigurationError(
-                    f"arrival rate for {name!r} must be non-negative, got {rate}"
+                    f"arrival rate for {name!r} must be finite and non-negative, got {rate}"
                 )
         object.__setattr__(self, "rates", dict(self.rates))
 

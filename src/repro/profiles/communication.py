@@ -16,6 +16,7 @@ communication facts, which these numbers reproduce:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -36,10 +37,18 @@ class LinkProfile:
     latency_s: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ConfigurationError(f"link {self.a}-{self.b}: bandwidth must be positive")
-        if self.latency_s < 0:
-            raise ConfigurationError(f"link {self.a}-{self.b}: latency must be non-negative")
+        if self.a == self.b:
+            raise ConfigurationError(f"link {self.a}-{self.b}: endpoints a and b must differ")
+        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
+            raise ConfigurationError(
+                f"link {self.a}-{self.b}: bandwidth_bps must be finite and positive, "
+                f"got {self.bandwidth_bps!r}"
+            )
+        if not (math.isfinite(self.latency_s) and self.latency_s >= 0):
+            raise ConfigurationError(
+                f"link {self.a}-{self.b}: latency_s must be finite and non-negative, "
+                f"got {self.latency_s!r}"
+            )
 
     def transfer_seconds(self, payload_bytes: int) -> float:
         """One-hop transfer time in seconds: propagation + serialization."""

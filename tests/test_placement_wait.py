@@ -86,6 +86,11 @@ class TestCongestionModel:
         with pytest.raises(ConfigurationError, match="non-negative"):
             CongestionModel({"clip-vit-b16": -0.5})
 
+    def test_non_finite_rate_rejected(self):
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="'clip-vit-b16'.*finite"):
+                CongestionModel({"clip-vit-b16": rate})
+
     def test_rho_max_bounds_rejected(self):
         for rho_max in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ConfigurationError, match="rho_max"):

@@ -10,6 +10,7 @@ from repro.profiles.calibration import (
     MODEL_LOCAL_ANCHORS,
     MODULE_TIME_ANCHORS,
 )
+from repro.profiles.communication import LinkProfile
 from repro.profiles.compute import DEFAULT_COMPUTE_MODEL, ComputeModel
 from repro.profiles.devices import (
     DEVICE_PROFILES,
@@ -157,3 +158,37 @@ class TestRelativeOrderings:
         text = get_module("clip-trf-38m")
         assert desktop.compute_seconds(vision) < laptop.compute_seconds(vision)
         assert laptop.compute_seconds(text) < desktop.compute_seconds(text)
+
+
+class TestLinkProfileBoundaries:
+    def test_nan_bandwidth_rejected(self):
+        with pytest.raises(ConfigurationError, match="bandwidth_bps"):
+            LinkProfile("a", "b", float("nan"), 0.001)
+
+    def test_infinite_bandwidth_rejected(self):
+        with pytest.raises(ConfigurationError, match="bandwidth_bps"):
+            LinkProfile("a", "b", float("inf"), 0.001)
+
+    def test_non_positive_bandwidth_rejected(self):
+        for bandwidth in (0.0, -1e6):
+            with pytest.raises(ConfigurationError, match="bandwidth_bps"):
+                LinkProfile("a", "b", bandwidth, 0.001)
+
+    def test_nan_latency_rejected(self):
+        with pytest.raises(ConfigurationError, match="latency_s"):
+            LinkProfile("a", "b", 1e6, float("nan"))
+
+    def test_infinite_latency_rejected(self):
+        with pytest.raises(ConfigurationError, match="latency_s"):
+            LinkProfile("a", "b", 1e6, float("inf"))
+
+    def test_negative_latency_rejected(self):
+        with pytest.raises(ConfigurationError, match="latency_s"):
+            LinkProfile("a", "b", 1e6, -0.001)
+
+    def test_self_link_rejected(self):
+        with pytest.raises(ConfigurationError, match="endpoints"):
+            LinkProfile("a", "a", 1e6, 0.001)
+
+    def test_zero_latency_accepted(self):
+        assert LinkProfile("a", "b", 1e6, 0.0).latency_s == 0.0

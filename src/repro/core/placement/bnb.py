@@ -124,11 +124,14 @@ class _GroupBound:
         #   enc_assigned[e]   A + (cheapest out over fitting head hosts)
         #   head_assigned[e]  cheapest (A + out[:, nh]) over fitting encoder hosts
         #   free[e]           cheapest over both endpoints
+        #   out_min_rows[e]   cheapest out over fitting head hosts
+        # Scalar reads go through the ``*_rows`` lists (Python floats, the
+        # same doubles); vector math over the device axis stays numpy.
         self.A = list(A)
         self.enc_assigned: List[np.ndarray] = []
         self.head_assigned: List[np.ndarray] = []
         self.free: List[float] = []
-        self.out_min: List[np.ndarray] = []
+        self.out_min_rows: List[List[float]] = []
         for e, idx in enumerate(group.encoder_idx):
             fit = tensors.fits[idx]
             if not fit.any():
@@ -139,10 +142,20 @@ class _GroupBound:
             out = group.out[e]
             out_min = np.min(out[:, head_fit], axis=1)
             masked = np.where(fit[:, None], self.A[e][:, None] + out, np.inf)
-            self.out_min.append(out_min)
+            self.out_min_rows.append(out_min.tolist())
             self.enc_assigned.append(self.A[e] + out_min)
             self.head_assigned.append(np.min(masked, axis=0))
             self.free.append(float(np.min(self.enc_assigned[e][fit])))
+        # Built per search and freed with it: caching these on the request
+        # classes would keep them alive as long as the shared tensors.
+        self.head_row: List[float] = head.tolist()
+        self.A_rows: List[List[float]] = [a.tolist() for a in self.A]
+        self.out_rows: List[List[List[float]]] = [out.tolist() for out in group.out]
+        self.enc_assigned_rows = [v.tolist() for v in self.enc_assigned]
+        self.head_assigned_rows = [v.tolist() for v in self.head_assigned]
+        if parallel:  # contention reads the latency class's own arrays
+            self.in_comm_rows = [v.tolist() for v in group.in_comm]
+            self.enc_comp_rows = [v.tolist() for v in group.enc_comp]
 
     # ------------------------------------------------------------------
     # Contention: Eq. 2's max is blind to ``parallel_slots`` until queue
@@ -166,7 +179,7 @@ class _GroupBound:
         for e, idx in enumerate(self.encoder_idx):
             ne = int(assign[idx])
             if ne >= 0:
-                loads[ne] = loads.get(ne, 0.0) + float(self.group.enc_comp[e][ne])
+                loads[ne] = loads.get(ne, 0.0) + self.enc_comp_rows[e][ne]
                 members.setdefault(ne, []).append(e)
             else:
                 unassigned.append(e)
@@ -174,11 +187,14 @@ class _GroupBound:
 
     def _contention_term(self, n: int, pool: List[int], load: float, nh: int) -> float:
         """Admissible stage bound from slot pressure on device ``n``."""
-        in_min = min(float(self.group.in_comm[e][n]) for e in pool)
+        in_comm = self.in_comm_rows
+        in_min = min(in_comm[e][n] for e in pool)
         if nh >= 0:
-            out_floor = min(float(self.group.out[e][n, nh]) for e in pool)
+            out = self.out_rows
+            out_floor = min(out[e][n][nh] for e in pool)
         else:
-            out_floor = min(float(self.out_min[e][n]) for e in pool)
+            out_min = self.out_min_rows
+            out_floor = min(out_min[e][n] for e in pool)
         return (in_min + load / self.tensors.slots[n] + out_floor) * self._CONTENTION_SLACK
 
     def _contention(self, assign: np.ndarray, nh: int) -> float:
@@ -205,17 +221,10 @@ class _GroupBound:
         """
         if all(assign[i] >= 0 for i in self.members):
             return float(self.exact(assign))
-        out = self.group.out
         nh = int(assign[self.head_idx])
         terms = []
         for e, idx in enumerate(self.encoder_idx):
-            ne = int(assign[idx])
-            if ne >= 0:
-                terms.append(
-                    self.A[e][ne] + out[e][ne, nh] if nh >= 0 else self.enc_assigned[e][ne]
-                )
-            else:
-                terms.append(self.head_assigned[e][nh] if nh >= 0 else self.free[e])
+            terms.append(self._path_term(e, int(assign[idx]), nh))
         if not terms:
             encoder = 0.0
         elif self.parallel:
@@ -225,8 +234,17 @@ class _GroupBound:
                 encoder = contention
         else:
             encoder = reduce(operator.add, terms, 0.0)
-        head = self.head[nh] if nh >= 0 else self.head_min
+        head = self.head_row[nh] if nh >= 0 else self.head_min
         return float(encoder + head)
+
+    def _path_term(self, e: int, ne: int, nh: int) -> float:
+        """Path ``e``'s bound with its encoder on ``ne`` and the head on
+        ``nh`` (``-1`` for unassigned), read from the per-search rows."""
+        if ne >= 0:
+            if nh >= 0:
+                return self.A_rows[e][ne] + self.out_rows[e][ne][nh]
+            return self.enc_assigned_rows[e][ne]
+        return self.head_assigned_rows[e][nh] if nh >= 0 else self.free[e]
 
     def bound_vector(self, assign: np.ndarray, module_index: int) -> np.ndarray:
         """Bound per candidate device if ``module_index`` were placed there.
@@ -255,16 +273,12 @@ class _GroupBound:
             elif head_here:
                 # The head is being placed; encoder e is fixed or free.
                 if ne >= 0:
-                    terms.append(self.A[e][ne] + out[e][ne, :])
+                    terms.append(self.A_rows[e][ne] + out[e][ne, :])
                 else:
                     terms.append(self.head_assigned[e])
-            elif ne >= 0:
-                # Path untouched by this move: same scalar as lower_bound.
-                terms.append(
-                    self.A[e][ne] + out[e][ne, nh] if nh >= 0 else self.enc_assigned[e][ne]
-                )
             else:
-                terms.append(self.head_assigned[e][nh] if nh >= 0 else self.free[e])
+                # Path untouched by this move: same scalar as lower_bound.
+                terms.append(self._path_term(e, ne, nh))
         if not terms:
             encoder = 0.0
         elif self.parallel:
@@ -287,14 +301,15 @@ class _GroupBound:
                     here = members.get(n, ())
                     if len(here) + 1 <= self.tensors.slots[n]:
                         continue
-                    load = loads.get(n, 0.0) + float(self.group.enc_comp[e0][n])
+                    load = loads.get(n, 0.0) + self.enc_comp_rows[e0][n]
                     term = self._contention_term(n, list(here) + [e0] + joiners, load, nh)
                     if term > encoder[n]:
                         encoder[n] = term
-        head = self.head if head_here else (self.head[nh] if nh >= 0 else self.head_min)
-        return np.broadcast_to(
-            np.asarray(encoder + head, dtype=np.float64), self.head.shape
-        ).copy()
+        head = self.head if head_here else (self.head_row[nh] if nh >= 0 else self.head_min)
+        total = encoder + head
+        if isinstance(total, np.ndarray):
+            return total  # a fresh array: the sum allocated it
+        return np.full(len(self.head_row), total)
 
     def _exact_vector(self, assign: np.ndarray, module_index: int) -> np.ndarray:
         """True parallel group latency per candidate device for the last
@@ -323,10 +338,10 @@ class _GroupBound:
         if head_moving:
             # Encoder hosts (hence waits) are fixed; only out_comm varies.
             hosts = [int(assign[i]) for i in self.encoder_idx]
-            comps = [group.enc_comp[e][hosts[e]] for e in range(n_encoders)]
+            comps = [self.enc_comp_rows[e][hosts[e]] for e in range(n_encoders)]
             waits = _lpt_waits(hosts, comps, tensors.slots)
             paths = [
-                (group.in_comm[e][hosts[e]] + waits[e] + comps[e]) + group.out[e][hosts[e], :]
+                (self.in_comm_rows[e][hosts[e]] + waits[e] + comps[e]) + group.out[e][hosts[e], :]
                 for e in range(n_encoders)
             ]
             return reduce(np.maximum, paths) + self.head
@@ -339,17 +354,17 @@ class _GroupBound:
         counts: Dict[int, int] = {}
         for e in others:
             counts[hosts[e]] = counts.get(hosts[e], 0) + 1
+        in_comm, enc_comp, out = self.in_comm_rows, self.enc_comp_rows, self.out_rows
         waits = _lpt_waits(
-            [hosts[e] for e in others], [group.enc_comp[e][hosts[e]] for e in others], tensors.slots
+            [hosts[e] for e in others], [enc_comp[e][hosts[e]] for e in others], tensors.slots
         )
         stage = (group.in_comm[e0] + group.enc_comp[e0]) + group.out[e0][:, nh]
         for pos, e in enumerate(others):
+            ne = hosts[e]
             stage = np.maximum(
-                stage,
-                group.in_comm[e][hosts[e]] + waits[pos] + group.enc_comp[e][hosts[e]]
-                + group.out[e][hosts[e], nh],
+                stage, in_comm[e][ne] + waits[pos] + enc_comp[e][ne] + out[e][ne][nh]
             )
-        values = np.asarray(stage + self.head[nh], dtype=np.float64)
+        values = stage + self.head_row[nh]
         # Candidates where the newcomer overflows the device's slots need
         # the true LPT schedule (waits change on that device only).
         for n in range(n_devices):
@@ -528,9 +543,10 @@ class _SearchState:
     def ranked(self, m: int, bound: np.ndarray) -> List[Tuple[float, int]]:
         """Devices with room for ``m`` as ``(bound, n)``, best bound first
         (stable: equal bounds keep device-index order)."""
+        row = bound.tolist()
         devices = self.fitting(m, range(self.n_devices))
-        devices.sort(key=bound.__getitem__)
-        return [(bound[n], n) for n in devices]
+        devices.sort(key=row.__getitem__)
+        return [(row[n], n) for n in devices]
 
     def value_order(self, bounds: Sequence[_GroupBound]) -> List[int]:
         """The value-phase branching order.
@@ -717,8 +733,8 @@ class _Search(_SearchState):
         return self.ranked(m, self.node_bounds(m))
 
     def tie_children(self, m: int) -> List[Tuple[float, int]]:
-        bound = self.node_bounds(m)
-        return [(bound[n], n) for n in self.fitting(m, self.tie_devices)]
+        row = self.node_bounds(m).tolist()
+        return [(row[n], n) for n in self.fitting(m, self.tie_devices)]
 
     def descend(self, m: int, n: int) -> List[Tuple[int, float]]:
         saved = self.place(m, n, self.lbs)

@@ -72,11 +72,16 @@ MAX_REPLICA_ASSIGNMENTS = 2_000_000
 REPLICA_SOLVERS = ("auto", "bnb", "brute")
 
 
+def _check_max_copies(max_copies: int) -> None:
+    """Reject anything but a positive ``int`` (``True`` and ``2.0`` too)."""
+    if isinstance(max_copies, bool) or not isinstance(max_copies, int) or max_copies < 1:
+        raise ValueError(f"max_copies must be an int >= 1, got {max_copies!r}")
+
+
 def host_subsets(device_names: Sequence[str], max_copies: int) -> List[Tuple[str, ...]]:
     """Every candidate host set: 1..``max_copies`` devices, as sorted-name
     tuples, in lexicographic tuple order (the brute-force tie-key order)."""
-    if max_copies < 1:
-        raise ValueError(f"max_copies must be >= 1, got {max_copies}")
+    _check_max_copies(max_copies)
     ordered = sorted(device_names)
     subsets: List[Tuple[str, ...]] = []
     for size in range(1, min(max_copies, len(ordered)) + 1):
@@ -149,6 +154,7 @@ def replica_brute_force(
     verified against.  ``congestion`` switches scoring to the queue-aware
     ``congestion_replica_objective`` (base latency plus expected waits).
     """
+    _check_max_copies(max_copies)
     if not requests:
         raise PlacementError("replica placement needs at least one request to score")
     from repro.core.routing.latency import LatencyModel
@@ -196,10 +202,9 @@ def replica_aware_greedy(
     device-name order.  ``congestion`` prices candidates with the
     queue-aware ``congestion_replica_objective`` instead.
     """
+    _check_max_copies(max_copies)
     if not requests:
         raise PlacementError("replica placement needs at least one request to score")
-    if max_copies < 1:
-        raise ValueError(f"max_copies must be >= 1, got {max_copies}")
     from repro.core.routing.latency import LatencyModel
 
     net = network if network is not None else Network()
@@ -275,8 +280,8 @@ class _ReplicaGroupBound:
                 f"module {group.head_name!r} fits on no device; "
                 "apply compression or intra-module partitioning first (paper Sec. V-B)"
             )
-        self._head_fit_idx = np.flatnonzero(head_fit)
-        self._enc_fit_idx: List[np.ndarray] = []
+        self._head_fit_idx: List[int] = np.flatnonzero(head_fit).tolist()
+        self._enc_fit_idx: List[List[int]] = []
         for e, idx in enumerate(group.encoder_idx):
             fit = tensors.fits[idx]
             if not fit.any():
@@ -284,7 +289,14 @@ class _ReplicaGroupBound:
                     f"module {group.encoder_names[e]!r} fits on no device; "
                     "apply compression or intra-module partitioning first (paper Sec. V-B)"
                 )
-            self._enc_fit_idx.append(np.flatnonzero(fit))
+            self._enc_fit_idx.append(np.flatnonzero(fit).tolist())
+        # Python-float rows (built per search, freed with it): the bound
+        # works on a handful of hosts, where numpy's per-call cost dominates.
+        self._A_rows = [
+            (in_comm + comp).tolist() for in_comm, comp in zip(group.in_comm, group.enc_comp)
+        ]
+        self._out_rows = [out.tolist() for out in group.out]
+        self._head_row: List[float] = group.head_comp.tolist()
 
     def lower_bound(self, sets: List[Optional[Tuple[int, ...]]]) -> float:
         """Scalar bound (seconds) for the current partial assignment.
@@ -297,31 +309,27 @@ class _ReplicaGroupBound:
         over all (encoder, head) pairs at once.  Queue waits are
         non-negative, so the relaxation never exceeds the true value.
         """
-        group = self.group
-        head_allowed = sets[self.head_idx]
-        nh = (
-            np.asarray(head_allowed, dtype=np.int64)
-            if head_allowed is not None
-            else self._head_fit_idx
-        )
-        stage: Optional[np.ndarray] = None
-        for e, idx in enumerate(group.encoder_idx):
-            enc_allowed = sets[idx]
-            ne = (
-                np.asarray(enc_allowed, dtype=np.int64)
-                if enc_allowed is not None
-                else self._enc_fit_idx[e]
-            )
-            A = group.in_comm[e][ne] + group.enc_comp[e][ne]
-            best_per_head = np.min(A[:, None] + group.out[e][np.ix_(ne, nh)], axis=0)
+        heads = sets[self.head_idx]
+        if heads is None:
+            heads = self._head_fit_idx
+        stage: Optional[List[float]] = None
+        for e, idx in enumerate(self.group.encoder_idx):
+            encs = sets[idx]
+            if encs is None:
+                encs = self._enc_fit_idx[e]
+            A, out = self._A_rows[e], self._out_rows[e]
+            prefixes = [(A[ne], out[ne]) for ne in encs]
+            best_per_head = [min([a + row[nh] for a, row in prefixes]) for nh in heads]
             if stage is None:
                 stage = best_per_head
             elif self.parallel:
-                stage = np.maximum(stage, best_per_head)
+                stage = [max(s, b) for s, b in zip(stage, best_per_head)]
             else:
-                stage = stage + best_per_head
-        totals = group.head_comp[nh] if stage is None else stage + group.head_comp[nh]
-        return float(np.min(totals))
+                stage = [s + b for s, b in zip(stage, best_per_head)]
+        head = self._head_row
+        if stage is None:
+            return min([head[nh] for nh in heads])
+        return min([s + head[nh] for s, nh in zip(stage, heads)])
 
     def exact(self, sets: List[Optional[Tuple[int, ...]]]) -> float:
         """True class latency (seconds) once every member set is assigned."""
@@ -478,6 +486,7 @@ class _ReplicaSearch(_SearchState):
         waits = (self._wr / self._wslots) / (2.0 * (1.0 - rho))
         if self._winf.any():
             waits = np.where(self._winf > 0, float("inf"), waits)
+        waits = waits.tolist()
         group_extra = []
         for group in self.groups:
             extra = 0.0
@@ -526,6 +535,7 @@ def replica_branch_and_bound(
     parallel: bool = True,
     tensors: Optional[CostTensors] = None,
     congestion: Optional[CongestionModel] = None,
+    stats: Optional[BnBStats] = None,
 ) -> Tuple[Placement, float]:
     """The replica-optimal placement and objective, beyond brute's cap.
 
@@ -539,9 +549,9 @@ def replica_branch_and_bound(
     V`` that stops at the first leaf attaining V.  ``congestion`` switches
     the objective to the queue-aware one (wait-inclusive bounds, exact
     leaves); ``None`` keeps the historical objective bit-identical.
+    ``stats`` counts the nodes, leaves and prunes of both phases.
     """
-    if max_copies < 1:
-        raise ValueError(f"max_copies must be >= 1, got {max_copies}")
+    _check_max_copies(max_copies)
     net, tensors = _prologue(problem, requests, network, parallel, tensors, "replica")
     search = _ReplicaSearch(tensors, requests, max_copies, congestion=congestion)
     # Attained incumbent: the replica-aware greedy (always a member of the
@@ -556,7 +566,8 @@ def replica_branch_and_bound(
         pass
     # Heads first (they pin every path's output endpoint), then by
     # descending memory (big modules constrain residuals most).
-    return _two_phase(search, search.value_order(()), best_value, BnBStats())
+    stats = stats if stats is not None else BnBStats()
+    return _two_phase(search, search.value_order(()), best_value, stats)
 
 
 def replica_optimal_placement(
@@ -584,6 +595,7 @@ def replica_optimal_placement(
     """
     if solver not in REPLICA_SOLVERS:
         raise ValueError(f"solver must be one of {REPLICA_SOLVERS}, got {solver!r}")
+    _check_max_copies(max_copies)
     if solver == "auto" and network is not None and network.has_jitter:
         solver = "brute"
     if solver in ("auto", "bnb"):

@@ -53,6 +53,8 @@ def _lpt_waits(device_idx: Sequence[int], computes: Sequence[float], slots_of: S
     sharing a device beyond its ``parallel_slots`` are list-scheduled
     longest-compute-first and charged the busy time of their slot.
     """
+    if len(set(device_idx)) == len(device_idx):
+        return [0.0] * len(device_idx)  # one encoder per device never waits
     by_device: Dict[int, List[int]] = {}
     for index, dev in enumerate(device_idx):
         by_device.setdefault(dev, []).append(index)
@@ -538,18 +540,13 @@ class EnergyTensors:
     - ``embed_radio(m)[n_e, n_h]`` — sender + receiver radio joules of the
       embedding hop for encoder ``m``, zero on the diagonal.
 
-    Unknown device names (synthetic scaling instances) resolve through
+    Every device's profile comes from
     :func:`repro.profiles.energy.resolve_energy_profile`, which derives a
-    deterministic profile from the name; pass ``profiles=`` to override.
+    deterministic profile from the name for synthetic scaling devices.
     """
 
-    def __init__(
-        self,
-        tensors: CostTensors,
-        profiles: Optional[Mapping[str, object]] = None,
-    ) -> None:
+    def __init__(self, tensors: CostTensors) -> None:
         self.tensors = tensors
-        self._profiles = dict(profiles) if profiles is not None else None
         self.active_watts = np.array(
             [self.profile_of(name).active_watts for name in tensors.device_names],
             dtype=np.float64,
@@ -565,8 +562,6 @@ class EnergyTensors:
 
     def profile_of(self, name: str):
         """The device's :class:`~repro.profiles.energy.EnergyProfile`."""
-        if self._profiles is not None and name in self._profiles:
-            return self._profiles[name]
         from repro.profiles.energy import resolve_energy_profile
 
         return resolve_energy_profile(name)
@@ -606,12 +601,16 @@ class EnergyTensors:
         module (zero on the diagonal — co-located hops are free)."""
         arr = self._embed_radio.get(module_index)
         if arr is None:
-            from repro.profiles.energy import hop_radio_joules
-
             payload = self.tensors.modules[module_index].output_bytes
-            names = self.tensors.device_names
+            # ``hop_radio_joules``' formula and order (sender TX + receiver
+            # RX, free when co-located), with each profile resolved once.
+            radio = [
+                self.profile_of(name).transfer_joules(payload)
+                for name in self.tensors.device_names
+            ]
             arr = np.array(
-                [[hop_radio_joules(a, b, payload) for b in names] for a in names],
+                [[0.0 if a == b else tx + rx for b, rx in enumerate(radio)]
+                 for a, tx in enumerate(radio)],
                 dtype=np.float64,
             )
             self._embed_radio[module_index] = arr

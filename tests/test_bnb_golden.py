@@ -1,11 +1,11 @@
 """Golden traversal pins for the three exact branch-and-bound solvers.
 
 The bnb == brute property tests prove the solvers return the right
-placement; these pins also freeze *how* the latency and energy searches
-get there — nodes visited, leaves priced, subtrees pruned — so a change to
-the shared search core that alters the traversal (another visit order, a
-looser bound, a different prune rule) fails in tier 1 instead of only in
-the benchmark digest.  Objectives are compared with ``==``: the searches
+placement; these pins also freeze *how* the latency, energy and replica
+searches get there — nodes visited, leaves priced, subtrees pruned — so a
+change to the shared search core that alters the traversal (another visit
+order, a looser bound, a different prune rule) fails in tier 1 instead of
+only in the benchmark digest.  Objectives are compared with ``==``: the searches
 are bit-identical to brute force, so their floats are exact pins too.
 """
 
@@ -83,11 +83,12 @@ def energy_case(kind, seed, mode):
 
 def replica_case(kind, seed, mode):
     problem, network, requests, names = instance(kind, seed)
+    stats = BnBStats()
     placement, objective = replica_branch_and_bound(
         problem, requests, network, max_copies=2,
-        congestion=congestion_for(names) if mode == "congestion" else None,
+        congestion=congestion_for(names) if mode == "congestion" else None, stats=stats,
     )
-    return hosts(placement), objective
+    return hosts(placement), objective, stats.nodes, stats.leaves, stats.pruned
 
 
 CASES = {"latency": latency_case, "energy": energy_case, "replica": replica_case}
@@ -119,13 +120,13 @@ PINS = {
     ('latency', 'paper', 1, 'congestion'): ([('clip-trf-38m', ('server',)), ('clip-vit-b16-vision', ('server',)), ('cosine-similarity', ('desktop',)), ('vqa-classifier', ('desktop',))], 6.695006849481602, 60, 3, 231),
     ('energy', 'paper', 1, 'parallel'): ([('clip-trf-38m', ('laptop',)), ('clip-vit-b16-vision', ('laptop',)), ('cosine-similarity', ('laptop',)), ('vqa-classifier', ('laptop',))], 181.86400205800552, 4, 1, 16),
     ('energy', 'paper', 1, 'serial'): ([('clip-trf-38m', ('laptop',)), ('clip-vit-b16-vision', ('laptop',)), ('cosine-similarity', ('laptop',)), ('vqa-classifier', ('laptop',))], 181.86400205800552, 4, 1, 16),
-    ('replica', 'replica', 0, 'plain'): ([('enc-00', ('dev-00', 'dev-02')), ('enc-01', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-01'))], 1.7249179662369867),
-    ('replica', 'replica', 0, 'congestion'): ([('enc-00', ('dev-00', 'dev-02')), ('enc-01', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-03'))], 1.8254211023608249),
-    ('replica', 'replica', 1, 'plain'): ([('enc-00', ('dev-00', 'dev-02')), ('enc-01', ('dev-00', 'dev-02')), ('synth-head', ('dev-00', 'dev-02'))], 2.212882446167337),
-    ('replica', 'replica', 1, 'congestion'): ([('enc-00', ('dev-01', 'dev-02')), ('enc-01', ('dev-01', 'dev-03')), ('synth-head', ('dev-00', 'dev-01'))], 2.3791270367166653),
-    ('replica', 'replica', 2, 'plain'): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00',)), ('synth-head', ('dev-00',))], 0.7592043277010849),
-    ('replica', 'replica', 2, 'congestion'): ([('enc-00', ('dev-00', 'dev-01')), ('enc-01', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-01'))], 0.8006852145289817),
-    ('replica', 'paper', 0, 'plain'): ([('clip-trf-38m', ('desktop', 'server')), ('clip-vit-b16-vision', ('desktop',)), ('cosine-similarity', ('desktop', 'server')), ('vqa-classifier', ('desktop',))], 3.6495471391062786),
+    ('replica', 'replica', 0, 'plain'): ([('enc-00', ('dev-00', 'dev-02')), ('enc-01', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-01'))], 1.7249179662369867, 54, 1, 424),
+    ('replica', 'replica', 0, 'congestion'): ([('enc-00', ('dev-00', 'dev-02')), ('enc-01', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-03'))], 1.8254211023608249, 54, 3, 424),
+    ('replica', 'replica', 1, 'plain'): ([('enc-00', ('dev-00', 'dev-02')), ('enc-01', ('dev-00', 'dev-02')), ('synth-head', ('dev-00', 'dev-02'))], 2.212882446167337, 4, 1, 16),
+    ('replica', 'replica', 1, 'congestion'): ([('enc-00', ('dev-01', 'dev-02')), ('enc-01', ('dev-01', 'dev-03')), ('synth-head', ('dev-00', 'dev-01'))], 2.3791270367166653, 59, 4, 514),
+    ('replica', 'replica', 2, 'plain'): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00',)), ('synth-head', ('dev-00',))], 0.7592043277010849, 4, 1, 10),
+    ('replica', 'replica', 2, 'congestion'): ([('enc-00', ('dev-00', 'dev-01')), ('enc-01', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-01'))], 0.8006852145289817, 56, 1, 481),
+    ('replica', 'paper', 0, 'plain'): ([('clip-trf-38m', ('desktop', 'server')), ('clip-vit-b16-vision', ('desktop',)), ('cosine-similarity', ('desktop', 'server')), ('vqa-classifier', ('desktop',))], 3.6495471391062786, 5, 1, 23),
 }
 
 

@@ -17,9 +17,12 @@ record the queue-aware envelope one size up (results in docs/placement.md).
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
+from repro.core.placement.bnb import branch_and_bound_placement
 from repro.core.placement.greedy import greedy_placement, replicate_with_leftover
 from repro.core.placement.optimal import optimal_placement
 from repro.core.placement.replicas import (
@@ -381,6 +384,49 @@ class TestQueueAwareReplicaBnB:
             assert objective == model.congestion_replica_objective(
                 requests, placement, congestion
             )
+
+
+ZERO_RATE_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+class TestZeroRateMetamorphic:
+    """With no offered load, the congestion-aware solvers are the blind ones.
+
+    Zero rates (every model at 0.0, or an empty rate map) add exactly
+    ``+0.0`` waits, so the queue-aware searches must return the same
+    placement and an ``==`` objective as ``congestion=None`` on synthetic
+    instances too, where the wait bound and leaf pricing take other paths
+    through the search than at paper scale.
+    """
+
+    @staticmethod
+    def zero_models(instance):
+        names = sorted({r.model.name for r in instance.requests})
+        return [CongestionModel({name: 0.0 for name in names}), CongestionModel({})]
+
+    @ZERO_RATE_SETTINGS
+    @given(st.sampled_from([(3, 4), (4, 5), (4, 8)]), st.integers(1, 40))
+    def test_latency_bnb(self, shape, seed):
+        instance = synthetic_instance(*shape, seed=seed)
+        args = (instance.problem, list(instance.requests), instance.network)
+        base_p, base_o = branch_and_bound_placement(*args)
+        for congestion in self.zero_models(instance):
+            zero_p, zero_o = branch_and_bound_placement(*args, congestion=congestion)
+            assert zero_o == base_o
+            assert zero_p.as_dict() == base_p.as_dict()
+
+    @ZERO_RATE_SETTINGS
+    @given(st.integers(1, 40))
+    def test_replica_bnb(self, seed):
+        instance = synthetic_instance(3, 4, seed=seed)
+        args = (instance.problem, list(instance.requests), instance.network)
+        base_p, base_o = replica_branch_and_bound(*args, max_copies=2)
+        for congestion in self.zero_models(instance):
+            zero_p, zero_o = replica_branch_and_bound(
+                *args, max_copies=2, congestion=congestion
+            )
+            assert zero_o == base_o
+            assert zero_p.as_dict() == base_p.as_dict()
 
 
 class TestReplicaEnvelope:

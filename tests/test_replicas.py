@@ -330,3 +330,43 @@ class TestReplicaAwareGreedy:
             replica_aware_greedy(problem, requests_for(["clip-vit-b16"]), network, max_copies=0)
         with pytest.raises(PlacementError, match="request"):
             replica_aware_greedy(problem, [], network)
+
+
+class TestMaxCopiesBoundary:
+    """``max_copies`` is a positive ``int`` at every replica entry point.
+
+    ``True`` once passed as 1, ``1.5``/``2.0`` failed deep inside with a
+    bare ``TypeError``, and the greedy silently treated ``1.5`` as 2.
+    """
+
+    BAD = (True, False, 1.5, 2.0, 0, -1, "2", None)
+
+    @pytest.fixture
+    def case(self):
+        instance = synthetic_instance(3, 4, seed=1)
+        return instance.problem, list(instance.requests), instance.network
+
+    def check_rejects(self, solve):
+        for bad in self.BAD:
+            with pytest.raises(ValueError, match="max_copies"):
+                solve(bad)
+
+    def test_branch_and_bound(self, case):
+        self.check_rejects(lambda bad: replica_branch_and_bound(*case, max_copies=bad))
+
+    def test_brute_force(self, case):
+        self.check_rejects(lambda bad: replica_brute_force(*case, max_copies=bad))
+
+    def test_optimal_placement(self, case):
+        for solver in ("auto", "bnb", "brute"):
+            self.check_rejects(
+                lambda bad: replica_optimal_placement(*case, max_copies=bad, solver=solver)
+            )
+
+    def test_aware_greedy(self, case):
+        self.check_rejects(lambda bad: replica_aware_greedy(*case, max_copies=bad))
+
+    def test_positive_ints_still_accepted(self, case):
+        _, one = replica_branch_and_bound(*case, max_copies=1)
+        _, two = replica_branch_and_bound(*case, max_copies=2)
+        assert two <= one

@@ -1,8 +1,8 @@
 """Edge-cluster emulation: runtime devices, network, deployment, workloads.
 
 This package turns the static :mod:`repro.profiles` into live simulation
-objects: a :class:`Device` owns compute slots and a memory ledger inside a
-:class:`~repro.sim.Simulator`; the :class:`Network` prices transfers over the
+objects: a :class:`Device` owns compute slots and a memory ledger on a
+:class:`~repro.sim.FlatEventLoop`; the :class:`Network` prices transfers over the
 PAN/MAN topology; :class:`EdgeCluster` bundles them; and
 :mod:`repro.cluster.requests` generates inference workloads.
 """

@@ -1,19 +1,19 @@
-"""A runtime device: memory ledger + FIFO compute slots inside the simulator.
+"""A runtime device: memory ledger + FIFO compute slots on the event loop.
 
-The compute resource is what produces the paper's shared-module queueing
+The compute slot pool is what produces the paper's shared-module queueing
 delay (Table X): two requests needing the same module on a one-slot device
 serialize, while the GPU server's two slots let independent encoders overlap.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.models import ModelSpec
 from repro.core.modules import ModuleSpec
 from repro.profiles.compute import ComputeModel
 from repro.profiles.devices import DeviceProfile
-from repro.sim import Resource, Simulator, TraceRecorder
+from repro.sim import FlatEventLoop, SlotPool, TraceRecorder
 from repro.sim.trace import CATEGORY_COMPUTE, CATEGORY_LOADING
 from repro.utils.errors import CapacityError
 
@@ -23,7 +23,7 @@ class Device:
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: FlatEventLoop,
         profile: DeviceProfile,
         compute_model: ComputeModel,
         trace: Optional[TraceRecorder] = None,
@@ -32,7 +32,7 @@ class Device:
         self.profile = profile
         self.compute_model = compute_model
         self.trace = trace
-        self.slots = Resource(sim, capacity=profile.parallel_slots)
+        self.slots = SlotPool(sim, capacity=profile.parallel_slots)
         self.loaded: Dict[str, ModuleSpec] = {}
         self._used_bytes = 0
         self._load_offset = 0.0
@@ -105,40 +105,41 @@ class Device:
     def execute(
         self,
         module: ModuleSpec,
+        then: Callable[[float], None],
         model: Optional[ModelSpec] = None,
         batch_size: int = 1,
         request_id: Optional[int] = None,
         label: Optional[str] = None,
         category: str = CATEGORY_COMPUTE,
         service_scale: float = 1.0,
-    ):
-        """Process generator: queue for a compute slot, then compute.
+    ) -> None:
+        """Queue for a compute slot, compute, then call ``then(service)``.
 
-        Yields inside the simulator; returns the *service* time (excluding
-        queueing).  Must be driven via ``sim.process`` / ``yield from``.
-        ``service_scale`` multiplies the service time (noise injection).
+        ``service`` is the service time in seconds, excluding queueing;
+        ``then`` runs on the loop once the slot is released and the span is
+        recorded.  ``service_scale`` multiplies the service time (noise
+        injection).
         """
         if not self.hosts(module.name):
             raise CapacityError(f"device {self.name!r} does not host {module.name!r}")
         service = service_scale * self.compute_model.seconds(
             module, self.profile, model=model, batch_size=batch_size
         )
-        token = yield self.slots.acquire()
-        start = self.sim.now
-        try:
-            yield self.sim.timeout(service)
-        finally:
-            self.slots.release(token)
+        self.slots.acquire(
+            self._granted, service, label or module.name, category, request_id, then
+        )
+
+    def _granted(self, service, label, category, request_id, then) -> None:
+        self.sim.push(service, self._computed, service, self.sim.now, label, category,
+                      request_id, then)
+
+    def _computed(self, service, start, label, category, request_id, then) -> None:
+        self.slots.release()
         if self.trace is not None:
             self.trace.record(
-                self.name,
-                category,
-                label or f"{module.name}",
-                start,
-                self.sim.now,
-                request_id=request_id,
+                self.name, category, label, start, self.sim.now, request_id=request_id
             )
-        return service
+        then(service)
 
     def compute_seconds(
         self, module: ModuleSpec, model: Optional[ModelSpec] = None, batch_size: int = 1

@@ -10,6 +10,7 @@ pipelining discussion), and Poisson streams for the queueing studies.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence
 
@@ -29,6 +30,10 @@ class InferenceRequest:
     arrival_time: float = 0.0
     request_id: int = field(default_factory=lambda: next(_request_counter))
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival_time):
+            raise ValueError(f"arrival_time must be finite, got {self.arrival_time!r}")
+
     @staticmethod
     def for_model(model: "ModelSpec | str", source: str, arrival_time: float = 0.0) -> "InferenceRequest":
         spec = get_model(model) if isinstance(model, str) else model
@@ -46,8 +51,8 @@ def sequential_workload(
     models: Sequence["ModelSpec | str"], source: str, spacing_s: float
 ) -> List[InferenceRequest]:
     """Requests spaced ``spacing_s`` apart (back-to-back when 0 with FIFO order)."""
-    if spacing_s < 0:
-        raise ValueError(f"spacing_s must be non-negative, got {spacing_s}")
+    if not (math.isfinite(spacing_s) and spacing_s >= 0):
+        raise ValueError(f"spacing_s must be a finite number >= 0, got {spacing_s!r}")
     return [
         InferenceRequest.for_model(model, source, index * spacing_s)
         for index, model in enumerate(models)
@@ -65,8 +70,8 @@ def poisson_workload(
 
     Deterministic given ``seed`` (see :mod:`repro.utils.seeding`).
     """
-    if rate_per_s <= 0:
-        raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
+    if not (math.isfinite(rate_per_s) and rate_per_s > 0):
+        raise ValueError(f"rate_per_s must be a finite number > 0, got {rate_per_s!r}")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     rng = rng_for("poisson-workload", seed)

@@ -1,6 +1,6 @@
 """Cluster assembly: the paper's testbed and custom variants.
 
-:class:`EdgeCluster` bundles a simulator, devices, network and trace
+:class:`EdgeCluster` bundles an event loop, devices, network and trace
 recorder.  :func:`build_testbed` reproduces the Table III deployment with a
 chosen device subset (the Table IX availability ablation varies exactly
 this), defaulting to the paper's setup: four PAN edge devices with
@@ -15,18 +15,18 @@ from repro.cluster.device import Device
 from repro.cluster.network import Network
 from repro.profiles.compute import ComputeModel, DEFAULT_COMPUTE_MODEL
 from repro.profiles.devices import DeviceProfile, edge_device_names, get_device_profile
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import FlatEventLoop, TraceRecorder
 from repro.utils.errors import ConfigurationError
 
 
 class EdgeCluster:
-    """A set of live devices sharing one simulator and one network."""
+    """A set of live devices sharing one event loop and one network."""
 
     def __init__(
         self,
         devices: Sequence[Device],
         network: Network,
-        sim: Simulator,
+        sim: FlatEventLoop,
         requester: str,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
@@ -83,10 +83,10 @@ def build_cluster(
 
     Units carried by the pieces: device ``memory_bytes`` budgets are
     **bytes** of fp16 weights, network link speeds are **bytes/second**,
-    and the cluster's simulator clock ticks in **seconds**.  A fresh
-    :class:`~repro.sim.Simulator` (clock at 0) is created per call.
+    and the cluster's event-loop clock ticks in **seconds**.  A fresh
+    :class:`~repro.sim.FlatEventLoop` (clock at 0) is created per call.
     """
-    sim = Simulator()
+    sim = FlatEventLoop()
     trace = TraceRecorder()
     net = network if network is not None else Network()
     devices = [Device(sim, profile, compute_model, trace=trace) for profile in profiles]

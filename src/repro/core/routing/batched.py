@@ -35,7 +35,7 @@ from repro.core.routing.executor import (
     ExecutionResult,
     RequestOutcome,
     UplinkPool,
-    transfer_proc,
+    transfer,
 )
 from repro.core.routing.latency import LatencyModel, RoutingDecision
 from repro.core.tasks import Task
@@ -209,8 +209,8 @@ def execute_batched_burst(
     With ``backend`` set, every simulated chunk also runs REAL batched
     numpy inference; per-request answers land in ``result.outputs``.
     """
-    if max_batch_size < 1:
-        raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+    if isinstance(max_batch_size, bool) or not isinstance(max_batch_size, int) or max_batch_size < 1:
+        raise ValueError(f"max_batch_size must be an int >= 1, got {max_batch_size!r}")
     if backend is not None:
         backend.reset()  # a reused backend must not accumulate past bursts
     result = ExecutionResult(trace=cluster.trace)
@@ -229,85 +229,92 @@ def execute_batched_burst(
             host = decision.host_of(encoder_name)
             groups.setdefault((encoder_name, host), []).append(request)
 
-    # One completion event per (group chunk, request): the head waits on its
-    # encoders' chunk events.
-    encoder_done: Dict[Tuple[str, int], object] = {}
-    for (encoder_name, _host), members in groups.items():
-        for request in members:
-            encoder_done[(encoder_name, request.request_id)] = sim.event()
+    # Per request, the encodings still to land: the head runs one hop after
+    # the last one lands (the join).
+    pending = {request.request_id: len(request.model.encoders) for request in requests}
 
-    def group_proc(encoder_name: str, host: str, members: List[InferenceRequest]):
+    def run_group(encoder_name: str, host: str, members: List[InferenceRequest]) -> None:
         module = latency_model.module(encoder_name)
         device = cluster.device(host)
         # FIFO chunking at the batch-size cap.
         ordered = sorted(members, key=lambda r: r.request_id)
-        for lo in range(0, len(ordered), max_batch_size):
-            chunk = ordered[lo: lo + max_batch_size]
+        chunks = [ordered[lo: lo + max_batch_size] for lo in range(0, len(ordered), max_batch_size)]
+
+        def send(c: int, i: int) -> None:
+            """Ship chunk ``c``'s inputs one by one from member ``i``, then run it."""
+            chunk = chunks[c]
+            if i == len(chunk):
+                # One batched execution for the whole chunk.  Work scales use
+                # the heaviest member (a shared text encoder may serve a
+                # retrieval prompt set and a VQA question in one batch).
+                heaviest = max(chunk, key=lambda r: r.model.scale_for(encoder_name))
+                device.execute(module, lambda _service: encoded(c), model=heaviest.model,
+                               batch_size=len(chunk), label=f"batch[{len(chunk)}] {encoder_name}")
+                return
             # Inputs still ship individually (they originate at requesters);
             # serialize each requester's uplink.
-            for request in chunk:
-                modality = module.modality or "image"
-                payload = request.model.payload_bytes(modality)
-                uplink = nics.get(request.source)
-                token = yield uplink.acquire()
-                try:
-                    yield from transfer_proc(
-                        cluster, request.source, host, payload,
-                        f"{modality}->{host}", request.request_id,
-                    )
-                finally:
-                    uplink.release(token)
-            # One batched execution for the whole chunk.  Work scales use the
-            # heaviest member (a shared text encoder may serve a retrieval
-            # prompt set and a VQA question in one batch).
-            heaviest = max(chunk, key=lambda r: r.model.scale_for(encoder_name))
-            yield from device.execute(
-                module,
-                model=heaviest.model,
-                batch_size=len(chunk),
-                label=f"batch[{len(chunk)}] {encoder_name}",
-            )
-            if backend is not None:
-                backend.encode_chunk(encoder_name, chunk)
-            for request in chunk:
-                head_host = routings[request.request_id].host_of(request.model.head)
-                seconds = cluster.network.transfer_seconds(host, head_host, module.output_bytes)
-                if seconds > 0:
-                    yield sim.timeout(seconds)
-                encoder_done[(encoder_name, request.request_id)].succeed(sim.now)
+            request = chunk[i]
+            modality = module.modality or "image"
+            payload = request.model.payload_bytes(modality)
+            uplink = nics.get(request.source)
+            uplink.acquire(transfer, cluster, request.source, host, payload,
+                           f"{modality}->{host}", request.request_id, sent, uplink, c, i)
 
-    def head_proc(request: InferenceRequest):
-        waits = [
-            encoder_done[(encoder_name, request.request_id)]
-            for encoder_name in request.model.encoders
-        ]
-        if waits:
-            yield sim.all_of(waits)
+        def sent(uplink, c: int, i: int) -> None:
+            uplink.release()
+            send(c, i + 1)
+
+        def encoded(c: int) -> None:
+            if backend is not None:
+                backend.encode_chunk(encoder_name, chunks[c])
+            ship(c, 0)
+
+        def ship(c: int, j: int) -> None:
+            """Ship chunk ``c``'s embeddings to their heads from member ``j``."""
+            chunk = chunks[c]
+            if j == len(chunk):
+                if c + 1 < len(chunks):
+                    send(c + 1, 0)
+                return
+            request = chunk[j]
+            head_host = routings[request.request_id].host_of(request.model.head)
+            seconds = cluster.network.transfer_seconds(host, head_host, module.output_bytes)
+            if seconds > 0:
+                sim.push(seconds, shipped, c, j)
+            else:
+                shipped(c, j)
+
+        def shipped(c: int, j: int) -> None:
+            sim.push(0.0, landed, chunks[c][j])
+            ship(c, j + 1)
+
+        send(0, 0)
+
+    def landed(request: InferenceRequest) -> None:
+        pending[request.request_id] -= 1
+        if not pending[request.request_id]:
+            sim.push(0.0, run_head, request)
+
+    def run_head(request: InferenceRequest) -> None:
         decision = routings[request.request_id]
         head = latency_model.module(request.model.head)
         device = cluster.device(decision.host_of(head.name))
-        yield from device.execute(
-            head,
-            model=request.model,
-            request_id=request.request_id,
-            label=f"head {head.name}",
-            category=CATEGORY_HEAD,
-        )
-        if backend is not None:
-            result.outputs[request.request_id] = backend.finish(request)
-        result.outcomes.append(
-            RequestOutcome(
-                request=request,
-                routing=decision,
-                start_time=0.0,
-                finish_time=sim.now,
-            )
-        )
+
+        def finished(_service: float) -> None:
+            if backend is not None:
+                result.outputs[request.request_id] = backend.finish(request)
+            result.outcomes.append(RequestOutcome(request=request, routing=decision,
+                                                  start_time=0.0, finish_time=sim.now))
+
+        device.execute(head, finished, model=request.model, request_id=request.request_id,
+                       label=f"head {head.name}", category=CATEGORY_HEAD)
 
     for (encoder_name, host), members in sorted(groups.items()):
-        sim.process(group_proc(encoder_name, host, members), name=f"batch:{encoder_name}@{host}")
+        sim.push(0.0, run_group, encoder_name, host, members)
+    # A request without encoders starts its head at once.
     for request in sorted(requests, key=lambda r: r.request_id):
-        sim.process(head_proc(request), name=f"head:{request.request_id}")
+        if not pending[request.request_id]:
+            sim.push(0.0, run_head, request)
     sim.run()
     if len(result.outcomes) != len(requests):
         raise RoutingError("batched execution lost requests (deadlock?)")

@@ -14,57 +14,65 @@ Requests are spawned at their arrival times, so a stream of requests
 pipelines naturally: the next request starts encoding as soon as the shared
 encoder frees up — including the queueing delay Table X reports for shared
 modules.
+
+The run is continuation-passing on the cluster's
+:class:`~repro.sim.FlatEventLoop`.  Each hand-off between steps (a
+request's start, a slot grant, the end of an encoder path, the join) is one
+zero-delay push, so same-instant ties always resolve in one FIFO order;
+``tests/golden/executor_digests.json`` pins that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.requests import InferenceRequest
 from repro.cluster.topology import EdgeCluster
 from repro.core.placement.problem import Placement
 from repro.core.routing.latency import LatencyModel, RoutingDecision
-from repro.sim import Resource, TraceRecorder
+from repro.sim import FlatEventLoop, SlotPool, TraceRecorder
 from repro.sim.trace import CATEGORY_HEAD, CATEGORY_TRANSMISSION
 
 
 class UplinkPool:
-    """Per-source uplink NICs (capacity-1 resources), created lazily.
+    """Per-source uplink NICs (one-slot pools), created lazily.
 
     Concurrent modality input sends from the same requester serialize on its
-    NIC; shared by the FIFO executor, the burst micro-batcher, and the
-    online serving runtime so the uplink model cannot drift between them.
+    NIC.  The FIFO executor and the burst micro-batcher each build one per
+    run; the serving engine keeps its own uplink queue.
     """
 
-    def __init__(self, sim) -> None:
+    def __init__(self, sim: FlatEventLoop) -> None:
         self._sim = sim
-        self._nics: Dict[str, Resource] = {}
+        self._nics: Dict[str, SlotPool] = {}
 
-    def get(self, source: str) -> Resource:
+    def get(self, source: str) -> SlotPool:
         if source not in self._nics:
-            self._nics[source] = Resource(self._sim, capacity=1)
+            self._nics[source] = SlotPool(self._sim, capacity=1)
         return self._nics[source]
 
 
-def transfer_proc(
-    cluster: EdgeCluster,
-    src: str,
-    dst: str,
-    payload_bytes: int,
-    label: str,
-    request_id: Optional[int],
-):
-    """Process generator: one ``src -> dst`` network transfer of
-    ``payload_bytes`` **bytes**, recorded on the cluster trace."""
+def transfer(cluster: EdgeCluster, src: str, dst: str, payload_bytes: int, label: str,
+             request_id: Optional[int], then: Callable[..., None], *args: Any) -> None:
+    """One ``src -> dst`` network transfer of ``payload_bytes`` **bytes**,
+    recorded on the cluster trace; calls ``then(*args)`` when it lands
+    (at once when the hop costs nothing)."""
     seconds = cluster.network.transfer_seconds(src, dst, payload_bytes)
-    start = cluster.sim.now
     if seconds > 0:
-        yield cluster.sim.timeout(seconds)
-        if cluster.trace is not None:
-            cluster.trace.record(
-                src, CATEGORY_TRANSMISSION, label, start, cluster.sim.now, request_id
-            )
+        cluster.sim.push(
+            seconds, _landed, cluster, src, label, cluster.sim.now, request_id, then, args
+        )
+    else:
+        then(*args)
+
+
+def _landed(cluster, src, label, start, request_id, then, args) -> None:
+    if cluster.trace is not None:
+        cluster.trace.record(
+            src, CATEGORY_TRANSMISSION, label, start, cluster.sim.now, request_id
+        )
+    then(*args)
 
 
 @dataclass(frozen=True)
@@ -195,36 +203,37 @@ def execute_requests(
     sim = cluster.sim
     nics = UplinkPool(sim)
 
-    def encoder_path(request: InferenceRequest, encoder, device_name: str, head_device: str):
+    def encoder_path(request: InferenceRequest, encoder, device_name: str, head_device: str,
+                     then: Callable[..., None], *args: Any) -> None:
+        """Send the input, encode, ship the embedding, then call ``then(*args)``."""
         modality = encoder.modality or "image"
         payload = request.model.payload_bytes(modality)
-        # Serialize input sends on the requester's uplink.
         nic = nics.get(request.source)
-        token = yield nic.acquire()
-        try:
-            yield from transfer_proc(
-                cluster, request.source, device_name, payload,
-                f"{modality}->{device_name}", request.request_id,
-            )
-        finally:
-            nic.release(token)
-        device = cluster.device(device_name)
-        scale = service_noise(encoder.name, device_name) if service_noise else 1.0
-        yield from device.execute(
-            encoder,
-            model=request.model,
-            request_id=request.request_id,
-            label=f"encode {encoder.name}",
-            service_scale=scale,
-        )
-        yield from transfer_proc(
-            cluster, device_name, head_device, encoder.output_bytes,
-            f"emb->{head_device}", request.request_id,
+
+        def sent() -> None:
+            nic.release()
+            device = cluster.device(device_name)
+            scale = service_noise(encoder.name, device_name) if service_noise else 1.0
+            device.execute(encoder, encoded, model=request.model, request_id=request.request_id,
+                           label=f"encode {encoder.name}", service_scale=scale)
+
+        def encoded(_service: float) -> None:
+            transfer(cluster, device_name, head_device, encoder.output_bytes,
+                     f"emb->{head_device}", request.request_id, then, *args)
+
+        # Serialize input sends on the requester's uplink.
+        nic.acquire(
+            transfer, cluster, request.source, device_name, payload,
+            f"{modality}->{device_name}", request.request_id, sent,
         )
 
-    def request_proc(request: InferenceRequest):
+    def arrive(request: InferenceRequest) -> None:
         if request.arrival_time > sim.now:
-            yield sim.timeout(request.arrival_time - sim.now)
+            sim.push(request.arrival_time - sim.now, begin, request)
+        else:
+            begin(request)
+
+    def begin(request: InferenceRequest) -> None:
         start = sim.now
         routing = router(request) if router is not None else latency_model.route(request, placement)
         # Resolve modules against the problem's table (handles the cloned
@@ -239,37 +248,47 @@ def execute_requests(
                 request, enc.name, routing.host_of(enc.name)
             ),
         )
-        if parallel:
-            paths = [
-                sim.process(
-                    encoder_path(request, encoder, routing.host_of(encoder.name), head_device_name),
-                    name=f"q{request.request_id}:{encoder.name}",
-                )
-                for encoder in ordered
-            ]
-            if paths:
-                yield sim.all_of(paths)
-        else:
+
+        def run_head() -> None:
+            head_device = cluster.device(head_device_name)
+            scale = service_noise(head.name, head_device_name) if service_noise else 1.0
+            head_device.execute(head, finished, model=request.model, request_id=request.request_id,
+                                label=f"head {head.name}", category=CATEGORY_HEAD,
+                                service_scale=scale)
+
+        def finished(_service: float) -> None:
+            result.outcomes.append(
+                RequestOutcome(request=request, routing=routing, start_time=start,
+                               finish_time=sim.now)
+            )
+
+        if parallel and ordered:
+            # Each path starts one hop after the request, and its end is one
+            # more hop (``sim.push(0.0, joined)``); the join (the max of
+            # Eq. 2) runs the head one hop after the last path's end.
+            pending = [len(ordered)]
+
+            def joined() -> None:
+                pending[0] -= 1
+                if not pending[0]:
+                    sim.push(0.0, run_head)
+
             for encoder in ordered:
-                yield from encoder_path(
-                    request, encoder, routing.host_of(encoder.name), head_device_name
-                )
-        head_device = cluster.device(head_device_name)
-        scale = service_noise(head.name, head_device_name) if service_noise else 1.0
-        yield from head_device.execute(
-            head,
-            model=request.model,
-            request_id=request.request_id,
-            label=f"head {head.name}",
-            category=CATEGORY_HEAD,
-            service_scale=scale,
-        )
-        result.outcomes.append(
-            RequestOutcome(request=request, routing=routing, start_time=start, finish_time=sim.now)
-        )
+                sim.push(0.0, encoder_path, request, encoder, routing.host_of(encoder.name),
+                         head_device_name, sim.push, 0.0, joined)
+        else:
+            def run_path(index: int) -> None:
+                if index == len(ordered):
+                    run_head()
+                else:
+                    encoder = ordered[index]
+                    encoder_path(request, encoder, routing.host_of(encoder.name),
+                                 head_device_name, run_path, index + 1)
+
+            run_path(0)
 
     for request in sorted(requests, key=lambda r: (r.arrival_time, r.request_id)):
-        sim.process(request_proc(request), name=f"request-{request.request_id}")
+        sim.push(0.0, arrive, request)
     sim.run()
     result.outcomes.sort(key=lambda outcome: outcome.request.request_id)
     return result

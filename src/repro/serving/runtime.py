@@ -124,7 +124,7 @@ class ServingRuntime:
             guard; counts failed hosts too — their weights stay resident).
         max_events: Optional livelock cap forwarded to the event loop;
             ``None`` (default) derives it from the scheduled work (see
-            :func:`repro.sim.simulator.default_max_events`).
+            :func:`repro.sim.flat.default_max_events`).
         keep_records: Keep the per-request :class:`RequestRecord` tuple on
             the report.  ``False`` drops it after aggregation — the
             memory-saving choice for million-arrival replays where only

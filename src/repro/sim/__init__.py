@@ -1,39 +1,27 @@
 """Discrete-event simulation kernel.
 
-A small, dependency-free process-based DES in the style of SimPy, used to
-emulate the paper's physical testbed: device compute slots with FIFO
-queueing (the source of the shared-module queueing delay in Table X),
-network transfers, and per-request parallel encoder execution (Fig. 3).
+One dependency-free callback kernel emulates the paper's physical testbed
+and drives every simulated run: device compute slots with FIFO queueing
+(the source of the shared-module queueing delay in Table X), network
+transfers, per-request parallel encoder execution (Fig. 3), and the
+million-arrival serving replays.
 
 Public surface:
 
-- :class:`Simulator` — event loop with a virtual clock.
-- :class:`FlatEventLoop` — the slimmed callback kernel behind the flat
-  serving engine (no generator frames; same (time, insertion-order) FIFO).
-- :class:`Process` — generator-based process handle (also awaitable).
-- :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` — awaitable events.
-- :class:`Resource` — capacity-limited FIFO resource (device compute slots).
-- :class:`Store` — FIFO message channel between processes.
+- :class:`FlatEventLoop` — timed callbacks, an arrival stream and a virtual
+  clock, dispatched in (time, insertion-order) order.
+- :class:`SlotPool` — capacity-limited FIFO slots on a loop (device compute
+  slots, requester uplinks).
+- :func:`default_max_events` — the loop's derived livelock cap.
 - :class:`TraceRecorder`, :class:`Span` — timeline capture for Fig. 3.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.flat import FlatEventLoop
-from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
-from repro.sim.simulator import Simulator, default_max_events
+from repro.sim.flat import FlatEventLoop, SlotPool, default_max_events
 from repro.sim.trace import Span, TraceRecorder
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Event",
-    "Timeout",
     "FlatEventLoop",
-    "Process",
-    "Resource",
-    "Store",
-    "Simulator",
+    "SlotPool",
     "default_max_events",
     "Span",
     "TraceRecorder",

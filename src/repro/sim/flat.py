@@ -1,12 +1,13 @@
-"""A flat (callback-based) event loop for vectorized serving runs.
+"""The flat (callback-based) event kernel: one loop for every simulated run.
 
-The generator-process kernel in :mod:`repro.sim.simulator` spends one Python
-frame plus several :class:`~repro.sim.events.Event` objects per request per
-hop — fine at testbed scale, dominant at a million arrivals.  This module is
-the slimmed kernel behind :class:`repro.serving.engine.FlatServingEngine`:
-entries are plain ``(time, seq, fn, args)`` tuples and "resuming a process"
-is a direct function call, so there are no generator frames, no Event
-allocation, and no callback lists.
+Entries are plain ``(time, seq, fn, args)`` tuples and "resuming a process"
+is a direct function call, so there are no generator frames, no event
+objects and no callback lists.  The serving engine
+(:class:`repro.serving.engine.FlatServingEngine`) replays a million arrivals
+on it, and the paper's executor (:mod:`repro.core.routing.executor`,
+:mod:`repro.core.routing.batched`) runs on the cluster's loop in
+continuation-passing style, with a :class:`SlotPool` for each device's
+compute slots and each requester's uplink.
 
 Work waits in one of three places:
 
@@ -16,13 +17,12 @@ Work waits in one of three places:
   sequence — a replay's sorted arrival trace — read through a cursor, so
   an item costs no tuple, no seq int and no float until it is dispatched.
 
-Ordering is identical to :class:`Simulator`: entries run in
-``(time, insertion-order)`` order, so simultaneous entries run FIFO.  A feed
-reserves one consecutive block of seqs, so the stream's items are sorted by
-``(time, seq)`` by construction, and dispatching the smaller of the heap top
-and the cursor's item replays exactly the order one heap holding both would
-give.  The livelock guard is shared with the process kernel
-(:func:`repro.sim.simulator.default_max_events`).
+Entries run in ``(time, insertion-order)`` order, so simultaneous entries
+run FIFO.  A feed reserves one consecutive block of seqs, so the stream's
+items are sorted by ``(time, seq)`` by construction, and dispatching the
+smaller of the heap top and the cursor's item replays exactly the order one
+heap holding both would give.  :func:`default_max_events` is the livelock
+guard.
 """
 
 from __future__ import annotations
@@ -31,9 +31,25 @@ import heapq
 from collections import deque
 from itertools import islice
 from operator import le
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
-from repro.sim.simulator import default_max_events
+#: Floor for the derived livelock cap: small runs keep the historic guard.
+MIN_MAX_EVENTS = 10_000_000
+#: Derived-cap budget: how many processed events each initially scheduled
+#: event may fan out into before the run is declared a livelock.  Serving
+#: runs spend a few dozen events per request, so 200x leaves an order of
+#: magnitude of headroom while still catching unbounded self-rescheduling.
+EVENTS_PER_SCHEDULED = 200
+
+
+def default_max_events(pending: int) -> int:
+    """Livelock cap for a run that starts with ``pending`` scheduled events.
+
+    Scales with the initially scheduled work instead of a fixed constant, so
+    a legitimate million-arrival serving run (tens of millions of events) is
+    not spuriously killed while a buggy two-callback ping-pong loop still is.
+    """
+    return max(MIN_MAX_EVENTS, EVENTS_PER_SCHEDULED * pending)
 
 
 class FlatEventLoop:
@@ -134,9 +150,9 @@ class FlatEventLoop:
     def run(self, max_events: Optional[int] = None) -> float:
         """Drain the queues and the stream; returns the final simulated time.
 
-        ``max_events`` guards against runaway loops exactly like
-        :meth:`Simulator.run`; ``None`` derives the cap from the entries
-        scheduled at entry.
+        Hitting ``max_events`` dispatched entries raises: it guards against
+        runaway loops.  ``None`` derives the cap from the entries scheduled
+        at entry via :func:`default_max_events`.
         """
         if max_events is None:
             max_events = default_max_events(len(self))
@@ -191,3 +207,49 @@ class FlatEventLoop:
         finally:
             self._running = False
         return self.now
+
+
+class SlotPool:
+    """``capacity`` FIFO slots on a :class:`FlatEventLoop`.
+
+    A device's compute slots and a requester's uplink NIC: a one-slot pool
+    serializes its users (the shared-module queueing of the paper's
+    Table X), while the GPU server's two slots let two encoders overlap.
+    :meth:`acquire` runs its continuation one zero-delay hop later when a
+    slot is free, or queues it; :meth:`release` hands the slot straight to
+    the oldest waiter, again one hop later, so a grant is always an event.
+    """
+
+    __slots__ = ("loop", "capacity", "in_use", "_waiters")
+
+    def __init__(self, loop: FlatEventLoop, capacity: int = 1) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.loop = loop
+        self.capacity = capacity
+        #: Slots held, including ones granted but not yet dispatched.
+        self.in_use = 0
+        self._waiters: Deque[Tuple[Callable[..., None], Tuple[Any, ...]]] = deque()
+
+    @property
+    def queue_length(self) -> int:
+        """Continuations waiting for a slot."""
+        return len(self._waiters)
+
+    def acquire(self, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` once a slot is held by the caller."""
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            self.loop.push(0.0, fn, *args)
+        else:
+            self._waiters.append((fn, args))
+
+    def release(self) -> None:
+        """Give one slot back, granting it to the oldest waiter if any."""
+        if self.in_use <= 0:
+            raise RuntimeError("release() without a matching acquire()")
+        if self._waiters:
+            fn, args = self._waiters.popleft()
+            self.loop.push(0.0, fn, *args)
+        else:
+            self.in_use -= 1

@@ -14,12 +14,12 @@ from repro.cluster.topology import build_testbed
 from repro.core.catalog import get_module
 from repro.profiles.compute import DEFAULT_COMPUTE_MODEL
 from repro.profiles.devices import edge_device_names, get_device_profile
-from repro.sim import Simulator
+from repro.sim import FlatEventLoop
 from repro.utils.errors import CapacityError, ConfigurationError
 
 
 def make_device(name="laptop"):
-    return Device(Simulator(), get_device_profile(name), DEFAULT_COMPUTE_MODEL)
+    return Device(FlatEventLoop(), get_device_profile(name), DEFAULT_COMPUTE_MODEL)
 
 
 class TestDeviceMemory:
@@ -62,25 +62,35 @@ class TestDeviceExecution:
     def test_execute_requires_module_loaded(self):
         device = make_device()
         module = get_module("clip-vit-b16-vision")
-
-        def proc():
-            yield from device.execute(module)
-
-        device.sim.process(proc())
+        done = []
         with pytest.raises(CapacityError):
-            device.sim.run()
+            device.execute(module, done.append)
+        assert len(device.sim) == 0
+        assert device.sim.run() == 0.0
+        assert done == []
 
     def test_execute_takes_service_time(self):
         device = make_device()
         module = get_module("clip-vit-b16-vision")
         device.load(module)
+        done = []
+        device.execute(module, lambda service: done.append((device.sim.now, service)))
+        device.sim.run()
+        assert done == [(pytest.approx(device.compute_seconds(module)),
+                         device.compute_seconds(module))]
+        assert device.slots.in_use == 0
 
-        def proc():
-            yield from device.execute(module)
-            return device.sim.now
-
-        finish = device.sim.run_process(proc())
-        assert finish == pytest.approx(device.compute_seconds(module))
+    def test_execute_queues_on_a_busy_slot(self):
+        device = make_device("laptop")  # one compute slot
+        module = get_module("clip-vit-b16-vision")
+        device.load(module)
+        service = device.compute_seconds(module)
+        done = []
+        for tag in "ab":
+            device.execute(module, lambda _service, tag=tag: done.append((tag, device.sim.now)))
+        assert (device.slots.in_use, device.slots.queue_length) == (1, 1)
+        device.sim.run()
+        assert done == [("a", service), ("b", service + service)]
 
     def test_compute_seconds_matches_profile(self):
         device = make_device()
@@ -178,6 +188,24 @@ class TestWorkloads:
             poisson_workload(["clip-vit-b16"], "jetson-a", rate_per_s=0, count=1)
         with pytest.raises(ValueError):
             poisson_workload(["clip-vit-b16"], "jetson-a", rate_per_s=1, count=-1)
+
+    @pytest.mark.parametrize("arrival_time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_arrival_time_rejected(self, arrival_time):
+        # NaN used to serve with latency NaN, inf to finish at inf.
+        with pytest.raises(ValueError, match="arrival_time"):
+            InferenceRequest.for_model("clip-vit-b16", "jetson-a", arrival_time)
+
+    @pytest.mark.parametrize("spacing_s", [float("nan"), float("inf")])
+    def test_sequential_non_finite_spacing_rejected(self, spacing_s):
+        # NaN used to emit NaN arrivals.
+        with pytest.raises(ValueError, match="spacing_s"):
+            sequential_workload(["clip-vit-b16"] * 2, "jetson-a", spacing_s=spacing_s)
+
+    @pytest.mark.parametrize("rate_per_s", [float("nan"), float("inf")])
+    def test_poisson_non_finite_rate_rejected(self, rate_per_s):
+        # NaN used to emit NaN arrivals, inf to put every arrival at 0.0.
+        with pytest.raises(ValueError, match="rate_per_s"):
+            poisson_workload(["clip-vit-b16"], "jetson-a", rate_per_s=rate_per_s, count=3)
 
     def test_request_ids_unique(self):
         requests = simultaneous_workload(["clip-vit-b16"] * 5, "jetson-a")

@@ -382,7 +382,7 @@ class TestRouterReservationDecay:
         }
         assert sum(reserved_at_zero.values()) > 0
         # Advance the simulated clock far past every routed service time.
-        cluster.sim.schedule_event(cluster.sim.event(), delay=1e6)
+        cluster.sim.push(1e6, lambda: None)
         cluster.sim.run()
         for name in cluster.device_names:
             assert router.reserved_seconds(name) == 0.0
@@ -401,7 +401,7 @@ class TestRouterReservationDecay:
         loaded = max(before, key=lambda name: before[name])
         assert before[loaded] > 0
         step = before[loaded] / 2
-        cluster.sim.schedule_event(cluster.sim.event(), delay=step)
+        cluster.sim.push(step, lambda: None)
         cluster.sim.run()
         capacity = cluster.device(loaded).slots.capacity
         expected = max(0.0, before[loaded] - capacity * step)
@@ -416,7 +416,7 @@ class TestRouterReservationDecay:
         first = router(engine.request("clip-vit-b16"))
         baseline = dict(first.hosts)
         for _ in range(50):
-            cluster.sim.schedule_event(cluster.sim.event(), delay=1e4)
+            cluster.sim.push(1e4, lambda: None)
             cluster.sim.run()
             decision = router(engine.request("clip-vit-b16"))
             assert dict(decision.hosts) == baseline

@@ -309,12 +309,19 @@ class TestBatchedBurst:
         )
         assert len(result.outcomes) == 5
 
-    def test_invalid_batch_size(self):
+    @pytest.mark.parametrize(
+        "max_batch_size", [0, -1, True, False, 1.5, 2.0, float("nan"), "2", None]
+    )
+    def test_invalid_batch_size(self, max_batch_size):
+        # True used to run as 1; 1.5 and nan escaped as a bare TypeError.
         cluster, engine = self._deployed()
-        with pytest.raises(ValueError):
+        requests = [engine.request("clip-vit-b16") for _ in range(2)]
+        with pytest.raises(ValueError, match="max_batch_size"):
             execute_batched_burst(
-                cluster, engine.placement, [], engine.latency_model(), max_batch_size=0
+                cluster, engine.placement, requests, engine.latency_model(),
+                max_batch_size=max_batch_size,
             )
+        assert cluster.trace.by_category("compute") == []
 
 
 class TestEnergy:

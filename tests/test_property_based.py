@@ -15,7 +15,7 @@ from repro.core.sharing import build_sharing_plan
 from repro.core.splitter import split_model
 from repro.datasets.latent import LatentConceptSpace
 from repro.profiles.devices import edge_device_names, testbed_device_names as _all_devices
-from repro.sim import Resource, Simulator
+from repro.sim import FlatEventLoop, SlotPool
 from repro.utils.seeding import derive_seed
 
 MODEL_NAMES = sorted(MODEL_CATALOG)
@@ -139,41 +139,54 @@ class TestNetworkInvariants:
         )
 
 
-class TestSimulatorInvariants:
-    @given(delays=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_all_of_completes_at_max_delay(self, delays):
-        sim = Simulator()
+def _fifo_reference(durations, capacity):
+    """Finish times of FIFO jobs on ``capacity`` slots, all queued at 0:
+    each job in turn takes the slot that frees first."""
+    free = [0.0] * capacity
+    finish = []
+    for duration in durations:
+        start = min(free)
+        free[free.index(start)] = start + duration
+        finish.append(start + duration)
+    return finish
 
-        def proc():
-            yield sim.all_of([sim.timeout(d) for d in delays])
-            return sim.now
 
-        assert sim.run_process(proc()) == max(delays)
-
+class TestSlotPoolInvariants:
     @given(
-        durations=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=10),
+        durations=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=10),
         capacity=st.integers(1, 4),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_resource_conserves_work(self, durations, capacity):
-        sim = Simulator()
-        resource = Resource(sim, capacity=capacity)
-        finished = []
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_fifo_finish_times(self, durations, capacity):
+        """k slots plus n FIFO jobs finish exactly when FIFO says, and the
+        join over all of them waits for the slowest."""
+        loop = FlatEventLoop()
+        pool = SlotPool(loop, capacity=capacity)
+        finished = [None] * len(durations)
+        joined = []
+        pending = [len(durations)]
 
-        def worker(duration):
-            token = yield resource.acquire()
-            yield sim.timeout(duration)
-            resource.release(token)
-            finished.append(sim.now)
+        def granted(i):
+            loop.push(durations[i], done, i)
 
-        for duration in durations:
-            sim.process(worker(duration))
-        sim.run()
+        def done(i):
+            pool.release()
+            finished[i] = loop.now
+            loop.push(0.0, path_ended)
+
+        def path_ended():
+            pending[0] -= 1
+            if not pending[0]:
+                joined.append(loop.now)
+
+        for i in range(len(durations)):
+            pool.acquire(granted, i)
+        loop.run()
+        assert finished == _fifo_reference(durations, capacity)
+        assert joined == [max(finished)]
         # Makespan bounds: at least the critical path, at most the serial sum.
-        assert len(finished) == len(durations)
-        assert max(finished) >= max(durations) - 1e-9
-        assert max(finished) <= sum(durations) + 1e-9
+        assert max(durations) <= joined[0] <= sum(durations) + 1e-9
+        assert (pool.in_use, pool.queue_length) == (0, 0)
 
 
 class TestLatentInvariants:

@@ -1,4 +1,4 @@
-"""The discrete-event simulation kernel: events, processes, clock."""
+"""The discrete-event simulation kernel: the flat loop, its clock and guard."""
 
 import heapq
 from collections import deque
@@ -7,242 +7,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FlatEventLoop, Simulator, Timeout
+from repro.sim import FlatEventLoop
 
 
-class TestSimulatorBasics:
+class TestClock:
     def test_clock_starts_at_zero(self):
-        assert Simulator().now == 0.0
+        assert FlatEventLoop().now == 0.0
 
-    def test_timeout_advances_clock(self):
-        sim = Simulator()
-        sim.timeout(2.5)
-        sim.run()
-        assert sim.now == 2.5
+    def test_push_advances_clock(self):
+        loop = FlatEventLoop()
+        loop.push(2.5, lambda: None)
+        assert loop.run() == 2.5
+        assert loop.now == 2.5
 
-    def test_negative_timeout_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.timeout(-1.0)
-
-    def test_nan_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError, match="non-negative"):
-            sim.schedule_event(sim.event(), delay=float("nan"))
-        with pytest.raises(ValueError, match="non-negative"):
-            sim.timeout(float("nan"))
-        assert sim.run() == 0.0  # nothing was scheduled
-
-    def test_run_until_stops_early(self):
-        sim = Simulator()
-        sim.timeout(10.0)
-        sim.run(until=3.0)
-        assert sim.now == 3.0
-
-    def test_run_until_leaves_queue_intact(self):
-        # Stopping early must not drop the pending event: resuming run()
-        # still fires it at its original time.
-        sim = Simulator()
-        event = sim.timeout(10.0, value="later")
-        sim.run(until=3.0)
-        assert not event.processed
-        sim.run()
-        assert sim.now == 10.0
-        assert event.processed
-        assert event.value == "later"
-
-    def test_run_until_between_events_processes_due_ones(self):
-        sim = Simulator()
-        first = sim.timeout(1.0)
-        second = sim.timeout(5.0)
-        sim.run(until=2.0)
-        assert first.processed
-        assert not second.processed
-        assert sim.now == 2.0
-
-    def test_step_without_events_raises(self):
-        with pytest.raises(RuntimeError):
-            Simulator().step()
-
-    def test_events_fifo_at_same_time(self):
-        sim = Simulator()
-        order = []
-        for tag in "abc":
-            event = sim.timeout(1.0, value=tag)
-            event.add_callback(lambda e: order.append(e.value))
-        sim.run()
-        assert order == ["a", "b", "c"]
-
-
-class TestProcesses:
-    def test_process_returns_value(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.timeout(1.0)
-            return 42
-
-        assert sim.run_process(proc()) == 42
-
-    def test_yield_receives_timeout_value(self):
-        sim = Simulator()
-
-        def proc():
-            got = yield sim.timeout(0.5, value="payload")
-            return got
-
-        assert sim.run_process(proc()) == "payload"
-
-    def test_timeout_value_default_none(self):
-        sim = Simulator()
-
-        def proc():
-            got = yield sim.timeout(0.5)
-            return got
-
-        assert sim.run_process(proc()) is None
-
-    def test_sequential_timeouts_accumulate(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.timeout(1.0)
-            yield sim.timeout(2.0)
-            return sim.now
-
-        assert sim.run_process(proc()) == 3.0
-
-    def test_process_waiting_on_process(self):
-        sim = Simulator()
-
-        def child():
-            yield sim.timeout(2.0)
-            return "done"
-
-        def parent():
-            result = yield sim.process(child())
-            return (result, sim.now)
-
-        assert sim.run_process(parent()) == ("done", 2.0)
-
-    def test_yielding_non_event_raises(self):
-        sim = Simulator()
-
-        def bad():
-            yield 5
-
-        sim.process(bad())
-        with pytest.raises(TypeError):
-            sim.run()
-
-
-class TestConditions:
-    def test_all_of_waits_for_slowest(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.all_of([sim.timeout(1.0), sim.timeout(3.0), sim.timeout(2.0)])
-            return sim.now
-
-        assert sim.run_process(proc()) == 3.0
-
-    def test_all_of_collects_values(self):
-        sim = Simulator()
-
-        def proc():
-            values = yield sim.all_of([sim.timeout(1.0, "a"), sim.timeout(2.0, "b")])
-            return values
-
-        assert sim.run_process(proc()) == ["a", "b"]
-
-    def test_any_of_fires_on_fastest(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.any_of([sim.timeout(5.0), sim.timeout(1.0)])
-            return sim.now
-
-        assert sim.run_process(proc()) == 1.0
-
-    def test_all_of_empty_fires_immediately(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.all_of([])
-            return sim.now
-
-        assert sim.run_process(proc()) == 0.0
-
-    def test_any_of_empty_rejected(self):
-        # "Any of nothing" can never fire; waiting on it would deadlock.
-        sim = Simulator()
-        with pytest.raises(ValueError, match="at least one event"):
-            sim.any_of([])
-
-    def test_any_of_delivers_first_value(self):
-        sim = Simulator()
-
-        def proc():
-            value = yield sim.any_of([sim.timeout(5.0, "slow"), sim.timeout(1.0, "fast")])
-            return value
-
-        assert sim.run_process(proc()) == "fast"
-
-
-class TestEventSemantics:
-    def test_double_succeed_raises(self):
-        sim = Simulator()
-        event = sim.event()
-        event.succeed(1)
-        with pytest.raises(RuntimeError):
-            event.succeed(2)
-
-    def test_callback_after_processed_runs_immediately(self):
-        sim = Simulator()
-        event = sim.timeout(0.0, value="x")
-        sim.run()
+    def test_clock_persists_across_runs(self):
+        # A cluster's loop serves several executor calls in turn.
+        loop = FlatEventLoop()
+        loop.push(2.0, lambda: None)
+        loop.run()
         seen = []
-        event.add_callback(lambda e: seen.append(e.value))
-        assert seen == ["x"]
-
-    def test_max_events_guard(self):
-        sim = Simulator()
-
-        def livelock():
-            while True:
-                yield sim.timeout(0.0)
-
-        sim.process(livelock())
-        with pytest.raises(RuntimeError, match="events"):
-            sim.run(max_events=100)
+        loop.push(1.0, lambda: seen.append(loop.now))
+        loop.run()
+        assert seen == [3.0]
 
 
 class TestDefaultMaxEvents:
     def test_floor_preserved_for_small_queues(self):
         from repro.sim import default_max_events
-        from repro.sim.simulator import MIN_MAX_EVENTS
+        from repro.sim.flat import MIN_MAX_EVENTS
 
         assert default_max_events(0) == MIN_MAX_EVENTS
         assert default_max_events(1) == MIN_MAX_EVENTS
 
     def test_scales_with_scheduled_work(self):
         from repro.sim import default_max_events
-        from repro.sim.simulator import EVENTS_PER_SCHEDULED, MIN_MAX_EVENTS
+        from repro.sim.flat import EVENTS_PER_SCHEDULED, MIN_MAX_EVENTS
 
         pending = 10_000_000
         assert default_max_events(pending) == EVENTS_PER_SCHEDULED * pending
         assert default_max_events(pending) > MIN_MAX_EVENTS
 
     def test_explicit_cap_still_raises(self):
-        sim = Simulator()
+        loop = FlatEventLoop()
 
         def livelock():
-            while True:
-                yield sim.timeout(0.0)
+            loop.push(1.0, livelock)
 
-        sim.process(livelock())
+        loop.push(0.0, livelock)
         with pytest.raises(RuntimeError, match="livelock"):
-            sim.run(max_events=7)
+            loop.run(max_events=7)
+        assert loop.now == 6.0
 
 
 class TestFlatEventLoop:

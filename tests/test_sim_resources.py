@@ -1,141 +1,98 @@
-"""Resources (compute slots) and stores (FIFO channels)."""
+"""Slot pools: FIFO compute slots and uplinks on the flat event loop."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import FlatEventLoop, SlotPool
 
 
-class TestResource:
+def _worker(loop, pool, finish, name, duration):
+    """Acquire a slot, hold it ``duration`` seconds, release, log the time."""
+
+    def granted():
+        loop.push(duration, done)
+
+    def done():
+        pool.release()
+        finish[name] = loop.now
+
+    pool.acquire(granted)
+
+
+class TestSlotPool:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            Resource(Simulator(), capacity=0)
+            SlotPool(FlatEventLoop(), capacity=0)
 
     def test_acquire_below_capacity_is_immediate(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=2)
+        loop = FlatEventLoop()
+        pool = SlotPool(loop, capacity=2)
+        granted = []
+        pool.acquire(lambda: granted.append(loop.now))
+        loop.run()
+        assert granted == [0.0]
 
-        def proc():
-            yield resource.acquire()
-            return sim.now
-
-        assert sim.run_process(proc()) == 0.0
+    def test_grant_is_one_hop_later(self):
+        # A free slot is granted through the ready queue, never by a
+        # synchronous call: work queued before the acquire runs first.
+        loop = FlatEventLoop()
+        pool = SlotPool(loop, capacity=1)
+        seen = []
+        loop.push(0.0, seen.append, "queued first")
+        pool.acquire(seen.append, "granted")
+        assert seen == [] and pool.in_use == 1
+        loop.run()
+        assert seen == ["queued first", "granted"]
 
     def test_single_slot_serializes(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
+        loop = FlatEventLoop()
+        pool = SlotPool(loop, capacity=1)
         finish = {}
-
-        def worker(name, duration):
-            token = yield resource.acquire()
-            yield sim.timeout(duration)
-            resource.release(token)
-            finish[name] = sim.now
-
-        sim.process(worker("first", 2.0))
-        sim.process(worker("second", 3.0))
-        sim.run()
+        _worker(loop, pool, finish, "first", 2.0)
+        _worker(loop, pool, finish, "second", 3.0)
+        loop.run()
         assert finish == {"first": 2.0, "second": 5.0}
 
     def test_two_slots_overlap(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=2)
+        loop = FlatEventLoop()
+        pool = SlotPool(loop, capacity=2)
         finish = {}
-
-        def worker(name, duration):
-            token = yield resource.acquire()
-            yield sim.timeout(duration)
-            resource.release(token)
-            finish[name] = sim.now
-
-        sim.process(worker("first", 2.0))
-        sim.process(worker("second", 3.0))
-        sim.run()
+        _worker(loop, pool, finish, "first", 2.0)
+        _worker(loop, pool, finish, "second", 3.0)
+        loop.run()
         assert finish == {"first": 2.0, "second": 3.0}
 
     def test_fifo_wakeup_order(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
+        loop = FlatEventLoop()
+        pool = SlotPool(loop, capacity=1)
         order = []
 
         def worker(name):
-            token = yield resource.acquire()
-            order.append(name)
-            yield sim.timeout(1.0)
-            resource.release(token)
+            def granted():
+                order.append(name)
+                loop.push(1.0, pool.release)
+
+            pool.acquire(granted)
 
         for name in ["a", "b", "c"]:
-            sim.process(worker(name))
-        sim.run()
+            worker(name)
+        loop.run()
         assert order == ["a", "b", "c"]
+        assert loop.now == 3.0
 
     def test_release_without_acquire_raises(self):
-        resource = Resource(Simulator(), capacity=1)
+        pool = SlotPool(FlatEventLoop(), capacity=1)
         with pytest.raises(RuntimeError):
-            resource.release()
+            pool.release()
 
     def test_queue_length_tracks_waiters(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-
-        def hold():
-            yield resource.acquire()
-            yield sim.timeout(10.0)
-
-        def wait():
-            yield resource.acquire()
-
-        sim.process(hold())
-        sim.process(wait())
-        sim.run(until=1.0)
-        assert resource.queue_length == 1
-        assert resource.in_use == 1
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("item")
-
-        def proc():
-            item = yield store.get()
-            return item
-
-        assert sim.run_process(proc()) == "item"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        def producer():
-            yield sim.timeout(2.0)
-            store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [("late", 2.0)]
-
-    def test_fifo_ordering(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-
-        def proc():
-            first = yield store.get()
-            second = yield store.get()
-            return (first, second)
-
-        assert sim.run_process(proc()) == (1, 2)
-
-    def test_len(self):
-        store = Store(Simulator())
-        assert len(store) == 0
-        store.put("x")
-        assert len(store) == 1
+        loop = FlatEventLoop()
+        pool = SlotPool(loop, capacity=1)
+        finish = {}
+        _worker(loop, pool, finish, "hold", 10.0)
+        _worker(loop, pool, finish, "wait", 0.0)
+        seen = []
+        loop.push(1.0, lambda: seen.append((pool.in_use, pool.queue_length)))
+        loop.run()
+        assert seen == [(1, 1)]
+        assert (pool.in_use, pool.queue_length) == (0, 0)
+        assert finish == {"hold": 10.0, "wait": 10.0}

@@ -31,17 +31,16 @@ def _objective_sweep():
         instance = synthetic_instance(n_modules, n_devices, seed=1, n_requests=16)
         requests = list(instance.requests)
         placement = greedy_placement(instance.problem)
-        tensorized = LatencyModel(instance.problem, instance.network)
-        scalar = LatencyModel(instance.problem, instance.network, use_tensors=False)
-        value = tensorized.objective(requests, placement)  # warm tensors
-        assert value == scalar.objective(requests, placement)  # bit-identical
+        model = LatencyModel(instance.problem, instance.network)
+        value = model.objective(requests, placement)  # warm tensors
+        assert value == model.objective_scalar(requests, placement)  # bit-identical
         start = time.perf_counter()
         for _ in range(OBJECTIVE_REPEATS):
-            tensorized.objective(requests, placement)
+            model.objective(requests, placement)
         tensor_s = (time.perf_counter() - start) / OBJECTIVE_REPEATS
         start = time.perf_counter()
         for _ in range(OBJECTIVE_REPEATS):
-            scalar.objective(requests, placement)
+            model.objective_scalar(requests, placement)
         scalar_s = (time.perf_counter() - start) / OBJECTIVE_REPEATS
         rows.append((n_modules, n_devices, scalar_s, tensor_s, scalar_s / tensor_s))
     return rows

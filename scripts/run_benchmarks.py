@@ -87,21 +87,20 @@ def bench_objective(n_modules: int, n_devices: int, repeats: int) -> dict:
     instance = synthetic_instance(n_modules, n_devices, seed=1, n_requests=16)
     requests = list(instance.requests)
     placement = greedy_placement(instance.problem)
-    tensorized = LatencyModel(instance.problem, instance.network)
-    scalar = LatencyModel(instance.problem, instance.network, use_tensors=False)
+    model = LatencyModel(instance.problem, instance.network)
 
     build_start = time.perf_counter()
-    tensor_value = tensorized.objective(requests, placement)  # builds tensors
+    tensor_value = model.objective(requests, placement)  # builds tensors
     tensor_build_s = time.perf_counter() - build_start
-    scalar_value = scalar.objective(requests, placement)
+    scalar_value = model.objective_scalar(requests, placement)
 
     start = time.perf_counter()
     for _ in range(repeats):
-        tensorized.objective(requests, placement)
+        model.objective(requests, placement)
     tensor_s = (time.perf_counter() - start) / repeats
     start = time.perf_counter()
     for _ in range(repeats):
-        scalar.objective(requests, placement)
+        model.objective_scalar(requests, placement)
     scalar_s = (time.perf_counter() - start) / repeats
     return {
         "modules": n_modules,

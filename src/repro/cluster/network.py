@@ -4,15 +4,15 @@ Transfers are priced analytically (path latency + serialization at the
 bottleneck link).  The paper measures communication to be negligible within
 the PAN and dominated by the residential MAN uplink, and explicitly notes
 that short-term network variation barely moves end-to-end latency
-(Sec. VI-C), so we do not model per-link queueing; the optional jitter hook
-supports the randomized-trial experiments instead.
+(Sec. VI-C), so we model neither per-link queueing nor jitter: a transfer's
+price depends only on the topology and its degraded links.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.profiles.communication import LINK_PROFILES, LinkProfile
 from repro.utils.errors import ConfigurationError
@@ -29,7 +29,6 @@ class Network:
 
     def __init__(self, links: Optional[Iterable[LinkProfile]] = None) -> None:
         self._adj: Dict[str, Dict[str, LinkProfile]] = {}
-        self._jitter: Optional[Callable[[str, str], float]] = None
         self._version = 0
         # Bandwidth multipliers for degraded links, keyed by sorted endpoint
         # pair.  0.0 cuts the link (removed from routing entirely); absent
@@ -47,30 +46,13 @@ class Network:
         self._path_cache = {}
         self._version += 1
 
-    def set_jitter(self, jitter: Optional[Callable[[str, str], float]]) -> None:
-        """Install a multiplicative jitter hook ``(src, dst) -> factor``.
-
-        Used by the randomized placement trials to emulate the paper's
-        uncontrolled home-network conditions.
-        """
-        self._jitter = jitter
-        self._version += 1
-
     @property
     def version(self) -> int:
-        """Bumped on every topology or jitter change; cost-tensor caches
-        built against this network (see :mod:`repro.core.placement.tensors`)
-        compare versions to know when to rebuild."""
+        """Bumped on every topology or link-degradation change; cost-tensor
+        caches built against this network (see
+        :mod:`repro.core.placement.tensors`) compare versions to know when
+        to rebuild."""
         return self._version
-
-    @property
-    def has_jitter(self) -> bool:
-        """Whether a (possibly stochastic) jitter hook is installed.
-
-        Cost tensors cache transfer prices, which would freeze a random
-        jitter draw — pricing falls back to the scalar path while True.
-        """
-        return self._jitter is not None
 
     # ------------------------------------------------------------------
     # Link degradation (fault injection)
@@ -222,10 +204,7 @@ class Network:
                 * self._degraded.get(self._link_key(link.a, link.b), 1.0)
                 for link in links
             )
-        seconds = latency + payload_bytes * 8 / bottleneck
-        if self._jitter is not None:
-            seconds *= self._jitter(src, dst)
-        return seconds
+        return latency + payload_bytes * 8 / bottleneck
 
     def device_nodes(self) -> List[str]:
         """All non-router nodes."""

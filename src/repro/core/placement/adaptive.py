@@ -43,10 +43,6 @@ class MigrationDecision:
     switching_cost_seconds: float
     new_placement: Optional[Placement] = None
 
-    @property
-    def per_request_gain(self) -> float:
-        return self.old_latency - self.new_latency
-
 
 class AdaptivePlacementController:
     """Decides whether to re-place modules when the device pool changes.

@@ -586,12 +586,11 @@ class _SearchState:
         )
 
 
-#: Per-solver wording of the shared entry errors: (what is solved, the
-#: solver's name, the dispatcher whose brute force honours jitter).
+#: What each exact solver solves, as its empty-request error words it.
 _SOLVER_NAMES = {
-    "latency": ("optimal placement", "branch-and-bound", "optimal_placement"),
-    "energy": ("energy-optimal placement", "energy branch-and-bound", "energy_optimal_placement"),
-    "replica": ("replica placement", "replica branch-and-bound", "replica_optimal_placement"),
+    "latency": "optimal placement",
+    "energy": "energy-optimal placement",
+    "replica": "replica placement",
 }
 
 
@@ -604,20 +603,9 @@ def _prologue(
     kind: str,
 ) -> Tuple[Network, CostTensors]:
     """The entry checks shared by the exact solvers: ``(network, tensors)``."""
-    what, solver, dispatcher = _SOLVER_NAMES[kind]
     if not requests:
-        raise PlacementError(f"{what} needs at least one request to score")
+        raise PlacementError(f"{_SOLVER_NAMES[kind]} needs at least one request to score")
     net = network if network is not None else Network()
-    if net.has_jitter:
-        # Cost tensors cache transfer prices, which would freeze one random
-        # jitter draw into the whole search — silently diverging from the
-        # scalar path.  The brute-force solver prices through the scalar
-        # fallback and stays correct under (deterministic) jitter hooks.
-        raise PlacementError(
-            f"{solver} prices through cached cost tensors, which would freeze "
-            "the network's jitter hook; clear the jitter or use "
-            f"{dispatcher}(..., solver='brute')"
-        )
     if tensors is None:
         tensors = CostTensors(problem, net, parallel=parallel)
     else:

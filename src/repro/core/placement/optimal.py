@@ -103,10 +103,6 @@ def optimal_placement(
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if not requests:
         raise PlacementError("optimal placement needs at least one request to score")
-    if solver == "auto" and network is not None and network.has_jitter:
-        # Branch-and-bound refuses jittered networks (its tensors would
-        # freeze the draws); brute force prices through the scalar fallback.
-        solver = "brute"
     if solver in ("auto", "bnb"):
         # Imported here: repro.core.routing imports this package at module
         # load, so a top-level import would cycle.
@@ -159,8 +155,7 @@ def energy_optimal_placement(
     :data:`MAX_ASSIGNMENTS`).  Returns ``(None, inf)`` when memory-feasible
     placements exist but none meets the budget; raises
     :class:`PlacementError` (under every solver) when no memory-feasible
-    placement exists at all.  ``solver="auto"`` dispatches jittered
-    networks to brute force, whose scalar pricing honors the jitter hook.
+    placement exists at all.
     """
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
@@ -169,8 +164,6 @@ def energy_optimal_placement(
     budget = float("inf") if latency_budget is None else float(latency_budget)
     if math.isnan(budget):
         raise ValueError("latency_budget must be a number (None for no budget), got nan")
-    if solver == "auto" and network is not None and network.has_jitter:
-        solver = "brute"
     if solver in ("auto", "bnb"):
         from repro.core.placement.bnb import energy_branch_and_bound
 

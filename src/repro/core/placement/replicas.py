@@ -589,15 +589,11 @@ def replica_optimal_placement(
     results under every ``solver`` (``"auto"``/``"bnb"`` run the
     branch-and-bound, ``"brute"`` exhaustive enumeration capped at
     :data:`MAX_REPLICA_ASSIGNMENTS`); ties break toward the
-    lexicographically smallest assignment.  ``solver="auto"`` dispatches
-    jittered networks to brute force, whose scalar pricing honors the
-    jitter hook.
+    lexicographically smallest assignment.
     """
     if solver not in REPLICA_SOLVERS:
         raise ValueError(f"solver must be one of {REPLICA_SOLVERS}, got {solver!r}")
     _check_max_copies(max_copies)
-    if solver == "auto" and network is not None and network.has_jitter:
-        solver = "brute"
     if solver in ("auto", "bnb"):
         return replica_branch_and_bound(
             problem, requests, network=network, max_copies=max_copies,

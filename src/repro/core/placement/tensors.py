@@ -25,9 +25,7 @@ tensorized prices are **bit-identical** to the scalar path — the property
 tests in ``tests/test_placement_tensors.py`` assert ``==`` on the floats.
 
 The layer is invalidated when the network topology changes (see
-``Network.version``) and is bypassed entirely when a stochastic jitter hook
-is installed (``Network.has_jitter``), because caching would freeze the
-jitter draw.
+``Network.version``).
 """
 
 from __future__ import annotations
@@ -234,12 +232,6 @@ class CostTensors:
         except KeyError:
             raise ConfigurationError(f"unknown device {name!r} in problem") from None
 
-    def has_device(self, name: str) -> bool:
-        return name in self._device_index
-
-    def has_module(self, name: str) -> bool:
-        return name in self._module_index
-
     # ------------------------------------------------------------------
     # Tensor builders (lazy; every entry comes from the scalar oracles)
     # ------------------------------------------------------------------
@@ -260,7 +252,7 @@ class CostTensors:
                 try:
                     base = device.compute_seconds(module, work_scale=scale)
                 except ConfigurationError:
-                    arr[i, j] = np.inf  # scalar path would raise if ever priced
+                    arr[i, j] = np.inf  # _checked raises if ever priced
                     continue
                 arr[i, j] = base * noise.get((module.name, device.name), 1.0)
         self._model_compute[id(model)] = (model, arr)
@@ -310,8 +302,9 @@ class CostTensors:
     # ------------------------------------------------------------------
     def compute_value(self, model: ModelSpec, module_name: str, device_name: str) -> float:
         """``t^comp`` for one (model, module, device) from the cached tensor."""
-        value = self.model_compute(model)[self.module_idx(module_name), self.device_idx(device_name)]
-        return float(value)
+        m = self.module_idx(module_name)
+        row = self.model_compute(model)[m]
+        return float(self._checked(model, row, m, self.device_idx(device_name)))
 
     def check_compatible(self, problem: PlacementProblem, network: Network, parallel: bool) -> None:
         """Refuse use against a different problem/network/mode.
@@ -347,8 +340,8 @@ class CostTensors:
         sentinel (a device with no throughput entry for the module's kind)."""
         value = row[device_index]
         if value == np.inf:
-            # Price through the scalar oracle so the caller gets the same
-            # ConfigurationError the non-tensorized path raises.
+            # Price through the device oracle so the caller gets its
+            # ConfigurationError naming the missing throughput entry.
             module = self.modules[module_index]
             self.problem.devices[device_index].compute_seconds(
                 module, work_scale=model.scale_for(module.name)

@@ -35,6 +35,7 @@ from repro.core.routing.executor import (
     ExecutionResult,
     RequestOutcome,
     UplinkPool,
+    check_run,
     transfer,
 )
 from repro.core.routing.latency import LatencyModel, RoutingDecision
@@ -211,6 +212,7 @@ def execute_batched_burst(
     """
     if isinstance(max_batch_size, bool) or not isinstance(max_batch_size, int) or max_batch_size < 1:
         raise ValueError(f"max_batch_size must be an int >= 1, got {max_batch_size!r}")
+    check_run(cluster, placement, requests, latency_model)
     if backend is not None:
         backend.reset()  # a reused backend must not accumulate past bursts
     result = ExecutionResult(trace=cluster.trace)

@@ -33,6 +33,7 @@ from repro.core.placement.problem import Placement
 from repro.core.routing.latency import LatencyModel, RoutingDecision
 from repro.sim import FlatEventLoop, SlotPool, TraceRecorder
 from repro.sim.trace import CATEGORY_HEAD, CATEGORY_TRANSMISSION
+from repro.utils.errors import ConfigurationError, RoutingError
 
 
 class UplinkPool:
@@ -65,6 +66,34 @@ def transfer(cluster: EdgeCluster, src: str, dst: str, payload_bytes: int, label
         )
     else:
         then(*args)
+
+
+def check_run(cluster: EdgeCluster, placement: Placement,
+              requests: Sequence[InferenceRequest], latency_model: LatencyModel) -> None:
+    """Refuse a run before its first push if it could not finish cleanly.
+
+    The cluster's loop must be empty: entries an earlier, failed run left
+    there would be dispatched inside this one.  Every request's source must
+    be a network node, and every module of its model part of the problem
+    with at least one host, so a bad request raises here instead of
+    stranding the rest of the run on the shared loop.
+    """
+    stale = len(cluster.sim)
+    if stale:
+        raise ConfigurationError(
+            f"the cluster's event loop still holds {stale} entries from an "
+            "earlier run; execute on a fresh cluster"
+        )
+    for request in requests:
+        if not cluster.network.has_node(request.source):
+            raise ConfigurationError(
+                f"request {request.request_id}: source {request.source!r} is "
+                "not a network node"
+            )
+        for name in request.model.module_names:
+            latency_model.module(name)
+            if not placement.hosts(name):
+                raise RoutingError(f"module {name!r} has no hosts")
 
 
 def _landed(cluster, src, label, start, request_id, then, args) -> None:
@@ -197,8 +226,10 @@ def execute_requests(
     optimality trials).  ``router`` overrides the default fastest-host rule
     (Eq. 7) — e.g. the queue-aware router of
     :mod:`repro.core.routing.queue_aware`.  The cluster's modules must
-    already be loaded (see the engine's ``deploy``).
+    already be loaded (see the engine's ``deploy``).  Inputs are checked
+    before anything is scheduled (see :func:`check_run`).
     """
+    check_run(cluster, placement, requests, latency_model)
     result = ExecutionResult(trace=cluster.trace)
     sim = cluster.sim
     nics = UplinkPool(sim)

@@ -24,6 +24,7 @@ from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
 from repro.core.modules import ModuleSpec
 from repro.core.placement.problem import Placement, PlacementProblem
+from repro.core.placement.tensors import CostTensors, WaitTensors
 from repro.utils.errors import RoutingError
 
 
@@ -104,10 +105,10 @@ class LatencyModel:
 
     Routing, single-request pricing, and the objective run on the shared
     :class:`~repro.core.placement.tensors.CostTensors` layer (precomputed
-    per-problem numpy arrays, bit-identical to the scalar formulas); the
+    per-problem numpy arrays, bit-identical to the scalar formulas).  The
     ``*_scalar`` methods keep the original loop implementations as the
-    reference path, and pricing falls back to them automatically when the
-    network carries a stochastic jitter hook.
+    independent reference the tensor path is tested against; no pricing
+    path reaches them.
     """
 
     def __init__(
@@ -115,13 +116,11 @@ class LatencyModel:
         problem: PlacementProblem,
         network: Network,
         parallel: bool = True,
-        use_tensors: bool = True,
         tensors=None,
     ) -> None:
         self.problem = problem
         self.network = network
         self.parallel = parallel
-        self.use_tensors = use_tensors
         self._modules: Dict[str, ModuleSpec] = {m.name: m for m in problem.modules}
         if tensors is not None:
             # Adopt a caller-shared CostTensors (e.g. one tensor build priced
@@ -130,21 +129,14 @@ class LatencyModel:
         self._tensors = tensors
 
     @property
-    def tensors(self):
-        """The shared cost-tensor layer, or None while jitter forces scalar.
-
-        Rebuilt lazily whenever the network's topology version moves.
-        """
-        if not self.use_tensors or getattr(self.network, "has_jitter", False):
-            return None
-        version = getattr(self.network, "version", 0)
+    def tensors(self) -> CostTensors:
+        """The shared cost-tensor layer, rebuilt lazily whenever the
+        network's topology version moves."""
         if (
             self._tensors is None
             or self._tensors.network is not self.network
-            or self._tensors.network_version != version
+            or self._tensors.network_version != self.network.version
         ):
-            from repro.core.placement.tensors import CostTensors
-
             self._tensors = CostTensors(self.problem, self.network, parallel=self.parallel)
         return self._tensors
 
@@ -152,13 +144,13 @@ class LatencyModel:
     # Timing oracles (request-scaled, unlike the problem's planning scale)
     # ------------------------------------------------------------------
     def compute_seconds(self, request: InferenceRequest, module_name: str, device_name: str) -> float:
-        """``t^comp_{m,n}`` in seconds with the requesting model's work scale."""
-        tensors = self.tensors
-        if tensors is not None and tensors.has_module(module_name) and tensors.has_device(device_name):
-            value = tensors.compute_value(request.model, module_name, device_name)
-            if value != float("inf"):  # inf marks a missing-throughput entry:
-                return value           # fall through so the scalar path raises
-        return self.compute_seconds_scalar(request, module_name, device_name)
+        """``t^comp_{m,n}`` in seconds with the requesting model's work scale.
+
+        Raises :class:`RoutingError` for a module outside the problem, and
+        :class:`ConfigurationError` for an unknown device or one with no
+        throughput entry for the module's kind.
+        """
+        return self.tensors.compute_value(request.model, module_name, device_name)
 
     def compute_seconds_scalar(self, request: InferenceRequest, module_name: str, device_name: str) -> float:
         """``t^comp`` in seconds through the device oracle directly — never
@@ -183,12 +175,9 @@ class LatencyModel:
     # Eq. 7: route each required module to its fastest hosting device
     # ------------------------------------------------------------------
     def route(self, request: InferenceRequest, placement: Placement) -> RoutingDecision:
-        tensors = self.tensors
-        if tensors is not None:
-            return RoutingDecision(
-                request=request, hosts=tensors.route_hosts(request, placement)
-            )
-        return self.route_scalar(request, placement)
+        return RoutingDecision(
+            request=request, hosts=self.tensors.route_hosts(request, placement)
+        )
 
     def route_scalar(self, request: InferenceRequest, placement: Placement) -> RoutingDecision:
         """Reference implementation of Eq. 7 (no tensor cache)."""
@@ -247,12 +236,9 @@ class LatencyModel:
 
     def replica_route(self, request: InferenceRequest, placement: Placement) -> RoutingDecision:
         """Cheapest-replica hosts for one request (see `_replica_best_scalar`)."""
-        tensors = self.tensors
-        if tensors is not None:
-            return RoutingDecision(
-                request=request, hosts=tensors.replica_route_hosts(request, placement)
-            )
-        return self.replica_route_scalar(request, placement)
+        return RoutingDecision(
+            request=request, hosts=self.tensors.replica_route_hosts(request, placement)
+        )
 
     def replica_route_scalar(self, request: InferenceRequest, placement: Placement) -> RoutingDecision:
         """Reference cheapest-replica routing (no tensor cache)."""
@@ -260,10 +246,7 @@ class LatencyModel:
 
     def replica_total_latency(self, request: InferenceRequest, placement: Placement) -> float:
         """``t_total`` (seconds) under cheapest-replica routing."""
-        tensors = self.tensors
-        if tensors is not None:
-            return tensors.replica_total_latency(request, placement)
-        return self.replica_total_latency_scalar(request, placement)
+        return self.tensors.replica_total_latency(request, placement)
 
     def replica_total_latency_scalar(self, request: InferenceRequest, placement: Placement) -> float:
         """Reference scalar ``t_total`` under cheapest-replica routing."""
@@ -272,10 +255,7 @@ class LatencyModel:
     def replica_objective(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
         """Total latency (seconds) over ``requests`` under cheapest-replica
         routing — the objective the replica-aware solvers minimize."""
-        tensors = self.tensors
-        if tensors is not None:
-            return tensors.replica_objective(requests, placement)
-        return self.replica_objective_scalar(requests, placement)
+        return self.tensors.replica_objective(requests, placement)
 
     def replica_objective_scalar(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
         """Reference scalar replica objective: per-request loops, no tensors."""
@@ -344,27 +324,16 @@ class LatencyModel:
     def congestion_waits(
         self, requests: Sequence[InferenceRequest], placement: Placement, congestion
     ) -> Dict[str, float]:
-        """Per-device expected waits (tensorized when available)."""
+        """Per-device expected waits ``W_n`` in seconds."""
         tensors = self.tensors
-        if tensors is not None:
-            from repro.core.placement.tensors import WaitTensors
-
-            waits = WaitTensors(tensors, congestion).waits_for_placement(
-                requests, placement
-            )
-            return {tensors.device_names[n]: waits[n] for n in range(len(waits))}
-        return self.congestion_waits_scalar(requests, placement, congestion)
+        waits = WaitTensors(tensors, congestion).waits_for_placement(requests, placement)
+        return {tensors.device_names[n]: waits[n] for n in range(len(waits))}
 
     def congestion_objective(
         self, requests: Sequence[InferenceRequest], placement: Placement, congestion
     ) -> float:
         """Queue-aware Problem (4a): base latency plus routed-host waits."""
-        tensors = self.tensors
-        if tensors is not None:
-            from repro.core.placement.tensors import WaitTensors
-
-            return WaitTensors(tensors, congestion).objective(requests, placement)
-        return self.congestion_objective_scalar(requests, placement, congestion)
+        return WaitTensors(self.tensors, congestion).objective(requests, placement)
 
     def congestion_objective_scalar(
         self, requests: Sequence[InferenceRequest], placement: Placement, congestion
@@ -434,14 +403,7 @@ class LatencyModel:
     ) -> float:
         """Queue-aware cheapest-replica objective (the replica solvers'
         congestion objective): routing minimizes latency *plus* waits."""
-        tensors = self.tensors
-        if tensors is not None:
-            from repro.core.placement.tensors import WaitTensors
-
-            return WaitTensors(tensors, congestion).replica_objective(
-                requests, placement
-            )
-        return self.congestion_replica_objective_scalar(requests, placement, congestion)
+        return WaitTensors(self.tensors, congestion).replica_objective(requests, placement)
 
     def congestion_replica_objective_scalar(
         self, requests: Sequence[InferenceRequest], placement: Placement, congestion
@@ -540,10 +502,7 @@ class LatencyModel:
 
     def total_latency(self, request: InferenceRequest, placement: Placement) -> float:
         """``t_total(y^q)`` for one request."""
-        tensors = self.tensors
-        if tensors is not None:
-            return tensors.total_latency(request, placement)
-        return self.total_latency_scalar(request, placement)
+        return self.tensors.total_latency(request, placement)
 
     def total_latency_scalar(self, request: InferenceRequest, placement: Placement) -> float:
         """Reference scalar ``t_total``: Eq. 1-3 priced entirely through the
@@ -557,10 +516,7 @@ class LatencyModel:
 
     def objective(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
         """Problem (4a)'s objective: total latency over all requests."""
-        tensors = self.tensors
-        if tensors is not None:
-            return tensors.objective(requests, placement)
-        return self.objective_scalar(requests, placement)
+        return self.tensors.objective(requests, placement)
 
     def objective_scalar(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
         """Reference scalar objective: per-request loops, no tensor reads.

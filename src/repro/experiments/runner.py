@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.cluster.topology import EdgeCluster, build_testbed
-from repro.core.engine import DeploymentReport, S2M3Engine
+from repro.core.engine import S2M3Engine
 from repro.profiles.devices import edge_device_names, testbed_device_names
 
 DEFAULT_REQUESTER = "jetson-a"
@@ -36,20 +36,3 @@ def s2m3_single_request_latency(
     engine.deploy()
     result = engine.serve([engine.request(model_name)])
     return result.outcomes[0].latency
-
-
-def s2m3_deploy(
-    model_names: Sequence[str],
-    device_names: Optional[Sequence[str]] = None,
-    requester: str = DEFAULT_REQUESTER,
-    share: bool = True,
-    parallel: bool = True,
-) -> tuple:
-    """(engine, deployment report) on a fresh cluster."""
-    cluster = build_testbed(
-        list(device_names) if device_names is not None else edge_device_names(),
-        requester=requester,
-    )
-    engine = S2M3Engine(cluster, list(model_names), share=share, parallel=parallel)
-    report: DeploymentReport = engine.deploy()
-    return engine, report

@@ -27,7 +27,7 @@ those tests fail loudly rather than letting accuracies drift silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -235,8 +235,3 @@ def sinusoidal_positions(tokens: int, dim: int) -> np.ndarray:
     encoding[:, 0::2] = np.sin(position * div)
     encoding[:, 1::2] = np.cos(position * div[: encoding[:, 1::2].shape[1]])
     return encoding
-
-
-def stack_param_count(blocks: List) -> int:
-    """Total parameters across a list of layers with ``param_count``."""
-    return sum(block.param_count for block in blocks)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.utils.errors import ConfigurationError
 
@@ -70,8 +70,3 @@ LINK_PROFILES: List[LinkProfile] = [
     LinkProfile("server", MAN_GATEWAY, _mbps(1000), 0.007),
     LinkProfile("server-cpu", MAN_GATEWAY, _mbps(1000), 0.007),
 ]
-
-
-def link_table() -> Dict[Tuple[str, str], LinkProfile]:
-    """Links keyed by sorted endpoint pair."""
-    return {tuple(sorted((link.a, link.b))): link for link in LINK_PROFILES}

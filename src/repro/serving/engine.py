@@ -816,20 +816,6 @@ class FlatServingEngine:
             self._state_version += 1
         return host
 
-    def _estimated_wait(self, device_name: str, service_seconds: float) -> float:
-        capacity = self._slot_cap[device_name]
-        outstanding = self._slot_used[device_name] + len(self._slot_waiters[device_name])
-        live_wait = outstanding / capacity * service_seconds
-        backlog = self._backlog[device_name] / capacity
-        reserved = self._reserved[device_name] / capacity
-        return live_wait + backlog + reserved
-
-    def _reserve(self, device_name: str, service_seconds: float) -> None:
-        self._reserved[device_name] = (
-            self._reserved[device_name] + service_seconds
-        )
-        self._state_version += 1
-
     def _release(self, device_name: str, service_seconds: float) -> None:
         # The ledger is a float sum of reserve/release pairs; IEEE-754
         # residues below a nanosecond snap to 0.0 so they never read as
@@ -928,8 +914,6 @@ class FlatServingEngine:
         return value
 
     def _transfer_seconds(self, src: str, dst: str, payload_bytes: int) -> float:
-        if self._network.has_jitter:
-            return self._network.transfer_seconds(src, dst, payload_bytes)
         key = (src, dst, payload_bytes)
         value = self._transfer_cache.get(key)
         if value is None:

@@ -123,12 +123,6 @@ class TestNetwork:
         with pytest.raises(ValueError):
             Network().transfer_seconds("jetson-a", "laptop", -1)
 
-    def test_jitter_hook(self):
-        net = Network()
-        base = net.transfer_seconds("jetson-a", "laptop", 150_000)
-        net.set_jitter(lambda s, d: 2.0)
-        assert net.transfer_seconds("jetson-a", "laptop", 150_000) == pytest.approx(2 * base)
-
     def test_path_goes_through_router(self):
         assert "pan-router" in Network().path("jetson-a", "desktop")
 

@@ -320,20 +320,6 @@ class TestEnergyBnBExactness:
         with pytest.raises(ValueError):
             energy_optimal_placement(problem, [request], solver="magic")
 
-    def test_jitter_dispatches_to_brute(self):
-        network = Network()
-        network.set_jitter(lambda s, d: 2.0)  # deterministic jitter
-        problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
-        request = InferenceRequest.for_model("clip-vit-b16", "jetson-a")
-        with pytest.raises(PlacementError, match="jitter"):
-            energy_optimal_placement(problem, [request], network, solver="bnb")
-        auto_p, auto_j = energy_optimal_placement(problem, [request], network)
-        brute_p, brute_j = energy_optimal_placement(
-            problem, [request], network, solver="brute"
-        )
-        assert auto_j == brute_j
-        assert auto_p.as_dict() == brute_p.as_dict()
-
     def test_energy_aware_placement_never_worse_than_greedy(self):
         problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
         network = Network()

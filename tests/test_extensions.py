@@ -301,6 +301,35 @@ class TestBatchedBurst:
             plain.outcomes[0].latency, rel=0.05
         )
 
+    def test_failed_burst_does_not_poison_the_next(self):
+        fresh_cluster, fresh = self._deployed()
+        idle = execute_batched_burst(
+            fresh_cluster, fresh.placement, [fresh.request("clip-vit-b16")],
+            fresh.latency_model(),
+        ).outcomes[0].latency
+        cluster, engine = self._deployed()
+        good = engine.request("clip-vit-b16")
+        bad = engine.request("clip-vit-b16", source="mainframe")
+        with pytest.raises(ConfigurationError, match="mainframe"):
+            execute_batched_burst(
+                cluster, engine.placement, [good, bad], engine.latency_model()
+            )
+        assert len(cluster.sim) == 0
+        again = execute_batched_burst(
+            cluster, engine.placement, [engine.request("clip-vit-b16")],
+            engine.latency_model(),
+        )
+        assert again.outcomes[0].latency == idle
+
+    def test_stale_loop_refused(self):
+        cluster, engine = self._deployed()
+        cluster.sim.push(0.0, lambda: None)
+        with pytest.raises(ConfigurationError, match="earlier run"):
+            execute_batched_burst(
+                cluster, engine.placement, [engine.request("clip-vit-b16")],
+                engine.latency_model(),
+            )
+
     def test_batch_size_cap_respected(self):
         cluster, engine = self._deployed()
         requests = [engine.request("clip-vit-b16") for _ in range(5)]

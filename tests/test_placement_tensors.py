@@ -13,17 +13,19 @@ from repro.core.placement.bnb import branch_and_bound_placement
 from repro.core.placement.greedy import greedy_placement, replicate_with_leftover
 from repro.core.placement.optimal import (
     MAX_ASSIGNMENTS,
+    energy_optimal_placement,
     enumerate_placements,
     optimal_placement,
 )
 from repro.core.placement.problem import PlacementProblem
+from repro.core.placement.replicas import replica_optimal_placement
 from repro.core.placement.tensors import CostTensors, IncrementalObjective
 from repro.core.placement.variants import random_placement
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
 from repro.profiles.devices import edge_device_names
 from repro.profiles.devices import testbed_device_names as _testbed_device_names
-from repro.utils.errors import PlacementError
+from repro.utils.errors import ConfigurationError, PlacementError, RoutingError
 from repro.utils.seeding import rng_for
 
 from conftest import seeded_noisy_problem
@@ -127,17 +129,14 @@ class TestTensorBitIdentity:
         ) * problem.compute_noise.get((module.name, device.name), 1.0)
         assert model.compute_seconds(request, "clip-trf-38m", "laptop") == expected
 
-    def test_jitter_falls_back_to_scalar(self):
-        network = Network()
-        network.set_jitter(lambda s, d: 2.0)
+    def test_compute_seconds_rejects_unknown_names(self):
         problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
-        model = LatencyModel(problem, network)
-        assert model.tensors is None
+        model = LatencyModel(problem, Network())
         request = InferenceRequest.for_model("clip-vit-b16", "jetson-a")
-        placement = greedy_placement(problem)
-        assert model.total_latency(request, placement) == (
-            model.total_latency_scalar(request, placement)
-        )
+        with pytest.raises(RoutingError, match="not part of this problem"):
+            model.compute_seconds(request, "no-such-module", "laptop")
+        with pytest.raises(ConfigurationError, match="unknown device"):
+            model.compute_seconds(request, "clip-trf-38m", "mainframe")
 
     def test_tensors_rebuild_when_topology_changes(self):
         from repro.profiles.communication import LinkProfile
@@ -262,22 +261,6 @@ class TestBranchAndBoundExactness:
         with pytest.raises(PlacementError, match="stale"):
             optimal_placement(problem, [request], network, tensors=stale)
 
-    def test_jittered_network_dispatches_to_scalar_brute(self):
-        network = Network()
-        network.set_jitter(lambda s, d: 2.0)  # deterministic jitter
-        problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
-        request = InferenceRequest.for_model("clip-vit-b16", "jetson-a")
-        with pytest.raises(PlacementError, match="jitter"):
-            optimal_placement(problem, [request], network, solver="bnb")
-        # auto falls back to brute force's scalar pricing, which honors the
-        # jitter hook per transfer.
-        auto_placement, auto_objective = optimal_placement(problem, [request], network)
-        brute_placement, brute_objective = optimal_placement(
-            problem, [request], network, solver="brute"
-        )
-        assert auto_objective == brute_objective
-        assert auto_placement.as_dict() == brute_placement.as_dict()
-
     def test_matching_shared_tensors_accepted(self):
         network = Network()
         problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
@@ -289,6 +272,36 @@ class TestBranchAndBoundExactness:
         fresh_placement, fresh_objective = optimal_placement(problem, [request], network)
         assert shared_objective == fresh_objective
         assert shared_placement.as_dict() == fresh_placement.as_dict()
+
+
+#: The three exact solvers, each as ``solve(problem, requests, network, solver)``.
+#: The energy budget (seconds) binds on the slowed network, so link prices
+#: steer its search too.
+EXACT_SOLVERS = {
+    "latency": lambda p, r, n, s: optimal_placement(p, r, n, solver=s),
+    "energy": lambda p, r, n, s: energy_optimal_placement(
+        p, r, n, latency_budget=5.0, solver=s
+    ),
+    "replica": lambda p, r, n, s: replica_optimal_placement(
+        p, r, n, max_copies=2, solver=s
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_SOLVERS))
+def test_solvers_agree_on_degraded_network(kind):
+    solve = EXACT_SOLVERS[kind]
+    problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
+    requests = [InferenceRequest.for_model("clip-vit-b16", s) for s in ("jetson-a", "laptop")]
+    _, nominal = solve(problem, requests, Network(), "auto")
+    network = Network()
+    network.degrade_link("jetson-a", "pan-router", 0.05)
+    results = {s: solve(problem, requests, network, s) for s in ("auto", "bnb", "brute")}
+    placements = {s: placement.as_dict() for s, (placement, _) in results.items()}
+    objectives = {s: objective for s, (_, objective) in results.items()}
+    assert placements["auto"] == placements["bnb"] == placements["brute"]
+    assert objectives["auto"] == objectives["bnb"] == objectives["brute"]
+    assert objectives["brute"] != nominal  # the slowdown reached the search
 
 
 class TestMissingThroughputParity:
@@ -332,22 +345,21 @@ class TestMissingThroughputParity:
         return problem, placement, request
 
     def test_tensor_objective_raises_like_scalar(self):
-        from repro.utils.errors import ConfigurationError
-
         problem, placement, request = self._instance_with_gap()
         # The testbed network has no "gapped" node, so give it a link.
         from repro.profiles.communication import LinkProfile
 
         network = Network()
         network.add_link(LinkProfile("gapped", "pan-router", 1e9, 0.001))
-        tensorized = LatencyModel(problem, network)
-        scalar = LatencyModel(problem, network, use_tensors=False)
+        model = LatencyModel(problem, network)
         with pytest.raises(ConfigurationError, match="throughput"):
-            scalar.objective([request], placement)
+            model.objective_scalar([request], placement)
         with pytest.raises(ConfigurationError, match="throughput"):
-            tensorized.objective([request], placement)
+            model.objective([request], placement)
         with pytest.raises(ConfigurationError, match="throughput"):
-            tensorized.route(request, placement)
+            model.route(request, placement)
+        with pytest.raises(ConfigurationError, match="throughput"):
+            model.compute_seconds(request, "clip-trf-38m", "gapped")
 
 
 class TestEnumerationRewrite:

@@ -242,18 +242,6 @@ class TestReplicaSolvers:
         placements = {solver: result[0].as_dict() for solver, result in results.items()}
         assert placements["auto"] == placements["bnb"] == placements["brute"]
 
-    def test_jittered_network_dispatches_to_brute(self):
-        network = Network()
-        network.set_jitter(lambda s, d: 2.0)  # deterministic jitter
-        problem = noisy_problem(["clip-vit-b16"], 0)
-        requests = requests_for(["clip-vit-b16"])
-        with pytest.raises(PlacementError, match="jitter"):
-            replica_branch_and_bound(problem, requests, network)
-        placement, objective = replica_optimal_placement(
-            problem, requests, network, max_copies=2, solver="auto"
-        )
-        assert objective > 0
-
     def test_validation(self):
         network = Network()
         problem = noisy_problem(["clip-vit-b16"], 0)

@@ -5,8 +5,11 @@ import pytest
 from repro.cluster.requests import InferenceRequest, sequential_workload, simultaneous_workload
 from repro.cluster.topology import build_testbed
 from repro.core.engine import S2M3Engine
+from repro.core.placement.problem import Placement
+from repro.core.routing.executor import execute_requests
 from repro.sim.trace import CATEGORY_COMPUTE, CATEGORY_HEAD, CATEGORY_TRANSMISSION
 from repro.profiles.devices import edge_device_names
+from repro.utils.errors import ConfigurationError, RoutingError
 
 
 def deployed_engine(models, parallel=True, share=True):
@@ -102,6 +105,43 @@ class TestConcurrency:
         engine2 = deployed_engine(["clip-vit-b16"])
         clean = engine2.serve([engine2.request("clip-vit-b16")])
         assert noisy.outcomes[0].latency > clean.outcomes[0].latency
+
+
+class TestInputChecks:
+    def test_failed_serve_does_not_poison_the_next(self):
+        # A bad request must raise before anything is scheduled: entries it
+        # stranded on the cluster's loop would run first in the next serve.
+        fresh = deployed_engine(["clip-vit-b16"])
+        idle = fresh.serve([fresh.request("clip-vit-b16")]).outcomes[0].latency
+        engine = deployed_engine(["clip-vit-b16"])
+        good = engine.request("clip-vit-b16")
+        bad = engine.request("clip-vit-b16", source="mainframe")
+        with pytest.raises(ConfigurationError, match="mainframe"):
+            engine.serve([good, bad])
+        assert len(engine.cluster.sim) == 0
+        assert engine.serve([engine.request("clip-vit-b16")]).outcomes[0].latency == idle
+
+    def test_unknown_module_rejected_before_scheduling(self):
+        engine = deployed_engine(["clip-vit-b16"])
+        stranger = InferenceRequest.for_model("imagebind", "jetson-a")
+        with pytest.raises(RoutingError, match="not part of this problem"):
+            engine.serve([engine.request("clip-vit-b16"), stranger])
+        assert len(engine.cluster.sim) == 0
+
+    def test_unplaced_module_rejected_before_scheduling(self):
+        engine = deployed_engine(["clip-vit-b16"])
+        hosts = engine.placement.as_dict()
+        hosts.pop("cosine-similarity")
+        requests = [engine.request("clip-vit-b16"), engine.request("clip-vit-b16", 5.0)]
+        with pytest.raises(ConfigurationError, match="unplaced"):
+            execute_requests(engine.cluster, Placement(hosts), requests, engine.latency_model())
+        assert len(engine.cluster.sim) == 0
+
+    def test_stale_loop_refused(self):
+        engine = deployed_engine(["clip-vit-b16"])
+        engine.cluster.sim.push(0.0, lambda: None)
+        with pytest.raises(ConfigurationError, match="earlier run"):
+            engine.serve([engine.request("clip-vit-b16")])
 
 
 class TestExecutionResultStats:

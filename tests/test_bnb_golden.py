@@ -7,6 +7,10 @@ change to the shared search core that alters the traversal (another visit
 order, a looser bound, a different prune rule) fails in tier 1 instead of
 only in the benchmark digest.  Objectives are compared with ``==``: the searches
 are bit-identical to brute force, so their floats are exact pins too.
+
+The ``bench`` and ``bench-replica`` kinds are the ``solve`` benchmark's own
+instance shapes, and every energy case also pins the assignment the energy
+search starts from (greedy, then its budgeted energy descent).
 """
 
 import pytest
@@ -15,12 +19,13 @@ from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
 from repro.core.placement.bnb import (
     BnBStats,
+    _energy_incumbent,
     branch_and_bound_placement,
     energy_branch_and_bound,
 )
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.replicas import replica_branch_and_bound
-from repro.core.placement.tensors import CongestionModel
+from repro.core.placement.tensors import CongestionModel, EnergyTensors
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
 from repro.profiles.devices import testbed_device_names as five_devices
@@ -31,13 +36,15 @@ PAPER_MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 PAPER_SOURCES = ("jetson-a", "desktop")
 
 
+#: Synthetic instance shapes (modules x devices); ``bench`` and
+#: ``bench-replica`` are the ``solve`` benchmark's own shapes.
+SHAPES = {"synthetic": (4, 5), "replica": (3, 4), "bench": (4, 8), "bench-replica": (2, 6)}
+
+
 def instance(kind, seed):
     """``(problem, network, requests, model names)`` for a pinned case."""
-    if kind == "synthetic":
-        inst = synthetic_instance(4, 5, seed=seed)
-        return inst.problem, inst.network, list(inst.requests), [inst.model.name]
-    if kind == "replica":
-        inst = synthetic_instance(3, 4, seed=seed)
+    if kind in SHAPES:
+        inst = synthetic_instance(*SHAPES[kind], seed=seed)
         return inst.problem, inst.network, list(inst.requests), [inst.model.name]
     problem = seeded_noisy_problem(
         "bnb-golden", PAPER_MODELS, seed, devices=five_devices()
@@ -68,17 +75,34 @@ def latency_case(kind, seed, mode):
     return hosts(placement), objective, stats.nodes, stats.leaves, stats.pruned
 
 
-def energy_case(kind, seed, mode):
+def energy_setup(kind, seed, mode):
+    """``(problem, network, requests, model, budget)``: 1.5 x greedy's latency."""
     problem, network, requests, _ = instance(kind, seed)
-    parallel = mode != "serial"
-    model = LatencyModel(problem, network, parallel=parallel)
+    model = LatencyModel(problem, network, parallel=mode != "serial")
     budget = 1.5 * model.objective(requests, greedy_placement(problem))
+    return problem, network, requests, model, budget
+
+
+def energy_case(kind, seed, mode):
+    problem, network, requests, model, budget = energy_setup(kind, seed, mode)
     stats = BnBStats()
     placement, joules = energy_branch_and_bound(
-        problem, requests, network, latency_budget=budget, parallel=parallel,
+        problem, requests, network, latency_budget=budget, parallel=model.parallel,
         tensors=model.tensors, stats=stats,
     )
     return hosts(placement), joules, stats.nodes, stats.leaves, stats.pruned
+
+
+def incumbent_case(kind, seed, mode):
+    """The energy search's seed: greedy, then the budgeted energy descent."""
+    _, _, requests, model, budget = energy_setup(kind, seed, mode)
+    tensors = model.tensors
+    assign = _energy_incumbent(tensors, EnergyTensors(tensors), requests, budget)
+    if assign is None:
+        return None
+    return sorted(
+        (tensors.module_names[m], tensors.device_names[int(n)]) for m, n in enumerate(assign)
+    )
 
 
 def replica_case(kind, seed, mode):
@@ -127,6 +151,27 @@ PINS = {
     ('replica', 'replica', 2, 'plain'): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00',)), ('synth-head', ('dev-00',))], 0.7592043277010849, 4, 1, 10),
     ('replica', 'replica', 2, 'congestion'): ([('enc-00', ('dev-00', 'dev-01')), ('enc-01', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-01'))], 0.8006852145289817, 56, 1, 481),
     ('replica', 'paper', 0, 'plain'): ([('clip-trf-38m', ('desktop', 'server')), ('clip-vit-b16-vision', ('desktop',)), ('cosine-similarity', ('desktop', 'server')), ('vqa-classifier', ('desktop',))], 3.6495471391062786, 5, 1, 23),
+    ('latency', 'bench', 0, 'parallel'): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-07',)), ('enc-02', ('dev-02',)), ('synth-head', ('dev-07',))], 2.2989573328331017, 8, 2, 44),
+    ('latency', 'bench', 0, 'serial'): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-07',)), ('enc-02', ('dev-07',)), ('synth-head', ('dev-07',))], 5.1048232470083645, 9, 2, 56),
+    ('latency', 'bench', 0, 'congestion'): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-07',)), ('enc-02', ('dev-05',)), ('synth-head', ('dev-02',))], 2.883407848334436, 36, 3, 237),
+    ('energy', 'bench', 0, 'parallel'): ([('enc-00', ('dev-02',)), ('enc-01', ('dev-02',)), ('enc-02', ('dev-00',)), ('synth-head', ('dev-02',))], 189.25418814374785, 25, 1, 175),
+    ('energy', 'bench', 0, 'serial'): ([('enc-00', ('dev-02',)), ('enc-01', ('dev-02',)), ('enc-02', ('dev-02',)), ('synth-head', ('dev-02',))], 145.77224969079876, 4, 1, 28),
+    ('replica', 'bench-replica', 0, 'plain'): ([('enc-00', ('dev-00',)), ('synth-head', ('dev-00',))], 1.8880454115747836, 3, 1, 21),
+    ('replica', 'bench-replica', 0, 'congestion'): ([('enc-00', ('dev-00', 'dev-01')), ('synth-head', ('dev-01', 'dev-03'))], 2.001600967103567, 24, 1, 450),
+    ('latency', 'bench', 1, 'parallel'): ([('enc-00', ('dev-01',)), ('enc-01', ('dev-05',)), ('enc-02', ('dev-00',)), ('synth-head', ('dev-05',))], 3.5904410198869545, 8, 2, 39),
+    ('latency', 'bench', 1, 'serial'): ([('enc-00', ('dev-03',)), ('enc-01', ('dev-05',)), ('enc-02', ('dev-02',)), ('synth-head', ('dev-03',))], 8.685752338422144, 8, 2, 41),
+    ('latency', 'bench', 1, 'congestion'): ([('enc-00', ('dev-03',)), ('enc-01', ('dev-05',)), ('enc-02', ('dev-07',)), ('synth-head', ('dev-04',))], 5.270266000080689, 47, 2, 320),
+    ('energy', 'bench', 1, 'parallel'): ([('enc-00', ('dev-01',)), ('enc-01', ('dev-05',)), ('enc-02', ('dev-02',)), ('synth-head', ('dev-02',))], 499.65122374393707, 11, 1, 77),
+    ('energy', 'bench', 1, 'serial'): ([('enc-00', ('dev-01',)), ('enc-01', ('dev-02',)), ('enc-02', ('dev-02',)), ('synth-head', ('dev-02',))], 203.87810109598166, 27, 1, 189),
+    ('replica', 'bench-replica', 1, 'plain'): ([('enc-00', ('dev-00',)), ('synth-head', ('dev-00',))], 1.4924229318517122, 3, 1, 21),
+    ('replica', 'bench-replica', 1, 'congestion'): ([('enc-00', ('dev-00', 'dev-02')), ('synth-head', ('dev-01', 'dev-02'))], 1.569992661725228, 25, 3, 468),
+    ('latency', 'bench', 2, 'parallel'): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00',)), ('enc-02', ('dev-05',)), ('synth-head', ('dev-05',))], 1.356773336539885, 5, 1, 18),
+    ('latency', 'bench', 2, 'serial'): ([('enc-00', ('dev-05',)), ('enc-01', ('dev-05',)), ('enc-02', ('dev-05',)), ('synth-head', ('dev-05',))], 2.393970444075478, 10, 2, 62),
+    ('latency', 'bench', 2, 'congestion'): ([('enc-00', ('dev-03',)), ('enc-01', ('dev-00',)), ('enc-02', ('dev-05',)), ('synth-head', ('dev-04',))], 1.4999279949064492, 44, 4, 284),
+    ('energy', 'bench', 2, 'parallel'): ([('enc-00', ('dev-02',)), ('enc-01', ('dev-02',)), ('enc-02', ('dev-00',)), ('synth-head', ('dev-02',))], 135.3576755110866, 11, 1, 77),
+    ('energy', 'bench', 2, 'serial'): ([('enc-00', ('dev-03',)), ('enc-01', ('dev-02',)), ('enc-02', ('dev-02',)), ('synth-head', ('dev-02',))], 115.07361138080253, 25, 2, 166),
+    ('replica', 'bench-replica', 2, 'plain'): ([('enc-00', ('dev-00',)), ('synth-head', ('dev-00',))], 3.492647410370791, 3, 1, 21),
+    ('replica', 'bench-replica', 2, 'congestion'): ([('enc-00', ('dev-00', 'dev-01')), ('synth-head', ('dev-01', 'dev-03'))], 3.874811946340495, 24, 2, 449),
 }
 
 
@@ -134,3 +179,34 @@ PINS = {
 def test_traversal_pinned(key):
     solver, kind, seed, mode = key
     assert CASES[solver](kind, seed, mode) == PINS[key]
+
+
+#: ``(instance kind, seed, mode) -> `` the energy search's incumbent, as
+#: sorted ``(module, device)`` pairs, for every energy case above.
+INCUMBENT_PINS = {
+    ('synthetic', 0, 'parallel'): [('enc-00', 'dev-01'), ('enc-01', 'dev-01'), ('enc-02', 'dev-01'), ('synth-head', 'dev-01')],
+    ('synthetic', 0, 'serial'): [('enc-00', 'dev-01'), ('enc-01', 'dev-01'), ('enc-02', 'dev-01'), ('synth-head', 'dev-01')],
+    ('synthetic', 1, 'parallel'): [('enc-00', 'dev-04'), ('enc-01', 'dev-01'), ('enc-02', 'dev-01'), ('synth-head', 'dev-01')],
+    ('synthetic', 1, 'serial'): [('enc-00', 'dev-04'), ('enc-01', 'dev-01'), ('enc-02', 'dev-01'), ('synth-head', 'dev-01')],
+    ('synthetic', 2, 'parallel'): [('enc-00', 'dev-00'), ('enc-01', 'dev-01'), ('enc-02', 'dev-00'), ('synth-head', 'dev-01')],
+    ('synthetic', 2, 'serial'): [('enc-00', 'dev-01'), ('enc-01', 'dev-00'), ('enc-02', 'dev-00'), ('synth-head', 'dev-01')],
+    ('paper', 0, 'parallel'): [('clip-trf-38m', 'laptop'), ('clip-vit-b16-vision', 'laptop'), ('cosine-similarity', 'laptop'), ('vqa-classifier', 'laptop')],
+    ('paper', 0, 'serial'): [('clip-trf-38m', 'laptop'), ('clip-vit-b16-vision', 'laptop'), ('cosine-similarity', 'laptop'), ('vqa-classifier', 'laptop')],
+    ('paper', 1, 'parallel'): [('clip-trf-38m', 'laptop'), ('clip-vit-b16-vision', 'laptop'), ('cosine-similarity', 'laptop'), ('vqa-classifier', 'laptop')],
+    ('paper', 1, 'serial'): [('clip-trf-38m', 'laptop'), ('clip-vit-b16-vision', 'laptop'), ('cosine-similarity', 'laptop'), ('vqa-classifier', 'laptop')],
+    ('bench', 0, 'parallel'): [('enc-00', 'dev-02'), ('enc-01', 'dev-02'), ('enc-02', 'dev-00'), ('synth-head', 'dev-02')],
+    ('bench', 0, 'serial'): [('enc-00', 'dev-02'), ('enc-01', 'dev-02'), ('enc-02', 'dev-02'), ('synth-head', 'dev-02')],
+    ('bench', 1, 'parallel'): [('enc-00', 'dev-01'), ('enc-01', 'dev-05'), ('enc-02', 'dev-02'), ('synth-head', 'dev-02')],
+    ('bench', 1, 'serial'): [('enc-00', 'dev-01'), ('enc-01', 'dev-02'), ('enc-02', 'dev-02'), ('synth-head', 'dev-02')],
+    ('bench', 2, 'parallel'): [('enc-00', 'dev-02'), ('enc-01', 'dev-02'), ('enc-02', 'dev-00'), ('synth-head', 'dev-02')],
+    ('bench', 2, 'serial'): [('enc-00', 'dev-02'), ('enc-01', 'dev-02'), ('enc-02', 'dev-00'), ('synth-head', 'dev-02')],
+}
+
+
+def test_incumbents_cover_every_energy_case():
+    assert sorted(INCUMBENT_PINS) == sorted(key[1:] for key in PINS if key[0] == "energy")
+
+
+@pytest.mark.parametrize("key", sorted(INCUMBENT_PINS), ids=lambda key: "-".join(map(str, key)))
+def test_energy_incumbent_pinned(key):
+    assert incumbent_case(*key) == INCUMBENT_PINS[key]

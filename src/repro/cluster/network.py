@@ -183,17 +183,14 @@ class Network:
     # ------------------------------------------------------------------
     # Transfer pricing
     # ------------------------------------------------------------------
-    def transfer_seconds(self, src: str, dst: str, payload_bytes: int) -> float:
-        """Time to move ``payload_bytes`` from ``src`` to ``dst``.
-
-        Zero when endpoints coincide (the paper only transmits "if the
-        requester device and the device to encode the data are different").
-        Cost = sum of per-hop latencies + serialization at the bottleneck.
-        """
-        if payload_bytes < 0:
-            raise ValueError(f"payload_bytes must be non-negative, got {payload_bytes}")
+    def route(self, src: str, dst: str) -> Tuple[float, float]:
+        """``(latency, bottleneck)`` between two nodes: the summed per-hop
+        latency in seconds and the narrowest (degraded) link bandwidth in
+        bits per second.  ``(0.0, inf)`` when the endpoints coincide (the
+        paper only transmits "if the requester device and the device to
+        encode the data are different")."""
         if src == dst:
-            return 0.0
+            return 0.0, math.inf
         links = self.path_links(src, dst)
         latency = sum(link.latency_s for link in links)
         if not self._degraded:
@@ -204,8 +201,29 @@ class Network:
                 * self._degraded.get(self._link_key(link.a, link.b), 1.0)
                 for link in links
             )
-        return latency + payload_bytes * 8 / bottleneck
+        return latency, bottleneck
+
+    def transfer_seconds(self, src: str, dst: str, payload_bytes: int) -> float:
+        """Time to move ``payload_bytes`` from ``src`` to ``dst`` (zero when
+        the endpoints coincide): path latency + serialization at the
+        bottleneck, see :func:`transfer_time`."""
+        return transfer_time(self.route(src, dst), payload_bytes)
 
     def device_nodes(self) -> List[str]:
         """All non-router nodes."""
         return [node for node in self._adj if not node.endswith(("-router", "-gateway"))]
+
+
+def transfer_time(route, payload_bytes: int):
+    """Seconds to move ``payload_bytes`` over a ``(latency, bottleneck)``
+    route from :meth:`Network.route`: ``latency + payload * 8 / bottleneck``.
+
+    The one transfer formula: ``Network.transfer_seconds`` applies it to one
+    route, and :class:`~repro.core.placement.tensors.CostTensors` to whole
+    arrays of routes (elementwise, so every entry is the same double).
+    A coinciding pair's ``(0.0, inf)`` route prices ``0.0 + x / inf == 0.0``.
+    """
+    if payload_bytes < 0:
+        raise ValueError(f"payload_bytes must be non-negative, got {payload_bytes}")
+    latency, bottleneck = route
+    return latency + payload_bytes * 8 / bottleneck

@@ -29,12 +29,7 @@ from repro.core.placement.replicas import (
     replica_brute_force,
     replica_optimal_placement,
 )
-from repro.core.placement.tensors import (
-    CostTensors,
-    EnergyTensors,
-    IncrementalEnergy,
-    IncrementalObjective,
-)
+from repro.core.placement.tensors import CostTensors, EnergyTensors
 from repro.core.placement.validation import check_placement
 from repro.core.placement.variants import (
     ascending_memory_placement,
@@ -57,8 +52,6 @@ __all__ = [
     "replica_optimal_placement",
     "CostTensors",
     "EnergyTensors",
-    "IncrementalEnergy",
-    "IncrementalObjective",
     "check_placement",
     "ascending_memory_placement",
     "no_accumulation_placement",

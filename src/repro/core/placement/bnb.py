@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,12 +73,13 @@ from repro.core.placement.problem import Placement, PlacementProblem
 from repro.core.placement.tensors import (
     CongestionModel,
     CostTensors,
+    EnergyRequestGroup,
     EnergyTensors,
-    IncrementalEnergy,
-    IncrementalObjective,
     RequestGroup,
     WaitTensors,
     _lpt_waits,
+    group_joules,
+    group_latency,
 )
 from repro.utils.errors import PlacementError
 
@@ -86,76 +87,65 @@ from repro.utils.errors import PlacementError
 class _GroupBound:
     """Admissible per-(model, source) bounds under partial assignment.
 
-    One class for every single-copy objective.  ``A[e]`` is encoder path
-    ``e``'s prefix cost per device (latency: input transfer + compute;
-    energy: compute + input radio), ``group.out[e]`` its ``[N, N]`` output
-    hop, ``head`` the head's cost row, and ``exact(assign)`` the class's
-    true total once every member is placed.  ``parallel`` selects Eq. 2's
-    max over paths (with slot contention and LPT queue waits); otherwise
-    paths add up, and the plain formula is already exact at completion.
+    One class for every single-copy objective; :class:`_LatencyBound` and
+    :class:`_EnergyBound` supply the arrays and ``exact(assign)``, the
+    class's true total once every member is placed.  ``A[e]`` is encoder
+    path ``e``'s prefix cost per device (latency: input transfer + compute;
+    energy: compute + input radio), stacked over paths as ``[E, N]``;
+    ``group.out[e]`` is the path's ``[N, N]`` output hop and ``head`` the
+    head's cost row.  ``parallel`` selects Eq. 2's max over paths (with
+    slot contention and LPT queue waits, read from the latency rows);
+    otherwise paths add up, and the plain formula is already exact at
+    completion.
+
+    Everything scalar is read from Python-float rows (the same doubles)
+    built here once per search, in one stacked pass, and freed with the
+    search: caching them on the request classes would keep them alive as
+    long as the shared tensors.
     """
 
     def __init__(
-        self,
-        tensors: CostTensors,
-        group,
-        A: Sequence[np.ndarray],
-        head: np.ndarray,
-        exact: Callable[[np.ndarray], float],
-        parallel: bool,
+        self, tensors: CostTensors, group, A: np.ndarray, head: np.ndarray, parallel: bool
     ) -> None:
         self.group = group
         self.tensors = tensors
         self.parallel = parallel
-        self.exact = exact
         self.encoder_idx = group.encoder_idx
         self.head_idx = group.head_idx
         self.members = tuple(set(group.encoder_idx) | {group.head_idx})
-        head_fit = tensors.fits[group.head_idx]
-        if not head_fit.any():
+        fits = tensors.fits[[group.head_idx, *group.encoder_idx]]
+        placeable = fits.any(axis=1)
+        if not placeable.all():
+            name = [group.head_name, *group.encoder_names][placeable.tolist().index(False)]
             raise PlacementError(
-                f"module {group.head_name!r} fits on no device; "
-                "apply compression or intra-module partitioning first (paper Sec. V-B)"
+                f"module {name!r} fits on no device; apply compression or "
+                "intra-module partitioning first (paper Sec. V-B)"
             )
-        self.head = head
-        self.head_min = float(np.min(head[head_fit]))
-        # Per encoder path e (arrays over the device axis):
+        head_fit, fit = fits[0], fits[1:]  # [N], [E, N]
+        out = np.array(group.out)  # [E, N, N], a set-up temporary
+        # Per encoder path e (rows over the device axis):
         #   A[e][ne]          the path prefix with the encoder on ne
         #   enc_assigned[e]   A + (cheapest out over fitting head hosts)
         #   head_assigned[e]  cheapest (A + out[:, nh]) over fitting encoder hosts
         #   free[e]           cheapest over both endpoints
         #   out_min_rows[e]   cheapest out over fitting head hosts
-        # Scalar reads go through the ``*_rows`` lists (Python floats, the
-        # same doubles); vector math over the device axis stays numpy.
-        self.A = list(A)
-        self.enc_assigned: List[np.ndarray] = []
-        self.head_assigned: List[np.ndarray] = []
-        self.free: List[float] = []
-        self.out_min_rows: List[List[float]] = []
-        for e, idx in enumerate(group.encoder_idx):
-            fit = tensors.fits[idx]
-            if not fit.any():
-                raise PlacementError(
-                    f"module {group.encoder_names[e]!r} fits on no device; "
-                    "apply compression or intra-module partitioning first (paper Sec. V-B)"
-                )
-            out = group.out[e]
-            out_min = np.min(out[:, head_fit], axis=1)
-            masked = np.where(fit[:, None], self.A[e][:, None] + out, np.inf)
-            self.out_min_rows.append(out_min.tolist())
-            self.enc_assigned.append(self.A[e] + out_min)
-            self.head_assigned.append(np.min(masked, axis=0))
-            self.free.append(float(np.min(self.enc_assigned[e][fit])))
-        # Built per search and freed with it: caching these on the request
-        # classes would keep them alive as long as the shared tensors.
+        # Vector math over the device axis reads the numpy arrays.
+        out_min = out.min(axis=2, where=head_fit, initial=np.inf)
+        self.A = A
+        self.out = group.out
+        self.head = head
+        self.head_min = float(head.min(where=head_fit, initial=np.inf))
+        self.enc_assigned = A + out_min
+        self.head_assigned = (A[:, :, None] + out).min(
+            axis=1, where=fit[:, :, None], initial=np.inf
+        )
+        self.free: List[float] = self.enc_assigned.min(axis=1, where=fit, initial=np.inf).tolist()
+        self.out_min_rows: List[List[float]] = out_min.tolist()
         self.head_row: List[float] = head.tolist()
-        self.A_rows: List[List[float]] = [a.tolist() for a in self.A]
-        self.out_rows: List[List[List[float]]] = [out.tolist() for out in group.out]
-        self.enc_assigned_rows = [v.tolist() for v in self.enc_assigned]
-        self.head_assigned_rows = [v.tolist() for v in self.head_assigned]
-        if parallel:  # contention reads the latency class's own arrays
-            self.in_comm_rows = [v.tolist() for v in group.in_comm]
-            self.enc_comp_rows = [v.tolist() for v in group.enc_comp]
+        self.A_rows: List[List[float]] = A.tolist()
+        self.out_rows: List[List[List[float]]] = out.tolist()
+        self.enc_assigned_rows: List[List[float]] = self.enc_assigned.tolist()
+        self.head_assigned_rows: List[List[float]] = self.head_assigned.tolist()
 
     # ------------------------------------------------------------------
     # Contention: Eq. 2's max is blind to ``parallel_slots`` until queue
@@ -171,7 +161,7 @@ class _GroupBound:
     # ------------------------------------------------------------------
     _CONTENTION_SLACK = 1.0 - 1e-9
 
-    def _contention_state(self, assign: np.ndarray):
+    def _contention_state(self, assign: Sequence[int]):
         """Assigned per-device loads/members and the unassigned path list."""
         loads: Dict[int, float] = {}
         members: Dict[int, List[int]] = {}
@@ -197,7 +187,7 @@ class _GroupBound:
             out_floor = min(out_min[e][n] for e in pool)
         return (in_min + load / self.tensors.slots[n] + out_floor) * self._CONTENTION_SLACK
 
-    def _contention(self, assign: np.ndarray, nh: int) -> float:
+    def _contention(self, assign: Sequence[int], nh: int) -> float:
         """Max contention term over devices whose slots are oversubscribed."""
         if not self.parallel:
             return 0.0
@@ -212,7 +202,7 @@ class _GroupBound:
         return best
 
     # ------------------------------------------------------------------
-    def lower_bound(self, assign: np.ndarray) -> float:
+    def lower_bound(self, assign: Sequence[int]) -> float:
         """Scalar bound for the current partial assignment.
 
         **Exact** (queue waits included) once every member module is
@@ -246,7 +236,7 @@ class _GroupBound:
             return self.enc_assigned_rows[e][ne]
         return self.head_assigned_rows[e][nh] if nh >= 0 else self.free[e]
 
-    def bound_vector(self, assign: np.ndarray, module_index: int) -> np.ndarray:
+    def bound_vector(self, assign: Sequence[int], module_index: int) -> np.ndarray:
         """Bound per candidate device if ``module_index`` were placed there.
 
         ``module_index`` must be used by this group (as an encoder, the
@@ -255,7 +245,7 @@ class _GroupBound:
         """
         if self.parallel and all(assign[i] >= 0 for i in self.members if i != module_index):
             return self._exact_vector(assign, module_index)
-        out = self.group.out
+        out = self.out
         nh = int(assign[self.head_idx])
         head_here = module_index == self.head_idx
         terms: List[object] = []  # scalars and [N] vectors, in path order
@@ -311,7 +301,7 @@ class _GroupBound:
             return total  # a fresh array: the sum allocated it
         return np.full(len(self.head_row), total)
 
-    def _exact_vector(self, assign: np.ndarray, module_index: int) -> np.ndarray:
+    def _exact_vector(self, assign: Sequence[int], module_index: int) -> np.ndarray:
         """True parallel group latency per candidate device for the last
         free member.
 
@@ -321,7 +311,7 @@ class _GroupBound:
         entry is pure array math over the precomputed tensors (and uses the
         same float-operation order, so entries stay bit-exact).
         """
-        group, tensors = self.group, self.tensors
+        slots = self.tensors.slots
         n_devices = len(self.head)
         n_encoders = len(self.encoder_idx)
         moving = [e for e in range(n_encoders) if self.encoder_idx[e] == module_index]
@@ -332,16 +322,17 @@ class _GroupBound:
             values = np.empty(n_devices, dtype=np.float64)
             for n in range(n_devices):
                 hosts = [n if e in moving else fixed_enc[e] for e in range(n_encoders)]
-                values[n] = group.total(tensors, hosts, n)
+                values[n] = self.total(hosts, n)
             return values
 
+        in_comm, enc_comp, out = self.in_comm_rows, self.enc_comp_rows, self.out_rows
         if head_moving:
             # Encoder hosts (hence waits) are fixed; only out_comm varies.
             hosts = [int(assign[i]) for i in self.encoder_idx]
-            comps = [self.enc_comp_rows[e][hosts[e]] for e in range(n_encoders)]
-            waits = _lpt_waits(hosts, comps, tensors.slots)
+            comps = [enc_comp[e][hosts[e]] for e in range(n_encoders)]
+            waits = _lpt_waits(hosts, comps, slots)
             paths = [
-                (self.in_comm_rows[e][hosts[e]] + waits[e] + comps[e]) + group.out[e][hosts[e], :]
+                (in_comm[e][hosts[e]] + waits[e] + comps[e]) + self.out[e][hosts[e], :]
                 for e in range(n_encoders)
             ]
             return reduce(np.maximum, paths) + self.head
@@ -354,11 +345,10 @@ class _GroupBound:
         counts: Dict[int, int] = {}
         for e in others:
             counts[hosts[e]] = counts.get(hosts[e], 0) + 1
-        in_comm, enc_comp, out = self.in_comm_rows, self.enc_comp_rows, self.out_rows
         waits = _lpt_waits(
-            [hosts[e] for e in others], [enc_comp[e][hosts[e]] for e in others], tensors.slots
+            [hosts[e] for e in others], [enc_comp[e][hosts[e]] for e in others], slots
         )
-        stage = (group.in_comm[e0] + group.enc_comp[e0]) + group.out[e0][:, nh]
+        stage = self.A[e0] + self.out[e0][:, nh]
         for pos, e in enumerate(others):
             ne = hosts[e]
             stage = np.maximum(
@@ -368,19 +358,47 @@ class _GroupBound:
         # Candidates where the newcomer overflows the device's slots need
         # the true LPT schedule (waits change on that device only).
         for n in range(n_devices):
-            if counts.get(n, 0) + 1 > tensors.slots[n]:
+            if counts.get(n, 0) + 1 > slots[n]:
                 full_hosts = [n if e == e0 else hosts[e] for e in range(n_encoders)]
-                values[n] = group.total(tensors, full_hosts, nh)
+                values[n] = self.total(full_hosts, nh)
         return values
 
 
-def _latency_bound(tensors: CostTensors, group: RequestGroup) -> _GroupBound:
-    """The latency :class:`_GroupBound` of one request class."""
-    A = [in_comm + comp for in_comm, comp in zip(group.in_comm, group.enc_comp)]
-    return _GroupBound(
-        tensors, group, A, group.head_comp,
-        partial(group.total_for_assignment, tensors), tensors.parallel,
-    )
+class _LatencyBound(_GroupBound):
+    """The latency bound of one request class: ``A = in + compute``, exact
+    totals by Eq. 1-3 (:func:`~repro.core.placement.tensors.group_latency`)
+    over the bound's rows, with queue waits when ``tensors.parallel``."""
+
+    def __init__(self, tensors: CostTensors, group: RequestGroup) -> None:
+        in_comm, enc_comp = np.array(group.in_comm), np.array(group.enc_comp)
+        super().__init__(tensors, group, in_comm + enc_comp, group.head_comp, tensors.parallel)
+        self.in_comm_rows: List[List[float]] = in_comm.tolist()
+        self.enc_comp_rows: List[List[float]] = enc_comp.tolist()
+
+    def total(self, enc_hosts: Sequence[int], head_host: int) -> float:
+        """Eq. 1-3 latency with encoders on ``enc_hosts``, head on ``head_host``."""
+        return group_latency(
+            self.in_comm_rows, self.enc_comp_rows, self.out_rows, self.head_row,
+            enc_hosts, head_host, self.tensors.slots, self.parallel,
+        )
+
+    def exact(self, assign: Sequence[int]) -> float:
+        return self.total([assign[i] for i in self.encoder_idx], assign[self.head_idx])
+
+
+class _EnergyBound(_GroupBound):
+    """The energy bound of one request class: paths add up (never
+    ``parallel``), exact totals by
+    :func:`~repro.core.placement.tensors.group_joules` over the bound's rows."""
+
+    def __init__(self, tensors: CostTensors, group: EnergyRequestGroup) -> None:
+        super().__init__(tensors, group, np.array(group.A), group.head_joules, False)
+
+    def exact(self, assign: Sequence[int]) -> float:
+        return group_joules(
+            self.A_rows, self.out_rows, self.head_row,
+            [assign[i] for i in self.encoder_idx], assign[self.head_idx],
+        )
 
 
 @dataclass
@@ -436,7 +454,13 @@ def _dfs(
                 return found
         return None
 
-    return walk(0)
+    try:
+        return walk(0)
+    finally:
+        # ``walk`` sits in its own closure cell; left alone, that cycle
+        # would keep the search (and its rows) alive until the cyclic
+        # collector runs.
+        del walk
 
 
 def _two_phase(search, value_order: Sequence[int], best: float, stats: BnBStats):
@@ -488,7 +512,9 @@ class _SearchState:
         self.n_devices = tensors.n_devices
         self.memory = [int(b) for b in tensors.memory]
         self.residual = [int(b) for b in tensors.capacity]
-        self.assign = np.full(self.n_modules, -1, dtype=np.int64)
+        #: Module -> device index, ``-1`` while unplaced (a list: the bounds
+        #: index Python rows with it).
+        self.assign: List[int] = [-1] * self.n_modules
         self.groups: List[RequestGroup] = []
         self.group_of_request: List[int] = []
         index_of: Dict[Tuple[int, str], int] = {}
@@ -575,7 +601,7 @@ class _SearchState:
         """Modules by sorted name — brute force's enumeration order."""
         return sorted(range(self.n_modules), key=lambda m: self.tensors.module_names[m])
 
-    def placement(self, assign: np.ndarray) -> Placement:
+    def placement(self, assign: Sequence[int]) -> Placement:
         """The single-copy placement of a full assignment."""
         names = self.tensors.device_names
         return Placement(
@@ -696,7 +722,7 @@ class _Search(_SearchState):
         congestion: Optional[CongestionModel] = None,
     ) -> None:
         super().__init__(tensors, requests)
-        self.bounds = [_latency_bound(tensors, group) for group in self.groups]
+        self.bounds = [_LatencyBound(tensors, group) for group in self.groups]
         self.lbs = [bound.lower_bound(self.assign) for bound in self.bounds]
         self.wait_tensors = WaitTensors(tensors, congestion) if congestion is not None else None
         self.wait = _WaitState(self.wait_tensors, self) if self.wait_tensors is not None else None
@@ -778,7 +804,7 @@ def branch_and_bound_placement(
     except PlacementError:
         pass
     finally:
-        search.assign[:] = -1
+        search.assign[:] = [-1] * search.n_modules
     return _two_phase(search, search.value_order(search.bounds), best_value, stats)
 
 
@@ -805,13 +831,11 @@ class _EnergySearch(_SearchState):
     ) -> None:
         super().__init__(tensors, requests)
         self.latency_budget = latency_budget
-        self.lat_bounds = [_latency_bound(tensors, group) for group in self.groups]
-        self.en_bounds = []
-        for group in self.groups:
-            en = energy.group(group.model, group.source)
-            self.en_bounds.append(
-                _GroupBound(tensors, en, en.A, en.head_joules, en.total_for_assignment, False)
-            )
+        self.lat_bounds = [_LatencyBound(tensors, group) for group in self.groups]
+        self.en_bounds = [
+            _EnergyBound(tensors, energy.group(group.model, group.source))
+            for group in self.groups
+        ]
         self.lat_lb = [bound.lower_bound(self.assign) for bound in self.lat_bounds]
         self.en_lb = [bound.lower_bound(self.assign) for bound in self.en_bounds]
 
@@ -883,57 +907,67 @@ def _any_memory_feasible(search: _SearchState) -> bool:
     return fit(0)
 
 
-def _energy_incumbent(
-    tensors: CostTensors,
-    energy: EnergyTensors,
-    requests: Sequence[InferenceRequest],
-    latency_budget: float,
-) -> Optional[np.ndarray]:
+def _energy_incumbent(search: _EnergySearch) -> Optional[List[int]]:
     """A strong attained incumbent: greedy Algorithm 1, then a steepest
     energy descent over single-module moves that keep the latency objective
-    within budget (both trackers are the bit-identical incremental APIs, so
-    the incumbent's joules are directly comparable to leaf values).
+    within budget.
+
+    Each module's moves are priced by the search itself: with every other
+    module placed, one ``node_vector`` over ``en_bounds`` holds the exact
+    joules of every candidate device, and one over ``lat_bounds`` the exact
+    latency objective — taken only once some candidate's joules beat the
+    running best.  Both are the leaf values' doubles, so the incumbent is
+    directly comparable to leaves.  The search's assignment is left empty.
 
     Returns ``None`` when greedy itself is infeasible or over budget — the
     search then runs incumbent-less and discovers feasibility on its own.
     """
+    tensors = search.tensors
     try:
         from repro.core.placement.greedy import greedy_placement
 
         seed = greedy_placement(tensors.problem)
     except PlacementError:
         return None
-    latency = IncrementalObjective(tensors, requests, seed)
-    if latency.objective > latency_budget:
-        return None
-    joules = IncrementalEnergy(energy, requests, seed)
-    residual = [int(b) for b in tensors.capacity]
-    for m in range(tensors.n_modules):
-        residual[int(joules.assign[m])] -= int(tensors.memory[m])
-    names = tensors.device_names
-    for _ in range(32):  # steepest descent; passes bounded for safety
-        improved = False
-        for m in range(tensors.n_modules):
-            module_name = tensors.module_names[m]
-            current = int(joules.assign[m])
-            best_n, best_joules = current, joules.joules
-            for n in range(tensors.n_devices):
-                if n == current or residual[n] < int(tensors.memory[m]):
-                    continue
-                moved = joules.move(module_name, names[n])
-                if moved < best_joules and (
-                    latency.move(module_name, names[n]) <= latency_budget
-                ):
-                    best_n, best_joules = n, moved
-            joules.move(module_name, names[best_n])
-            latency.move(module_name, names[best_n])
-            if best_n != current:
-                residual[current] += int(tensors.memory[m])
-                residual[best_n] -= int(tensors.memory[m])
-                improved = True
-        if not improved:
-            break
-    return joules.assign.copy()
+    assign, memory, residual = search.assign, search.memory, list(search.residual)
+    for name, hosts in seed.as_dict().items():
+        m, n = tensors.module_idx(name), tensors.device_idx(hosts[0])
+        assign[m] = n
+        residual[n] -= memory[m]
+    try:
+        lat_lb = [bound.lower_bound(assign) for bound in search.lat_bounds]
+        if float(search.fan(lat_lb)) > search.latency_budget:
+            return None
+        en_lb = [bound.lower_bound(assign) for bound in search.en_bounds]
+        for _ in range(32):  # steepest descent; passes bounded for safety
+            improved = False
+            for m in range(search.n_modules):
+                current = best_n = assign[m]
+                assign[m] = -1  # every other module is placed: the vectors are exact
+                joules = search.node_vector(m, search.en_bounds, en_lb).tolist()
+                priced = [(en_lb, search.vectors[m])]
+                latency = None
+                for n in range(search.n_devices):
+                    if n == current or residual[n] < memory[m] or not joules[n] < joules[best_n]:
+                        continue
+                    if latency is None:
+                        latency = search.node_vector(m, search.lat_bounds, lat_lb).tolist()
+                        priced.append((lat_lb, search.vectors[m]))
+                    if latency[n] <= search.latency_budget:
+                        best_n = n
+                assign[m] = best_n
+                if best_n != current:
+                    for lbs, vectors in priced:  # the moved classes' exact totals
+                        for g, vector in vectors.items():
+                            lbs[g] = float(vector[best_n])
+                    residual[current] += memory[m]
+                    residual[best_n] -= memory[m]
+                    improved = True
+            if not improved:
+                break
+        return assign.copy()
+    finally:
+        assign[:] = [-1] * search.n_modules
 
 
 def energy_branch_and_bound(
@@ -973,7 +1007,7 @@ def energy_branch_and_bound(
     stats = stats if stats is not None else BnBStats()
     search = _EnergySearch(tensors, energy, requests, latency_budget)
 
-    def tie_key(assign: np.ndarray) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+    def tie_key(assign: Sequence[int]) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
         """Brute force's deterministic tie-break key for a full assignment."""
         return tuple(
             sorted(
@@ -989,14 +1023,14 @@ def energy_branch_and_bound(
     # has to certify optimality, not discover it.
     best_energy = float("inf")
     best_key: Optional[Tuple] = None
-    best_assign: Optional[np.ndarray] = None
-    seed_assign = _energy_incumbent(tensors, energy, requests, latency_budget)
+    best_assign: Optional[List[int]] = None
+    seed_assign = _energy_incumbent(search)
     if seed_assign is not None:
         search.assign[:] = seed_assign
         best_energy = search.leaf_energy()
         best_key = tie_key(search.assign)
         best_assign = search.assign.copy()
-        search.assign[:] = -1
+        search.assign[:] = [-1] * search.n_modules
 
     # A single pass.  Pruning is ``energy bound > best`` (strictly:
     # equal-bound subtrees may still hold an equal-joule leaf with a

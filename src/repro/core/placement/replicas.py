@@ -57,6 +57,7 @@ from repro.core.placement.tensors import (
     CostTensors,
     RequestGroup,
     WaitTensors,
+    group_latency,
 )
 from repro.utils.errors import PlacementError
 
@@ -292,11 +293,15 @@ class _ReplicaGroupBound:
             self._enc_fit_idx.append(np.flatnonzero(fit).tolist())
         # Python-float rows (built per search, freed with it): the bound
         # works on a handful of hosts, where numpy's per-call cost dominates.
-        self._A_rows = [
-            (in_comm + comp).tolist() for in_comm, comp in zip(group.in_comm, group.enc_comp)
-        ]
-        self._out_rows = [out.tolist() for out in group.out]
+        in_comm, enc_comp = np.array(group.in_comm), np.array(group.enc_comp)
+        self._in_rows: List[List[float]] = in_comm.tolist()
+        self._comp_rows: List[List[float]] = enc_comp.tolist()
+        self._A_rows: List[List[float]] = (in_comm + enc_comp).tolist()
+        self._out_rows: List[List[List[float]]] = np.array(group.out).tolist()
         self._head_row: List[float] = group.head_comp.tolist()
+        #: Where each encoder's host and the head's sit in a host combo.
+        self._enc_pos = [self.members.index(idx) for idx in group.encoder_idx]
+        self._head_pos = self.members.index(group.head_idx)
 
     def lower_bound(self, sets: List[Optional[Tuple[int, ...]]]) -> float:
         """Scalar bound (seconds) for the current partial assignment.
@@ -332,9 +337,21 @@ class _ReplicaGroupBound:
         return min([s + head[nh] for s, nh in zip(stage, heads)])
 
     def exact(self, sets: List[Optional[Tuple[int, ...]]]) -> float:
-        """True class latency (seconds) once every member set is assigned."""
-        candidates = [list(sets[idx]) for idx in self.members]  # type: ignore[arg-type]
-        return self.group.best_hosts(self.tensors, candidates)[0]
+        """True class latency (seconds) once every member set is assigned:
+        :meth:`RequestGroup.best_hosts`' minimum, from the bound's rows —
+        host combos in the same lexicographic order, strict ``<``."""
+        slots, parallel = self.tensors.slots, self.parallel
+        enc_pos, head_pos = self._enc_pos, self._head_pos
+        best: Optional[float] = None
+        for combo in itertools.product(*[sets[idx] for idx in self.members]):  # type: ignore[misc]
+            value = group_latency(
+                self._in_rows, self._comp_rows, self._out_rows, self._head_row,
+                [combo[p] for p in enc_pos], combo[head_pos], slots, parallel,
+            )
+            if best is None or value < best:
+                best = value
+        assert best is not None, "every member set must be non-empty"
+        return best
 
 
 class _ReplicaSearch(_SearchState):

@@ -18,11 +18,16 @@ serving churn path alike.
 - static masks: per-module memory, per-device capacity and parallel slots,
   and the ``fits[m, n]`` memory-feasibility matrix.
 
-Every entry is produced by calling the *existing scalar oracles*
-(``DeviceProfile.compute_seconds``, ``Network.transfer_seconds``), and the
+Every entry comes from the *existing scalar oracles*
+(``DeviceProfile.compute_seconds``, and ``Network.route`` priced by the same
+``transfer_time`` formula as ``Network.transfer_seconds``), and the
 reductions below replay the scalar code's float-operation order exactly, so
 tensorized prices are **bit-identical** to the scalar path — the property
 tests in ``tests/test_placement_tensors.py`` assert ``==`` on the floats.
+Eq. 1-3's order lives once, in :func:`group_latency`, and the energy
+order once, in :func:`group_joules`; both take any row containers (numpy
+arrays here, the solvers' per-search Python lists in
+:mod:`repro.core.placement.bnb`).
 
 The layer is invalidated when the network topology changes (see
 ``Network.version``).
@@ -32,12 +37,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.network import Network
+from repro.cluster.network import Network, transfer_time
 from repro.cluster.requests import InferenceRequest
 from repro.core.models import ModelSpec
 from repro.core.placement.problem import Placement, PlacementProblem
@@ -70,6 +77,48 @@ def _lpt_waits(device_idx: Sequence[int], computes: Sequence[float], slots_of: S
             if wait > 0:
                 waits[i] = wait
     return waits
+
+
+def group_latency(
+    in_rows, comp_rows, out_rows, head_row,
+    enc_hosts: Sequence[int], head_host: int, slots: Sequence[int], parallel: bool,
+):
+    """Eq. 1-3 latency of one request class, read from row containers.
+
+    ``in_rows[e][n]``, ``comp_rows[e][n]`` and ``out_rows[e][n][h]`` are
+    encoder path ``e``'s input transfer, compute and embedding transfer
+    with its encoder on ``n`` (and the head on ``h``); ``head_row[h]`` is the
+    head's compute.  Per path: in-transfer + LPT wait + compute +
+    out-transfer; then the max over paths (``parallel``) or their
+    left-to-right sum; then the head.  Any indexable rows work — numpy
+    arrays or Python lists of the same doubles price identically.
+    """
+    comps = [comp_rows[e][ne] for e, ne in enumerate(enc_hosts)]
+    waits = _lpt_waits(enc_hosts, comps, slots) if parallel else [0.0] * len(comps)
+    totals = [
+        in_rows[e][ne] + waits[e] + comps[e] + out_rows[e][ne][head_host]
+        for e, ne in enumerate(enc_hosts)
+    ]
+    if not totals:
+        encoder = 0.0
+    elif parallel:
+        encoder = max(totals)
+    else:
+        # Not ``sum``: from Python 3.12 it compensates rounding for exact
+        # ``float`` items only, so list rows and numpy rows would part.
+        encoder = reduce(operator.add, totals)
+    return encoder + head_row[head_host]
+
+
+def group_joules(A_rows, out_rows, head_row, enc_hosts: Sequence[int], head_host: int):
+    """Request joules of one class, read from row containers: per encoder
+    path ``(A + out)`` — ``A`` the compute + input-radio prefix, ``out`` the
+    embedding radio — accumulated left to right from ``0.0``, then the
+    head's joules (the order of ``request_energy_joules``)."""
+    total = 0.0
+    for e, ne in enumerate(enc_hosts):
+        total = total + (A_rows[e][ne] + out_rows[e][ne][head_host])
+    return total + head_row[head_host]
 
 
 class RequestGroup:
@@ -114,23 +163,10 @@ class RequestGroup:
     def total(self, tensors: "CostTensors", enc_hosts: Sequence[int], head_host: int) -> float:
         """Eq. 1-3 latency with encoders on ``enc_hosts`` and the head on
         ``head_host`` (device indices) — bit-identical to the scalar path."""
-        ins, comps, outs = [], [], []
-        for e, ne in enumerate(enc_hosts):
-            ins.append(self.in_comm[e][ne])
-            comps.append(self.enc_comp[e][ne])
-            outs.append(self.out[e][ne, head_host])
-        if tensors.parallel:
-            waits = _lpt_waits(enc_hosts, comps, tensors.slots)
-        else:
-            waits = [0.0] * len(enc_hosts)
-        totals = [ins[e] + waits[e] + comps[e] + outs[e] for e in range(len(enc_hosts))]
-        if not totals:
-            encoder_latency = 0.0
-        elif tensors.parallel:
-            encoder_latency = max(totals)
-        else:
-            encoder_latency = sum(totals)
-        return encoder_latency + self.head_comp[head_host]
+        return group_latency(
+            self.in_comm, self.enc_comp, self.out, self.head_comp,
+            enc_hosts, head_host, tensors.slots, tensors.parallel,
+        )
 
     def total_for_assignment(self, tensors: "CostTensors", assign: Sequence[int]) -> float:
         """Latency when module ``m`` sits on device ``assign[m]`` (single copy)."""
@@ -213,6 +249,7 @@ class CostTensors:
         self.fits = self.memory[:, None] <= self.capacity[None, :]
         self.network_version = network.version
         self._model_compute: Dict[int, Tuple[ModelSpec, np.ndarray]] = {}
+        self._routes: Optional[np.ndarray] = None
         self._in_comm: Dict[Tuple[str, int], np.ndarray] = {}
         self._out_comm: Dict[int, np.ndarray] = {}
         self._groups: Dict[Tuple[int, str], RequestGroup] = {}
@@ -258,19 +295,32 @@ class CostTensors:
         self._model_compute[id(model)] = (model, arr)
         return arr
 
+    def _routes_from(self, source: str) -> np.ndarray:
+        """``Network.route`` from ``source`` to every device, as a ``[2, N]``
+        (latency, bottleneck) array — ``(0.0, inf)`` at the source itself.
+
+        Device sources read the per-tensors ``[2, N, N]`` route table, built
+        on first use (every request class needs all of it for ``out_comm``).
+        """
+        index = self._device_index.get(source)
+        if index is not None:
+            return self._route_table()[:, index]
+        return np.array([self.network.route(source, name) for name in self.device_names]).T
+
+    def _route_table(self) -> np.ndarray:
+        if self._routes is None:
+            names = self.device_names
+            pairs = [[self.network.route(a, b) for b in names] for a in names]
+            self._routes = np.array(pairs, dtype=np.float64).transpose(2, 0, 1)
+        return self._routes
+
     def in_comm(self, source: str, payload_bytes: int) -> np.ndarray:
         """Transfer seconds of a ``payload_bytes`` input from ``source`` to
         every device (zero where the device *is* the source)."""
         key = (source, payload_bytes)
         arr = self._in_comm.get(key)
         if arr is None:
-            arr = np.array(
-                [
-                    self.network.transfer_seconds(source, name, payload_bytes)
-                    for name in self.device_names
-                ],
-                dtype=np.float64,
-            )
+            arr = transfer_time(self._routes_from(source), payload_bytes)
             self._in_comm[key] = arr
         return arr
 
@@ -278,14 +328,7 @@ class CostTensors:
         """Embedding transfer seconds ``[encoder host, head host]`` for one module."""
         arr = self._out_comm.get(module_index)
         if arr is None:
-            payload = self.modules[module_index].output_bytes
-            arr = np.array(
-                [
-                    [self.network.transfer_seconds(a, b, payload) for b in self.device_names]
-                    for a in self.device_names
-                ],
-                dtype=np.float64,
-            )
+            arr = transfer_time(self._route_table(), self.modules[module_index].output_bytes)
             self._out_comm[module_index] = arr
         return arr
 
@@ -505,17 +548,7 @@ class EnergyRequestGroup:
     def total(self, enc_hosts: Sequence[int], head_host: int) -> float:
         """Request joules with encoders on ``enc_hosts`` and the head on
         ``head_host`` (device indices) — bit-identical to the scalar path."""
-        total = 0.0
-        for e, ne in enumerate(enc_hosts):
-            total = total + (self.A[e][ne] + self.out[e][ne, head_host])
-        total = total + self.head_joules[head_host]
-        return float(total)
-
-    def total_for_assignment(self, assign: Sequence[int]) -> float:
-        """Joules when module ``m`` sits on device ``assign[m]`` (single copy)."""
-        return self.total(
-            [assign[i] for i in self.encoder_idx], assign[self.head_idx]
-        )
+        return float(group_joules(self.A, self.out, self.head_joules, enc_hosts, head_host))
 
 
 class EnergyTensors:
@@ -643,86 +676,6 @@ class EnergyTensors:
                 cache[key] = value
             total = total + value
         return float(total)
-
-
-class IncrementalObjective:
-    """Objective tracking with O(affected groups) single-module moves.
-
-    Holds a single-copy assignment (module index -> device index) plus the
-    per-request-class prices; :meth:`move` re-prices only the classes whose
-    model uses the moved module and replays the request-order summation, so
-    the returned objective is bit-identical to
-    ``CostTensors.objective(requests, placement)`` on the same assignment.
-    """
-
-    def __init__(
-        self,
-        tensors: CostTensors,
-        requests: Sequence[InferenceRequest],
-        placement: Placement,
-    ) -> None:
-        self.tensors = tensors
-        self.requests = list(requests)
-        self.assign = np.empty(tensors.n_modules, dtype=np.int64)
-        for name, hosts in placement.as_dict().items():
-            if len(hosts) != 1:
-                raise ConfigurationError(
-                    "IncrementalObjective requires a single-copy placement; "
-                    f"module {name!r} has hosts {hosts}"
-                )
-            self.assign[tensors.module_idx(name)] = tensors.device_idx(hosts[0])
-        self._groups: List[RequestGroup] = []
-        self._group_of: List[int] = []
-        index_of: Dict[Tuple[int, str], int] = {}
-        for request in self.requests:
-            key = (id(request.model), request.source)
-            if key not in index_of:
-                index_of[key] = len(self._groups)
-                self._groups.append(tensors.group(request.model, request.source))
-            self._group_of.append(index_of[key])
-        self._uses: List[List[int]] = [[] for _ in range(tensors.n_modules)]
-        for g, group in enumerate(self._groups):
-            for idx in set(group.encoder_idx) | {group.head_idx}:
-                self._uses[idx].append(g)
-        self._totals = [
-            group.total_for_assignment(tensors, self.assign) for group in self._groups
-        ]
-
-    @property
-    def objective(self) -> float:
-        """Current objective (request-order summation, bit-identical)."""
-        total = 0.0
-        for g in self._group_of:
-            total = total + self._totals[g]
-        return float(total)
-
-    def move(self, module_name: str, device_name: str) -> float:
-        """Move ``module_name`` to ``device_name``; returns the new objective."""
-        m = self.tensors.module_idx(module_name)
-        n = self.tensors.device_idx(device_name)
-        self.assign[m] = n
-        for g in self._uses[m]:
-            self._totals[g] = self._groups[g].total_for_assignment(self.tensors, self.assign)
-        return self.objective
-
-    def delta(self, module_name: str, device_name: str) -> float:
-        """Objective change if the move were applied (state restored after)."""
-        m = self.tensors.module_idx(module_name)
-        before_device = int(self.assign[m])
-        before = self.objective
-        after = self.move(module_name, device_name)
-        self.move(module_name, self.tensors.device_names[before_device])
-        return after - before
-
-    def placement(self) -> Placement:
-        """The current assignment as a :class:`Placement`."""
-        names = self.tensors.device_names
-        return Placement(
-            {
-                self.tensors.module_names[m]: (names[int(self.assign[m])],)
-                for m in range(self.tensors.n_modules)
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -947,9 +900,8 @@ class WaitTensors:
         self, requests: Sequence[InferenceRequest], assign: Sequence[int]
     ) -> float:
         """Queue-aware objective for a single-copy assignment vector — the
-        canonical leaf routine shared by the branch-and-bound and
-        :class:`IncrementalWait` (bit-identical to :meth:`objective` on the
-        equivalent :class:`Placement`)."""
+        queue-aware branch-and-bound's leaf routine (bit-identical to
+        :meth:`objective` on the equivalent :class:`Placement`)."""
         tensors = self.tensors
         waits = self.assignment_waits(requests, assign)
         cache: Dict[Tuple[int, str], float] = {}
@@ -1011,181 +963,3 @@ class WaitTensors:
             candidates.append([tensors.device_idx(device) for device in ordered])
         value, _ = group.best_hosts(tensors, candidates, device_waits=waits)
         return value
-
-
-class IncrementalWait:
-    """Queue-aware objective tracking for single-module moves.
-
-    Mirrors :class:`IncrementalObjective`: base per-class totals are
-    re-priced only for the classes whose model uses the moved module.  The
-    device waits — a global quantity, every move shifts some device's load —
-    and each class's wait surcharge are recomputed canonically from scratch
-    per move (cheap: one pass over models × members), so the tracked
-    objective is bit-identical to
-    ``WaitTensors.assignment_objective(requests, assign)`` after any move
-    sequence.
-    """
-
-    def __init__(
-        self,
-        wait: WaitTensors,
-        requests: Sequence[InferenceRequest],
-        placement: Placement,
-    ) -> None:
-        self.wait = wait
-        self.tensors = wait.tensors
-        self.requests = list(requests)
-        tensors = wait.tensors
-        self.assign = np.empty(tensors.n_modules, dtype=np.int64)
-        for name, hosts in placement.as_dict().items():
-            if len(hosts) != 1:
-                raise ConfigurationError(
-                    "IncrementalWait requires a single-copy placement; "
-                    f"module {name!r} has hosts {hosts}"
-                )
-            self.assign[tensors.module_idx(name)] = tensors.device_idx(hosts[0])
-        self._groups: List[RequestGroup] = []
-        self._group_of: List[int] = []
-        index_of: Dict[Tuple[int, str], int] = {}
-        for request in self.requests:
-            key = (id(request.model), request.source)
-            if key not in index_of:
-                index_of[key] = len(self._groups)
-                self._groups.append(tensors.group(request.model, request.source))
-            self._group_of.append(index_of[key])
-        self._uses: List[List[int]] = [[] for _ in range(tensors.n_modules)]
-        for g, group in enumerate(self._groups):
-            for idx in set(group.encoder_idx) | {group.head_idx}:
-                self._uses[idx].append(g)
-        self._totals = [
-            group.total_for_assignment(tensors, self.assign) for group in self._groups
-        ]
-        self._refresh_values()
-
-    def _refresh_values(self) -> None:
-        """Recompute device waits + per-class values canonically."""
-        waits = self.wait.assignment_waits(self.requests, self.assign)
-        values = []
-        for g, group in enumerate(self._groups):
-            surcharge = 0.0
-            for idx in group.member_idx:
-                surcharge = surcharge + waits[int(self.assign[idx])]
-            values.append(self._totals[g] + surcharge)
-        self._values = values
-
-    @property
-    def objective(self) -> float:
-        """Current queue-aware objective (request-order summation)."""
-        total = 0.0
-        for g in self._group_of:
-            total = total + self._values[g]
-        return float(total)
-
-    def move(self, module_name: str, device_name: str) -> float:
-        """Move ``module_name`` to ``device_name``; returns the new objective."""
-        m = self.tensors.module_idx(module_name)
-        n = self.tensors.device_idx(device_name)
-        self.assign[m] = n
-        for g in self._uses[m]:
-            self._totals[g] = self._groups[g].total_for_assignment(self.tensors, self.assign)
-        self._refresh_values()
-        return self.objective
-
-    def delta(self, module_name: str, device_name: str) -> float:
-        """Objective change if the move were applied (state restored after)."""
-        m = self.tensors.module_idx(module_name)
-        before_device = int(self.assign[m])
-        before = self.objective
-        after = self.move(module_name, device_name)
-        self.move(module_name, self.tensors.device_names[before_device])
-        return after - before
-
-    def placement(self) -> Placement:
-        """The current assignment as a :class:`Placement`."""
-        names = self.tensors.device_names
-        return Placement(
-            {
-                self.tensors.module_names[m]: (names[int(self.assign[m])],)
-                for m in range(self.tensors.n_modules)
-            }
-        )
-
-
-class IncrementalEnergy:
-    """Energy tracking with O(affected groups) single-module moves.
-
-    The energy counterpart of :class:`IncrementalObjective`: holds a
-    single-copy assignment plus per-request-class joules; :meth:`move`
-    re-prices only the classes whose model uses the moved module and
-    replays the request-order summation, so the returned total is
-    bit-identical to ``EnergyTensors.objective(requests, placement)`` on
-    the same assignment.
-    """
-
-    def __init__(
-        self,
-        energy: EnergyTensors,
-        requests: Sequence[InferenceRequest],
-        placement: Placement,
-    ) -> None:
-        self.energy = energy
-        self.tensors = energy.tensors
-        self.requests = list(requests)
-        self.assign = np.empty(self.tensors.n_modules, dtype=np.int64)
-        for name, hosts in placement.as_dict().items():
-            if len(hosts) != 1:
-                raise ConfigurationError(
-                    "IncrementalEnergy requires a single-copy placement; "
-                    f"module {name!r} has hosts {hosts}"
-                )
-            self.assign[self.tensors.module_idx(name)] = self.tensors.device_idx(hosts[0])
-        self._groups: List[EnergyRequestGroup] = []
-        self._group_of: List[int] = []
-        index_of: Dict[Tuple[int, str], int] = {}
-        for request in self.requests:
-            key = (id(request.model), request.source)
-            if key not in index_of:
-                index_of[key] = len(self._groups)
-                self._groups.append(energy.group(request.model, request.source))
-            self._group_of.append(index_of[key])
-        self._uses: List[List[int]] = [[] for _ in range(self.tensors.n_modules)]
-        for g, group in enumerate(self._groups):
-            for idx in set(group.encoder_idx) | {group.head_idx}:
-                self._uses[idx].append(g)
-        self._totals = [group.total_for_assignment(self.assign) for group in self._groups]
-
-    @property
-    def joules(self) -> float:
-        """Current total joules (request-order summation, bit-identical)."""
-        total = 0.0
-        for g in self._group_of:
-            total = total + self._totals[g]
-        return float(total)
-
-    def move(self, module_name: str, device_name: str) -> float:
-        """Move ``module_name`` to ``device_name``; returns the new joules."""
-        m = self.tensors.module_idx(module_name)
-        n = self.tensors.device_idx(device_name)
-        self.assign[m] = n
-        for g in self._uses[m]:
-            self._totals[g] = self._groups[g].total_for_assignment(self.assign)
-        return self.joules
-
-    def delta(self, module_name: str, device_name: str) -> float:
-        """Joule change if the move were applied (state restored after)."""
-        m = self.tensors.module_idx(module_name)
-        before_device = int(self.assign[m])
-        before = self.joules
-        after = self.move(module_name, device_name)
-        self.move(module_name, self.tensors.device_names[before_device])
-        return after - before
-
-    def placement(self) -> Placement:
-        """The current assignment as a :class:`Placement`."""
-        names = self.tensors.device_names
-        return Placement(
-            {
-                self.tensors.module_names[m]: (names[int(self.assign[m])],)
-                for m in range(self.tensors.n_modules)
-            }
-        )

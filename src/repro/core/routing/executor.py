@@ -33,7 +33,7 @@ from repro.core.placement.problem import Placement
 from repro.core.routing.latency import LatencyModel, RoutingDecision
 from repro.sim import FlatEventLoop, SlotPool, TraceRecorder
 from repro.sim.trace import CATEGORY_HEAD, CATEGORY_TRANSMISSION
-from repro.utils.errors import ConfigurationError, RoutingError
+from repro.utils.errors import CapacityError, ConfigurationError, RoutingError
 
 
 class UplinkPool:
@@ -75,8 +75,9 @@ def check_run(cluster: EdgeCluster, placement: Placement,
     The cluster's loop must be empty: entries an earlier, failed run left
     there would be dispatched inside this one.  Every request's source must
     be a network node, and every module of its model part of the problem
-    with at least one host, so a bad request raises here instead of
-    stranding the rest of the run on the shared loop.
+    with at least one host, each of which has the module loaded on this
+    cluster, so a bad request raises here instead of stranding the rest of
+    the run on the shared loop.
     """
     stale = len(cluster.sim)
     if stale:
@@ -92,8 +93,15 @@ def check_run(cluster: EdgeCluster, placement: Placement,
             )
         for name in request.model.module_names:
             latency_model.module(name)
-            if not placement.hosts(name):
+            hosts = placement.hosts(name)
+            if not hosts:
                 raise RoutingError(f"module {name!r} has no hosts")
+            for host in hosts:
+                if not cluster.device(host).hosts(name):
+                    raise CapacityError(
+                        f"device {host!r} does not host {name!r}; deploy the "
+                        "placement on this cluster first"
+                    )
 
 
 def _landed(cluster, src, label, start, request_id, then, args) -> None:

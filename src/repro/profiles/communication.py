@@ -50,10 +50,6 @@ class LinkProfile:
                 f"got {self.latency_s!r}"
             )
 
-    def transfer_seconds(self, payload_bytes: int) -> float:
-        """One-hop transfer time in seconds: propagation + serialization."""
-        return self.latency_s + payload_bytes * 8 / self.bandwidth_bps
-
 
 def _mbps(value: float) -> float:
     return value * 1_000_000

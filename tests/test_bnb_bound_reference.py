@@ -1,10 +1,12 @@
 """The exact solvers' bounds against their numpy reference formulas.
 
 ``_GroupBound`` and ``_ReplicaGroupBound`` read per-search Python-float
-rows instead of numpy scalars.  The formulas they replaced live on here as
-test-side references, written over the bound's numpy arrays: every bound
-must equal its reference with ``==`` (same doubles, not approximately),
-because the searches' node counts and tie-breaks depend on exact values.
+rows instead of numpy scalars, and build their tables for all encoder
+paths in one stacked pass.  The formulas they replaced live on here as
+test-side references, written over the bound's numpy arrays one path at a
+time: every bound and table must equal its reference with ``==`` (same
+doubles, not approximately), because the searches' node counts and
+tie-breaks depend on exact values.
 
 Random partial assignments cover parallel and serial classes, encoders
 sharing a host (the slot-contention terms), an unplaced head, the
@@ -19,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.placement.bnb import _GroupBound, _latency_bound
+from repro.core.placement.bnb import _EnergyBound, _LatencyBound
 from repro.core.placement.replicas import _ReplicaGroupBound
 from repro.core.placement.tensors import CostTensors, EnergyTensors, _lpt_waits
 from repro.experiments.scaling import synthetic_instance
@@ -33,6 +35,33 @@ SHAPES = [(3, 4), (4, 5), (4, 8), (5, 6)]
 # Reference formulas: element reads and per-element min/max on numpy
 # scalars, as the solvers computed them before reading list rows.
 # ----------------------------------------------------------------------
+def ref_tables(bound):
+    """The set-up tables, built one encoder path at a time."""
+    tensors, group = bound.tensors, bound.group
+    head_fit = tensors.fits[bound.head_idx]
+    tables = {"out_min": [], "enc_assigned": [], "head_assigned": [], "free": []}
+    for e, idx in enumerate(bound.encoder_idx):
+        fit = tensors.fits[idx]
+        out = group.out[e]
+        out_min = np.min(out[:, head_fit], axis=1)
+        enc_assigned = bound.A[e] + out_min
+        masked = np.where(fit[:, None], bound.A[e][:, None] + out, np.inf)
+        tables["out_min"].append(out_min.tolist())
+        tables["enc_assigned"].append(enc_assigned.tolist())
+        tables["head_assigned"].append(np.min(masked, axis=0).tolist())
+        tables["free"].append(float(np.min(enc_assigned[fit])))
+    tables["head_min"] = float(np.min(bound.head[head_fit]))
+    return tables
+
+
+def bound_tables(bound):
+    return {
+        "out_min": bound.out_min_rows, "enc_assigned": bound.enc_assigned_rows,
+        "head_assigned": bound.head_assigned_rows, "free": bound.free,
+        "head_min": bound.head_min,
+    }
+
+
 def ref_contention_state(bound, assign):
     loads, members, unassigned = {}, {}, []
     for e, idx in enumerate(bound.encoder_idx):
@@ -226,12 +255,18 @@ def ref_replica_lower_bound(bound, sets):
 def partial_cases(draw):
     """``(tensors, groups, assign, moving)`` on a synthetic instance: some
     modules placed (encoders possibly sharing a host), the head possibly
-    unplaced, and ``moving`` an unplaced member to price per device."""
+    unplaced, ``moving`` an unplaced member to price per device, and
+    possibly tight memory (each module fits only some devices)."""
     n_modules, n_devices = draw(st.sampled_from(SHAPES))
     seed = draw(st.integers(0, 30))
     parallel = draw(st.booleans())
     inst = synthetic_instance(n_modules, n_devices, seed=seed)
     tensors = CostTensors(inst.problem, inst.network, parallel=parallel)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        mask = rng.random(tensors.fits.shape) < 0.5
+        mask[np.arange(n_modules), rng.integers(n_devices, size=n_modules)] = True
+        tensors.fits = tensors.fits & mask
     last_free = draw(st.booleans())  # every other member placed: exact vector
     assign = np.array(
         [draw(st.integers(0 if last_free else -1, n_devices - 1)) for _ in range(n_modules)],
@@ -254,7 +289,11 @@ def partial_cases(draw):
 def test_latency_bounds_match_numpy_reference(case):
     tensors, groups, assign, moving = case
     for group in groups:
-        bound = _latency_bound(tensors, group)
+        bound = _LatencyBound(tensors, group)
+        assert bound_tables(bound) == ref_tables(bound)
+        assert bound.A.tolist() == [
+            (i + c).tolist() for i, c in zip(group.in_comm, group.enc_comp)
+        ]
         assert bound.lower_bound(assign) == ref_lower_bound(bound, assign)
         expected = ref_bound_vector(bound, assign, moving)
         got = bound.bound_vector(assign, moving)
@@ -271,7 +310,8 @@ def test_energy_bounds_match_numpy_reference(case):
     energy = EnergyTensors(tensors)
     for group in groups:
         en = energy.group(group.model, group.source)
-        bound = _GroupBound(tensors, en, en.A, en.head_joules, en.total_for_assignment, False)
+        bound = _EnergyBound(tensors, en)
+        assert bound_tables(bound) == ref_tables(bound)
         assert bound.lower_bound(assign) == ref_lower_bound(bound, assign)
         got = bound.bound_vector(assign, moving)
         assert got.tolist() == ref_bound_vector(bound, assign, moving).tolist()

@@ -19,6 +19,7 @@ from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
 from repro.core.placement.bnb import (
     BnBStats,
+    _EnergySearch,
     _energy_incumbent,
     branch_and_bound_placement,
     energy_branch_and_bound,
@@ -97,7 +98,8 @@ def incumbent_case(kind, seed, mode):
     """The energy search's seed: greedy, then the budgeted energy descent."""
     _, _, requests, model, budget = energy_setup(kind, seed, mode)
     tensors = model.tensors
-    assign = _energy_incumbent(tensors, EnergyTensors(tensors), requests, budget)
+    search = _EnergySearch(tensors, EnergyTensors(tensors), requests, budget)
+    assign = _energy_incumbent(search)
     if assign is None:
         return None
     return sorted(

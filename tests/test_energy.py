@@ -17,7 +17,7 @@ from repro.core.placement.bnb import energy_branch_and_bound
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.optimal import energy_optimal_placement
 from repro.core.placement.problem import Placement, PlacementProblem
-from repro.core.placement.tensors import EnergyTensors, IncrementalEnergy
+from repro.core.placement.tensors import EnergyTensors
 from repro.core.placement.variants import random_placement
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
@@ -173,38 +173,6 @@ class TestEnergyTensorBitIdentity:
         assert energy.objective(requests, placement) == energy_objective(
             requests, placement, model
         )
-
-    def test_incremental_energy_matches_full_recompute(self):
-        network = Network()
-        problem = noisy_problem(["clip-vit-b16", "imagebind"], edge_device_names(), 5)
-        model = LatencyModel(problem, network)
-        energy = EnergyTensors(model.tensors)
-        requests = [
-            InferenceRequest.for_model(name, source)
-            for name in ("clip-vit-b16", "imagebind")
-            for source in ("jetson-a", "desktop")
-        ]
-        placement = greedy_placement(problem)
-        tracker = IncrementalEnergy(energy, requests, placement)
-        assert tracker.joules == energy.objective(requests, placement)
-        rng = rng_for("incremental-energy", 0)
-        module_names = [m.name for m in problem.modules]
-        for _ in range(20):
-            module = module_names[int(rng.integers(len(module_names)))]
-            device = problem.devices[int(rng.integers(len(problem.devices)))].name
-            moved = tracker.move(module, device)
-            assert moved == energy.objective(requests, tracker.placement())
-
-    def test_incremental_energy_delta_restores_state(self):
-        problem = noisy_problem(["clip-vit-b16"], edge_device_names(), 7)
-        model = LatencyModel(problem, Network())
-        energy = EnergyTensors(model.tensors)
-        requests = [InferenceRequest.for_model("clip-vit-b16", "jetson-a")]
-        tracker = IncrementalEnergy(energy, requests, greedy_placement(problem))
-        before = tracker.joules
-        delta = tracker.delta("clip-trf-38m", "desktop")
-        assert tracker.joules == before
-        assert tracker.move("clip-trf-38m", "desktop") - before == pytest.approx(delta)
 
 
 class TestEnergyBnBExactness:

@@ -1,4 +1,4 @@
-"""Cost tensors, branch-and-bound, and incremental objective: exactness.
+"""Cost tensors and branch-and-bound: exactness.
 
 The contract of the whole vectorized layer is *bit identity* with the
 scalar reference paths — same floats, same argmin, same tie-breaks — so
@@ -19,10 +19,11 @@ from repro.core.placement.optimal import (
 )
 from repro.core.placement.problem import PlacementProblem
 from repro.core.placement.replicas import replica_optimal_placement
-from repro.core.placement.tensors import CostTensors, IncrementalObjective
+from repro.core.placement.tensors import CostTensors
 from repro.core.placement.variants import random_placement
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
+from repro.profiles.communication import PAN_ROUTER
 from repro.profiles.devices import edge_device_names
 from repro.profiles.devices import testbed_device_names as _testbed_device_names
 from repro.utils.errors import ConfigurationError, PlacementError, RoutingError
@@ -137,6 +138,34 @@ class TestTensorBitIdentity:
             model.compute_seconds(request, "no-such-module", "laptop")
         with pytest.raises(ConfigurationError, match="unknown device"):
             model.compute_seconds(request, "clip-trf-38m", "mainframe")
+
+    def test_comm_tensors_match_transfer_seconds(self):
+        # in_comm/out_comm price whole route arrays with transfer_time; each
+        # entry must be the double Network.transfer_seconds returns, from
+        # device and non-device sources alike, on a degraded link too.
+        instances = [(PlacementProblem.from_models(["clip-vit-b16"], _testbed_device_names()),
+                      Network())]
+        synthetic = synthetic_instance(4, 6, seed=3)
+        instances.append((synthetic.problem, synthetic.network))
+        degraded = Network()
+        degraded.degrade_link("jetson-a", PAN_ROUTER, 0.3)
+        instances.append((instances[0][0], degraded))
+        for problem, network in instances:
+            tensors = CostTensors(problem, network)
+            names = tensors.device_names
+            sources = sorted(network.reachable_from(names[0]))
+            for source in sources:
+                for payload in (0, 1_000, 150_528, 10**9):
+                    assert tensors.in_comm(source, payload).tolist() == [
+                        network.transfer_seconds(source, name, payload) for name in names
+                    ]
+            for m, module in enumerate(problem.modules):
+                assert tensors.out_comm(m).tolist() == [
+                    [network.transfer_seconds(a, b, module.output_bytes) for b in names]
+                    for a in names
+                ]
+        with pytest.raises(ValueError, match="non-negative"):
+            tensors.in_comm(names[0], -1)
 
     def test_tensors_rebuild_when_topology_changes(self):
         from repro.profiles.communication import LinkProfile
@@ -304,6 +333,31 @@ def test_solvers_agree_on_degraded_network(kind):
     assert objectives["brute"] != nominal  # the slowdown reached the search
 
 
+@pytest.mark.parametrize("kind", sorted(EXACT_SOLVERS))
+def test_search_freed_when_the_solver_returns(kind, monkeypatch):
+    # The per-search rows must die with the call, not wait for the cyclic
+    # collector: solvers run back to back keep every instance's tensors.
+    import gc
+    import weakref
+
+    from repro.core.placement import bnb, replicas
+
+    searches = []
+    for cls in (bnb._Search, bnb._EnergySearch, replicas._ReplicaSearch):
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            searches.append(weakref.ref(self))
+        monkeypatch.setattr(cls, "__init__", init)
+    instance = synthetic_instance(4, 5, seed=2)
+    gc.disable()
+    try:
+        EXACT_SOLVERS[kind](instance.problem, list(instance.requests), instance.network, "bnb")
+        alive = [ref for ref in searches if ref() is not None]
+    finally:
+        gc.enable()
+    assert searches and not alive
+
+
 class TestMissingThroughputParity:
     def _instance_with_gap(self):
         # A device whose throughput table lacks the text-encoder kind: the
@@ -391,43 +445,6 @@ class TestEnumerationRewrite:
         first = [p.as_dict() for p in enumerate_placements(problem)]
         second = [p.as_dict() for p in enumerate_placements(problem)]
         assert first == second
-
-
-class TestIncrementalObjective:
-    def test_move_matches_full_recompute(self):
-        network = Network()
-        problem = noisy_problem(["clip-vit-b16", "imagebind"], edge_device_names(), 5)
-        model = LatencyModel(problem, network)
-        tensors = model.tensors
-        requests = [
-            InferenceRequest.for_model(name, source)
-            for name in ("clip-vit-b16", "imagebind")
-            for source in ("jetson-a", "desktop")
-        ]
-        placement = greedy_placement(problem)
-        tracker = IncrementalObjective(tensors, requests, placement)
-        assert tracker.objective == model.objective(requests, placement)
-
-        rng = rng_for("incremental-moves", 0)
-        module_names = [m.name for m in problem.modules]
-        for _ in range(20):
-            module = module_names[int(rng.integers(len(module_names)))]
-            device = problem.devices[int(rng.integers(len(problem.devices)))].name
-            moved = tracker.move(module, device)
-            assert moved == model.objective(requests, tracker.placement())
-
-    def test_delta_restores_state(self):
-        network = Network()
-        problem = noisy_problem(["clip-vit-b16"], edge_device_names(), 7)
-        model = LatencyModel(problem, network)
-        requests = [InferenceRequest.for_model("clip-vit-b16", "jetson-a")]
-        placement = greedy_placement(problem)
-        tracker = IncrementalObjective(model.tensors, requests, placement)
-        before = tracker.objective
-        delta = tracker.delta("clip-trf-38m", "desktop")
-        assert tracker.objective == before
-        moved = tracker.move("clip-trf-38m", "desktop")
-        assert moved - before == pytest.approx(delta)
 
 
 class TestCaching:

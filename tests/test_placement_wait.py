@@ -30,11 +30,7 @@ from repro.core.placement.replicas import (
     replica_brute_force,
     replica_optimal_placement,
 )
-from repro.core.placement.tensors import (
-    CongestionModel,
-    IncrementalWait,
-    WaitTensors,
-)
+from repro.core.placement.tensors import CongestionModel, WaitTensors
 from repro.core.placement.variants import random_placement
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
@@ -201,63 +197,6 @@ class TestWaitBitIdentity:
             assert model.congestion_replica_objective(
                 requests, replicated, congestion
             ) == model.replica_objective(requests, replicated)
-
-
-class TestIncrementalWait:
-    def test_move_matches_full_recompute(self):
-        network = Network()
-        for models, seed in ((["clip-vit-b16", "encoder-vqa-small"], 5),
-                             (["clip-vit-b16"], 2)):
-            problem = noisy_problem(models, seed)
-            model = LatencyModel(problem, network)
-            congestion = congestion_for(models, seed)
-            wait = WaitTensors(model.tensors, congestion)
-            requests = requests_for(models)
-            placement = greedy_placement(problem)
-            tracker = IncrementalWait(wait, requests, placement)
-            assert tracker.objective == model.congestion_objective(
-                requests, placement, congestion
-            )
-            rng = rng_for("wait-moves", *models, seed)
-            module_names = [m.name for m in problem.modules]
-            for _ in range(25):
-                module = module_names[int(rng.integers(len(module_names)))]
-                device = problem.devices[int(rng.integers(len(problem.devices)))].name
-                moved = tracker.move(module, device)
-                current = tracker.placement()
-                assert moved == wait.objective(requests, current)
-                assert moved == model.congestion_objective(
-                    requests, current, congestion
-                )
-
-    def test_delta_restores_state_exactly(self):
-        network = Network()
-        models = ["clip-vit-b16"]
-        problem = noisy_problem(models, 7)
-        model = LatencyModel(problem, network)
-        wait = WaitTensors(model.tensors, congestion_for(models, 7))
-        requests = [InferenceRequest.for_model("clip-vit-b16", "jetson-a")]
-        placement = greedy_placement(problem)
-        tracker = IncrementalWait(wait, requests, placement)
-        before = tracker.objective
-        before_assign = list(tracker.assign)
-        delta = tracker.delta("clip-trf-38m", "desktop")
-        assert tracker.objective == before
-        assert list(tracker.assign) == before_assign
-        moved = tracker.move("clip-trf-38m", "desktop")
-        # delta is computed by the same move/undo float ops, so it is exact.
-        assert moved - before == delta
-
-    def test_rejects_multi_copy_placement(self):
-        models = ["clip-vit-b16"]
-        problem = noisy_problem(models, 0)
-        model = LatencyModel(problem, Network())
-        wait = WaitTensors(model.tensors, congestion_for(models, 0))
-        replicated = replicate_with_leftover(problem, greedy_placement(problem))
-        if all(len(h) == 1 for h in replicated.as_dict().values()):
-            pytest.skip("leftover pass found no memory for a second copy")
-        with pytest.raises(ConfigurationError, match="single-copy"):
-            IncrementalWait(wait, requests_for(models), replicated)
 
 
 class TestQueueAwareBnB:

@@ -1,6 +1,8 @@
 """Discrete-event execution: parallelism, queueing, pipelining."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.requests import InferenceRequest, sequential_workload, simultaneous_workload
 from repro.cluster.topology import build_testbed
@@ -9,7 +11,7 @@ from repro.core.placement.problem import Placement
 from repro.core.routing.executor import execute_requests
 from repro.sim.trace import CATEGORY_COMPUTE, CATEGORY_HEAD, CATEGORY_TRANSMISSION
 from repro.profiles.devices import edge_device_names
-from repro.utils.errors import ConfigurationError, RoutingError
+from repro.utils.errors import CapacityError, ConfigurationError, RoutingError
 
 
 def deployed_engine(models, parallel=True, share=True):
@@ -142,6 +144,75 @@ class TestInputChecks:
         engine.cluster.sim.push(0.0, lambda: None)
         with pytest.raises(ConfigurationError, match="earlier run"):
             engine.serve([engine.request("clip-vit-b16")])
+
+    def test_unloaded_host_rejected_before_scheduling(self):
+        # A deployed engine's placement run on a second cluster that never
+        # loaded the modules: refused up front, not mid-run by Device.execute.
+        engine = deployed_engine(["clip-vit-b16"])
+        bare = build_testbed(edge_device_names(), requester="jetson-a")
+        requests = [engine.request("clip-vit-b16"), engine.request("clip-vit-b16", 5.0)]
+        with pytest.raises(CapacityError, match="does not host"):
+            execute_requests(bare, engine.placement, requests, engine.latency_model())
+        assert len(bare.sim) == 0
+        on_bare = S2M3Engine(bare, ["clip-vit-b16"])
+        on_bare.deploy()
+        assert on_bare.placement == engine.placement
+        result = on_bare.serve([on_bare.request("clip-vit-b16"), on_bare.request("clip-vit-b16", 5.0)])
+        assert len(result.outcomes) == 2 and len(bare.sim) == 0
+
+
+SOURCES = tuple(edge_device_names()) + ("mainframe",)
+
+
+class TestExecutorBoundary:
+    """Every input either runs with conservation, or raises a named error
+    before the first push and leaves the cluster's loop as it found it."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        sources=st.lists(st.sampled_from(SOURCES), min_size=1, max_size=3),
+        stranger=st.booleans(),
+        unload=st.one_of(st.none(), st.integers(0, 15)),
+        stale=st.booleans(),
+    )
+    def test_runs_or_refuses_cleanly(self, sources, stranger, unload, stale):
+        engine = deployed_engine(["clip-vit-b16"])
+        cluster = engine.cluster
+        requests = [
+            engine.request("clip-vit-b16", 0.5 * i, source=source)
+            for i, source in enumerate(sources)
+        ]
+        expected = set()
+        if "mainframe" in sources:
+            expected.add(ConfigurationError)  # unknown source
+        if stranger:  # a module outside the problem
+            requests.append(InferenceRequest.for_model("imagebind", "jetson-a"))
+            expected.add(RoutingError)
+        if unload is not None:
+            placed = sorted(
+                (host, name) for name, hosts in engine.placement.as_dict().items()
+                for host in hosts
+            )
+            host, name = placed[unload % len(placed)]
+            cluster.device(host).unload(name)
+            expected.add(CapacityError)
+        if stale:
+            cluster.sim.push(0.0, lambda: None)
+            expected = {ConfigurationError}
+        before = len(cluster.sim)
+        if expected:
+            with pytest.raises((ConfigurationError, RoutingError, CapacityError)) as info:
+                engine.serve(requests)
+            assert type(info.value) in expected
+            assert len(cluster.sim) == before
+            return
+        result = engine.serve(requests)
+        assert len(cluster.sim) == 0
+        assert sorted(o.request.request_id for o in result.outcomes) == sorted(
+            r.request_id for r in requests
+        )
+        for outcome in result.outcomes:
+            assert outcome.request.arrival_time <= outcome.start_time <= outcome.finish_time
 
 
 class TestExecutionResultStats:

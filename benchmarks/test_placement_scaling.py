@@ -17,8 +17,7 @@ from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.optimal import MAX_ASSIGNMENTS
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
-from repro.serving import ServingRuntime, SLOPolicy, WorkloadGenerator
-from repro.serving.churn import DeviceChurnEvent
+from repro.serving import FaultPlan, ServingRuntime, SLOPolicy, WorkloadGenerator, crash
 
 #: (modules, devices) sweep: first two are paper scale, the rest beyond it.
 SWEEP = [(3, 4), (4, 5), (6, 8), (8, 16), (10, 32)]
@@ -112,14 +111,10 @@ def _churn_run():
     trace = WorkloadGenerator(
         MODELS, kind="poisson", rate_rps=0.4, duration_s=60.0, seed=5
     ).generate()
-    churn = (
-        DeviceChurnEvent(10.0, "desktop", "fail"),
-        DeviceChurnEvent(30.0, "desktop", "recover"),
-        DeviceChurnEvent(40.0, "laptop", "fail"),
-    )
+    churn = FaultPlan.ordered(crash("desktop", at=10.0, until=30.0) + crash("laptop", at=40.0))
     runtime = ServingRuntime(MODELS, slo=SLOPolicy(admission=False))
     start = time.perf_counter()
-    report = runtime.run(trace, churn_events=churn)
+    report = runtime.run(trace, faults=churn)
     return report, time.perf_counter() - start
 
 

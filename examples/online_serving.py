@@ -14,7 +14,7 @@ continuous-serving runtime (`repro.serving`) through three scenarios:
 Run:  python examples/online_serving.py
 """
 
-from repro.serving import ServingRuntime, SLOPolicy, WorkloadGenerator, generate_churn
+from repro.serving import FaultPlan, ServingRuntime, SLOPolicy, WorkloadGenerator, generate_churn
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small", "image-classification-vitb16"]
 DURATION_S = 60.0
@@ -64,7 +64,7 @@ def main() -> None:
         duration_s=DURATION_S,
         seed=SEED,
     )
-    report = runtime.run(bursty, churn)
+    report = runtime.run(bursty, faults=FaultPlan.ordered(churn))
     print(report.render())
     assert report.completed + report.rejected == report.arrivals
     print(

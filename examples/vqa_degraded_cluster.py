@@ -13,7 +13,7 @@ Run:  python examples/vqa_degraded_cluster.py
 from repro.cluster.topology import build_testbed
 from repro.core.catalog import get_model, get_module
 from repro.core.engine import S2M3Engine
-from repro.core.routing.batching import BatchAggregator, batched_service_time
+from repro.core.routing.batching import batch_speedup, batched_service_time
 from repro.profiles.compute import DEFAULT_COMPUTE_MODEL
 from repro.profiles.devices import get_device_profile
 
@@ -46,11 +46,10 @@ def main() -> None:
     model = get_model(MODEL)
     head = get_module(model.head)
     device = get_device_profile("server")
-    aggregator = BatchAggregator(max_batch_size=32)
     print("LLM-head batching on the GPU server (footnote 4's scaling):")
     for batch in [1, 4, 8, 16]:
         seconds = batched_service_time(DEFAULT_COMPUTE_MODEL, head, device, model, batch)
-        speedup = aggregator.speedup(DEFAULT_COMPUTE_MODEL, head, device, model, batch)
+        speedup = batch_speedup(DEFAULT_COMPUTE_MODEL, head, device, model, batch)
         print(
             f"  batch {batch:>2}: {seconds:6.2f}s total, "
             f"{seconds / batch:5.2f}s/request (throughput x{speedup:.1f})"

@@ -370,21 +370,19 @@ def bench_validation(smoke: bool) -> dict:
 
 def bench_serving_churn(duration_s: float) -> dict:
     """Serve a Poisson trace through fail/recover churn; report recovery."""
-    from repro.serving import ServingRuntime, SLOPolicy, WorkloadGenerator
-    from repro.serving.churn import DeviceChurnEvent
+    from repro.serving import FaultPlan, ServingRuntime, SLOPolicy, WorkloadGenerator, crash
 
     models = ["clip-vit-b16", "encoder-vqa-small"]
     trace = WorkloadGenerator(
         models, kind="poisson", rate_rps=0.4, duration_s=duration_s, seed=5
     ).generate()
-    churn = (
-        DeviceChurnEvent(duration_s / 6, "desktop", "fail"),
-        DeviceChurnEvent(duration_s / 2, "desktop", "recover"),
-        DeviceChurnEvent(2 * duration_s / 3, "laptop", "fail"),
+    churn = FaultPlan.ordered(
+        crash("desktop", at=duration_s / 6, until=duration_s / 2)
+        + crash("laptop", at=2 * duration_s / 3)
     )
     runtime = ServingRuntime(models, slo=SLOPolicy(admission=False))
     start = time.perf_counter()
-    report = runtime.run(trace, churn_events=churn)
+    report = runtime.run(trace, faults=churn)
     wall_s = time.perf_counter() - start
     return {
         "duration_s": duration_s,
@@ -394,7 +392,7 @@ def bench_serving_churn(duration_s: float) -> dict:
         "rejected": report.rejected,
         "conservation_ok": report.completed + report.rejected == report.arrivals,
         "migrations": len(report.migrations),
-        "churn_events_applied": sum(1 for c in report.churn if c.applied),
+        "churn_applied": sum(1 for c in report.churn if c.applied),
         "p50_s": round(report.latency.p50, 4),
         "p95_s": round(report.latency.p95, 4),
         "switching_cost_s": round(

@@ -167,6 +167,7 @@ def serve_main(argv=None) -> int:
     from repro.serving import (
         WORKLOAD_KINDS,
         BrownoutPolicy,
+        FaultPlan,
         RetryPolicy,
         ServingRuntime,
         SLOPolicy,
@@ -302,12 +303,9 @@ def serve_main(argv=None) -> int:
         duration_s=args.duration,
         seed=args.seed,
     )
-    faults = (
-        fault_scenario(args.faults, duration_s=args.duration, seed=args.seed)
-        if args.faults
-        else None
-    )
-    report = runtime.run(trace, churn, faults=faults)
+    if args.faults:
+        churn += fault_scenario(args.faults, duration_s=args.duration, seed=args.seed).events
+    report = runtime.run(trace, faults=FaultPlan.ordered(churn))
     print(report.render(show_energy=args.energy))
     return 0
 

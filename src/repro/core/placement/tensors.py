@@ -4,8 +4,8 @@ Every placement solver in this repo prices candidates with the same three
 oracles: per-(model, module, device) compute seconds, device-pair transfer
 costs, and the Eq. 2/3 head/encoder topology of each model.  Re-deriving
 them per candidate through :class:`~repro.core.routing.latency.LatencyModel`
-Python calls dominates brute-force enumeration, branch-and-bound, and the
-serving churn path alike.
+Python calls dominates brute-force enumeration, branch-and-bound, and
+re-placement under serving faults alike.
 
 :class:`CostTensors` precomputes them **once per problem** as numpy arrays:
 

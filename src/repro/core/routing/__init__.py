@@ -6,13 +6,13 @@
 - :mod:`repro.core.routing.executor` — discrete-event execution of routed
   requests on a live cluster: parallel encoders, head join, queueing on
   shared modules, and pipelining across requests (Algorithm 1 lines 13-19).
-- :mod:`repro.core.routing.batching` — module-level batch aggregation
-  (the Sec. VI-C queueing remedy).
+- :mod:`repro.core.routing.batching` — module-level batch scaling and
+  its throughput gain (the Sec. VI-C queueing remedy).
 """
 
 from repro.core.routing.latency import LatencyBreakdown, LatencyModel, RoutingDecision
 from repro.core.routing.executor import ExecutionResult, RequestOutcome, execute_requests
-from repro.core.routing.batching import BatchAggregator, batched_service_time
+from repro.core.routing.batching import batch_speedup, batched_service_time
 from repro.core.routing.batched import execute_batched_burst
 from repro.core.routing.queue_aware import QueueAwareRouter
 
@@ -23,7 +23,7 @@ __all__ = [
     "ExecutionResult",
     "RequestOutcome",
     "execute_requests",
-    "BatchAggregator",
+    "batch_speedup",
     "batched_service_time",
     "execute_batched_burst",
     "QueueAwareRouter",

@@ -1,16 +1,14 @@
-"""Module-level batch aggregation (paper Sec. VI-C, "Multiple requests").
+"""Module-level batch scaling (paper Sec. VI-C, "Multiple requests").
 
 The paper's remedy for shared-module queueing is to aggregate requests that
 target the same module — from the same task or from different tasks — and
 process them as one batch, with the near-linear batch scaling of footnote 4.
+:func:`~repro.core.routing.batched.execute_batched_burst` does the grouping;
+this module prices a batch and its throughput gain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-from repro.cluster.requests import InferenceRequest
 from repro.core.models import ModelSpec
 from repro.core.modules import ModuleSpec
 from repro.profiles.compute import ComputeModel
@@ -28,59 +26,18 @@ def batched_service_time(
     return compute_model.seconds(module, device, model=model, batch_size=batch_size)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A group of requests aggregated onto one module execution."""
-
-    module_name: str
-    requests: Tuple[InferenceRequest, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.requests)
-
-
-class BatchAggregator:
-    """Groups pending requests by target module, up to a max batch size.
-
-    Requests for *different* models can share a batch when they route to the
-    same module — the paper's cross-task aggregation ("group all the images
-    that will be injected into the same vision encoder").
-    """
-
-    def __init__(self, max_batch_size: int = 16) -> None:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        self.max_batch_size = max_batch_size
-
-    def aggregate(
-        self, pending: Sequence[Tuple[InferenceRequest, str]]
-    ) -> List[Batch]:
-        """Form batches from (request, module_name) pairs, FIFO within module."""
-        by_module: Dict[str, List[InferenceRequest]] = {}
-        for request, module_name in pending:
-            by_module.setdefault(module_name, []).append(request)
-        batches: List[Batch] = []
-        for module_name, requests in by_module.items():
-            requests.sort(key=lambda r: (r.arrival_time, r.request_id))
-            for lo in range(0, len(requests), self.max_batch_size):
-                chunk = tuple(requests[lo: lo + self.max_batch_size])
-                batches.append(Batch(module_name=module_name, requests=chunk))
-        return batches
-
-    def speedup(
-        self,
-        compute_model: ComputeModel,
-        module: ModuleSpec,
-        device: DeviceProfile,
-        model: ModelSpec,
-        batch_size: int,
-    ) -> float:
-        """Throughput gain of batching vs. one-at-a-time processing."""
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        single = compute_model.seconds(module, device, model=model, batch_size=1)
-        batched = batched_service_time(compute_model, module, device, model, batch_size)
-        if batched <= 0:
-            return 1.0
-        return single * batch_size / batched
+def batch_speedup(
+    compute_model: ComputeModel,
+    module: ModuleSpec,
+    device: DeviceProfile,
+    model: ModelSpec,
+    batch_size: int,
+) -> float:
+    """Throughput gain of batching vs. one-at-a-time processing."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    single = compute_model.seconds(module, device, model=model, batch_size=1)
+    batched = batched_service_time(compute_model, module, device, model, batch_size)
+    if batched <= 0:
+        return 1.0
+    return single * batch_size / batched

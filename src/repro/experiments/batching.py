@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.catalog import get_model, get_module
-from repro.core.routing.batching import BatchAggregator, batched_service_time
+from repro.core.routing.batching import batch_speedup, batched_service_time
 from repro.profiles.calibration import BATCH_ANCHORS
 from repro.profiles.compute import DEFAULT_COMPUTE_MODEL
 from repro.profiles.devices import get_device_profile
@@ -34,12 +34,11 @@ def run_batching(batch_sizes: Optional[List[int]] = None) -> List[BatchPoint]:
     model = get_model(MODEL)
     module = get_module(model.head)
     device = get_device_profile(DEVICE)
-    aggregator = BatchAggregator(max_batch_size=64)
     paper = dict(BATCH_ANCHORS)
     points = []
     for batch in batch_sizes if batch_sizes is not None else [1, 10, 20]:
         seconds = batched_service_time(DEFAULT_COMPUTE_MODEL, module, device, model, batch)
-        speedup = aggregator.speedup(DEFAULT_COMPUTE_MODEL, module, device, model, batch)
+        speedup = batch_speedup(DEFAULT_COMPUTE_MODEL, module, device, model, batch)
         points.append(
             BatchPoint(
                 batch_size=batch,

@@ -43,8 +43,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.federation.topology import FederationTopology
 from repro.profiles.devices import edge_device_names
-from repro.serving.churn import FAIL, RECOVER
-from repro.serving.faults import FaultPlan
+from repro.serving.faults import FAIL, RECOVER, FaultPlan
 from repro.serving.workload import Arrival, ArrivalTrace
 
 #: Default spillover request payload in megabytes (the input an edge

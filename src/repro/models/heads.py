@@ -53,9 +53,6 @@ class CosineSimilarityHead:
     def scores(self, image_embedding: np.ndarray, text_embeddings: np.ndarray) -> np.ndarray:
         return cosine_scores(image_embedding, text_embeddings)
 
-    def scores_batch(self, image_embeddings: np.ndarray, text_embeddings: np.ndarray) -> np.ndarray:
-        return cosine_scores_batch(image_embeddings, text_embeddings)
-
 
 class InfoNCEHead:
     """Cross-modal alignment head: symmetric InfoNCE over an embedding batch."""

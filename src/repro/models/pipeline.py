@@ -73,10 +73,6 @@ class _BasePipeline:
         encoder = self.model.encoder_of_kind(ModuleKind.TEXT_ENCODER)
         return self._ship(encoder.encode_prompt_set(prompts))
 
-    def embed_audio(self, clip: np.ndarray) -> np.ndarray:
-        encoder = self.model.encoder_of_kind(ModuleKind.AUDIO_ENCODER)
-        return self._ship(encoder(clip))
-
     def embed_audios(self, clips: np.ndarray) -> np.ndarray:
         """Embed a (batch, AUDIO_DIM) stack in ONE batched forward."""
         encoder = self.model.encoder_of_kind(ModuleKind.AUDIO_ENCODER)

@@ -7,9 +7,9 @@ The batch experiments evaluate one-shot request sets; this package serves
   bursty (MMPP), and diurnal arrival processes over the model catalog.
 - :class:`SLOPolicy` — per-request deadlines and admission control.
 - :class:`FaultPlan` / :func:`fault_scenario` — typed, seeded fault
-  injection: device crash/recover (subsuming the legacy
-  :func:`generate_churn` schedules), straggler slowdowns, link
-  degradation/cuts, and correlated regional outages.
+  injection, the runtime's one fault input: device crash/recover
+  (including seeded :func:`generate_churn` streams), straggler
+  slowdowns, link degradation/cuts, and correlated regional outages.
 - :class:`RetryPolicy` / :class:`BrownoutPolicy` — graceful degradation:
   per-attempt timeouts with a bounded retry budget (exhausted requests
   terminate as *timed out*, the report's third terminal state), and
@@ -43,15 +43,16 @@ Quickstart::
     print(report.render())
 """
 
-from repro.serving.churn import FAIL, RECOVER, DeviceChurnEvent, generate_churn
 from repro.serving.engine import FlatServingEngine
 from repro.serving.faults import (
+    FAIL,
+    RECOVER,
     BrownoutPolicy,
     FaultEvent,
     FaultPlan,
-    compile_faults,
     crash,
     degrade_link,
+    generate_churn,
     regional_outage,
     slowdown,
 )
@@ -76,7 +77,6 @@ __all__ = [
     "BrownoutPolicy",
     "BrownoutRecord",
     "ChurnRecord",
-    "DeviceChurnEvent",
     "DeviceEnergy",
     "EnergyReport",
     "FAIL",
@@ -93,7 +93,6 @@ __all__ = [
     "ServingRuntime",
     "WORKLOAD_KINDS",
     "WorkloadGenerator",
-    "compile_faults",
     "crash",
     "degrade_link",
     "fault_scenario",

@@ -53,8 +53,7 @@ from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.problem import Placement, PlacementProblem
 from repro.core.routing.latency import RoutingDecision
 from repro.profiles.energy import resolve_energy_profile
-from repro.serving.churn import FAIL, RECOVER
-from repro.serving.faults import LINK_DEGRADE, SLOW, SLOW_END, FaultEvent
+from repro.serving.faults import FAIL, LINK_DEGRADE, RECOVER, SLOW, SLOW_END, FaultEvent
 from repro.serving.report import (
     BrownoutRecord,
     ChurnRecord,
@@ -265,8 +264,8 @@ class FlatServingEngine:
         # same way to the last ulp.  Arrivals are fed as one stream in
         # stable time order: equal times keep trace order, so an unsorted
         # trace dispatches as if each arrival were pushed at its time in
-        # trace order.  The fault stream arrives pre-sorted from
-        # compile_faults.
+        # trace order.  The fault stream arrives in
+        # FaultPlan.ordered's stable (time, label) order.
         loop = self._loop
         order = np.argsort(self._arrival_times, kind="stable")
         loop.feed(memoryview(self._arrival_times[order]), self._on_arrival, memoryview(order))

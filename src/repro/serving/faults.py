@@ -1,13 +1,13 @@
 """Typed, seeded fault injection for the serving runtime.
 
-:class:`FaultPlan` generalizes the binary fail/recover churn of
-:mod:`repro.serving.churn` into a validated schedule of **fault events**
-(the golden :meth:`~repro.serving.report.ServingReport.digest` contract
-extends to faulted runs):
+A :class:`FaultPlan` is the one input through which faults reach
+:meth:`ServingRuntime.run <repro.serving.runtime.ServingRuntime.run>`: a
+validated schedule of **fault events** (the golden
+:meth:`~repro.serving.report.ServingReport.digest` contract extends to
+faulted runs):
 
-- ``fail`` / ``recover`` — device crash/comeback, exactly today's
-  :class:`~repro.serving.churn.DeviceChurnEvent` semantics (feasibility
-  probe, queue flush, adaptive re-placement with switching cost);
+- ``fail`` / ``recover`` — device crash/comeback (feasibility probe, queue
+  flush, adaptive re-placement with switching cost);
 - ``slow`` / ``slow-end`` — a *straggler* window: the device's compute
   service times are multiplied by ``factor`` (> 1 slows, < 1 speeds up)
   until the matching ``slow-end``.  Routing, wait estimates, and the
@@ -23,6 +23,11 @@ extends to faulted runs):
   lost, re-placement triggered) and rejoin when connectivity returns;
 - a **regional outage** is a correlated group of ``fail`` events carrying a
   shared ``region`` tag (see :func:`regional_outage`).
+
+Builders turn common shapes into event lists: :func:`crash`,
+:func:`slowdown`, :func:`degrade_link`, :func:`regional_outage`, and
+:func:`generate_churn` (a seeded Poisson stream of fail/recover events).
+Combine their output with :meth:`FaultPlan.ordered`.
 
 All times are **seconds** of simulated time.  Validation is strict and
 front-loaded: malformed events (negative/NaN times, unknown kinds, bad
@@ -42,12 +47,14 @@ collapsing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.serving.churn import FAIL, RECOVER, DeviceChurnEvent
+from repro.utils.seeding import rng_for
 
-#: Fault-event kinds (``FAIL``/``RECOVER`` are re-used from churn).
+#: Fault-event kinds.
+FAIL = "fail"
+RECOVER = "recover"
 SLOW = "slow"
 SLOW_END = "slow-end"
 LINK_DEGRADE = "link-degrade"
@@ -208,26 +215,6 @@ class FaultPlan:
             )
 
 
-def compile_faults(
-    faults: Optional[FaultPlan],
-    churn_events: Iterable[DeviceChurnEvent] = (),
-) -> Tuple[FaultEvent, ...]:
-    """Merge a fault plan with legacy churn events into one sorted stream.
-
-    Churn events are converted to fail/recover :class:`FaultEvent` and
-    sorted by ``(time, device)`` exactly like the runtime always has; plan
-    events merge in by the same stable ``(time, label)`` key.
-    """
-    converted = [
-        FaultEvent(time=e.time, kind=e.kind, device=e.device)
-        for e in churn_events
-    ]
-    plan_events = list(faults.events) if faults is not None else []
-    if not plan_events:
-        return tuple(sorted(converted, key=_sort_key))
-    return tuple(sorted(converted + plan_events, key=_sort_key))
-
-
 # ======================================================================
 # Builders (convenience constructors for common fault shapes)
 # ======================================================================
@@ -286,6 +273,57 @@ def regional_outage(
             for name in devices
         )
     return events
+
+
+def generate_churn(
+    device_names: Sequence[str],
+    requester: str,
+    rate_per_s: float,
+    duration_s: float,
+    seed: int = 0,
+    min_live: int = 2,
+) -> List[FaultEvent]:
+    """A seeded Poisson stream of fail/recover events at ``rate_per_s``
+    events/second over ``[0, duration_s)``.
+
+    The requester never fails (it holds the input data), a device must be
+    live to fail and failed to recover, and at least ``min_live`` devices
+    stay up.  Whether the placement stays feasible after a failure is
+    checked by the runtime when the event applies.  Returns an empty list
+    when ``rate_per_s`` is 0; a negative or non-finite rate and a
+    non-positive or non-finite duration raise :class:`ValueError`.
+    """
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    if not 0 <= rate_per_s < math.inf:
+        raise ValueError(f"rate_per_s must be finite and non-negative, got {rate_per_s}")
+    if rate_per_s == 0:
+        return []
+    rng = rng_for("serving-churn", seed)
+    live = list(device_names)
+    failed: List[str] = []
+    events: List[FaultEvent] = []
+    now = 0.0
+    while True:
+        now += float(rng.exponential(1.0 / rate_per_s))
+        if now >= duration_s:
+            return events
+        can_fail = [name for name in live if name != requester] if len(live) > min_live else []
+        can_recover = list(failed)
+        if not can_fail and not can_recover:
+            continue
+        # Prefer recovery half the time when both moves are possible so the
+        # pool oscillates instead of draining to the floor and staying there.
+        if can_fail and (not can_recover or float(rng.uniform()) < 0.5):
+            device = can_fail[int(rng.integers(len(can_fail)))]
+            live.remove(device)
+            failed.append(device)
+            events.append(FaultEvent(time=now, kind=FAIL, device=device))
+        else:
+            device = can_recover[int(rng.integers(len(can_recover)))]
+            failed.remove(device)
+            live.append(device)
+            events.append(FaultEvent(time=now, kind=RECOVER, device=device))
 
 
 # ======================================================================

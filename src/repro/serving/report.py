@@ -238,13 +238,6 @@ class ServingReport:
         return self.slo_met / self.arrivals
 
     @property
-    def completion_rate(self) -> float:
-        """Fraction of arrivals that were admitted and completed."""
-        if self.arrivals == 0:
-            return 1.0
-        return self.completed / self.arrivals
-
-    @property
     def joules_per_request(self) -> float:
         """Total cluster joules per completed request (0 when untracked or
         nothing completed)."""

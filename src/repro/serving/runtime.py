@@ -1,4 +1,4 @@
-"""The online serving runtime: streaming requests, SLOs, churn, re-placement.
+"""The online serving runtime: streaming requests, SLOs, faults, re-placement.
 
 This is the continuous-serving counterpart of the one-shot batch executors
 in :mod:`repro.core.routing`.  A :class:`ServingRuntime` validates a
@@ -22,10 +22,11 @@ request through:
    each chunk as ONE batched service (footnote 4 scaling via
    :func:`~repro.core.routing.batching.batched_service_time` semantics),
    which is how a burst of requests sharing a vision encoder amortizes it.
-4. **Fault handling** — injected faults (:mod:`repro.serving.faults`,
-   generalizing the fail/recover churn of :mod:`repro.serving.churn`)
-   flush a lost device's queues, mark in-flight work lost (detected at
-   service completion, like a timeout), and trigger the
+4. **Fault handling** — injected faults (a
+   :class:`~repro.serving.faults.FaultPlan`: device fail/recover,
+   stragglers, link faults, regional outages) flush a lost device's
+   queues, mark in-flight work lost (detected at service completion, like
+   a timeout), and trigger the
    :class:`~repro.core.placement.adaptive.AdaptivePlacementController`:
    stranded modules force a migration whose switching cost is charged as
    simulated re-loading delay before the new placement takes effect.
@@ -58,16 +59,15 @@ Modeling assumptions (documented, load-bearing):
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
 from repro.core.engine import PlacementAlgorithm, S2M3Engine
 from repro.core.placement.problem import Placement, PlacementProblem
 from repro.profiles.devices import edge_device_names
-from repro.serving.churn import DeviceChurnEvent
 from repro.serving.engine import FlatServingEngine
-from repro.serving.faults import BrownoutPolicy, FaultPlan, compile_faults
+from repro.serving.faults import BrownoutPolicy, FaultPlan
 from repro.serving.report import ServingReport
 from repro.serving.slo import RetryPolicy, SLOPolicy
 from repro.serving.workload import ArrivalTrace
@@ -193,8 +193,17 @@ class ServingRuntime:
     ) -> None:
         if not models:
             raise ValueError("need at least one model to serve")
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+        for name, count in (
+            ("max_batch_size", max_batch_size),
+            ("recent_window", recent_window),
+            ("scale_down_idle_rounds", scale_down_idle_rounds),
+            ("max_replicas", max_replicas),
+            ("max_events", 1 if max_events is None else max_events),
+        ):
+            # The check execute_batched_burst makes: True, 2.0 and NaN are
+            # not counts (a float batch cap dies mid-run slicing a queue).
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {count!r}")
         # Written as negated comparisons so NaN fails them too.
         if not 0 <= batch_window_s < math.inf:
             raise ValueError(
@@ -206,20 +215,12 @@ class ServingRuntime:
             )
         if scale_up_backlog_s is not None and not scale_up_backlog_s > 0:
             raise ValueError(f"scale_up_backlog_s must be positive, got {scale_up_backlog_s}")
-        if scale_down_idle_rounds < 1:
-            raise ValueError(f"scale_down_idle_rounds must be >= 1, got {scale_down_idle_rounds}")
         if not scale_up_speed_ratio >= 1:
             raise ValueError(f"scale_up_speed_ratio must be >= 1, got {scale_up_speed_ratio}")
-        if max_replicas < 1:
-            raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
         if not adapt_expected_requests >= 1:
             raise ValueError(
                 f"adapt_expected_requests must be >= 1, got {adapt_expected_requests}"
             )
-        if not recent_window >= 1:
-            raise ValueError(f"recent_window must be >= 1, got {recent_window}")
-        if max_events is not None and max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
         if congestion_aware and placement_algorithm is not None:
             raise ValueError(
                 "congestion_aware installs its own placement algorithm; "
@@ -296,22 +297,19 @@ class ServingRuntime:
     # ==================================================================
     # Run
     # ==================================================================
-    def run(
-        self,
-        trace: ArrivalTrace,
-        churn_events: Iterable[DeviceChurnEvent] = (),
-        faults: Optional[FaultPlan] = None,
-    ) -> ServingReport:
-        """Serve ``trace`` (optionally under churn/faults); returns the report.
+    def run(self, trace: ArrivalTrace, faults: Optional[FaultPlan] = None) -> ServingReport:
+        """Serve ``trace``, optionally under a fault plan; returns the report.
 
-        ``churn_events`` (legacy fail/recover deltas) and ``faults`` (a
-        typed :class:`~repro.serving.faults.FaultPlan` adding stragglers,
-        link faults and regional outages) merge into one time-sorted
-        injection stream.  The plan is validated against the device pool
-        and network topology *before* any serving starts — unknown names
-        raise :class:`ValueError`, never silently skip.  So does an arrival
-        whose time is negative, infinite or NaN: the error names the first
-        such arrival's index.
+        ``faults`` is the only fault input: a
+        :class:`~repro.serving.faults.FaultPlan` of device fail/recover
+        events (e.g. from :func:`~repro.serving.faults.generate_churn`),
+        stragglers, link faults and regional outages.  The plan is
+        validated against the device pool and network topology *before*
+        any serving starts — unknown names raise :class:`ValueError`, never
+        silently skip — and its events are replayed in the stable
+        ``(time, label)`` order of :meth:`FaultPlan.ordered`.  An arrival
+        whose time is negative, infinite or NaN raises too: the error names
+        the first such arrival's index.
 
         The report enforces conservation: every arrival is completed,
         rejected, or timed out, never lost — a violation raises
@@ -326,10 +324,13 @@ class ServingRuntime:
                     f"arrival {index} has time {arrival.time!r}; arrival times "
                     "must be finite and non-negative"
                 )
+        events = ()
         if faults is not None:
+            if not isinstance(faults, FaultPlan):
+                raise TypeError(f"faults must be a FaultPlan, got {type(faults).__name__}")
             pool = set(self.device_names) | {self.requester}
             # build_testbed always wires the paper's Table III topology, so
             # a fresh Network validates link names exactly.
             faults.validate_for(sorted(pool), network=Network())
-        fault_events = compile_faults(faults, churn_events)
-        return FlatServingEngine(self).run(trace, fault_events)
+            events = FaultPlan.ordered(faults.events).events
+        return FlatServingEngine(self).run(trace, events)

@@ -1,65 +1,23 @@
-"""Batch aggregation (Sec. VI-C) and the ridge-calibration machinery."""
+"""Batch scaling (Sec. VI-C) and the ridge-calibration machinery."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.requests import InferenceRequest
 from repro.core.catalog import get_model, get_module
-from repro.core.routing.batching import BatchAggregator, batched_service_time
+from repro.core.routing.batching import batch_speedup, batched_service_time
 from repro.models.weights import calibrate_projection, ridge_apply, ridge_fit
 from repro.profiles.compute import DEFAULT_COMPUTE_MODEL
 from repro.profiles.devices import get_device_profile
 from repro.utils.seeding import rng_for
 
 
-class TestBatchAggregator:
-    def _requests(self, count, model="clip-vit-b16"):
-        return [InferenceRequest.for_model(model, "jetson-a") for _ in range(count)]
-
-    def test_groups_by_module(self):
-        aggregator = BatchAggregator(max_batch_size=8)
-        pending = [(r, "clip-vit-b16-vision") for r in self._requests(3)]
-        pending += [(r, "clip-trf-38m") for r in self._requests(2)]
-        batches = aggregator.aggregate(pending)
-        sizes = {b.module_name: b.size for b in batches}
-        assert sizes == {"clip-vit-b16-vision": 3, "clip-trf-38m": 2}
-
-    def test_splits_at_max_batch_size(self):
-        aggregator = BatchAggregator(max_batch_size=2)
-        pending = [(r, "clip-vit-b16-vision") for r in self._requests(5)]
-        batches = aggregator.aggregate(pending)
-        assert sorted(b.size for b in batches) == [1, 2, 2]
-
-    def test_cross_task_requests_share_a_batch(self):
-        # The paper: "aggregating requests — either from the same task or
-        # from different tasks but sharing the same module".
-        aggregator = BatchAggregator(max_batch_size=8)
-        retrieval = self._requests(2, "clip-vit-b16")
-        vqa = self._requests(2, "encoder-vqa-small")
-        pending = [(r, "clip-vit-b16-vision") for r in retrieval + vqa]
-        batches = aggregator.aggregate(pending)
-        assert len(batches) == 1
-        assert batches[0].size == 4
-
-    def test_fifo_within_module(self):
-        aggregator = BatchAggregator(max_batch_size=10)
-        requests = self._requests(3)
-        pending = [(r, "clip-vit-b16-vision") for r in reversed(requests)]
-        batch = aggregator.aggregate(pending)[0]
-        ids = [r.request_id for r in batch.requests]
-        assert ids == sorted(ids)
-
-    def test_invalid_max_batch(self):
-        with pytest.raises(ValueError):
-            BatchAggregator(max_batch_size=0)
-
+class TestBatchScaling:
     def test_speedup_grows_with_batch(self):
-        aggregator = BatchAggregator()
         model = get_model("llava-next-7b")
         module = get_module(model.head)
         device = get_device_profile("server")
-        s2 = aggregator.speedup(DEFAULT_COMPUTE_MODEL, module, device, model, 2)
-        s8 = aggregator.speedup(DEFAULT_COMPUTE_MODEL, module, device, model, 8)
+        s2 = batch_speedup(DEFAULT_COMPUTE_MODEL, module, device, model, 2)
+        s8 = batch_speedup(DEFAULT_COMPUTE_MODEL, module, device, model, 8)
         assert 1.0 < s2 < s8
 
     def test_batched_time_monotone(self):

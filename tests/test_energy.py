@@ -389,9 +389,9 @@ class TestServingEnergyConservation:
         )
         return runtime, trace
 
-    def _run(self, track_energy=True, duration=12.0, churn=()):
+    def _run(self, track_energy=True, duration=12.0, faults=None):
         runtime, trace = self._setup(track_energy, duration)
-        report = runtime.run(trace, churn_events=churn)
+        report = runtime.run(trace, faults=faults)
         return runtime, report
 
     def test_active_plus_idle_equals_wall_clock_integral(self):
@@ -445,14 +445,10 @@ class TestServingEnergyConservation:
         assert "energy:" not in report.render(show_energy=True)
 
     def test_conservation_under_churn(self):
-        from repro.serving.churn import DeviceChurnEvent
+        from repro.serving import FaultPlan, crash
 
         runtime, report = self._run(
-            duration=16.0,
-            churn=(
-                DeviceChurnEvent(4.0, "desktop", "fail"),
-                DeviceChurnEvent(10.0, "desktop", "recover"),
-            ),
+            duration=16.0, faults=FaultPlan.ordered(crash("desktop", at=4.0, until=10.0))
         )
         assert report.completed + report.rejected == report.arrivals
         assert report.energy is not None

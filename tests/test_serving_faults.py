@@ -29,7 +29,6 @@ from repro.serving import (
     ServingRuntime,
     SLOPolicy,
     WorkloadGenerator,
-    compile_faults,
     crash,
     degrade_link,
     fault_scenario,
@@ -37,7 +36,6 @@ from repro.serving import (
     scenario_names,
     slowdown,
 )
-from repro.serving.churn import DeviceChurnEvent
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 
@@ -170,13 +168,12 @@ class TestBuilders:
         with pytest.raises(ValueError, match="at least one device"):
             regional_outage([], start=2.0)
 
-    def test_compile_merges_churn_and_plan(self):
-        plan = FaultPlan.ordered(slowdown("laptop", factor=2.0, start=3.0, end=9.0))
-        churn = [DeviceChurnEvent(5.0, "desktop", "fail")]
-        merged = compile_faults(plan, churn)
-        assert [e.time for e in merged] == [3.0, 5.0, 9.0]
-        assert [e.kind for e in merged] == ["slow", "fail", "slow-end"]
-        assert compile_faults(None, ()) == ()
+    def test_ordered_merges_churn_and_plan(self):
+        churn = crash("desktop", at=5.0)
+        merged = FaultPlan.ordered(churn + slowdown("laptop", factor=2.0, start=3.0, end=9.0))
+        assert [e.time for e in merged.events] == [3.0, 5.0, 9.0]
+        assert [e.kind for e in merged.events] == ["slow", "fail", "slow-end"]
+        assert FaultPlan.ordered(()).events == ()
 
 
 class TestScenarios:

@@ -42,17 +42,18 @@ def _run(*, models=MODELS, kind="poisson", rate=0.4, duration=30.0, seed=0,
         models, kind=kind, rate_rps=rate, duration_s=duration, seed=seed
     ).generate()
     runtime = ServingRuntime(models, **(runtime_kwargs or {}))
-    churn = ()
+    events = []
     if churn_rate:
-        churn = generate_churn(
+        events = generate_churn(
             runtime.device_names,
             requester=runtime.requester,
             rate_per_s=churn_rate,
             duration_s=duration,
             seed=seed,
         )
-    plan = fault_scenario(faults, duration_s=duration, seed=seed) if faults else None
-    return runtime.run(trace, churn_events=churn, faults=plan)
+    if faults:
+        events += fault_scenario(faults, duration_s=duration, seed=seed).events
+    return runtime.run(trace, faults=FaultPlan.ordered(events))
 
 
 CONFIGS = [

@@ -14,18 +14,28 @@ none, and autoscale on or off, then checks four properties:
   is still applied (and logged, and may migrate) after the last request,
   and the run's clock runs on to it.
 
+A fifth property fuzzes the fault boundary: each example draws one
+malformed ingredient (an unknown device or link, a cut never restored, a
+bad time or factor, an unsorted plan, bad ``generate_churn`` arguments)
+and checks that it raises a ``ValueError`` naming the bad value before the
+engine schedules any event.
+
 The search is derandomized and small so tier-1 wall time stays bounded.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.profiles.communication import LINK_PROFILES
 from repro.serving import (
+    FAIL,
+    RECOVER,
     BrownoutPolicy,
+    FaultEvent,
     FaultPlan,
     RetryPolicy,
     ServingRuntime,
@@ -33,9 +43,11 @@ from repro.serving import (
     WorkloadGenerator,
     crash,
     degrade_link,
+    generate_churn,
     regional_outage,
     slowdown,
 )
+from repro.serving.engine import FlatServingEngine
 from repro.serving.workload import WORKLOAD_KINDS, Arrival, ArrivalTrace
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
@@ -183,3 +195,85 @@ def test_timeout_shorter_than_service_with_unbounded_retries():
         retry=RetryPolicy(timeout_s=1.0, max_retries=2), max_events=20_000,
     ).run(trace)
     assert (report.arrivals, report.timed_out) == (1, 1)
+
+
+#: Devices outside the runtime's pool, and node pairs with no direct link.
+UNKNOWN_DEVICES = ("mainframe", "server", "jetson-c")
+UNLINKED_PAIRS = (("desktop", "laptop"), ("jetson-a", "mainframe"), ("server", "pan-router"))
+BAD_TIMES = (float("nan"), float("inf"), -1.0, -1e-9)
+
+
+@st.composite
+def malformed_fault_inputs(draw):
+    """``(build, bad)``: ``build()`` makes one malformed fault plan (or
+    raises first), and ``bad`` is the text its error must contain."""
+    shape = draw(st.sampled_from(
+        ("device", "link", "cut", "time", "slow", "link-factor", "unsorted", "churn-args",
+         "churn-device")
+    ))
+    t = draw(st.sampled_from((0.0, 2.5, 7.0)))
+    if shape == "device":
+        name = draw(st.sampled_from(UNKNOWN_DEVICES))
+        kind = draw(st.sampled_from((FAIL, RECOVER)))
+        return (lambda: FaultPlan((FaultEvent(time=t, kind=kind, device=name),))), repr(name)
+    if shape == "link":
+        a, b = draw(st.sampled_from(UNLINKED_PAIRS))
+        return (lambda: FaultPlan.ordered(degrade_link(a, b, 0.5, start=t, end=t + 1))), f"{a!r} <-> {b!r}"
+    if shape == "cut":
+        a, b = draw(st.sampled_from(LINKS))
+        low, high = sorted((a, b))  # the error names the link in name order
+        return (lambda: FaultPlan.ordered(degrade_link(a, b, 0.0, start=t))), f"{low!r} <-> {high!r}"
+    if shape == "time":
+        bad = draw(st.sampled_from(BAD_TIMES))
+        build = draw(st.sampled_from((
+            lambda: crash("desktop", at=bad),
+            lambda: slowdown("laptop", factor=2.0, start=bad, end=9.0),
+            lambda: degrade_link("desktop", "pan-router", 0.5, start=bad),
+            lambda: regional_outage(["desktop", "jetson-b"], start=bad),
+        )))
+        return (lambda: FaultPlan.ordered(build())), repr(bad)
+    if shape == "slow":
+        bad = draw(st.sampled_from((0.0, -2.0, float("nan"), float("inf"))))
+        return (lambda: FaultPlan.ordered(slowdown("laptop", bad, start=t, end=t + 1))), repr(bad)
+    if shape == "link-factor":
+        bad = draw(st.sampled_from((1.0, 1.5, -0.1, float("nan"), float("inf"))))
+        return (
+            lambda: FaultPlan.ordered(degrade_link("desktop", "pan-router", bad, start=t, end=t + 1))
+        ), repr(bad)
+    if shape == "unsorted":
+        early = draw(st.sampled_from((0.5, 1.0, 2.0)))
+        return (lambda: FaultPlan(crash("desktop", at=5.0) + crash("laptop", at=early))), f"t={early}"
+    if shape == "churn-args":
+        rate, duration = draw(st.sampled_from((
+            (-0.1, 10.0), (float("nan"), 10.0), (0.1, 0.0), (0.1, -5.0), (0.0, 0.0),
+        )))
+        bad = rate if not 0 <= rate else duration
+        return (
+            lambda: FaultPlan.ordered(generate_churn(DEVICES, "jetson-a", rate, duration))
+        ), repr(bad)
+    # A churn stream over a pool with a device the runtime does not have:
+    # with one other device and min_live=1, the first event fails it.
+    name = draw(st.sampled_from(UNKNOWN_DEVICES))
+    seed = draw(st.integers(0, 20))
+    return (
+        lambda: FaultPlan.ordered(
+            generate_churn([name, "jetson-a"], "jetson-a", 1.0, 50.0, seed=seed, min_live=1)
+        )
+    ), repr(name)
+
+
+@given(case=malformed_fault_inputs())
+@example(case=(lambda: FaultPlan.ordered(crash("mainframe", at=5.0)), "'mainframe'"))
+@settings(max_examples=60, deadline=1000, derandomize=True, database=None)
+def test_malformed_fault_input_raises_before_serving(case):
+    """The explicit example is a crash of a device outside the pool.  A
+    legacy unvalidated churn input used to serve it to the end, logging the
+    crash as applied."""
+    build, bad = case
+    trace = ArrivalTrace(
+        arrivals=(Arrival(1.0, "clip-vit-b16"),), duration_s=10.0, kind="poisson", seed=0
+    )
+    with mock.patch.object(FlatServingEngine, "run", side_effect=AssertionError("served")):
+        with pytest.raises(ValueError) as raised:
+            ServingRuntime(MODELS).run(trace, faults=build())
+    assert bad in str(raised.value)

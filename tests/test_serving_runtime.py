@@ -5,10 +5,11 @@ from conftest import SERVING_MODELS, TESTBED_DEVICES, burst_trace
 
 from repro.__main__ import main
 from repro.serving import (
-    DeviceChurnEvent,
+    FaultPlan,
     ServingRuntime,
     SLOPolicy,
     WorkloadGenerator,
+    crash,
     generate_churn,
 )
 from repro.serving.workload import Arrival, ArrivalTrace
@@ -22,10 +23,10 @@ class TestDeterminism:
         """Same seed -> identical arrival trace -> identical serving metrics,
         even though request ids differ between runs (global counter)."""
         gen = WorkloadGenerator(MODELS, kind="bursty", rate_rps=0.4, duration_s=40.0, seed=3)
-        churn = generate_churn(DEVICES, "jetson-a", 0.08, 40.0, seed=3)
+        churn = FaultPlan.ordered(generate_churn(DEVICES, "jetson-a", 0.08, 40.0, seed=3))
         runtime = ServingRuntime(MODELS)
-        first = runtime.run(gen.generate(), churn)
-        second = runtime.run(gen.generate(), churn)
+        first = runtime.run(gen.generate(), faults=churn)
+        second = runtime.run(gen.generate(), faults=churn)
         assert first.metrics_tuple() == second.metrics_tuple()
         assert first.migrations == second.migrations
         assert [(c.time, c.device, c.kind, c.applied) for c in first.churn] == [
@@ -93,13 +94,23 @@ class TestServingBasics:
         with pytest.raises(ValueError):
             SLOPolicy(latency_multiplier=0.5)
 
-    # recent_window=0 made ``recents[-0:]`` price every re-placement with
-    # every request ever admitted while ``del recents[:-0]`` never trimmed
-    # the list; a negative window trimmed the wrong end.
-    @pytest.mark.parametrize("window", [0, -1, -32])
-    def test_recent_window_below_one_rejected(self, window):
-        with pytest.raises(ValueError, match="recent_window must be >= 1"):
-            ServingRuntime(MODELS, recent_window=window)
+    # Counts take only an int >= 1.  recent_window=0 made ``recents[-0:]``
+    # price every re-placement with every request ever admitted while
+    # ``del recents[:-0]`` never trimmed the list; a float max_batch_size
+    # passed the constructor and died mid-run slicing a queue; True ran as 1.
+    @pytest.mark.parametrize(
+        "setting, bad",
+        [
+            (setting, bad)
+            for setting in ("max_batch_size", "max_replicas", "scale_down_idle_rounds",
+                            "recent_window", "max_events")
+            for bad in (0, -1, True, 1.5, 2.0, float("nan"), "2", None)
+            if (setting, bad) != ("max_events", None)  # None: derive the cap
+        ],
+    )
+    def test_count_option_rejected_at_construction(self, setting, bad):
+        with pytest.raises(ValueError, match=f"{setting} must be an int >= 1"):
+            ServingRuntime(MODELS, **{setting: bad})
 
     # Checked at construction, under the runtime's own argument name, not
     # at the first churn controller built inside ``run``.
@@ -124,10 +135,10 @@ class TestChurn:
         """Failing a module-hosting device mid-stream forces re-placement;
         affected requests retry elsewhere and every arrival terminates."""
         trace = burst_trace(6, spacing_s=0.2)
-        churn = (DeviceChurnEvent(time=1.0, device="laptop", kind="fail"),)
+        churn = FaultPlan.ordered(crash("laptop", at=1.0))
         report = ServingRuntime(
             MODELS, slo=SLOPolicy(admission=False), replicate=False
-        ).run(trace, churn)
+        ).run(trace, faults=churn)
         assert report.completed + report.rejected == report.arrivals
         assert report.completed == report.arrivals  # admission off: none rejected
         assert report.retries > 0  # work was genuinely lost and re-placed
@@ -136,18 +147,15 @@ class TestChurn:
 
     def test_fail_then_recover_round_trip(self):
         trace = burst_trace(8, spacing_s=0.5)
-        churn = (
-            DeviceChurnEvent(time=1.0, device="laptop", kind="fail"),
-            DeviceChurnEvent(time=3.0, device="laptop", kind="recover"),
-        )
-        report = ServingRuntime(MODELS, slo=SLOPolicy(admission=False)).run(trace, churn)
+        churn = FaultPlan.ordered(crash("laptop", at=1.0, until=3.0))
+        report = ServingRuntime(MODELS, slo=SLOPolicy(admission=False)).run(trace, faults=churn)
         assert report.completed == report.arrivals
         assert [c.applied for c in report.churn] == [True, True]
 
     def test_requester_failure_skipped(self):
         trace = burst_trace(2)
-        churn = (DeviceChurnEvent(time=0.5, device="jetson-a", kind="fail"),)
-        report = ServingRuntime(MODELS).run(trace, churn)
+        churn = FaultPlan.ordered(crash("jetson-a", at=0.5))
+        report = ServingRuntime(MODELS).run(trace, faults=churn)
         assert not report.churn[0].applied
         assert "requester" in report.churn[0].detail
         assert report.completed + report.rejected == report.arrivals
@@ -155,13 +163,10 @@ class TestChurn:
     def test_infeasible_failure_skipped(self):
         """Draining the pool below what the modules need must be refused."""
         trace = burst_trace(2, model="clip-vit-l14")
-        churn = (
-            DeviceChurnEvent(time=0.2, device="laptop", kind="fail"),
-            DeviceChurnEvent(time=0.3, device="desktop", kind="fail"),
-        )
+        churn = FaultPlan.ordered(crash("laptop", at=0.2) + crash("desktop", at=0.3))
         report = ServingRuntime(
             ["clip-vit-l14"], slo=SLOPolicy(admission=False)
-        ).run(trace, churn)
+        ).run(trace, faults=churn)
         # The 304M ViT-L/14 tower (608 MB fp16) fits on neither 400 MB
         # Jetson, so losing BOTH big devices is refused.
         applied = [c.applied for c in report.churn]
@@ -174,31 +179,28 @@ class TestChurn:
         accumulation window, with recovery before the window expires, must
         not crash the woken server on an empty queue."""
         trace = burst_trace(6, spacing_s=0.2)
-        churn = (
-            DeviceChurnEvent(time=1.2, device="laptop", kind="fail"),
-            DeviceChurnEvent(time=1.6, device="laptop", kind="recover"),
-        )
+        churn = FaultPlan.ordered(crash("laptop", at=1.2, until=1.6))
         report = ServingRuntime(
             MODELS, slo=SLOPolicy(admission=False), batch_window_s=5.0
-        ).run(trace, churn)
+        ).run(trace, faults=churn)
         assert report.completed == report.arrivals
 
     def test_migration_stamped_at_decision_time(self):
         """The migration log attributes each migration to its triggering
         churn event, not to when the switching cost finished paying."""
         trace = burst_trace(4, spacing_s=0.5)
-        churn = (DeviceChurnEvent(time=1.0, device="laptop", kind="fail"),)
+        churn = FaultPlan.ordered(crash("laptop", at=1.0))
         report = ServingRuntime(
             MODELS, slo=SLOPolicy(admission=False), replicate=False
-        ).run(trace, churn)
+        ).run(trace, faults=churn)
         assert report.migrations
         assert report.migrations[0].time == pytest.approx(1.0)
 
     def test_generated_churn_conserves_under_bursty_load(self):
         trace = WorkloadGenerator(MODELS, kind="bursty", rate_rps=0.6, duration_s=50.0, seed=8).generate()
-        churn = generate_churn(DEVICES, "jetson-a", 0.1, 50.0, seed=8)
+        churn = FaultPlan.ordered(generate_churn(DEVICES, "jetson-a", 0.1, 50.0, seed=8))
         assert churn
-        report = ServingRuntime(MODELS, slo=SLOPolicy(admission=False)).run(trace, churn)
+        report = ServingRuntime(MODELS, slo=SLOPolicy(admission=False)).run(trace, faults=churn)
         assert report.completed == report.arrivals
         assert report.rejected == 0
 
@@ -210,10 +212,10 @@ class TestReplicaFailureMidStream:
         filters dead hosts, queued work on the dead device re-routes, and
         every arrival still terminates (conservation)."""
         trace = burst_trace(8, spacing_s=0.2)
-        churn = (DeviceChurnEvent(time=0.9, device="desktop", kind="fail"),)
+        churn = FaultPlan.ordered(crash("desktop", at=0.9))
         report = ServingRuntime(
             MODELS, slo=SLOPolicy(admission=False), replicate=True
-        ).run(trace, churn)
+        ).run(trace, faults=churn)
         assert report.churn[0].applied
         assert report.completed + report.rejected == report.arrivals
         assert report.completed == report.arrivals  # admission off
@@ -222,13 +224,10 @@ class TestReplicaFailureMidStream:
 
     def test_failed_replica_recovery_keeps_determinism(self):
         trace = burst_trace(10, spacing_s=0.3)
-        churn = (
-            DeviceChurnEvent(time=1.0, device="desktop", kind="fail"),
-            DeviceChurnEvent(time=3.0, device="desktop", kind="recover"),
-        )
+        churn = FaultPlan.ordered(crash("desktop", at=1.0, until=3.0))
         runtime = ServingRuntime(MODELS, slo=SLOPolicy(admission=False), replicate=True)
-        first = runtime.run(trace, churn)
-        second = runtime.run(trace, churn)
+        first = runtime.run(trace, faults=churn)
+        second = runtime.run(trace, faults=churn)
         assert first.metrics_tuple() == second.metrics_tuple()
 
 
@@ -250,10 +249,10 @@ class TestAutoscale:
 
     def test_autoscale_conserves_requests_under_churn(self):
         trace = self.overload_trace()
-        churn = generate_churn(DEVICES, "jetson-a", 0.15, 15.0, seed=5)
+        churn = FaultPlan.ordered(generate_churn(DEVICES, "jetson-a", 0.15, 15.0, seed=5))
         report = ServingRuntime(
             MODELS, slo=SLOPolicy(admission=False), replicate=False, autoscale=True
-        ).run(trace, churn)
+        ).run(trace, faults=churn)
         assert report.completed + report.rejected == report.arrivals
         assert report.completed == report.arrivals
 

@@ -2,7 +2,7 @@
 testbed validity, and the ``serve --faults`` CLI path.
 
 Every preset must (a) expand deterministically for a ``(name, duration,
-seed)`` triple, (b) round-trip through :func:`compile_faults` unchanged
+seed)`` triple, (b) round-trip through :meth:`FaultPlan.ordered` unchanged
 and stably merged with churn, (c) validate against the paper's four-device
 testbed and its network, and (d) smoke-run deterministically through
 ``python -m repro serve --faults NAME``.
@@ -13,9 +13,8 @@ from conftest import TESTBED_DEVICES
 
 from repro.__main__ import main
 from repro.cluster.network import Network
-from repro.serving import compile_faults, fault_scenario, scenario_names
-from repro.serving.churn import FAIL, RECOVER, DeviceChurnEvent
-from repro.serving.faults import DEVICE_KINDS, FaultPlan
+from repro.serving import crash, fault_scenario, scenario_names
+from repro.serving.faults import DEVICE_KINDS, FAIL, FaultPlan
 
 DURATION_S = 40.0
 
@@ -52,21 +51,17 @@ class TestScenarioRegistry:
 
 class TestScenarioCompilation:
     @pytest.mark.parametrize("name", scenario_names())
-    def test_round_trips_through_compile_faults(self, name):
-        """With no churn, compilation is the plan's own event stream (the
+    def test_round_trips_through_ordered(self, name):
+        """With no churn, re-ordering is the plan's own event stream (the
         ordered constructor already applied the stable (time, label) sort)."""
         plan = fault_scenario(name, duration_s=DURATION_S, seed=3)
-        assert compile_faults(plan) == plan.events
-        assert FaultPlan(compile_faults(plan)) == plan
+        assert FaultPlan.ordered(plan.events) == plan
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_merges_with_churn_sorted(self, name):
         plan = fault_scenario(name, duration_s=DURATION_S, seed=3)
-        churn = (
-            DeviceChurnEvent(time=1.0, device="laptop", kind=FAIL),
-            DeviceChurnEvent(time=2.5, device="laptop", kind=RECOVER),
-        )
-        merged = compile_faults(plan, churn)
+        churn = crash("laptop", at=1.0, until=2.5)
+        merged = FaultPlan.ordered(churn + list(plan.events)).events
         assert len(merged) == len(plan.events) + len(churn)
         assert [e.time for e in merged] == sorted(e.time for e in merged)
         # The converted churn events are real fault events in the stream.

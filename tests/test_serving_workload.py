@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serving.churn import FAIL, RECOVER, DeviceChurnEvent, generate_churn
+from repro.serving.faults import FAIL, RECOVER, generate_churn
 from repro.serving.workload import WORKLOAD_KINDS, ArrivalTrace, WorkloadGenerator
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
@@ -151,17 +151,13 @@ class TestChurnGeneration:
                 live.add(event.device)
 
     def test_zero_rate_is_empty(self):
-        assert generate_churn(DEVICES, "jetson-a", 0.0, 60.0) == ()
+        assert generate_churn(DEVICES, "jetson-a", 0.0, 60.0) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_churn(DEVICES, "jetson-a", -0.1, 60.0)
         with pytest.raises(ValueError):
             generate_churn(DEVICES, "jetson-a", 0.1, 0.0)
-        with pytest.raises(ValueError):
-            DeviceChurnEvent(time=1.0, device="laptop", kind="explode")
-        with pytest.raises(ValueError):
-            DeviceChurnEvent(time=-1.0, device="laptop", kind=FAIL)
 
 
 class TestVectorizedSamplerRegression:

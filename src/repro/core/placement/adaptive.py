@@ -61,8 +61,12 @@ class AdaptivePlacementController:
         compute_model: ComputeModel = DEFAULT_COMPUTE_MODEL,
         expected_requests: int = 20,
     ) -> None:
-        if expected_requests < 1:
-            raise ValueError(f"expected_requests must be >= 1, got {expected_requests}")
+        if (
+            isinstance(expected_requests, bool)
+            or not isinstance(expected_requests, int)
+            or expected_requests < 1
+        ):
+            raise ValueError(f"expected_requests must be an int >= 1, got {expected_requests!r}")
         self.network = network
         self.compute_model = compute_model
         self.expected_requests = expected_requests

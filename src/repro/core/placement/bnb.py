@@ -80,6 +80,7 @@ from repro.core.placement.tensors import (
     _lpt_waits,
     group_joules,
     group_latency,
+    request_classes,
 )
 from repro.utils.errors import PlacementError
 
@@ -515,15 +516,10 @@ class _SearchState:
         #: Module -> device index, ``-1`` while unplaced (a list: the bounds
         #: index Python rows with it).
         self.assign: List[int] = [-1] * self.n_modules
-        self.groups: List[RequestGroup] = []
-        self.group_of_request: List[int] = []
-        index_of: Dict[Tuple[int, str], int] = {}
-        for request in requests:
-            key = (id(request.model), request.source)
-            if key not in index_of:
-                index_of[key] = len(self.groups)
-                self.groups.append(tensors.group(request.model, request.source))
-            self.group_of_request.append(index_of[key])
+        firsts, self.group_of_request = request_classes(self.requests)
+        self.groups: List[RequestGroup] = [
+            tensors.group(request.model, request.source) for request in firsts
+        ]
         self.groups_using: List[List[int]] = [[] for _ in range(self.n_modules)]
         for g, group in enumerate(self.groups):
             for idx in group.member_idx:
@@ -658,7 +654,7 @@ class _WaitState:
     the canonical sums, so the whole term is scaled by ``_SLACK``
     (mirroring ``_GroupBound._CONTENTION_SLACK``): the ~1e-16-relative
     reordering error is far below the 1e-9 margin.  Leaves are always
-    re-priced exactly through ``WaitTensors.assignment_objective``.
+    re-priced exactly by ``_Search.leaf_value``.
     """
 
     _SLACK = 1.0 - 1e-9
@@ -729,12 +725,22 @@ class _Search(_SearchState):
         self.tie_devices = sorted(range(self.n_devices), key=lambda n: tensors.device_names[n])
 
     def leaf_value(self, bound=None) -> float:
-        """Exact objective of the full assignment (request-order summation,
-        bit-identical to ``CostTensors.objective`` — or, queue-aware, to
-        ``WaitTensors.assignment_objective`` — on the same placement)."""
-        if self.wait_tensors is not None:
-            return self.wait_tensors.assignment_objective(self.requests, self.assign)
-        return float(self.fan([b.exact(self.assign) for b in self.bounds]))
+        """Exact objective of the full assignment, from the bounds' rows
+        (request-order summation, bit-identical to ``CostTensors.objective``
+        — or, queue-aware, to ``WaitTensors.objective`` — on the same
+        placement).  Queue-aware, each class adds its members' waits in
+        member order onto ``0.0``, then onto its Eq. 1-3 total."""
+        assign = self.assign
+        if self.wait_tensors is None:
+            return float(self.fan([b.exact(assign) for b in self.bounds]))
+        waits = self.wait_tensors.device_waits(self.requests, lambda m: (assign[m],))
+        values = []
+        for bound in self.bounds:
+            wait = 0.0
+            for idx in bound.group.member_idx:
+                wait = wait + waits[assign[idx]]
+            values.append(bound.exact(assign) + wait)
+        return float(self.fan(values))
 
     def node_bounds(self, m: int) -> np.ndarray:
         """Per-device total bound if module ``m`` went to each device."""

@@ -7,7 +7,7 @@ the paper's problem sizes (<= 4 modules, <= 5 devices) this is at most
 5^4 = 625 evaluations, which is why the paper can report exact optimality
 rates (89/95 instances).
 
-``solver="bnb"`` (the ``"auto"`` default) runs the branch-and-bound search
+``solver="bnb"`` (the default) runs the branch-and-bound search
 in :mod:`repro.core.placement.bnb` instead: the same argmin, objective and
 tie-break — property-tested bit-for-bit against brute force — but pruned by
 an admissible latency bound and residual memory, so it scales far past
@@ -31,7 +31,7 @@ from repro.utils.errors import PlacementError
 MAX_ASSIGNMENTS = 2_000_000
 
 #: Accepted ``solver`` values for :func:`optimal_placement`.
-SOLVERS = ("auto", "bnb", "brute")
+SOLVERS = ("bnb", "brute")
 
 
 def enumerate_placements(problem: PlacementProblem) -> Iterator[Placement]:
@@ -80,14 +80,14 @@ def optimal_placement(
     requests: Sequence[InferenceRequest],
     network: Optional[Network] = None,
     parallel: bool = True,
-    solver: str = "auto",
+    solver: str = "bnb",
     tensors=None,
     congestion=None,
 ) -> Tuple[Placement, float]:
     """The latency-optimal placement and its objective value.
 
     Ties break toward the lexicographically-smallest assignment so results
-    are deterministic — under every ``solver`` (``"auto"``/``"bnb"`` run
+    are deterministic — under every ``solver`` (``"bnb"`` runs
     branch-and-bound, ``"brute"`` the exhaustive sweep; results are
     identical, brute force just caps out at :data:`MAX_ASSIGNMENTS`).
     ``tensors`` optionally shares a prebuilt
@@ -103,7 +103,7 @@ def optimal_placement(
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if not requests:
         raise PlacementError("optimal placement needs at least one request to score")
-    if solver in ("auto", "bnb"):
+    if solver == "bnb":
         # Imported here: repro.core.routing imports this package at module
         # load, so a top-level import would cycle.
         from repro.core.placement.bnb import branch_and_bound_placement
@@ -138,7 +138,7 @@ def energy_optimal_placement(
     network: Optional[Network] = None,
     latency_budget: Optional[float] = None,
     parallel: bool = True,
-    solver: str = "auto",
+    solver: str = "bnb",
     tensors=None,
 ) -> Tuple[Optional[Placement], float]:
     """The minimum-energy placement within a latency budget, and its joules.
@@ -149,7 +149,7 @@ def energy_optimal_placement(
     exceed ``latency_budget`` (``None`` or ``inf`` means unconstrained, a
     NaN budget raises :class:`ValueError`; the budget is inclusive).  Ties
     break toward the lexicographically-smallest assignment under every
-    ``solver`` (``"auto"``/``"bnb"`` run the energy
+    ``solver`` (``"bnb"`` runs the energy
     branch-and-bound in :mod:`repro.core.placement.bnb`, ``"brute"`` the
     exhaustive sweep; results are identical, brute force just caps out at
     :data:`MAX_ASSIGNMENTS`).  Returns ``(None, inf)`` when memory-feasible
@@ -164,7 +164,7 @@ def energy_optimal_placement(
     budget = float("inf") if latency_budget is None else float(latency_budget)
     if math.isnan(budget):
         raise ValueError("latency_budget must be a number (None for no budget), got nan")
-    if solver in ("auto", "bnb"):
+    if solver == "bnb":
         from repro.core.placement.bnb import energy_branch_and_bound
 
         return energy_branch_and_bound(

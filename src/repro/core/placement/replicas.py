@@ -57,7 +57,7 @@ from repro.core.placement.tensors import (
     CostTensors,
     RequestGroup,
     WaitTensors,
-    group_latency,
+    cheapest_hosts,
 )
 from repro.utils.errors import PlacementError
 
@@ -70,7 +70,7 @@ _WAIT_SLACK = 1.0 - 1e-9
 MAX_REPLICA_ASSIGNMENTS = 2_000_000
 
 #: Accepted ``solver`` values for :func:`replica_optimal_placement`.
-REPLICA_SOLVERS = ("auto", "bnb", "brute")
+REPLICA_SOLVERS = ("bnb", "brute")
 
 
 def _check_max_copies(max_copies: int) -> None:
@@ -265,8 +265,9 @@ class _ReplicaGroupBound:
     non-negative queue waits, so it can only be larger; min/max/sum over
     the same precomputed floats keep the bound monotone (IEEE-754), hence
     admissible.  The bound is *not* exact at completion (paths are bounded
-    independently, routing is joint), so leaves are priced exactly with
-    :meth:`RequestGroup.best_hosts`.
+    independently, routing is joint), so complete classes are priced by
+    :meth:`exact` — :func:`~repro.core.placement.tensors.cheapest_hosts`
+    over the bound's rows, with the queue waits at congestion-aware leaves.
     """
 
     def __init__(self, tensors: CostTensors, group: RequestGroup) -> None:
@@ -299,9 +300,6 @@ class _ReplicaGroupBound:
         self._A_rows: List[List[float]] = (in_comm + enc_comp).tolist()
         self._out_rows: List[List[List[float]]] = np.array(group.out).tolist()
         self._head_row: List[float] = group.head_comp.tolist()
-        #: Where each encoder's host and the head's sit in a host combo.
-        self._enc_pos = [self.members.index(idx) for idx in group.encoder_idx]
-        self._head_pos = self.members.index(group.head_idx)
 
     def lower_bound(self, sets: List[Optional[Tuple[int, ...]]]) -> float:
         """Scalar bound (seconds) for the current partial assignment.
@@ -336,22 +334,18 @@ class _ReplicaGroupBound:
             return min([head[nh] for nh in heads])
         return min([s + head[nh] for s, nh in zip(stage, heads)])
 
-    def exact(self, sets: List[Optional[Tuple[int, ...]]]) -> float:
-        """True class latency (seconds) once every member set is assigned:
-        :meth:`RequestGroup.best_hosts`' minimum, from the bound's rows —
-        host combos in the same lexicographic order, strict ``<``."""
-        slots, parallel = self.tensors.slots, self.parallel
-        enc_pos, head_pos = self._enc_pos, self._head_pos
-        best: Optional[float] = None
-        for combo in itertools.product(*[sets[idx] for idx in self.members]):  # type: ignore[misc]
-            value = group_latency(
-                self._in_rows, self._comp_rows, self._out_rows, self._head_row,
-                [combo[p] for p in enc_pos], combo[head_pos], slots, parallel,
-            )
-            if best is None or value < best:
-                best = value
-        assert best is not None, "every member set must be non-empty"
-        return best
+    def exact(
+        self, sets: List[Optional[Tuple[int, ...]]], waits: Optional[Sequence[float]] = None
+    ) -> float:
+        """True class value (seconds) once every member set is assigned:
+        the cheapest-replica minimum over the bound's rows, each combo
+        charged its hosts' ``waits`` when given."""
+        return cheapest_hosts(
+            self._in_rows, self._comp_rows, self._out_rows, self._head_row,
+            self.group.enc_pos, self.group.head_pos,
+            [sets[idx] for idx in self.members],  # type: ignore[misc]
+            self.tensors.slots, self.parallel, waits,
+        )[0]
 
 
 class _ReplicaSearch(_SearchState):
@@ -520,17 +514,14 @@ class _ReplicaSearch(_SearchState):
 
         Mirrors ``WaitTensors.replica_objective`` float-for-float: ``sets``
         tuples are already in sorted-device-name order (``host_subsets``'
-        contract), the same order ``waits_for_placement`` and
-        ``_replica_value`` derive from a canonical :class:`Placement`.
+        contract), the order ``waits_for_placement`` and
+        ``CostTensors._replica_candidates`` derive from a canonical
+        :class:`Placement`.
         """
         sets = self.sets
         assert self.wait is not None
         waits = self.wait.device_waits(self.requests, lambda m: sets[m])
-        values = []
-        for group in self.groups:
-            candidates = [list(sets[idx]) for idx in group.member_idx]  # type: ignore[arg-type]
-            values.append(group.best_hosts(self.tensors, candidates, device_waits=waits)[0])
-        return float(self.fan(values))
+        return float(self.fan([bound.exact(sets, waits) for bound in self.bounds]))
 
     def winner(self) -> Placement:
         names = self.tensors.device_names
@@ -593,7 +584,7 @@ def replica_optimal_placement(
     network: Optional[Network] = None,
     max_copies: int = 2,
     parallel: bool = True,
-    solver: str = "auto",
+    solver: str = "bnb",
     tensors: Optional[CostTensors] = None,
     congestion: Optional[CongestionModel] = None,
 ) -> Tuple[Placement, float]:
@@ -603,7 +594,7 @@ def replica_optimal_placement(
     :func:`~repro.core.placement.optimal.optimal_placement`: jointly
     chooses a host set of 1..``max_copies`` devices per module, minimizing
     total cheapest-replica latency under per-device memory.  Identical
-    results under every ``solver`` (``"auto"``/``"bnb"`` run the
+    results under every ``solver`` (``"bnb"`` runs the
     branch-and-bound, ``"brute"`` exhaustive enumeration capped at
     :data:`MAX_REPLICA_ASSIGNMENTS`); ties break toward the
     lexicographically smallest assignment.
@@ -611,7 +602,7 @@ def replica_optimal_placement(
     if solver not in REPLICA_SOLVERS:
         raise ValueError(f"solver must be one of {REPLICA_SOLVERS}, got {solver!r}")
     _check_max_copies(max_copies)
-    if solver in ("auto", "bnb"):
+    if solver == "bnb":
         return replica_branch_and_bound(
             problem, requests, network=network, max_copies=max_copies,
             parallel=parallel, tensors=tensors, congestion=congestion,

@@ -24,10 +24,12 @@ Every entry comes from the *existing scalar oracles*
 reductions below replay the scalar code's float-operation order exactly, so
 tensorized prices are **bit-identical** to the scalar path — the property
 tests in ``tests/test_placement_tensors.py`` assert ``==`` on the floats.
-Eq. 1-3's order lives once, in :func:`group_latency`, and the energy
-order once, in :func:`group_joules`; both take any row containers (numpy
-arrays here, the solvers' per-search Python lists in
-:mod:`repro.core.placement.bnb`).
+Eq. 1-3's order lives once, in :func:`group_latency`, the energy order
+once, in :func:`group_joules`, and the cheapest-replica argmin once, in
+:func:`cheapest_hosts`; all take any row containers (numpy arrays here,
+the solvers' per-search Python lists in :mod:`repro.core.placement.bnb`
+and :mod:`~repro.core.placement.replicas`).  Every objective sums its
+per-class prices in request order through :func:`fan_out`.
 
 The layer is invalidated when the network topology changes (see
 ``Network.version``).
@@ -110,6 +112,82 @@ def group_latency(
     return encoder + head_row[head_host]
 
 
+def cheapest_hosts(
+    in_rows, comp_rows, out_rows, head_row,
+    enc_pos: Sequence[int], head_pos: int, candidates: Sequence[Sequence[int]],
+    slots: Sequence[int], parallel: bool, waits: Optional[Sequence[float]] = None,
+) -> Tuple[float, Tuple[int, ...]]:
+    """Cheapest-replica routing of one request class, from row containers.
+
+    ``candidates[i]`` lists the allowed device indices of member ``i``
+    (encoders first in path order, then the head); encoder path ``e`` sits
+    at member ``enc_pos[e]`` and the head at ``head_pos``.  Host combos are
+    enumerated lexicographically over the candidate order, each priced by
+    :func:`group_latency`, and only a **strictly** smaller value replaces
+    the incumbent — so candidates in sorted-device-name order break ties
+    toward the lexicographically smallest combo.  With ``waits`` (per-device
+    expected queue waits), each combo also pays its hosts' waits, added in
+    member order onto ``0.0`` and then onto the Eq. 1-3 total.
+
+    Returns ``(value, combo)`` with ``combo[i]`` member ``i``'s device.
+    """
+    best_value = float("inf")
+    best_combo: Optional[Tuple[int, ...]] = None
+    for combo in itertools.product(*candidates):
+        value = group_latency(
+            in_rows, comp_rows, out_rows, head_row,
+            [combo[p] for p in enc_pos], combo[head_pos], slots, parallel,
+        )
+        if waits is not None:
+            wait = 0.0
+            for n in combo:
+                wait = wait + waits[n]
+            value = value + wait
+        if best_combo is None or value < best_value:
+            best_value, best_combo = value, combo
+    assert best_combo is not None, "every member's candidates must be non-empty"
+    return best_value, best_combo
+
+
+def request_classes(
+    requests: Sequence[InferenceRequest],
+) -> Tuple[List[InferenceRequest], List[int]]:
+    """Requests grouped into (model, source) classes: each class's first
+    request, in first-appearance order, and every request's class index.
+
+    Requests of one class have identical isolated prices under any
+    placement, so solvers and objectives price each class once.
+    """
+    index_of: Dict[Tuple[int, str], int] = {}
+    firsts: List[InferenceRequest] = []
+    classes: List[int] = []
+    for request in requests:
+        key = (id(request.model), request.source)
+        g = index_of.get(key)
+        if g is None:
+            g = index_of[key] = len(firsts)
+            firsts.append(request)
+        classes.append(g)
+    return firsts, classes
+
+
+def fan_out(
+    requests: Sequence[InferenceRequest], price: Callable[[InferenceRequest], float]
+) -> float:
+    """Request-order sum of per-class prices (Problem 4a's order).
+
+    ``price`` runs once per (model, source) class, at its first request;
+    the class's value is then re-added per request, left to right from
+    ``0.0``, so the float result matches the scalar per-request ``sum``.
+    """
+    firsts, classes = request_classes(requests)
+    values = [price(request) for request in firsts]
+    total = 0.0
+    for g in classes:
+        total = total + values[g]
+    return float(total)
+
+
 def group_joules(A_rows, out_rows, head_row, enc_hosts: Sequence[int], head_host: int):
     """Request joules of one class, read from row containers: per encoder
     path ``(A + out)`` — ``A`` the compute + input-radio prefix, ``out`` the
@@ -133,7 +211,7 @@ class RequestGroup:
     __slots__ = (
         "model", "source", "encoder_names", "head_name",
         "encoder_idx", "head_idx", "in_comm", "enc_comp", "head_comp", "out",
-        "_members", "_member_pos",
+        "member_idx", "enc_pos", "head_pos",
     )
 
     def __init__(self, tensors: "CostTensors", model: ModelSpec, source: str) -> None:
@@ -153,12 +231,12 @@ class RequestGroup:
             payload = model.payload_bytes(modality)
             self.in_comm.append(tensors.in_comm(source, payload))
         self.out = [tensors.out_comm(idx) for idx in self.encoder_idx]
-        members: List[int] = []
-        for idx in list(self.encoder_idx) + [self.head_idx]:
-            if idx not in members:
-                members.append(idx)
-        self._members = members
-        self._member_pos = {idx: i for i, idx in enumerate(members)}
+        #: Distinct member module indices, encoders first (in path order),
+        #: then the head — the enumeration axis of replica routing — and
+        #: where each encoder path's host and the head's sit in a host combo.
+        self.member_idx: List[int] = list(dict.fromkeys([*self.encoder_idx, self.head_idx]))
+        self.enc_pos = [self.member_idx.index(idx) for idx in self.encoder_idx]
+        self.head_pos = self.member_idx.index(self.head_idx)
 
     def total(self, tensors: "CostTensors", enc_hosts: Sequence[int], head_host: int) -> float:
         """Eq. 1-3 latency with encoders on ``enc_hosts`` and the head on
@@ -168,63 +246,22 @@ class RequestGroup:
             enc_hosts, head_host, tensors.slots, tensors.parallel,
         )
 
-    def total_for_assignment(self, tensors: "CostTensors", assign: Sequence[int]) -> float:
-        """Latency when module ``m`` sits on device ``assign[m]`` (single copy)."""
-        return self.total(
-            tensors, [assign[i] for i in self.encoder_idx], assign[self.head_idx]
-        )
-
-    @property
-    def member_idx(self) -> List[int]:
-        """Distinct member module indices, encoders first (in path order),
-        then the head — the enumeration axis of replica routing.  Cached at
-        construction (``best_hosts`` sits in the solvers' leaf loop)."""
-        return self._members
-
     def best_hosts(
         self,
         tensors: "CostTensors",
         candidates: Sequence[Sequence[int]],
         device_waits: Optional[Sequence[float]] = None,
     ) -> Tuple[float, Tuple[int, ...]]:
-        """Cheapest-replica routing: the joint minimum of Eq. 1-3 over every
-        combination of hosts drawn from per-module candidate sets.
-
-        ``candidates[i]`` lists the allowed device indices for member module
-        ``member_idx[i]``.  Combinations are enumerated in lexicographic
-        order over the given candidate order, and only a **strictly**
-        smaller total replaces the incumbent — so when callers pass
-        candidates in sorted-device-name order, ties break toward the
-        lexicographically-smallest host combination.  Each combination is
-        priced with :meth:`total` (bit-identical to the scalar breakdown).
-
-        When ``device_waits`` is given (per-device expected queue waits from
-        :class:`WaitTensors`), each combination is charged the sum of the
-        waits of its chosen hosts on top of the Eq. 1-3 total — one add per
-        member, in member order — so routing trades isolated speed against
-        congestion.  ``device_waits=None`` leaves the historical behaviour
-        bit-identical.
-
-        Returns ``(total_seconds, chosen)`` with ``chosen[i]`` the device
-        index picked for member ``i``.
+        """Cheapest-replica routing over per-member candidate device lists
+        (``candidates[i]`` for ``member_idx[i]``), optionally charging each
+        combo its hosts' ``device_waits``: :func:`cheapest_hosts` over this
+        class's arrays.  Returns ``(total_seconds, chosen host per member)``.
         """
-        position = self._member_pos
-        best_total = float("inf")
-        best_combo: Optional[Tuple[int, ...]] = None
-        for combo in itertools.product(*candidates):
-            enc_hosts = [combo[position[idx]] for idx in self.encoder_idx]
-            head_host = combo[position[self.head_idx]]
-            value = self.total(tensors, enc_hosts, head_host)
-            if device_waits is not None:
-                wait = 0.0
-                for n in combo:
-                    wait = wait + device_waits[n]
-                value = value + wait
-            if best_combo is None or value < best_total:
-                best_total = value
-                best_combo = tuple(combo)
-        assert best_combo is not None, "candidates must be non-empty"
-        return best_total, best_combo
+        return cheapest_hosts(
+            self.in_comm, self.enc_comp, self.out, self.head_comp,
+            self.enc_pos, self.head_pos, candidates, tensors.slots, tensors.parallel,
+            device_waits,
+        )
 
 
 class CostTensors:
@@ -423,26 +460,34 @@ class CostTensors:
         return float(group.total(self, enc_hosts, self.device_idx(hosts[group.head_name])))
 
     def objective(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
-        """Problem (4a)'s total latency, summed in request order.
-
-        Requests are deduplicated per (model, source) class; the per-class
-        price is computed once and re-added per request so the accumulation
-        order (and hence the float result) matches the scalar ``sum``.
-        """
-        cache: Dict[Tuple[int, str], float] = {}
-        total = 0.0
-        for request in requests:
-            key = (id(request.model), request.source)
-            value = cache.get(key)
-            if value is None:
-                value = self.total_latency(request, placement)
-                cache[key] = value
-            total = total + value
-        return float(total)
+        """Problem (4a)'s total latency, summed in request order
+        (:func:`fan_out`: each (model, source) class priced once)."""
+        return fan_out(requests, lambda request: self.total_latency(request, placement))
 
     # ------------------------------------------------------------------
     # Cheapest-replica routing (the replica solvers' pricing rule)
     # ------------------------------------------------------------------
+    def _replica_candidates(
+        self, request: InferenceRequest, placement: Placement
+    ) -> Tuple[RequestGroup, List[List[int]]]:
+        """``request``'s class and its per-member candidate hosts: device
+        indices in sorted device-name order, every one checked for the
+        scalar path's missing-throughput error."""
+        group = self.group(request.model, request.source)
+        comp = self.model_compute(request.model)
+        candidates: List[List[int]] = []
+        for idx in group.member_idx:
+            name = self.modules[idx].name
+            hosts = placement.hosts(name)
+            if not hosts:
+                raise RoutingError(f"module {name!r} has no hosts")
+            ordered: List[int] = []
+            for device in sorted(hosts):
+                ordered.append(self.device_idx(device))
+                self._checked(request.model, comp[idx], idx, ordered[-1])
+            candidates.append(ordered)
+        return group, candidates
+
     def _replica_best(
         self, request: InferenceRequest, placement: Placement
     ) -> Tuple[float, Dict[str, str]]:
@@ -456,25 +501,11 @@ class CostTensors:
         smallest host combination (members in encoders-then-head order,
         candidates in sorted device-name order).
         """
-        group = self.group(request.model, request.source)
-        members = group.member_idx
-        candidates: List[List[int]] = []
-        comp = self.model_compute(request.model)
-        for idx in members:
-            name = self.modules[idx].name
-            hosts = placement.hosts(name)
-            if not hosts:
-                raise RoutingError(f"module {name!r} has no hosts")
-            ordered = sorted(hosts)
-            row = comp[idx]
-            for device in ordered:
-                # Surface the scalar path's missing-throughput error.
-                self._checked(request.model, row, idx, self.device_idx(device))
-            candidates.append([self.device_idx(device) for device in ordered])
+        group, candidates = self._replica_candidates(request, placement)
         total, combo = group.best_hosts(self, candidates)
         hosts_map = {
             self.modules[idx].name: self.device_names[combo[i]]
-            for i, idx in enumerate(members)
+            for i, idx in enumerate(group.member_idx)
         }
         return total, hosts_map
 
@@ -490,20 +521,10 @@ class CostTensors:
         """Total latency under cheapest-replica routing, in request order.
 
         The replica-aware counterpart of :meth:`objective` — the objective
-        the solvers in :mod:`repro.core.placement.replicas` minimize.
-        Per-(model, source) classes are priced once and fanned out in
-        request order, so the float result matches the scalar ``sum``.
+        the solvers in :mod:`repro.core.placement.replicas` minimize,
+        fanned out by :func:`fan_out`.
         """
-        cache: Dict[Tuple[int, str], float] = {}
-        total = 0.0
-        for request in requests:
-            key = (id(request.model), request.source)
-            value = cache.get(key)
-            if value is None:
-                value = self.replica_total_latency(request, placement)
-                cache[key] = value
-            total = total + value
-        return float(total)
+        return fan_out(requests, lambda request: self.replica_total_latency(request, placement))
 
 
 class EnergyRequestGroup:
@@ -661,21 +682,9 @@ class EnergyTensors:
         return group.total(enc_hosts, self.tensors.device_idx(hosts[group.head_name]))
 
     def objective(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
-        """Total joules over a request set, summed in request order.
-
-        Per-(model, source) classes are priced once and fanned out in
-        request order, so the float result matches the scalar ``sum``.
-        """
-        cache: Dict[Tuple[int, str], float] = {}
-        total = 0.0
-        for request in requests:
-            key = (id(request.model), request.source)
-            value = cache.get(key)
-            if value is None:
-                value = self.request_energy(request, placement)
-                cache[key] = value
-            total = total + value
-        return float(total)
+        """Total joules over a request set, summed in request order
+        (:func:`fan_out`: each (model, source) class priced once)."""
+        return fan_out(requests, lambda request: self.request_energy(request, placement))
 
 
 @dataclass(frozen=True)
@@ -865,12 +874,6 @@ class WaitTensors:
         """Per-device waits with each model's load split over its replicas."""
         return self.device_waits(requests, self._placement_hosts(placement))
 
-    def assignment_waits(
-        self, requests: Sequence[InferenceRequest], assign: Sequence[int]
-    ) -> List[float]:
-        """Per-device waits for a single-copy assignment vector."""
-        return self.device_waits(requests, lambda m: (int(assign[m]),))
-
     # ------------------------------------------------------------------
     # Queue-aware objectives (base Eq. 1-3 latency + routed waits)
     # ------------------------------------------------------------------
@@ -879,46 +882,16 @@ class WaitTensors:
         of the hosts Eq. 7 routing picks, fanned out in request order."""
         tensors = self.tensors
         waits = self.waits_for_placement(requests, placement)
-        cache: Dict[Tuple[int, str], float] = {}
-        total = 0.0
-        for request in requests:
-            key = (id(request.model), request.source)
-            value = cache.get(key)
-            if value is None:
-                hosts = tensors.route_hosts(request, placement)
-                group = tensors.group(request.model, request.source)
-                base = tensors._priced_total(request, hosts)
-                wait = 0.0
-                for idx in group.member_idx:
-                    wait = wait + waits[tensors.device_idx(hosts[tensors.modules[idx].name])]
-                value = base + wait
-                cache[key] = value
-            total = total + value
-        return float(total)
 
-    def assignment_objective(
-        self, requests: Sequence[InferenceRequest], assign: Sequence[int]
-    ) -> float:
-        """Queue-aware objective for a single-copy assignment vector — the
-        queue-aware branch-and-bound's leaf routine (bit-identical to
-        :meth:`objective` on the equivalent :class:`Placement`)."""
-        tensors = self.tensors
-        waits = self.assignment_waits(requests, assign)
-        cache: Dict[Tuple[int, str], float] = {}
-        total = 0.0
-        for request in requests:
-            key = (id(request.model), request.source)
-            value = cache.get(key)
-            if value is None:
-                group = tensors.group(request.model, request.source)
-                base = group.total_for_assignment(tensors, assign)
-                wait = 0.0
-                for idx in group.member_idx:
-                    wait = wait + waits[int(assign[idx])]
-                value = base + wait
-                cache[key] = value
-            total = total + value
-        return float(total)
+        def price(request: InferenceRequest) -> float:
+            hosts = tensors.route_hosts(request, placement)
+            base = tensors._priced_total(request, hosts)
+            wait = 0.0
+            for idx in tensors.group(request.model, request.source).member_idx:
+                wait = wait + waits[tensors.device_idx(hosts[tensors.modules[idx].name])]
+            return base + wait
+
+        return fan_out(requests, price)
 
     def replica_objective(
         self, requests: Sequence[InferenceRequest], placement: Placement
@@ -926,40 +899,11 @@ class WaitTensors:
         """Queue-aware cheapest-replica objective: routing itself minimizes
         base latency *plus* the chosen hosts' waits, then classes fan out in
         request order (the replica solvers' congestion objective)."""
-        waits = self.waits_for_placement(requests, placement)
-        cache: Dict[Tuple[int, str], float] = {}
-        total = 0.0
-        for request in requests:
-            key = (id(request.model), request.source)
-            value = cache.get(key)
-            if value is None:
-                value = self._replica_value(request, placement, waits)
-                cache[key] = value
-            total = total + value
-        return float(total)
-
-    def _replica_value(
-        self,
-        request: InferenceRequest,
-        placement: Placement,
-        waits: Sequence[float],
-    ) -> float:
-        """One class's wait-aware cheapest-replica value (mirrors
-        ``CostTensors._replica_best`` candidate construction exactly)."""
         tensors = self.tensors
-        group = tensors.group(request.model, request.source)
-        members = group.member_idx
-        candidates: List[List[int]] = []
-        comp = tensors.model_compute(request.model)
-        for idx in members:
-            name = tensors.modules[idx].name
-            hosts = placement.hosts(name)
-            if not hosts:
-                raise RoutingError(f"module {name!r} has no hosts")
-            ordered = sorted(hosts)
-            row = comp[idx]
-            for device in ordered:
-                tensors._checked(request.model, row, idx, tensors.device_idx(device))
-            candidates.append([tensors.device_idx(device) for device in ordered])
-        value, _ = group.best_hosts(tensors, candidates, device_waits=waits)
-        return value
+        waits = self.waits_for_placement(requests, placement)
+
+        def price(request: InferenceRequest) -> float:
+            group, candidates = tensors._replica_candidates(request, placement)
+            return group.best_hosts(tensors, candidates, device_waits=waits)[0]
+
+        return fan_out(requests, price)

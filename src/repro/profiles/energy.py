@@ -179,7 +179,7 @@ def energy_aware_placement(
     requests: Sequence[InferenceRequest],
     network: Optional[Network] = None,
     latency_budget_factor: float = 1.5,
-    solver: str = "auto",
+    solver: str = "bnb",
     tensors=None,
 ) -> Placement:
     """Pick the lowest-energy placement within a latency budget.

@@ -189,9 +189,7 @@ class FlatServingEngine:
         self._brownout_level = 0
         self._brownout_shed: frozenset = frozenset()
         self._brownout_log: List[BrownoutRecord] = []
-        self._controller = AdaptivePlacementController(
-            self._network, expected_requests=rt.adapt_expected_requests
-        )
+        self._controller = AdaptivePlacementController(self._network)
         self._problem_cache: Dict[Tuple[str, ...], PlacementProblem] = {}
 
         # Pure-function caches; the generation counter invalidates the

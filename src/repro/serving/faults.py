@@ -47,6 +47,7 @@ collapsing).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -66,8 +67,13 @@ LINK_KINDS = (LINK_DEGRADE, LINK_RESTORE)
 ALL_KINDS = DEVICE_KINDS + LINK_KINDS
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a ``bool`` (``True`` is no time or factor)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_time(time: float) -> None:
-    if not isinstance(time, (int, float)) or not math.isfinite(time):
+    if not _is_number(time) or not math.isfinite(time):
         raise ValueError(f"fault time must be a finite number, got {time!r}")
     if time < 0:
         raise ValueError(f"fault time must be non-negative, got {time}")
@@ -113,6 +119,8 @@ class FaultEvent:
             a, b = self.link
             if not a or not b or a == b:
                 raise ValueError(f"link fault at t={self.time} needs two distinct endpoints")
+        if self.kind in (SLOW, LINK_DEGRADE) and not _is_number(self.factor):
+            raise ValueError(f"{self.kind} factor must be a finite number, got {self.factor!r}")
         if self.kind == SLOW:
             if not math.isfinite(self.factor) or self.factor <= 0:
                 raise ValueError(

@@ -88,9 +88,6 @@ class ServingRuntime:
             near-simultaneous arrivals share a batch.  0 disables it.
         replicate: Run the leftover-memory replication pass at deployment so
             queue-aware routing has replicas to spread load over.
-        adapt_expected_requests: Hysteresis volume for the churn controller —
-            a migration must amortize its switching cost over this many
-            requests, at least 1 (see :class:`AdaptivePlacementController`).
         recent_window: How many recently admitted requests price a candidate
             re-placement, at least 1 (falls back to one request per model
             when none has been admitted yet).
@@ -175,7 +172,6 @@ class ServingRuntime:
         max_batch_size: int = 8,
         batch_window_s: float = 0.0,
         replicate: bool = True,
-        adapt_expected_requests: int = 20,
         recent_window: int = 32,
         autoscale: bool = False,
         autoscale_interval_s: float = 0.5,
@@ -217,10 +213,6 @@ class ServingRuntime:
             raise ValueError(f"scale_up_backlog_s must be positive, got {scale_up_backlog_s}")
         if not scale_up_speed_ratio >= 1:
             raise ValueError(f"scale_up_speed_ratio must be >= 1, got {scale_up_speed_ratio}")
-        if not adapt_expected_requests >= 1:
-            raise ValueError(
-                f"adapt_expected_requests must be >= 1, got {adapt_expected_requests}"
-            )
         if congestion_aware and placement_algorithm is not None:
             raise ValueError(
                 "congestion_aware installs its own placement algorithm; "
@@ -233,7 +225,6 @@ class ServingRuntime:
         self.max_batch_size = max_batch_size
         self.batch_window_s = batch_window_s
         self.replicate = replicate
-        self.adapt_expected_requests = adapt_expected_requests
         self.recent_window = recent_window
         self.autoscale = autoscale
         self.autoscale_interval_s = autoscale_interval_s

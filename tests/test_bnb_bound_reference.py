@@ -11,9 +11,14 @@ tie-breaks depend on exact values.
 Random partial assignments cover parallel and serial classes, encoders
 sharing a host (the slot-contention terms), an unplaced head, the
 last-free-member exact vector, the energy bound and replica host sets.
-The search is derandomized and small so tier-1 wall time stays bounded.
+The queue-aware leaves are checked the same way: both searches price a
+complete state from their rows plus the queue waits, and must equal the
+placement-level ``WaitTensors`` objectives and the cheapest-replica loop
+they replaced.  The search is derandomized and small so tier-1 wall time
+stays bounded.
 """
 
+import itertools
 import operator
 from functools import reduce
 
@@ -21,9 +26,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.placement.bnb import _EnergyBound, _LatencyBound
-from repro.core.placement.replicas import _ReplicaGroupBound
-from repro.core.placement.tensors import CostTensors, EnergyTensors, _lpt_waits
+from repro.core.placement.bnb import _EnergyBound, _LatencyBound, _Search
+from repro.core.placement.problem import Placement
+from repro.core.placement.replicas import _ReplicaGroupBound, _ReplicaSearch
+from repro.core.placement.tensors import (
+    CongestionModel,
+    CostTensors,
+    EnergyTensors,
+    WaitTensors,
+    _lpt_waits,
+)
 from repro.experiments.scaling import synthetic_instance
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -248,15 +260,33 @@ def ref_replica_lower_bound(bound, sets):
     return float(np.min(totals))
 
 
+def ref_best_hosts(group, tensors, candidates, device_waits=None):
+    """Cheapest-replica routing as ``RequestGroup.best_hosts`` wrote it
+    before it shared one argmin with the replica search: numpy rows, host
+    combos in lexicographic order, waits added in member order, strict
+    ``<``."""
+    position = {idx: i for i, idx in enumerate(group.member_idx)}
+    best_total = float("inf")
+    best_combo = None
+    for combo in itertools.product(*candidates):
+        enc_hosts = [combo[position[idx]] for idx in group.encoder_idx]
+        value = group.total(tensors, enc_hosts, combo[position[group.head_idx]])
+        if device_waits is not None:
+            wait = 0.0
+            for n in combo:
+                wait = wait + device_waits[n]
+            value = value + wait
+        if best_combo is None or value < best_total:
+            best_total, best_combo = value, combo
+    return best_total, best_combo
+
+
 # ----------------------------------------------------------------------
-# Random partial assignments
+# Random instances and assignments
 # ----------------------------------------------------------------------
-@st.composite
-def partial_cases(draw):
-    """``(tensors, groups, assign, moving)`` on a synthetic instance: some
-    modules placed (encoders possibly sharing a host), the head possibly
-    unplaced, ``moving`` an unplaced member to price per device, and
-    possibly tight memory (each module fits only some devices)."""
+def draw_instance(draw):
+    """A synthetic instance and its tensors, possibly with tight memory
+    (each module fits only some devices)."""
     n_modules, n_devices = draw(st.sampled_from(SHAPES))
     seed = draw(st.integers(0, 30))
     parallel = draw(st.booleans())
@@ -267,6 +297,17 @@ def partial_cases(draw):
         mask = rng.random(tensors.fits.shape) < 0.5
         mask[np.arange(n_modules), rng.integers(n_devices, size=n_modules)] = True
         tensors.fits = tensors.fits & mask
+    return inst, tensors
+
+
+@st.composite
+def partial_cases(draw):
+    """``(tensors, groups, assign, moving)`` on a synthetic instance: some
+    modules placed (encoders possibly sharing a host), the head possibly
+    unplaced, ``moving`` an unplaced member to price per device, and
+    possibly tight memory."""
+    inst, tensors = draw_instance(draw)
+    n_modules, n_devices = tensors.n_modules, tensors.n_devices
     last_free = draw(st.booleans())  # every other member placed: exact vector
     assign = np.array(
         [draw(st.integers(0 if last_free else -1, n_devices - 1)) for _ in range(n_modules)],
@@ -333,3 +374,83 @@ def test_replica_bound_matches_numpy_reference(case, salt):
     for group in groups:
         bound = _ReplicaGroupBound(tensors, group)
         assert bound.lower_bound(sets) == ref_replica_lower_bound(bound, sets)
+
+
+# ----------------------------------------------------------------------
+# Queue-aware leaves: complete states priced from the searches' rows
+# ----------------------------------------------------------------------
+@st.composite
+def leaf_cases(draw):
+    """``(inst, tensors, sets, congestion)``: a complete host-set state
+    (one or two sorted devices per module, encoders possibly sharing a
+    host) and an offered load whose rate may be zero."""
+    inst, tensors = draw_instance(draw)
+    n_devices = tensors.n_devices
+    hosts = st.integers(0, n_devices - 1)
+    sets = [
+        tuple(sorted(set(draw(st.lists(hosts, min_size=1, max_size=2)))))
+        for _ in range(tensors.n_modules)
+    ]
+    if draw(st.booleans()):
+        sets[1] = sets[0]
+    rate = draw(st.sampled_from((0.0, 0.05, 0.5, 5.0, 500.0)))
+    rates = {request.model.name: rate for request in inst.requests}
+    return inst, tensors, sets, CongestionModel(rates)
+
+
+def single_copy(sets):
+    """Keep each module's first host: a complete single-copy assignment."""
+    return [hosts[0] for hosts in sets]
+
+
+def placement_of(tensors, sets):
+    names = tensors.device_names
+    return Placement(
+        {tensors.module_names[m]: tuple(names[n] for n in hosts) for m, hosts in enumerate(sets)}
+    )
+
+
+@SETTINGS
+@given(leaf_cases())
+def test_latency_leaf_matches_wait_objective(case):
+    inst, tensors, sets, congestion = case
+    requests = list(inst.requests)
+    search = _Search(tensors, requests, congestion=congestion)
+    assign = single_copy(sets)
+    search.assign[:] = assign
+    expected = WaitTensors(tensors, congestion).objective(
+        requests, placement_of(tensors, [(n,) for n in assign])
+    )
+    assert search.leaf_value() == expected
+
+
+@SETTINGS
+@given(leaf_cases())
+def test_replica_leaf_matches_wait_objective(case):
+    inst, tensors, sets, congestion = case
+    requests = list(inst.requests)
+    search = _ReplicaSearch(tensors, requests, max_copies=2, congestion=congestion)
+    search.sets[:] = sets
+    expected = WaitTensors(tensors, congestion).replica_objective(
+        requests, placement_of(tensors, sets)
+    )
+    assert search.total_bound() == expected
+
+
+@SETTINGS
+@given(leaf_cases(), st.integers(0, 2**16))
+def test_replica_exact_matches_best_hosts_loop(case, salt):
+    """Random non-negative waits, zeros included, spanning magnitudes so a
+    reordered wait sum rounds differently."""
+    inst, tensors, sets, _ = case
+    rng = np.random.default_rng(salt)
+    waits = [
+        0.0 if rng.random() < 0.3 else float(rng.random() * 10.0 ** rng.integers(-4, 2))
+        for _ in range(tensors.n_devices)
+    ]
+    for request in inst.requests:
+        group = tensors.group(request.model, request.source)
+        bound = _ReplicaGroupBound(tensors, group)
+        candidates = [sets[idx] for idx in group.member_idx]
+        assert bound.exact(sets) == ref_best_hosts(group, tensors, candidates)[0]
+        assert bound.exact(sets, waits) == ref_best_hosts(group, tensors, candidates, waits)[0]

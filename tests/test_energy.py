@@ -287,6 +287,8 @@ class TestEnergyBnBExactness:
             energy_optimal_placement(problem, [])
         with pytest.raises(ValueError):
             energy_optimal_placement(problem, [request], solver="magic")
+        with pytest.raises(ValueError, match="solver must be one of"):
+            energy_aware_placement(problem, [request], solver="auto")
 
     def test_energy_aware_placement_never_worse_than_greedy(self):
         problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
@@ -294,7 +296,7 @@ class TestEnergyBnBExactness:
         model = LatencyModel(problem, network)
         request = InferenceRequest.for_model("clip-vit-b16", "jetson-a")
         greedy = greedy_placement(problem)
-        for solver in ("auto", "bnb", "brute"):
+        for solver in ("bnb", "brute"):
             efficient = energy_aware_placement(problem, [request], network, solver=solver)
             assert energy_objective([request], efficient, model) <= energy_objective(
                 [request], greedy, model

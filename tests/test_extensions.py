@@ -212,9 +212,12 @@ class TestAdaptivePlacement:
         assert len(outcomes) == 2
         assert outcomes[0][1].migrate  # laptop left: forced
 
-    def test_controller_validates_args(self):
-        with pytest.raises(ValueError):
-            AdaptivePlacementController(Network(), expected_requests=0)
+    # The runtime's count-option check: True, 2.5 and NaN are not counts,
+    # and "2" and None must not escape as a bare TypeError.
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.5, float("nan"), "2", None])
+    def test_controller_rejects_non_count_expected_requests(self, bad):
+        with pytest.raises(ValueError, match="expected_requests must be an int >= 1"):
+            AdaptivePlacementController(Network(), expected_requests=bad)
 
 
 class TestQueueAwareRouting:

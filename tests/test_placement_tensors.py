@@ -322,14 +322,16 @@ def test_solvers_agree_on_degraded_network(kind):
     solve = EXACT_SOLVERS[kind]
     problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
     requests = [InferenceRequest.for_model("clip-vit-b16", s) for s in ("jetson-a", "laptop")]
-    _, nominal = solve(problem, requests, Network(), "auto")
+    _, nominal = solve(problem, requests, Network(), "bnb")
+    with pytest.raises(ValueError, match="solver must be one of"):
+        solve(problem, requests, Network(), "auto")  # the retired alias of "bnb"
     network = Network()
     network.degrade_link("jetson-a", "pan-router", 0.05)
-    results = {s: solve(problem, requests, network, s) for s in ("auto", "bnb", "brute")}
+    results = {s: solve(problem, requests, network, s) for s in ("bnb", "brute")}
     placements = {s: placement.as_dict() for s, (placement, _) in results.items()}
     objectives = {s: objective for s, (_, objective) in results.items()}
-    assert placements["auto"] == placements["bnb"] == placements["brute"]
-    assert objectives["auto"] == objectives["bnb"] == objectives["brute"]
+    assert placements["bnb"] == placements["brute"]
+    assert objectives["bnb"] == objectives["brute"]
     assert objectives["brute"] != nominal  # the slowdown reached the search
 
 

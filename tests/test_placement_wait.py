@@ -30,7 +30,7 @@ from repro.core.placement.replicas import (
     replica_brute_force,
     replica_optimal_placement,
 )
-from repro.core.placement.tensors import CongestionModel, WaitTensors
+from repro.core.placement.tensors import CongestionModel
 from repro.core.placement.variants import random_placement
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
@@ -158,27 +158,6 @@ class TestWaitBitIdentity:
                 ) == model.congestion_replica_objective_scalar(
                     requests, placement, congestion
                 )
-
-    def test_wait_tensors_match_assignment_view(self):
-        """Placement-keyed and assignment-keyed entry points agree exactly."""
-        network = Network()
-        models = ["clip-vit-b16", "encoder-vqa-small"]
-        problem = noisy_problem(models, 1)
-        model = LatencyModel(problem, network)
-        wait = WaitTensors(model.tensors, congestion_for(models, 1))
-        requests = requests_for(models)
-        placement = greedy_placement(problem)
-        tensors = model.tensors
-        assign = [
-            tensors.device_idx(placement.as_dict()[tensors.module_names[m]][0])
-            for m in range(tensors.n_modules)
-        ]
-        assert wait.objective(requests, placement) == wait.assignment_objective(
-            requests, assign
-        )
-        assert wait.waits_for_placement(requests, placement) == (
-            wait.assignment_waits(requests, assign)
-        )
 
     def test_zero_rates_reduce_bit_exactly(self):
         network = Network()

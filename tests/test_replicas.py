@@ -235,12 +235,12 @@ class TestReplicaSolvers:
             solver: replica_optimal_placement(
                 problem, requests, network, max_copies=2, solver=solver
             )
-            for solver in ("auto", "bnb", "brute")
+            for solver in ("bnb", "brute")
         }
         objectives = {solver: result[1] for solver, result in results.items()}
         assert len(set(objectives.values())) == 1
         placements = {solver: result[0].as_dict() for solver, result in results.items()}
-        assert placements["auto"] == placements["bnb"] == placements["brute"]
+        assert placements["bnb"] == placements["brute"]
 
     def test_validation(self):
         network = Network()
@@ -346,7 +346,7 @@ class TestMaxCopiesBoundary:
         self.check_rejects(lambda bad: replica_brute_force(*case, max_copies=bad))
 
     def test_optimal_placement(self, case):
-        for solver in ("auto", "bnb", "brute"):
+        for solver in ("bnb", "brute"):
             self.check_rejects(
                 lambda bad: replica_optimal_placement(*case, max_copies=bad, solver=solver)
             )

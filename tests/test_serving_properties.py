@@ -200,7 +200,9 @@ def test_timeout_shorter_than_service_with_unbounded_retries():
 #: Devices outside the runtime's pool, and node pairs with no direct link.
 UNKNOWN_DEVICES = ("mainframe", "server", "jetson-c")
 UNLINKED_PAIRS = (("desktop", "laptop"), ("jetson-a", "mainframe"), ("server", "pan-router"))
-BAD_TIMES = (float("nan"), float("inf"), -1.0, -1e-9)
+#: A bool is no time or factor: accepted, ``True`` would crash at t=1,
+#: ``factor=True`` slow by 1x and ``factor=False`` cut a link.
+BAD_TIMES = (float("nan"), float("inf"), -1.0, -1e-9, True, False)
 
 
 @st.composite
@@ -233,10 +235,10 @@ def malformed_fault_inputs(draw):
         )))
         return (lambda: FaultPlan.ordered(build())), repr(bad)
     if shape == "slow":
-        bad = draw(st.sampled_from((0.0, -2.0, float("nan"), float("inf"))))
+        bad = draw(st.sampled_from((0.0, -2.0, float("nan"), float("inf"), True, "2")))
         return (lambda: FaultPlan.ordered(slowdown("laptop", bad, start=t, end=t + 1))), repr(bad)
     if shape == "link-factor":
-        bad = draw(st.sampled_from((1.0, 1.5, -0.1, float("nan"), float("inf"))))
+        bad = draw(st.sampled_from((1.0, 1.5, -0.1, float("nan"), float("inf"), False, None)))
         return (
             lambda: FaultPlan.ordered(degrade_link("desktop", "pan-router", bad, start=t, end=t + 1))
         ), repr(bad)
@@ -264,11 +266,28 @@ def malformed_fault_inputs(draw):
 
 @given(case=malformed_fault_inputs())
 @example(case=(lambda: FaultPlan.ordered(crash("mainframe", at=5.0)), "'mainframe'"))
+@example(case=(
+    lambda: FaultPlan((FaultEvent(time=True, kind=FAIL, device="desktop"),)),
+    "fault time must be a finite number, got True",
+))
+@example(case=(
+    lambda: FaultPlan.ordered(slowdown("laptop", True, start=1.0, end=2.0)),
+    "slow factor must be a finite number, got True",
+))
+@example(case=(
+    lambda: FaultPlan.ordered(slowdown("laptop", "2", start=1.0, end=2.0)),
+    "slow factor must be a finite number, got '2'",
+))
+@example(case=(
+    lambda: FaultPlan.ordered(degrade_link("desktop", "pan-router", False, start=1.0)),
+    "link-degrade factor must be a finite number, got False",
+))
 @settings(max_examples=60, deadline=1000, derandomize=True, database=None)
 def test_malformed_fault_input_raises_before_serving(case):
-    """The explicit example is a crash of a device outside the pool.  A
-    legacy unvalidated churn input used to serve it to the end, logging the
-    crash as applied."""
+    """The first explicit example is a crash of a device outside the pool.
+    A legacy unvalidated churn input used to serve it to the end, logging
+    the crash as applied.  The others are a bool time or factor and a
+    string factor, each named with its field."""
     build, bad = case
     trace = ArrivalTrace(
         arrivals=(Arrival(1.0, "clip-vit-b16"),), duration_s=10.0, kind="poisson", seed=0

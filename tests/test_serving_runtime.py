@@ -112,13 +112,6 @@ class TestServingBasics:
         with pytest.raises(ValueError, match=f"{setting} must be an int >= 1"):
             ServingRuntime(MODELS, **{setting: bad})
 
-    # Checked at construction, under the runtime's own argument name, not
-    # at the first churn controller built inside ``run``.
-    @pytest.mark.parametrize("expected", [0, -5])
-    def test_adapt_expected_requests_rejected_at_construction(self, expected):
-        with pytest.raises(ValueError, match="adapt_expected_requests must be >= 1"):
-            ServingRuntime(MODELS, adapt_expected_requests=expected)
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_invalid_arrival_time_rejected(self, bad):
         """A trace with one bad arrival time fails at the boundary, naming

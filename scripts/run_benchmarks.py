@@ -220,9 +220,8 @@ def bench_energy_solver(n_modules: int, n_devices: int, budget_factor: float = 1
 def bench_replica_solver(n_modules: int, n_devices: int, max_copies: int) -> dict:
     """Replica-aware greedy / brute / branch-and-bound on one instance."""
     from repro.core.placement.greedy import greedy_placement
+    from repro.core.placement.optimal import MAX_ASSIGNMENTS, host_subsets
     from repro.core.placement.replicas import (
-        MAX_REPLICA_ASSIGNMENTS,
-        host_subsets,
         replica_aware_greedy,
         replica_branch_and_bound,
         replica_brute_force,
@@ -264,7 +263,7 @@ def bench_replica_solver(n_modules: int, n_devices: int, max_copies: int) -> dic
         "replication_gain": round(1.0 - bnb_objective / single_objective, 6),
         "greedy_optimality_gap": round(greedy_objective / bnb_objective - 1.0, 6),
     }
-    if n_subsets ** n_modules <= min(MAX_REPLICA_ASSIGNMENTS, 300_000):
+    if n_subsets ** n_modules <= min(MAX_ASSIGNMENTS, 300_000):
         start = time.perf_counter()
         brute_placement, brute_objective = replica_brute_force(
             instance.problem, requests, instance.network,

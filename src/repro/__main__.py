@@ -158,6 +158,22 @@ def lint_main(argv=None) -> int:
     return run_lint_cli(argv)
 
 
+def positive(text: str) -> float:
+    """An argparse type: a finite number > 0 (NaN and inf are refused)."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+def non_negative(text: str) -> float:
+    """An argparse type: a finite number >= 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 #: Default model mix for `serve`: three tasks sharing the ViT-B/16 tower.
 DEFAULT_SERVE_MODELS = "clip-vit-b16,encoder-vqa-small,image-classification-vitb16"
 
@@ -176,18 +192,6 @@ def serve_main(argv=None) -> int:
         generate_churn,
         scenario_names,
     )
-
-    def positive(text: str) -> float:
-        value = float(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-        return value
-
-    def non_negative(text: str) -> float:
-        value = float(text)
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
-        return value
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -320,12 +324,6 @@ def federation_main(argv=None) -> int:
         study_fault_plans,
         study_runtime,
     )
-
-    def positive(text: str) -> float:
-        value = float(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return value
 
     parser = argparse.ArgumentParser(
         prog="python -m repro federation",

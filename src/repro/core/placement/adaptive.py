@@ -24,6 +24,7 @@ from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.problem import Placement, PlacementProblem
 from repro.core.routing.latency import LatencyModel
 from repro.profiles.compute import ComputeModel, DEFAULT_COMPUTE_MODEL
+from repro.utils.checks import is_count
 from repro.utils.errors import PlacementError
 
 
@@ -61,11 +62,7 @@ class AdaptivePlacementController:
         compute_model: ComputeModel = DEFAULT_COMPUTE_MODEL,
         expected_requests: int = 20,
     ) -> None:
-        if (
-            isinstance(expected_requests, bool)
-            or not isinstance(expected_requests, int)
-            or expected_requests < 1
-        ):
+        if not is_count(expected_requests) or expected_requests < 1:
             raise ValueError(f"expected_requests must be an int >= 1, got {expected_requests!r}")
         self.network = network
         self.compute_model = compute_model

@@ -635,77 +635,94 @@ def _prologue(
     return net, tensors
 
 
+#: Slack on both searches' queue-wait bound terms: admissible in real
+#: arithmetic (waits are monotone in load), it absorbs float-reordering
+#: noise so bnb == brute stays bit-exact (as ``_CONTENTION_SLACK`` does).
+_WAIT_SLACK = 1.0 - 1e-9
+
+
 class _WaitState:
-    """Incremental queue-wait bookkeeping for the congestion-aware search.
+    """Incremental queue-wait bookkeeping for the congestion-aware searches.
 
-    Maintains canonical partial load sums over *assigned* members —
-    utilization ``u[n]`` and residual ``r[n]`` per device — plus
-    ``vis[n]``: how many per-request member waits are already charged to
-    device ``n``.  Per-module candidate deltas are precomputed:
-    ``du[m, n]`` / ``dr[m, n]`` are the single-copy load every model using
-    module ``m`` would add to device ``n``.
+    Maintains load sums over *assigned* members — utilization ``u[n]`` and
+    residual ``r[n]`` per device — plus ``inf[n]``, the count of infinite
+    (missing-throughput) loads on ``n``, kept apart so ascend undoes them
+    exactly (``inf - inf`` would poison the sums with NaN), and ``vis[n]``,
+    how many per-request member waits are already charged to ``n``.  Load
+    rows are precomputed per (copy count ``k``, module): ``du[k - 1][m]`` /
+    ``dr[k - 1][m]`` are the load every model using ``m`` adds to each of
+    ``k`` hosts (its rate split evenly over the copies), summed in
+    ``WaitTensors.entries`` order.  :meth:`descend`/:meth:`ascend` take
+    host sets (one-device tuples in the single-copy search).
 
-    The wait surcharge bound for "module ``m`` → device ``n``" re-prices
-    only device ``n`` at its increased load and charges the module's
-    request visits there; all other devices keep their current (partial)
-    waits.  In real arithmetic that never exceeds the final objective's
-    total wait surcharge — waits are monotone in load, and unassigned
-    members only add load and visits.  Floating-point evaluation reorders
-    the canonical sums, so the whole term is scaled by ``_SLACK``
-    (mirroring ``_GroupBound._CONTENTION_SLACK``): the ~1e-16-relative
-    reordering error is far below the 1e-9 margin.  Leaves are always
-    re-priced exactly by ``_Search.leaf_value``.
+    The single-copy bound (:meth:`bound_vector`) re-prices only the
+    candidate device at its increased load and charges the module's request
+    visits there; other devices keep their partial waits.  The replica
+    search charges each class the minimum of :meth:`waits` over its sets.
+    Both never exceed the final wait surcharge in real arithmetic (waits
+    are monotone in load; unassigned members only add load and visits) and
+    are scaled by ``_WAIT_SLACK``.  Leaves are re-priced exactly by
+    ``WaitTensors.device_waits``.
     """
 
-    _SLACK = 1.0 - 1e-9
-
-    def __init__(self, wait: WaitTensors, search: _SearchState) -> None:
+    def __init__(self, wait: WaitTensors, search: _SearchState, max_copies: int = 1) -> None:
         tensors = wait.tensors
-        self.wait = wait
-        n_modules = tensors.n_modules
-        n_devices = tensors.n_devices
-        self.du = np.zeros((n_modules, n_devices), dtype=np.float64)
-        self.dr = np.zeros((n_modules, n_devices), dtype=np.float64)
-        for model, lam, members, comp in wait.entries(search.requests):
+        shape = (tensors.n_modules, tensors.n_devices)
+        copies = range(1, min(max_copies, tensors.n_devices) + 1)
+        self.du = [np.zeros(shape, dtype=np.float64) for _ in copies]
+        self.dr = [np.zeros(shape, dtype=np.float64) for _ in copies]
+        for _model, lam, members, comp in wait.entries(search.requests):
             if lam == 0.0:
-                continue
-            for m in members:
-                row = comp[m]
-                load = lam * row
-                self.du[m] += load
-                self.dr[m] += load * row
-        self.wreq = np.zeros(n_modules, dtype=np.float64)
+                continue  # zero-rate models add no load (and no 0 * inf NaNs)
+            for k in copies:
+                for m in members:
+                    row = comp[m]
+                    load = (lam / k) * row
+                    self.du[k - 1][m] += load
+                    self.dr[k - 1][m] += load * row
+        self.wreq = np.zeros(tensors.n_modules, dtype=np.float64)
         for g in search.group_of_request:
             for idx in search.groups[g].member_idx:
                 self.wreq[idx] += 1.0
-        self.u = np.zeros(n_devices, dtype=np.float64)
-        self.r = np.zeros(n_devices, dtype=np.float64)
-        self.vis = np.zeros(n_devices, dtype=np.float64)
+        self.u = np.zeros(tensors.n_devices, dtype=np.float64)
+        self.r = np.zeros(tensors.n_devices, dtype=np.float64)
+        self.inf = np.zeros(tensors.n_devices, dtype=np.float64)
+        self.vis = np.zeros(tensors.n_devices, dtype=np.float64)
         self.slots = np.array(tensors.slots, dtype=np.float64)
         self.rho_max = wait.congestion.rho_max
 
     def _waits(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The wait formula per device; ``inf`` where a load is infinite."""
         rho = np.minimum(u / self.slots, self.rho_max)
-        return (r / self.slots) / (2.0 * (1.0 - rho))
+        waits = (r / self.slots) / (2.0 * (1.0 - rho))
+        return np.where(self.inf > 0, np.inf, waits) if self.inf.any() else waits
+
+    def waits(self) -> np.ndarray:
+        """Per-device waits from the assigned members' load alone."""
+        return self._waits(self.u, self.r)
 
     def bound_vector(self, m: int) -> np.ndarray:
-        """Admissible wait-surcharge bound per candidate device for ``m``."""
-        waits = self._waits(self.u, self.r)
+        """Admissible wait-surcharge bound per candidate device for ``m``
+        (single copy; an infinite row entry prices its device at ``inf``)."""
+        waits = self.waits()
         charged = self.vis * waits
         base = float(charged.sum())
-        new_waits = self._waits(self.u + self.du[m], self.r + self.dr[m])
+        new_waits = self._waits(self.u + self.du[0][m], self.r + self.dr[0][m])
         vec = base - charged + (self.vis + self.wreq[m]) * new_waits
-        return vec * self._SLACK
+        return vec * _WAIT_SLACK
 
-    def descend(self, m: int, n: int) -> None:
-        self.u[n] += self.du[m, n]
-        self.r[n] += self.dr[m, n]
-        self.vis[n] += self.wreq[m]
+    def descend(self, m: int, hosts: Sequence[int], sign: float = 1.0) -> None:
+        du, dr = self.du[len(hosts) - 1][m], self.dr[len(hosts) - 1][m]
+        for n in hosts:
+            if dr[n] == np.inf:  # an infinite service time makes both rows inf
+                self.inf[n] += sign
+            else:
+                self.u[n] += sign * du[n]
+                self.r[n] += sign * dr[n]
+            self.vis[n] += sign * self.wreq[m]
 
-    def ascend(self, m: int, n: int) -> None:
-        self.vis[n] -= self.wreq[m]
-        self.r[n] -= self.dr[m, n]
-        self.u[n] -= self.du[m, n]
+    def ascend(self, m: int, hosts: Sequence[int]) -> None:
+        self.descend(m, hosts, -1.0)
 
 
 class _Search(_SearchState):
@@ -759,12 +776,12 @@ class _Search(_SearchState):
     def descend(self, m: int, n: int) -> List[Tuple[int, float]]:
         saved = self.place(m, n, self.lbs)
         if self.wait is not None:
-            self.wait.descend(m, n)
+            self.wait.descend(m, (n,))
         return saved
 
     def ascend(self, m: int, n: int, saved: List[Tuple[int, float]]) -> None:
         if self.wait is not None:
-            self.wait.ascend(m, n)
+            self.wait.ascend(m, (n,))
         self.unplace(m, n, self.lbs, saved)
 
     def winner(self) -> Placement:

@@ -13,66 +13,114 @@ tie-break — property-tested bit-for-bit against brute force — but pruned by
 an admissible latency bound and residual memory, so it scales far past
 ``MAX_ASSIGNMENTS`` (~10 modules x ~32 devices in seconds).
 
-Candidate scoring runs on the shared cost tensors
+:func:`enumerate_placements` is the one enumeration walk behind every
+brute-force oracle (latency, energy and the replica oracle in
+:mod:`repro.core.placement.replicas`), and :func:`_brute_force` their one
+argmin.  Candidate scoring runs on the shared cost tensors
 (:mod:`repro.core.placement.tensors`) either way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
 from repro.core.placement.problem import Placement, PlacementProblem
+from repro.utils.checks import is_count
 from repro.utils.errors import PlacementError
 
 #: Safety cap on the enumeration size; beyond it, brute force is not the tool.
 MAX_ASSIGNMENTS = 2_000_000
 
-#: Accepted ``solver`` values for :func:`optimal_placement`.
+#: Accepted ``solver`` values for every exact-placement entry point.
 SOLVERS = ("bnb", "brute")
 
 
-def enumerate_placements(problem: PlacementProblem) -> Iterator[Placement]:
-    """Yield every memory-feasible single-copy placement.
+def _check_max_copies(max_copies: int) -> None:
+    """Reject anything but a positive ``int`` (``True`` and ``2.0`` too)."""
+    if not is_count(max_copies) or max_copies < 1:
+        raise ValueError(f"max_copies must be an int >= 1, got {max_copies!r}")
 
-    Same lexicographic order as the original ``itertools.product`` sweep,
-    but walks an index-based residual-capacity vector with undo, so an
-    infeasible prefix prunes its whole subtree instead of being re-checked
-    once per completion, and no per-candidate capacity dict is copied.
+
+def host_subsets(device_names: Sequence[str], max_copies: int) -> List[Tuple[str, ...]]:
+    """Every candidate host set: 1..``max_copies`` devices, as sorted-name
+    tuples, in lexicographic tuple order (the brute-force tie-key order)."""
+    _check_max_copies(max_copies)
+    ordered = sorted(device_names)
+    subsets: List[Tuple[str, ...]] = []
+    for size in range(1, min(max_copies, len(ordered)) + 1):
+        subsets.extend(itertools.combinations(ordered, size))
+    subsets.sort()
+    return subsets
+
+
+def enumerate_placements(problem: PlacementProblem, max_copies: int = 1) -> Iterator[Placement]:
+    """Yield every memory-feasible placement of 1..``max_copies`` hosts per
+    module, in tie-key order.
+
+    Modules are walked in sorted-name order and host sets in lexicographic
+    tuple order, so placements stream out exactly in increasing
+    ``sorted((module, hosts))`` key order — the first optimum found by a
+    linear scan is brute force's deterministic tie-break winner.  A host
+    set charges the module's full weight bytes on **each** member device
+    (replicas are real copies), and an infeasible prefix prunes its whole
+    subtree.  ``max_copies=1`` is the single-copy space of Problem (4).
     """
-    modules = list(problem.modules)
-    device_names = [device.name for device in problem.devices]
-    total = len(device_names) ** len(modules)
+    modules = sorted(problem.modules, key=lambda m: m.name)
+    subsets = host_subsets([d.name for d in problem.devices], max_copies)
+    total = len(subsets) ** len(modules)
     if total > MAX_ASSIGNMENTS:
         raise PlacementError(
             f"brute force would enumerate {total} assignments (> {MAX_ASSIGNMENTS}); "
-            "use branch_and_bound_placement (exact, memory/bound-pruned) or "
-            "greedy_placement for instances of this size"
+            "use branch_and_bound_placement or replica_branch_and_bound "
+            "(exact, memory/bound-pruned) or a greedy solver for instances of this size"
         )
-    memory = [module.memory_bytes for module in modules]
-    residual = [device.memory_bytes for device in problem.devices]
-    choice = [0] * len(modules)
+    residual = {d.name: d.memory_bytes for d in problem.devices}
+    choice: List[Tuple[str, ...]] = [()] * len(modules)
 
     def walk(index: int) -> Iterator[Placement]:
         if index == len(modules):
-            yield Placement(
-                {
-                    module.name: (device_names[choice[i]],)
-                    for i, module in enumerate(modules)
-                }
-            )
+            yield Placement({module.name: choice[i] for i, module in enumerate(modules)})
             return
-        need = memory[index]
-        for n in range(len(device_names)):
-            if residual[n] >= need:
-                residual[n] -= need
-                choice[index] = n
-                yield from walk(index + 1)
-                residual[n] += need
+        need = modules[index].memory_bytes
+        for subset in subsets:
+            if any(residual[name] < need for name in subset):
+                continue
+            for name in subset:
+                residual[name] -= need
+            choice[index] = subset
+            yield from walk(index + 1)
+            for name in subset:
+                residual[name] += need
 
     yield from walk(0)
+
+
+def _brute_force(
+    problem: PlacementProblem,
+    score: Callable[[Placement], Optional[float]],
+    max_copies: int = 1,
+) -> Optional[Tuple[Placement, float]]:
+    """Brute force's argmin: the first strict minimum of ``score`` over the
+    walk, so ties go to the lexicographically smallest assignment.
+
+    ``score`` returning ``None`` leaves a placement out (the energy oracle's
+    budget filter); ``None`` comes back when every placement was left out.
+    Raises :class:`PlacementError` when no memory-feasible placement exists.
+    """
+    best: Optional[Tuple[Placement, float]] = None
+    found_any = False
+    for placement in enumerate_placements(problem, max_copies):
+        found_any = True
+        value = score(placement)
+        if value is not None and (best is None or value < best[1]):
+            best = (placement, value)
+    if not found_any:
+        raise PlacementError("no memory-feasible placement exists for this instance")
+    return best
 
 
 def optimal_placement(
@@ -116,20 +164,13 @@ def optimal_placement(
 
     net = network if network is not None else Network()
     model = LatencyModel(problem, net, parallel=parallel, tensors=tensors)
-    best: Optional[Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...], Placement]] = None
-    found_any = False
-    for placement in enumerate_placements(problem):
-        found_any = True
+
+    def score(placement: Placement) -> float:
         if congestion is not None:
-            objective = model.congestion_objective(requests, placement, congestion)
-        else:
-            objective = model.objective(requests, placement)
-        key = (objective, tuple(sorted(placement.as_dict().items())), placement)
-        if best is None or key[:2] < best[:2]:
-            best = key
-    if not found_any or best is None:
-        raise PlacementError("no memory-feasible placement exists for this instance")
-    return best[2], best[0]
+            return model.congestion_objective(requests, placement, congestion)
+        return model.objective(requests, placement)
+
+    return _brute_force(problem, score)  # type: ignore[return-value]
 
 
 def energy_optimal_placement(
@@ -182,18 +223,11 @@ def energy_optimal_placement(
 
     net = network if network is not None else Network()
     model = LatencyModel(problem, net, parallel=parallel, tensors=tensors)
-    best: Optional[Tuple[float, Tuple[Tuple[str, Tuple[str, ...]], ...], Placement]] = None
-    found_any = False
-    for placement in enumerate_placements(problem):
-        found_any = True
+
+    def score(placement: Placement) -> Optional[float]:
         if model.objective(requests, placement) > budget:
-            continue
-        joules = energy_objective(requests, placement, model)
-        key = (joules, tuple(sorted(placement.as_dict().items())), placement)
-        if best is None or key[:2] < best[:2]:
-            best = key
-    if not found_any:
-        raise PlacementError("no memory-feasible placement exists for this instance")
-    if best is None:
-        return None, float("inf")
-    return best[2], best[0]
+            return None
+        return energy_objective(requests, placement, model)
+
+    best = _brute_force(problem, score)
+    return best if best is not None else (None, float("inf"))

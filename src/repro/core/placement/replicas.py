@@ -22,7 +22,8 @@ Three solvers, same contract as the single-copy stack:
   addition helps (the objective-driven generalization of
   ``replicate_with_leftover``).
 - :func:`replica_brute_force` — enumerate every memory-feasible host-set
-  assignment (capped at :data:`MAX_REPLICA_ASSIGNMENTS`).
+  assignment (the one enumeration walk of :mod:`repro.core.placement.optimal`,
+  capped at its ``MAX_ASSIGNMENTS``).
 - :func:`replica_branch_and_bound` — the exact search, on the single-copy
   solvers' search core in :mod:`repro.core.placement.bnb` (one DFS
   driver, two phases: value, then a tie-break walk in brute-force key
@@ -41,7 +42,6 @@ tie-break compares), and ties break toward the lexicographically smallest
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -49,8 +49,16 @@ import numpy as np
 
 from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
-from repro.core.placement.bnb import BnBStats, _prologue, _SearchState, _two_phase
+from repro.core.placement.bnb import (
+    _WAIT_SLACK,
+    BnBStats,
+    _prologue,
+    _SearchState,
+    _two_phase,
+    _WaitState,
+)
 from repro.core.placement.greedy import greedy_placement
+from repro.core.placement.optimal import SOLVERS, _brute_force, _check_max_copies, host_subsets
 from repro.core.placement.problem import Placement, PlacementProblem
 from repro.core.placement.tensors import (
     CongestionModel,
@@ -60,82 +68,6 @@ from repro.core.placement.tensors import (
     cheapest_hosts,
 )
 from repro.utils.errors import PlacementError
-
-#: Multiplicative slack on the wait lower-bound term: the bound is
-#: admissible in real arithmetic (waits are monotone in offered load), and
-#: the slack absorbs float-reordering noise so bnb == brute stays bit-exact.
-_WAIT_SLACK = 1.0 - 1e-9
-
-#: Safety cap on the host-set enumeration size for brute force.
-MAX_REPLICA_ASSIGNMENTS = 2_000_000
-
-#: Accepted ``solver`` values for :func:`replica_optimal_placement`.
-REPLICA_SOLVERS = ("bnb", "brute")
-
-
-def _check_max_copies(max_copies: int) -> None:
-    """Reject anything but a positive ``int`` (``True`` and ``2.0`` too)."""
-    if isinstance(max_copies, bool) or not isinstance(max_copies, int) or max_copies < 1:
-        raise ValueError(f"max_copies must be an int >= 1, got {max_copies!r}")
-
-
-def host_subsets(device_names: Sequence[str], max_copies: int) -> List[Tuple[str, ...]]:
-    """Every candidate host set: 1..``max_copies`` devices, as sorted-name
-    tuples, in lexicographic tuple order (the brute-force tie-key order)."""
-    _check_max_copies(max_copies)
-    ordered = sorted(device_names)
-    subsets: List[Tuple[str, ...]] = []
-    for size in range(1, min(max_copies, len(ordered)) + 1):
-        subsets.extend(itertools.combinations(ordered, size))
-    subsets.sort()
-    return subsets
-
-
-def enumerate_replica_placements(
-    problem: PlacementProblem, max_copies: int = 2
-) -> Iterator[Placement]:
-    """Yield every memory-feasible host-set placement, in tie-key order.
-
-    Modules are walked in sorted-name order and host sets in lexicographic
-    tuple order, so placements stream out exactly in increasing
-    ``sorted((module, hosts))`` key order — the first optimum found by a
-    linear scan is brute force's deterministic tie-break winner.  A subset
-    charges the module's full weight bytes on **each** member device
-    (replicas are real copies), and an infeasible prefix prunes its whole
-    subtree.
-    """
-    modules = sorted(problem.modules, key=lambda m: m.name)
-    subsets = host_subsets([d.name for d in problem.devices], max_copies)
-    total = len(subsets) ** len(modules)
-    if total > MAX_REPLICA_ASSIGNMENTS:
-        raise PlacementError(
-            f"brute force would enumerate {total} host-set assignments "
-            f"(> {MAX_REPLICA_ASSIGNMENTS}); use replica_branch_and_bound "
-            "(exact, memory/bound-pruned) or replica_aware_greedy for "
-            "instances of this size"
-        )
-    residual: Dict[str, int] = {d.name: d.memory_bytes for d in problem.devices}
-    choice: List[Tuple[str, ...]] = [()] * len(modules)
-
-    def walk(index: int) -> Iterator[Placement]:
-        if index == len(modules):
-            yield Placement(
-                {module.name: choice[i] for i, module in enumerate(modules)}
-            )
-            return
-        need = modules[index].memory_bytes
-        for subset in subsets:
-            if any(residual[name] < need for name in subset):
-                continue
-            for name in subset:
-                residual[name] -= need
-            choice[index] = subset
-            yield from walk(index + 1)
-            for name in subset:
-                residual[name] += need
-
-    yield from walk(0)
-
 
 def replica_brute_force(
     problem: PlacementProblem,
@@ -162,17 +94,13 @@ def replica_brute_force(
 
     net = network if network is not None else Network()
     model = LatencyModel(problem, net, parallel=parallel, tensors=tensors)
-    best: Optional[Tuple[float, Placement]] = None
-    for placement in enumerate_replica_placements(problem, max_copies):
+
+    def score(placement: Placement) -> float:
         if congestion is not None:
-            objective = model.congestion_replica_objective(requests, placement, congestion)
-        else:
-            objective = model.replica_objective(requests, placement)
-        if best is None or objective < best[0]:
-            best = (objective, placement)
-    if best is None:
-        raise PlacementError("no memory-feasible placement exists for this instance")
-    return best[1], best[0]
+            return model.congestion_replica_objective(requests, placement, congestion)
+        return model.replica_objective(requests, placement)
+
+    return _brute_force(problem, score, max_copies)  # type: ignore[return-value]
 
 
 def replica_aware_greedy(
@@ -386,28 +314,14 @@ class _ReplicaSearch(_SearchState):
         self.bounds = [_ReplicaGroupBound(tensors, group) for group in self.groups]
         self.group_lb = [bound.lower_bound(self.sets) for bound in self.bounds]
 
-        # Queue-wait bound state: per-device utilization/residual load sums
-        # maintained incrementally across descend/ascend (the *bound* only
-        # needs admissibility — float drift from add/undo is absorbed by
-        # ``_WAIT_SLACK``; leaves are re-priced canonically for bit-identity).
-        self.wait = WaitTensors(tensors, congestion) if congestion is not None else None
-        if self.wait is not None:
-            #: Per-module offered-load contributions: (rate, compute row).
-            self._wait_contrib: List[List[Tuple[float, np.ndarray]]] = [
-                [] for _ in range(self.n_modules)
-            ]
-            for _model, lam, members, comp in self.wait.entries(self.requests):
-                if lam == 0.0:
-                    continue  # zero-rate models add no load (and no 0*inf NaNs)
-                for m in members:
-                    self._wait_contrib[m].append((lam, comp[m]))
-            self._wu = np.zeros(self.n_devices)
-            self._wr = np.zeros(self.n_devices)
-            #: Count of infinite (missing-throughput) loads per device —
-            #: tracked separately so ascend can undo them exactly
-            #: (inf - inf would poison the running sums with NaN).
-            self._winf = np.zeros(self.n_devices, dtype=np.int64)
-            self._wslots = np.asarray(tensors.slots, dtype=float)
+        # Queue-wait bound state (the *bound* only needs admissibility;
+        # leaves are re-priced canonically for bit-identity).
+        self.wait_tensors = WaitTensors(tensors, congestion) if congestion is not None else None
+        self.wait = (
+            _WaitState(self.wait_tensors, self, max_copies)
+            if self.wait_tensors is not None
+            else None
+        )
 
     # ------------------------------------------------------------------
     def _scored(self, m: int) -> Iterator[Tuple[float, Tuple[int, ...]]]:
@@ -435,18 +349,8 @@ class _ReplicaSearch(_SearchState):
         self.sets[m] = subset
         for n in subset:
             self.residual[n] -= self.memory[m]
-        if self.wait is not None and self._wait_contrib[m]:
-            size = float(len(subset))
-            for lam, row in self._wait_contrib[m]:
-                share = lam / size
-                for n in subset:
-                    s = float(row[n])
-                    if s == float("inf"):
-                        self._winf[n] += 1
-                        continue
-                    load = share * s
-                    self._wu[n] += load
-                    self._wr[n] += load * s
+        if self.wait is not None:
+            self.wait.descend(m, subset)
         saved = [(g, self.group_lb[g]) for g in self.groups_using[m]]
         for g in self.groups_using[m]:
             bound = self.bounds[g]
@@ -459,18 +363,8 @@ class _ReplicaSearch(_SearchState):
     def ascend(self, m: int, subset: Tuple[int, ...], saved: List[Tuple[int, float]]) -> None:
         for g, value in saved:
             self.group_lb[g] = value
-        if self.wait is not None and self._wait_contrib[m]:
-            size = float(len(subset))
-            for lam, row in self._wait_contrib[m]:
-                share = lam / size
-                for n in subset:
-                    s = float(row[n])
-                    if s == float("inf"):
-                        self._winf[n] -= 1
-                        continue
-                    load = share * s
-                    self._wu[n] -= load
-                    self._wr[n] -= load * s
+        if self.wait is not None:
+            self.wait.ascend(m, subset)
         for n in subset:
             self.residual[n] += self.memory[m]
         self.sets[m] = None
@@ -493,11 +387,7 @@ class _ReplicaSearch(_SearchState):
         if self.wait is None:
             return float(total)
         sets = self.sets
-        rho = np.minimum(self._wu / self._wslots, self.wait.congestion.rho_max)
-        waits = (self._wr / self._wslots) / (2.0 * (1.0 - rho))
-        if self._winf.any():
-            waits = np.where(self._winf > 0, float("inf"), waits)
-        waits = waits.tolist()
+        waits = self.wait.waits().tolist()
         group_extra = []
         for group in self.groups:
             extra = 0.0
@@ -519,8 +409,8 @@ class _ReplicaSearch(_SearchState):
         :class:`Placement`.
         """
         sets = self.sets
-        assert self.wait is not None
-        waits = self.wait.device_waits(self.requests, lambda m: sets[m])
+        assert self.wait_tensors is not None
+        waits = self.wait_tensors.device_waits(self.requests, lambda m: sets[m])
         return float(self.fan([bound.exact(sets, waits) for bound in self.bounds]))
 
     def winner(self) -> Placement:
@@ -596,12 +486,11 @@ def replica_optimal_placement(
     total cheapest-replica latency under per-device memory.  Identical
     results under every ``solver`` (``"bnb"`` runs the
     branch-and-bound, ``"brute"`` exhaustive enumeration capped at
-    :data:`MAX_REPLICA_ASSIGNMENTS`); ties break toward the
+    :data:`~repro.core.placement.optimal.MAX_ASSIGNMENTS`); ties break toward the
     lexicographically smallest assignment.
     """
-    if solver not in REPLICA_SOLVERS:
-        raise ValueError(f"solver must be one of {REPLICA_SOLVERS}, got {solver!r}")
-    _check_max_copies(max_copies)
+    if solver not in SOLVERS:
+        raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if solver == "bnb":
         return replica_branch_and_bound(
             problem, requests, network=network, max_copies=max_copies,

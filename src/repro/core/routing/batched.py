@@ -41,6 +41,7 @@ from repro.core.routing.executor import (
 from repro.core.routing.latency import LatencyModel, RoutingDecision
 from repro.core.tasks import Task
 from repro.sim.trace import CATEGORY_HEAD
+from repro.utils.checks import is_count
 from repro.utils.errors import ConfigurationError, RoutingError
 
 
@@ -210,7 +211,7 @@ def execute_batched_burst(
     With ``backend`` set, every simulated chunk also runs REAL batched
     numpy inference; per-request answers land in ``result.outputs``.
     """
-    if isinstance(max_batch_size, bool) or not isinstance(max_batch_size, int) or max_batch_size < 1:
+    if not is_count(max_batch_size) or max_batch_size < 1:
         raise ValueError(f"max_batch_size must be an int >= 1, got {max_batch_size!r}")
     check_run(cluster, placement, requests, latency_model)
     if backend is not None:

@@ -47,10 +47,10 @@ collapsing).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.utils.checks import is_count, is_finite_real
 from repro.utils.seeding import rng_for
 
 #: Fault-event kinds.
@@ -67,13 +67,8 @@ LINK_KINDS = (LINK_DEGRADE, LINK_RESTORE)
 ALL_KINDS = DEVICE_KINDS + LINK_KINDS
 
 
-def _is_number(value) -> bool:
-    """A real number that is not a ``bool`` (``True`` is no time or factor)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_time(time: float) -> None:
-    if not _is_number(time) or not math.isfinite(time):
+    if not is_finite_real(time):  # ``True`` is no time
         raise ValueError(f"fault time must be a finite number, got {time!r}")
     if time < 0:
         raise ValueError(f"fault time must be non-negative, got {time}")
@@ -119,15 +114,15 @@ class FaultEvent:
             a, b = self.link
             if not a or not b or a == b:
                 raise ValueError(f"link fault at t={self.time} needs two distinct endpoints")
-        if self.kind in (SLOW, LINK_DEGRADE) and not _is_number(self.factor):
+        if self.kind in (SLOW, LINK_DEGRADE) and not is_finite_real(self.factor):
             raise ValueError(f"{self.kind} factor must be a finite number, got {self.factor!r}")
         if self.kind == SLOW:
-            if not math.isfinite(self.factor) or self.factor <= 0:
+            if self.factor <= 0:
                 raise ValueError(
                     f"slow factor must be finite and positive, got {self.factor}"
                 )
         if self.kind == LINK_DEGRADE:
-            if not math.isfinite(self.factor) or not 0.0 <= self.factor < 1.0:
+            if not 0.0 <= self.factor < 1.0:
                 raise ValueError(
                     f"link-degrade factor must be in [0, 1), got {self.factor} "
                     "(0 cuts the link; use link-restore to undo)"
@@ -361,16 +356,22 @@ class BrownoutPolicy:
     max_level: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.interval_s) or self.interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {self.interval_s}")
-        if not math.isfinite(self.high_backlog_s) or self.high_backlog_s <= 0:
-            raise ValueError(f"high_backlog_s must be positive, got {self.high_backlog_s}")
-        if not math.isfinite(self.low_backlog_s) or self.low_backlog_s < 0:
-            raise ValueError(f"low_backlog_s must be non-negative, got {self.low_backlog_s}")
+        if not is_finite_real(self.interval_s) or self.interval_s <= 0:
+            raise ValueError(f"interval_s must be a finite number > 0, got {self.interval_s!r}")
+        if not is_finite_real(self.high_backlog_s) or self.high_backlog_s <= 0:
+            raise ValueError(
+                f"high_backlog_s must be a finite number > 0, got {self.high_backlog_s!r}"
+            )
+        if not is_finite_real(self.low_backlog_s) or self.low_backlog_s < 0:
+            raise ValueError(
+                f"low_backlog_s must be a finite number >= 0, got {self.low_backlog_s!r}"
+            )
         if self.low_backlog_s >= self.high_backlog_s:
             raise ValueError(
                 f"hysteresis requires low_backlog_s < high_backlog_s, got "
                 f"{self.low_backlog_s} >= {self.high_backlog_s}"
             )
-        if self.max_level is not None and self.max_level < 0:
-            raise ValueError(f"max_level must be >= 0, got {self.max_level}")
+        if self.max_level is not None and (not is_count(self.max_level) or self.max_level < 0):
+            raise ValueError(
+                f"max_level must be an int >= 0 (None for no cap), got {self.max_level!r}"
+            )

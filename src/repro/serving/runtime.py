@@ -71,6 +71,7 @@ from repro.serving.faults import BrownoutPolicy, FaultPlan
 from repro.serving.report import ServingReport
 from repro.serving.slo import RetryPolicy, SLOPolicy
 from repro.serving.workload import ArrivalTrace
+from repro.utils.checks import is_count
 
 
 class ServingRuntime:
@@ -198,7 +199,7 @@ class ServingRuntime:
         ):
             # The check execute_batched_burst makes: True, 2.0 and NaN are
             # not counts (a float batch cap dies mid-run slicing a queue).
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            if not is_count(count) or count < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {count!r}")
         # Written as negated comparisons so NaN fails them too.
         if not 0 <= batch_window_s < math.inf:
@@ -299,8 +300,9 @@ class ServingRuntime:
         any serving starts — unknown names raise :class:`ValueError`, never
         silently skip — and its events are replayed in the stable
         ``(time, label)`` order of :meth:`FaultPlan.ordered`.  An arrival
-        whose time is negative, infinite or NaN raises too: the error names
-        the first such arrival's index.
+        whose time is negative, infinite or NaN raises too, and so does one
+        for a model this runtime does not serve: the error names the first
+        such arrival's index.
 
         The report enforces conservation: every arrival is completed,
         rejected, or timed out, never lost — a violation raises
@@ -309,11 +311,17 @@ class ServingRuntime:
         The run itself is one :class:`~repro.serving.engine.FlatServingEngine`
         replay: identical inputs, faulted or not, give identical reports.
         """
+        served = set(self.models)
         for index, arrival in enumerate(trace.arrivals):
             if not 0.0 <= arrival.time < math.inf:
                 raise ValueError(
                     f"arrival {index} has time {arrival.time!r}; arrival times "
                     "must be finite and non-negative"
+                )
+            if arrival.model_name not in served:
+                raise ValueError(
+                    f"arrival {index} asks for model {arrival.model_name!r}, which "
+                    f"this runtime does not serve ({sorted(served)})"
                 )
         events = ()
         if faults is not None:

@@ -16,9 +16,10 @@ goodput metric rewards.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.utils.checks import is_count, is_finite_real
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,19 @@ class SLOPolicy:
     admission: bool = True
 
     def __post_init__(self) -> None:
-        if self.latency_multiplier < 1.0:
+        if not is_finite_real(self.latency_multiplier) or self.latency_multiplier < 1.0:
             raise ValueError(
-                f"latency_multiplier must be >= 1, got {self.latency_multiplier}"
+                "latency_multiplier must be a finite number >= 1, "
+                f"got {self.latency_multiplier!r}"
             )
-        if self.floor_s < 0:
-            raise ValueError(f"floor_s must be non-negative, got {self.floor_s}")
-        if self.absolute_s is not None and self.absolute_s <= 0:
-            raise ValueError(f"absolute_s must be positive, got {self.absolute_s}")
+        if not is_finite_real(self.floor_s) or self.floor_s < 0:
+            raise ValueError(f"floor_s must be a finite number >= 0, got {self.floor_s!r}")
+        if self.absolute_s is not None and (
+            not is_finite_real(self.absolute_s) or self.absolute_s <= 0
+        ):
+            raise ValueError(f"absolute_s must be a finite number > 0, got {self.absolute_s!r}")
+        if not isinstance(self.admission, bool):
+            raise ValueError(f"admission must be a bool, got {self.admission!r}")
 
     def slo_for(self, isolated_estimate_s: float) -> float:
         """The deadline (seconds from arrival) for a request whose isolated
@@ -93,19 +99,23 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and (
-            not math.isfinite(self.timeout_s) or self.timeout_s <= 0
+            not is_finite_real(self.timeout_s) or self.timeout_s <= 0
         ):
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+            raise ValueError(f"timeout_s must be a finite number > 0, got {self.timeout_s!r}")
+        if self.max_retries is not None and (
+            not is_count(self.max_retries) or self.max_retries < 0
+        ):
+            raise ValueError(
+                f"max_retries must be an int >= 0 (None for unlimited), got {self.max_retries!r}"
+            )
         if self.timeout_s is not None and self.max_retries is None:
             # An attempt that always outlasts the timeout would re-route
             # forever on an unbounded budget.
             raise ValueError(
                 f"timeout_s={self.timeout_s} needs a bounded max_retries, got None"
             )
-        if not math.isfinite(self.backoff_s) or self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be non-negative, got {self.backoff_s}")
+        if not is_finite_real(self.backoff_s) or self.backoff_s < 0:
+            raise ValueError(f"backoff_s must be a finite number >= 0, got {self.backoff_s!r}")
 
     @property
     def enabled(self) -> bool:

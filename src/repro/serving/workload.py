@@ -43,6 +43,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.checks import is_finite_real
 from repro.utils.seeding import rng_for
 
 #: Supported arrival-process shapes.
@@ -126,20 +127,21 @@ class WorkloadGenerator:
             raise ValueError("need at least one model to generate a workload")
         if kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload kind {kind!r}; choose from {WORKLOAD_KINDS}")
-        if rate_rps <= 0:
-            raise ValueError(f"rate_rps must be positive, got {rate_rps}")
-        if duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {duration_s}")
-        if burst_factor < 1:
-            raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
+        for name, value in (
+            ("rate_rps", rate_rps),
+            ("duration_s", duration_s),
+            ("burst_dwell_s", burst_dwell_s),
+            ("base_dwell_s", base_dwell_s),
+            ("diurnal_period_s", diurnal_period_s),
+        ):
+            if not is_finite_real(value) or value <= 0:
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        if not is_finite_real(burst_factor) or burst_factor < 1:
+            raise ValueError(f"burst_factor must be a finite number >= 1, got {burst_factor!r}")
         if not 0 <= diurnal_amplitude < 1:
             raise ValueError(f"diurnal_amplitude must be in [0, 1), got {diurnal_amplitude}")
-        if burst_dwell_s <= 0 or base_dwell_s <= 0:
-            raise ValueError("dwell times must be positive")
-        if diurnal_period_s <= 0:
-            raise ValueError(f"diurnal_period_s must be positive, got {diurnal_period_s}")
-        if not math.isfinite(phase_offset_s):
-            raise ValueError(f"phase_offset_s must be finite, got {phase_offset_s}")
+        if not is_finite_real(phase_offset_s):
+            raise ValueError(f"phase_offset_s must be a finite number, got {phase_offset_s!r}")
         self.models = list(models)
         self.kind = kind
         self.rate_rps = float(rate_rps)

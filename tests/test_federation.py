@@ -361,6 +361,15 @@ class TestRuntimeAndCli:
         assert "offset-diurnal" in study and "regional-outage" in study
         assert "spillover off" in study and "WAN spillover on" in study
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-5"])
+    def test_cli_rejects_non_finite_duration(self, bad, capsys):
+        """A usage error (exit 2) naming --duration, not a traceback from
+        the derived phase offsets."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["federation", "--duration", bad])
+        assert exit_info.value.code == 2
+        assert "--duration: must be finite and positive" in capsys.readouterr().err
+
     def test_cli_outage_and_no_spillover(self, capsys):
         assert main([
             "federation", "--duration", "20", "--outage", "--no-spillover",

@@ -192,9 +192,14 @@ class TestOptimalPlacement:
     def test_enumeration_is_memory_feasible(self):
         problem = problem_for(["clip-vit-b16"])
         modules = {m.name: m for m in problem.modules}
+        keys = []
         for placement in enumerate_placements(problem):
+            assert all(len(hosts) == 1 for hosts in placement.as_dict().values())
             for device in problem.devices:
                 assert placement.used_bytes(device.name, modules) <= device.memory_bytes
+            keys.append(tuple(sorted(placement.as_dict().items())))
+        assert len(keys) > 1
+        assert keys == sorted(set(keys))
 
     def test_optimal_never_worse_than_greedy(self):
         network = Network()

@@ -16,6 +16,7 @@ record the queue-aware envelope one size up (results in docs/placement.md).
 
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,15 +26,19 @@ from repro.cluster.requests import InferenceRequest
 from repro.core.placement.bnb import branch_and_bound_placement
 from repro.core.placement.greedy import greedy_placement, replicate_with_leftover
 from repro.core.placement.optimal import optimal_placement
+from repro.core.placement.problem import PlacementProblem
 from repro.core.placement.replicas import (
+    _ReplicaSearch,
     replica_branch_and_bound,
     replica_brute_force,
     replica_optimal_placement,
 )
-from repro.core.placement.tensors import CongestionModel
+from repro.core.placement.tensors import CongestionModel, CostTensors
 from repro.core.placement.variants import random_placement
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
+from repro.profiles.communication import LinkProfile
+from repro.profiles.devices import DeviceProfile, edge_device_names
 from repro.serving import WorkloadGenerator
 from repro.utils.errors import ConfigurationError
 from repro.utils.seeding import rng_for
@@ -176,6 +181,82 @@ class TestWaitBitIdentity:
             assert model.congestion_replica_objective(
                 requests, replicated, congestion
             ) == model.replica_objective(requests, replicated)
+
+
+class TestWaitState:
+    """The incremental wait state both exact searches share."""
+
+    def _gapped_search(self):
+        # "gapped" has no text-encoder throughput entry: the text encoder's
+        # load on it is infinite (the compute tensor's inf sentinel).
+        from repro.core.modules import ModuleKind
+        from repro.utils.units import GB, MB
+
+        gapped = DeviceProfile(
+            name="gapped",
+            description="no text-encoder throughput entry",
+            memory_bytes=int(8 * GB),
+            throughput={
+                (ModuleKind.VISION_ENCODER, "*"): 20.0,
+                (ModuleKind.DISTANCE, "*"): 1000.0,
+                (ModuleKind.CLASSIFIER, "*"): 1000.0,
+            },
+            load_throughput_bps=100.0 * MB,
+        )
+        base = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
+        problem = PlacementProblem(
+            modules=base.modules, devices=base.devices + (gapped,), models=base.models
+        )
+        network = Network()
+        network.add_link(LinkProfile("gapped", "pan-router", 1e9, 0.001))
+        tensors = CostTensors(problem, network)
+        requests = [
+            InferenceRequest.for_model("clip-vit-b16", source)
+            for source in ("jetson-a", "desktop", "jetson-a")
+        ]
+        congestion = CongestionModel({"clip-vit-b16": 1.5})
+        return tensors, _ReplicaSearch(tensors, requests, 2, congestion=congestion)
+
+    def test_rows_split_the_rate_over_copies(self):
+        tensors, search = self._gapped_search()
+        state = search.wait
+        (_model, lam, members, comp), = search.wait_tensors.entries(search.requests)
+        for k in (1, 2):
+            for m in members:
+                load = (lam / k) * comp[m]
+                assert np.array_equal(state.du[k - 1][m], load)
+                assert np.array_equal(state.dr[k - 1][m], load * comp[m])
+        text = tensors.module_idx("clip-trf-38m")
+        assert state.dr[0][text, tensors.device_idx("gapped")] == np.inf
+
+    def test_random_descend_ascend_round_trip(self):
+        tensors, search = self._gapped_search()
+        state = search.wait
+        text = tensors.module_idx("clip-trf-38m")
+        gapped = tensors.device_idx("gapped")
+        rng = np.random.default_rng(0)
+        for _ in range(25):
+            moves = []
+            for m in range(tensors.n_modules):
+                size = int(rng.integers(1, 3))
+                hosts = rng.choice(tensors.n_devices, size=size, replace=False).tolist()
+                if m == text and gapped not in hosts:
+                    hosts[0] = gapped  # a set holding the missing-throughput device
+                hosts = tuple(sorted(hosts, key=lambda n: tensors.device_names[n]))
+                state.descend(m, hosts)
+                moves.append((m, hosts))
+                assert np.isfinite(state.u).all() and np.isfinite(state.r).all()
+            assert state.inf[gapped] == 1
+            waits = state.waits()
+            assert waits[gapped] == np.inf
+            assert not np.isnan(waits).any()
+            for m, hosts in reversed(moves):
+                state.ascend(m, hosts)
+                assert np.isfinite(state.u).all() and np.isfinite(state.r).all()
+            assert not state.inf.any()
+            assert not state.vis.any()
+            assert np.allclose(state.u, 0.0, atol=1e-12)
+            assert np.allclose(state.r, 0.0, atol=1e-12)
 
 
 class TestQueueAwareBnB:

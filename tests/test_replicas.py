@@ -11,12 +11,9 @@ import pytest
 from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
 from repro.core.placement.greedy import greedy_placement, replicate_with_leftover
-from repro.core.placement.optimal import optimal_placement
+from repro.core.placement.optimal import enumerate_placements, host_subsets, optimal_placement
 from repro.core.placement.problem import PlacementProblem
 from repro.core.placement.replicas import (
-    MAX_REPLICA_ASSIGNMENTS,
-    enumerate_replica_placements,
-    host_subsets,
     replica_aware_greedy,
     replica_branch_and_bound,
     replica_brute_force,
@@ -258,14 +255,14 @@ class TestReplicaSolvers:
     def test_enumeration_cap(self):
         instance = synthetic_instance(8, 12, seed=0, n_requests=2)
         with pytest.raises(PlacementError, match="replica_branch_and_bound"):
-            list(enumerate_replica_placements(instance.problem, max_copies=3))
+            list(enumerate_placements(instance.problem, max_copies=3))
 
     def test_enumeration_is_memory_feasible_and_tie_key_ordered(self):
         problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())
         modules = {m.name: m for m in problem.modules}
         previous = None
         count = 0
-        for placement in enumerate_replica_placements(problem, max_copies=2):
+        for placement in enumerate_placements(problem, max_copies=2):
             count += 1
             for device in problem.devices:
                 assert placement.used_bytes(device.name, modules) <= device.memory_bytes

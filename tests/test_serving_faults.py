@@ -301,6 +301,15 @@ class TestBrownoutPolicyValidation:
         with pytest.raises(ValueError, match="max_level"):
             BrownoutPolicy(max_level=-1)
 
+    # max_level is a count of shed classes; interval_s a duration.
+    @pytest.mark.parametrize("field, bad", [
+        ("max_level", True), ("max_level", 1.5), ("max_level", float("nan")),
+        ("interval_s", True), ("high_backlog_s", True), ("low_backlog_s", True),
+    ])
+    def test_rejects_bool_fraction_and_nan(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            BrownoutPolicy(**{field: bad})
+
 
 class TestRetryPolicyValidation:
     @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
@@ -315,6 +324,17 @@ class TestRetryPolicyValidation:
     def test_bad_backoff(self):
         with pytest.raises(ValueError, match="backoff_s"):
             RetryPolicy(backoff_s=-0.1)
+
+    # max_retries=inf is the unbounded budget the constructor refuses as
+    # None next to a timeout; True, 2.5 and NaN are no retry count either.
+    @pytest.mark.parametrize("field, bad", [
+        ("max_retries", True), ("max_retries", 2.5), ("max_retries", float("nan")),
+        ("max_retries", float("inf")), ("backoff_s", True), ("timeout_s", True),
+    ])
+    def test_rejects_bool_fraction_and_non_finite(self, field, bad):
+        kwargs = {"timeout_s": 1.0, "max_retries": 2, field: bad}
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**kwargs)
 
     def test_backoff_is_exponential_and_capped(self):
         policy = RetryPolicy(backoff_s=0.1)

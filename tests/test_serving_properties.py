@@ -14,10 +14,10 @@ none, and autoscale on or off, then checks four properties:
   is still applied (and logged, and may migrate) after the last request,
   and the run's clock runs on to it.
 
-A fifth property fuzzes the fault boundary: each example draws one
+A parametrized grid covers the fault boundary: each case is one
 malformed ingredient (an unknown device or link, a cut never restored, a
-bad time or factor, an unsorted plan, bad ``generate_churn`` arguments)
-and checks that it raises a ``ValueError`` naming the bad value before the
+bad time or factor, an unsorted plan, bad ``generate_churn`` arguments),
+and each must raise a ``ValueError`` naming the bad value before the
 engine schedules any event.
 
 The search is derandomized and small so tier-1 wall time stays bounded.
@@ -27,7 +27,7 @@ import dataclasses
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.profiles.communication import LINK_PROFILES
@@ -205,90 +205,92 @@ UNLINKED_PAIRS = (("desktop", "laptop"), ("jetson-a", "mainframe"), ("server", "
 BAD_TIMES = (float("nan"), float("inf"), -1.0, -1e-9, True, False)
 
 
-@st.composite
-def malformed_fault_inputs(draw):
-    """``(build, bad)``: ``build()`` makes one malformed fault plan (or
-    raises first), and ``bad`` is the text its error must contain."""
-    shape = draw(st.sampled_from(
-        ("device", "link", "cut", "time", "slow", "link-factor", "unsorted", "churn-args",
-         "churn-device")
-    ))
-    t = draw(st.sampled_from((0.0, 2.5, 7.0)))
-    if shape == "device":
-        name = draw(st.sampled_from(UNKNOWN_DEVICES))
-        kind = draw(st.sampled_from((FAIL, RECOVER)))
-        return (lambda: FaultPlan((FaultEvent(time=t, kind=kind, device=name),))), repr(name)
-    if shape == "link":
-        a, b = draw(st.sampled_from(UNLINKED_PAIRS))
-        return (lambda: FaultPlan.ordered(degrade_link(a, b, 0.5, start=t, end=t + 1))), f"{a!r} <-> {b!r}"
-    if shape == "cut":
-        a, b = draw(st.sampled_from(LINKS))
+#: One onset time for every grid case that needs one.
+T = 2.5
+
+
+def _plan(build):
+    """A malformed plan builder: ``FaultPlan.ordered`` over ``build()``."""
+    return lambda: FaultPlan.ordered(build())
+
+
+def malformed_fault_cases():
+    """Every ``(build, bad)`` case: ``build()`` makes one malformed fault
+    plan (or raises first), and ``bad`` is the text its error must contain."""
+    cases = []
+
+    def case(case_id, build, bad):
+        cases.append(pytest.param(build, bad, id=case_id))
+
+    for name in UNKNOWN_DEVICES:
+        for kind in (FAIL, RECOVER):
+            event = FaultEvent(time=T, kind=kind, device=name)
+            case(f"device-{kind}-{name}", lambda event=event: FaultPlan((event,)), repr(name))
+    # A legacy unvalidated churn input served this crash to the end,
+    # logging it as applied.
+    case("crash-mainframe", _plan(lambda: crash("mainframe", at=5.0)), "'mainframe'")
+    for a, b in UNLINKED_PAIRS:
+        case(f"link-{a}-{b}", _plan(lambda a=a, b=b: degrade_link(a, b, 0.5, start=T, end=T + 1)),
+             f"{a!r} <-> {b!r}")
+    for a, b in LINKS:
         low, high = sorted((a, b))  # the error names the link in name order
-        return (lambda: FaultPlan.ordered(degrade_link(a, b, 0.0, start=t))), f"{low!r} <-> {high!r}"
-    if shape == "time":
-        bad = draw(st.sampled_from(BAD_TIMES))
-        build = draw(st.sampled_from((
-            lambda: crash("desktop", at=bad),
-            lambda: slowdown("laptop", factor=2.0, start=bad, end=9.0),
-            lambda: degrade_link("desktop", "pan-router", 0.5, start=bad),
-            lambda: regional_outage(["desktop", "jetson-b"], start=bad),
-        )))
-        return (lambda: FaultPlan.ordered(build())), repr(bad)
-    if shape == "slow":
-        bad = draw(st.sampled_from((0.0, -2.0, float("nan"), float("inf"), True, "2")))
-        return (lambda: FaultPlan.ordered(slowdown("laptop", bad, start=t, end=t + 1))), repr(bad)
-    if shape == "link-factor":
-        bad = draw(st.sampled_from((1.0, 1.5, -0.1, float("nan"), float("inf"), False, None)))
-        return (
-            lambda: FaultPlan.ordered(degrade_link("desktop", "pan-router", bad, start=t, end=t + 1))
-        ), repr(bad)
-    if shape == "unsorted":
-        early = draw(st.sampled_from((0.5, 1.0, 2.0)))
-        return (lambda: FaultPlan(crash("desktop", at=5.0) + crash("laptop", at=early))), f"t={early}"
-    if shape == "churn-args":
-        rate, duration = draw(st.sampled_from((
-            (-0.1, 10.0), (float("nan"), 10.0), (0.1, 0.0), (0.1, -5.0), (0.0, 0.0),
-        )))
+        case(f"cut-{a}-{b}", _plan(lambda a=a, b=b: degrade_link(a, b, 0.0, start=T)),
+             f"{low!r} <-> {high!r}")
+    builders = {
+        "crash": lambda bad: crash("desktop", at=bad),
+        "slowdown": lambda bad: slowdown("laptop", factor=2.0, start=bad, end=9.0),
+        "degrade": lambda bad: degrade_link("desktop", "pan-router", 0.5, start=bad),
+        "outage": lambda bad: regional_outage(["desktop", "jetson-b"], start=bad),
+    }
+    for label, builder in builders.items():
+        for bad in BAD_TIMES:
+            case(f"time-{label}-{bad!r}", _plan(lambda builder=builder, bad=bad: builder(bad)),
+                 repr(bad))
+    case("time-event-True",
+         lambda: FaultPlan((FaultEvent(time=True, kind=FAIL, device="desktop"),)),
+         "fault time must be a finite number, got True")
+    for bad in (0.0, -2.0, float("nan"), float("inf"), True, "2"):
+        case(f"slow-{bad!r}", _plan(lambda bad=bad: slowdown("laptop", bad, start=T, end=T + 1)),
+             repr(bad))
+    for bad in (True, "2"):
+        case(f"slow-named-{bad!r}",
+             _plan(lambda bad=bad: slowdown("laptop", bad, start=T, end=T + 1)),
+             f"slow factor must be a finite number, got {bad!r}")
+    for bad in (1.0, 1.5, -0.1, float("nan"), float("inf"), False, None):
+        case(f"link-factor-{bad!r}", _plan(
+            lambda bad=bad: degrade_link("desktop", "pan-router", bad, start=T, end=T + 1)
+        ), repr(bad))
+    case("link-factor-named-False",
+         _plan(lambda: degrade_link("desktop", "pan-router", False, start=T)),
+         "link-degrade factor must be a finite number, got False")
+    for early in (0.5, 1.0, 2.0):
+        case(f"unsorted-{early}",
+             lambda early=early: FaultPlan(crash("desktop", at=5.0) + crash("laptop", at=early)),
+             f"t={early}")
+    for rate, duration in ((-0.1, 10.0), (float("nan"), 10.0), (0.1, 0.0), (0.1, -5.0),
+                           (0.0, 0.0)):
         bad = rate if not 0 <= rate else duration
-        return (
-            lambda: FaultPlan.ordered(generate_churn(DEVICES, "jetson-a", rate, duration))
-        ), repr(bad)
+        case(f"churn-args-{rate!r}-{duration!r}", _plan(
+            lambda rate=rate, duration=duration: generate_churn(
+                DEVICES, "jetson-a", rate, duration
+            )
+        ), repr(bad))
     # A churn stream over a pool with a device the runtime does not have:
     # with one other device and min_live=1, the first event fails it.
-    name = draw(st.sampled_from(UNKNOWN_DEVICES))
-    seed = draw(st.integers(0, 20))
-    return (
-        lambda: FaultPlan.ordered(
-            generate_churn([name, "jetson-a"], "jetson-a", 1.0, 50.0, seed=seed, min_live=1)
-        )
-    ), repr(name)
+    for name in UNKNOWN_DEVICES:
+        for seed in (0, 7, 20):
+            case(f"churn-device-{name}-{seed}", _plan(
+                lambda name=name, seed=seed: generate_churn(
+                    [name, "jetson-a"], "jetson-a", 1.0, 50.0, seed=seed, min_live=1
+                )
+            ), repr(name))
+    return cases
 
 
-@given(case=malformed_fault_inputs())
-@example(case=(lambda: FaultPlan.ordered(crash("mainframe", at=5.0)), "'mainframe'"))
-@example(case=(
-    lambda: FaultPlan((FaultEvent(time=True, kind=FAIL, device="desktop"),)),
-    "fault time must be a finite number, got True",
-))
-@example(case=(
-    lambda: FaultPlan.ordered(slowdown("laptop", True, start=1.0, end=2.0)),
-    "slow factor must be a finite number, got True",
-))
-@example(case=(
-    lambda: FaultPlan.ordered(slowdown("laptop", "2", start=1.0, end=2.0)),
-    "slow factor must be a finite number, got '2'",
-))
-@example(case=(
-    lambda: FaultPlan.ordered(degrade_link("desktop", "pan-router", False, start=1.0)),
-    "link-degrade factor must be a finite number, got False",
-))
-@settings(max_examples=60, deadline=1000, derandomize=True, database=None)
-def test_malformed_fault_input_raises_before_serving(case):
-    """The first explicit example is a crash of a device outside the pool.
-    A legacy unvalidated churn input used to serve it to the end, logging
-    the crash as applied.  The others are a bool time or factor and a
-    string factor, each named with its field."""
-    build, bad = case
+@pytest.mark.parametrize("build, bad", malformed_fault_cases())
+def test_malformed_fault_input_raises_before_serving(build, bad):
+    """Each case is one malformed fault ingredient; it must raise a
+    ``ValueError`` naming the bad value before the engine serves."""
     trace = ArrivalTrace(
         arrivals=(Arrival(1.0, "clip-vit-b16"),), duration_s=10.0, kind="poisson", seed=0
     )

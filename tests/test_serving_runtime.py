@@ -123,6 +123,27 @@ class TestServingBasics:
             ServingRuntime(MODELS).run(trace)
 
 
+    def test_unserved_model_rejected_before_serving(self):
+        """An arrival for a model the runtime does not deploy fails at the
+        boundary, naming the arrival, before any arrival is dispatched."""
+        arrivals = (Arrival(1.0, "clip-vit-b16"), Arrival(50.0, "imagebind"))
+        trace = ArrivalTrace(arrivals=arrivals, duration_s=60.0, kind="poisson", seed=0)
+        with pytest.raises(ValueError, match="arrival 1 asks for model 'imagebind'"):
+            ServingRuntime(["clip-vit-b16"]).run(trace)
+
+    # NaN passed every range check: latency_multiplier=nan made every
+    # deadline the floor, floor_s=nan made every deadline NaN (admission
+    # then rejected everything), and True passed as 1.
+    @pytest.mark.parametrize("field, bad", [
+        (field, bad)
+        for field in ("latency_multiplier", "floor_s", "absolute_s")
+        for bad in (float("nan"), float("inf"), True)
+    ] + [("admission", "no")])
+    def test_slo_policy_rejects_non_finite_and_bool(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            SLOPolicy(**{field: bad})
+
+
 class TestChurn:
     def test_mid_stream_failure_conserves_requests(self):
         """Failing a module-hosting device mid-stream forces re-placement;

@@ -124,6 +124,26 @@ class TestWorkloadGenerator:
             WorkloadGenerator(MODELS, phase_offset_s=float("inf"))
 
 
+    # ``<= 0`` lets NaN through, and ``generate()`` then died converting
+    # NaN to an int (or overflowing on inf) with no field named.
+    @pytest.mark.parametrize("field", [
+        "rate_rps", "duration_s", "burst_dwell_s", "base_dwell_s",
+        "diurnal_period_s", "burst_factor",
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected_naming_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            WorkloadGenerator(MODELS, **{field: bad})
+
+    @pytest.mark.parametrize("field", [
+        "rate_rps", "duration_s", "burst_dwell_s", "base_dwell_s",
+        "diurnal_period_s", "burst_factor", "phase_offset_s",
+    ])
+    def test_bool_rejected_naming_the_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            WorkloadGenerator(MODELS, **{field: True})
+
+
 class TestChurnGeneration:
     def test_same_seed_same_events(self):
         a = generate_churn(DEVICES, "jetson-a", 0.1, 120.0, seed=9)

@@ -22,7 +22,8 @@ TESTBED_DEVICES = ["desktop", "laptop", "jetson-b", "jetson-a"]
 
 #: Report digests recorded with the retired generator-process serving
 #: engine, after checking that it and the flat engine digested each case
-#: equal.  Keys name the case (see ``tests/test_serving_golden.py``).
+#: equal; the ``attempt:`` keys were recorded by the flat engine alone.
+#: Keys name the case (see ``tests/test_serving_golden.py``).
 SERVING_GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "serving_digests.json").read_text()
 )

@@ -5,8 +5,9 @@ autoscaling, batching, brownout, retry, energy tracking, same-instant
 ties) and compares ``ServingReport.digest()`` with
 ``tests/golden/serving_digests.json``.  The goldens were written by the
 retired generator-process serving engine, after asserting that it and
-the flat engine digested every case equal; a changed digest means the
-change altered what a run reports (a record, a log entry, an energy
+the flat engine digested every case equal; the ``attempt:`` keys came
+later and were recorded by the flat engine alone.  A changed digest means
+the change altered what a run reports (a record, a log entry, an energy
 float or a rendered line), not merely how fast it got there.
 
 Request ids come from a process-global counter; the digest rebases them,
@@ -26,6 +27,7 @@ from repro.serving import (
     SLOPolicy,
     WorkloadGenerator,
     crash,
+    degrade_link,
     fault_scenario,
     generate_churn,
     regional_outage,
@@ -37,14 +39,14 @@ MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 
 
 def _run(*, models=MODELS, kind="poisson", rate=0.4, duration=30.0, seed=0,
-         churn_rate=0.0, faults=None, runtime_kwargs=None):
+         churn_rate=0.0, faults=None, events=(), runtime_kwargs=None):
     trace = WorkloadGenerator(
         models, kind=kind, rate_rps=rate, duration_s=duration, seed=seed
     ).generate()
     runtime = ServingRuntime(models, **(runtime_kwargs or {}))
-    events = []
+    events = list(events)
     if churn_rate:
-        events = generate_churn(
+        events += generate_churn(
             runtime.device_names,
             requester=runtime.requester,
             rate_per_s=churn_rate,
@@ -177,10 +179,78 @@ CONFIGS = [
 ]
 
 
+#: One case per branch of a request's attempt path (admission shed, encoder
+#: path, head, micro-batch window, retry) that no other digest reaches.  All
+#: run without admission, so faults rather than the SLO end requests.
+_NO_ADMISSION = SLOPolicy(admission=False)
+ATTEMPT_CASES = [
+    # The brownout shed of an arrival that finds no live host for a module.
+    pytest.param(
+        dict(models=MODELS + ["image-classification-vitb16"], kind="bursty", rate=0.6,
+             duration=60.0, churn_rate=0.1, faults="regional-outage",
+             runtime_kwargs=dict(
+                 slo=_NO_ADMISSION,
+                 retry=RetryPolicy(timeout_s=6.0, max_retries=3, backoff_s=0.05),
+                 brownout=BrownoutPolicy(interval_s=0.5, high_backlog_s=0.5,
+                                         low_backlog_s=0.5 / 3))),
+        id="shed-no-live-host",
+    ),
+    # An encoder path routed after a sibling path spent the retry budget.
+    pytest.param(
+        dict(kind="bursty", rate=0.6, duration=40.0, churn_rate=0.1,
+             faults="regional-outage",
+             runtime_kwargs=dict(
+                 slo=_NO_ADMISSION,
+                 retry=RetryPolicy(timeout_s=0.5, max_retries=0, backoff_s=0.05))),
+        id="encoder-path-after-timeout",
+    ),
+    # A batch window that ends on a crashed host flushes its queue.
+    pytest.param(
+        dict(kind="bursty", rate=2.0, duration=40.0, churn_rate=0.1,
+             faults="regional-outage",
+             runtime_kwargs=dict(
+                 slo=_NO_ADMISSION, batch_window_s=0.2,
+                 retry=RetryPolicy(timeout_s=3.0, max_retries=2, backoff_s=0.05))),
+        id="window-dead-host-flush",
+    ),
+    # A head attempt whose watchdog fires while its last embedding hop is
+    # in flight over a degraded uplink.
+    pytest.param(
+        dict(models=["image-classification-vitb16"], rate=0.3, duration=60.0, seed=1,
+             events=degrade_link("laptop", "pan-router", 1e-4, 0, 59),
+             runtime_kwargs=dict(
+                 slo=_NO_ADMISSION,
+                 retry=RetryPolicy(timeout_s=1.0, max_retries=4, backoff_s=0.0))),
+        id="head-cancel-after-last-hop",
+    ),
+    # A head with no live host parks on the reconfiguration signal.
+    pytest.param(
+        dict(rate=0.6, duration=40.0, churn_rate=0.1, faults="flaky-links",
+             runtime_kwargs=dict(
+                 slo=_NO_ADMISSION,
+                 retry=RetryPolicy(timeout_s=3.0, max_retries=3, backoff_s=0.05))),
+        id="head-parked",
+    ),
+    # A partition strands a head's embeddings; with zero backoff the retry
+    # parks at once.
+    pytest.param(
+        dict(rate=1.2, duration=40.0, seed=2, churn_rate=0.1, faults="flaky-links",
+             runtime_kwargs=dict(
+                 slo=_NO_ADMISSION,
+                 retry=RetryPolicy(timeout_s=3.0, max_retries=3, backoff_s=0.0))),
+        id="head-stranded-zero-backoff",
+    ),
+]
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_config(self, config, request):
         assert_matches_golden(_run(**config), f"config:{request.node.callspec.id}")
+
+    @pytest.mark.parametrize("case", ATTEMPT_CASES)
+    def test_attempt_branch(self, case, request):
+        assert_matches_golden(_run(**case), f"attempt:{request.node.callspec.id}")
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_seeds_poisson_churn(self, seed):

@@ -143,58 +143,26 @@ class ExecutionResult:
     (answer indices, class predictions, ...) keyed by request id when the
     executor ran with a compute backend (see
     :mod:`repro.core.routing.batched`).
-
-    Aggregate statistics are cached: latencies are computed once per
-    distinct outcome-list content instead of on every
-    ``mean_latency``/``max_latency`` access, and ``outcome_for`` is an
-    indexed dict lookup instead of an attribute-chasing scan (validity is
-    still confirmed by a cheap O(n) identity walk, since ``outcomes`` is a
-    plain mutable list).  Staleness is detected by an identity snapshot of
-    the outcome objects, so appends, reorders (the executors' final sort),
-    and replacements all invalidate; the snapshot holds strong references,
-    so object ids cannot be recycled under it, and :class:`RequestOutcome`
-    is frozen, so cached entries cannot drift via in-place field mutation.
     """
 
     outcomes: List[RequestOutcome] = field(default_factory=list)
     trace: Optional[TraceRecorder] = None
     outputs: Dict[int, object] = field(default_factory=dict)
-    _snapshot: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _latency_cache: List[float] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
-    _index: Dict[int, RequestOutcome] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def _sync(self) -> None:
-        snapshot = self._snapshot
-        if (
-            snapshot is not None
-            and len(snapshot) == len(self.outcomes)
-            and all(cached is live for cached, live in zip(snapshot, self.outcomes))
-        ):
-            return
-        self._snapshot = tuple(self.outcomes)
-        self._latency_cache = [outcome.latency for outcome in self.outcomes]
-        self._index = {outcome.request.request_id: outcome for outcome in self.outcomes}
 
     @property
     def latencies(self) -> List[float]:
-        self._sync()
-        return list(self._latency_cache)
+        return [outcome.latency for outcome in self.outcomes]
 
     @property
     def mean_latency(self) -> float:
-        self._sync()
-        if not self._latency_cache:
+        latencies = self.latencies
+        if not latencies:
             return 0.0
-        return sum(self._latency_cache) / len(self._latency_cache)
+        return sum(latencies) / len(latencies)
 
     @property
     def max_latency(self) -> float:
-        self._sync()
-        return max(self._latency_cache, default=0.0)
+        return max(self.latencies, default=0.0)
 
     @property
     def makespan(self) -> float:
@@ -202,11 +170,10 @@ class ExecutionResult:
         return max((outcome.finish_time for outcome in self.outcomes), default=0.0)
 
     def outcome_for(self, request_id: int) -> RequestOutcome:
-        self._sync()
-        try:
-            return self._index[request_id]
-        except KeyError:
-            raise KeyError(f"no outcome for request {request_id}") from None
+        for outcome in self.outcomes:
+            if outcome.request.request_id == request_id:
+                return outcome
+        raise KeyError(f"no outcome for request {request_id}")
 
     def output_for(self, request_id: int):
         """The real inference output for ``request_id`` (backend runs only)."""

@@ -28,15 +28,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.profiles.devices import DEVICE_PROFILES
+from repro.utils.checks import is_finite_real
+
 #: Frozen default for a cluster's timezone shift (seconds): no shift.
 _ZERO_OFFSET_S = 0.0
 
 
-def _require_finite_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
+def _require_finite_positive(name: str, value: float) -> None:
+    if not is_finite_real(value) or value <= 0:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,14 @@ class ClusterSpec:
             raise ValueError(f"cluster name must be a non-empty string, got {self.name!r}")
         _require_finite_positive("rate_rps", self.rate_rps)
         _require_finite_positive("capacity_rps", self.capacity_rps)
-        if not math.isfinite(self.phase_offset_s):
-            raise ValueError(f"phase_offset_s must be finite, got {self.phase_offset_s}")
-        if self.device_names is not None and not self.device_names:
-            raise ValueError("device_names must be None or non-empty")
+        if not is_finite_real(self.phase_offset_s):
+            raise ValueError(f"phase_offset_s must be finite, got {self.phase_offset_s!r}")
+        names = self.device_names
+        if names is not None and (not isinstance(names, tuple) or not names):
+            raise ValueError(f"device_names must be None or a non-empty tuple, got {names!r}")
+        for device in names or ():
+            if not isinstance(device, str) or device not in DEVICE_PROFILES:
+                raise ValueError(f"device_names: unknown device {device!r}")
 
 
 @dataclass(frozen=True)

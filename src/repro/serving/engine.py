@@ -179,7 +179,9 @@ class FlatServingEngine:
         self._fail_times: Dict[str, List[float]] = {}
         self._radio_joules: Dict[str, float] = {}
         self._busy_intervals: Dict[str, List[Tuple[float, float]]] = {}
-        self._reconfig_waiters: List[Tuple[bool, int, int]] = []
+        # Parked attempts as (route handler, *args), re-run on the next
+        # reconfiguration signal.
+        self._reconfig_waiters: List[tuple] = []
         # Arrival indices of the latest admits, oldest first.
         self._recent_admits: List[int] = []
         self._migrations: List[MigrationRecord] = []
@@ -248,8 +250,8 @@ class FlatServingEngine:
         self._pending = np.zeros(n, dtype=np.int32)
         self._info_of = np.zeros(n, dtype=np.int32)
         self._enc_hosts = np.full((n, max(1, max_enc)), -1, dtype=np.int16)
-        self._enc_tried = np.zeros((n, max(1, max_enc)), dtype=bool)
-        self._head_tried = np.zeros(n, dtype=bool)
+        # Whether a module was attempted yet: encoder paths, then the head.
+        self._tried = np.zeros((n, max_enc + 1), dtype=bool)
         self._timed_out = np.zeros(n, dtype=bool)
         self._rejected: List[Optional[str]] = [None] * n
         self._unresolved = n
@@ -326,24 +328,19 @@ class FlatServingEngine:
             if rt.slo.admission:
                 self._reject(idx, "no live host for a required module")
                 return
-            if model_name in self._brownout_shed:
-                self._reject(
-                    idx,
-                    f"brownout level {self._brownout_level}: shedding {model_name}",
-                )
-                return
         else:
             slo_s = self._slo_cache.get(isolated)
             if slo_s is None:
                 slo_s = rt.slo.slo_for(isolated)
                 self._slo_cache[isolated] = slo_s
             self._slo[idx] = slo_s
-            if model_name in self._brownout_shed:
-                self._reject(
-                    idx,
-                    f"brownout level {self._brownout_level}: shedding {model_name}",
-                )
-                return
+        if model_name in self._brownout_shed:
+            self._reject(
+                idx,
+                f"brownout level {self._brownout_level}: shedding {model_name}",
+            )
+            return
+        if isolated is not None:
             predicted = isolated + self._queue_pressure(info)
             if not rt.slo.admit(predicted, slo_s):
                 reason = self._reject_reason_cache.get((predicted, slo_s))
@@ -370,35 +367,84 @@ class FlatServingEngine:
         self._unresolved -= 1
 
     # ==================================================================
+    # Attempts: one routed try of a request's encoder path or head
+    # ==================================================================
+    def _attempt(self, idx: int, path: int, is_head: bool) -> Optional[Tuple[list, str]]:
+        """Route and reserve a host for one attempt of the head or encoder
+        ``path``; return its ``(job, host)``, or None after parking the
+        attempt on the reconfiguration signal (no live host).
+
+        Every attempt of a module after its first spends one retry.  The
+        job is created at routing time so the retry watchdog covers the
+        transfer leg too, and its estimated service is priced at the same
+        instant the router reserved it (straggler-safe ledger).
+        """
+        info = self._infos[self._info_of[idx]]
+        module_name = info.head if is_head else info.encoders[path]
+        host = self._route_module(info, module_name, reserve=True)
+        if host is None:
+            self._reconfig_waiters.append(
+                (self._head_route, idx) if is_head else (self._enc_route, idx, path)
+            )
+            return None
+        column = -1 if is_head else path
+        if self._tried[idx, column]:
+            self._retries[idx] += 1
+        else:
+            self._tried[idx, column] = True
+        est = self._svc(info, module_name, host) * self._slow[host]
+        job = [is_head, idx, path, est, info.index, False, False, None]
+        if self._retry.timeout_s is not None:
+            self._loop.push(self._retry.timeout_s, self._watch_fire, job)
+        return job, host
+
+    def _attempt_failed(self, job: list, stranded: bool = False) -> None:
+        """One attempt failed (flush, stale batch, timeout, or an
+        undeliverable transfer): spend a retry or end the request.
+
+        With the budget spent, the route handler ends the attempt: the
+        head ends the request, an encoder path ends its path.
+        ``stranded`` marks a head's partition failure (a cached embedding
+        can't reach the head's host): every re-route at this instant would
+        fail the same reachability check, so the retry parks on the
+        reconfiguration signal instead of spinning — a cut link is always
+        restored eventually (the fault-plan validator rejects permanent
+        cuts), and every reachability change broadcasts the signal.
+        """
+        idx = job[_IDX]
+        if job[_IS_HEAD]:
+            retry, args = self._head_route, (idx,)
+        else:
+            retry, args = self._enc_route, (idx, job[_PATH])
+        if not self._retry.allows_retry(int(self._retries[idx])):
+            self._timed_out[idx] = True
+            retry(*args)
+            return
+        if stranded:
+            retry = self._head_stranded
+        delay = self._retry.backoff_delay(int(self._retries[idx]))
+        if delay > 0:
+            self._loop.push(delay, retry, *args)
+        else:
+            retry(*args)
+
+    # ==================================================================
     # Encoder paths
     # ==================================================================
     def _enc_route(self, idx: int, path: int) -> None:
         if self._timed_out[idx]:
-            # A sibling path exhausted the shared retry budget; the path
-            # ends through one completion entry (event order is pinned).
-            self._loop.push(0.0, self._enc_path_ended, idx)
+            # The shared retry budget is spent; the path ends through one
+            # completion entry (event order is pinned).
+            self._loop.push(0.0, self._enc_path_done, idx, path)
             return
-        info = self._infos[self._info_of[idx]]
-        host = self._route_module(info, info.encoders[path], reserve=True)
-        if host is None:
-            self._reconfig_waiters.append((False, idx, path))
+        attempt = self._attempt(idx, path, False)
+        if attempt is None:
             return
-        if self._enc_tried[idx, path]:
-            self._retries[idx] += 1
-        else:
-            self._enc_tried[idx, path] = True
-        # The job is created at routing time so the retry watchdog covers
-        # the transfer leg too, and its estimated service is priced at the
-        # same instant the router reserved it (straggler-safe ledger).
-        est = self._svc(info, info.encoders[path], host) * self._slow[host]
-        job = [False, idx, path, est, info.index, False, False, None]
-        if self._retry.timeout_s is not None:
-            self._loop.push(self._retry.timeout_s, self._watch_fire, job)
         if self._nic_busy:
-            self._nic_waiters.append((job, host))
+            self._nic_waiters.append(attempt)
         else:
             self._nic_busy = True
-            self._loop.push(0.0, self._enc_send, job, host)
+            self._loop.push(0.0, self._enc_send, *attempt)
 
     def _enc_send(self, job: list, host: str) -> None:
         if job[_CANCELLED] or not self._network.has_path(self._requester, host):
@@ -415,8 +461,7 @@ class FlatServingEngine:
 
     def _enc_after_send(self, job: list, host: str, sent: bool = True) -> None:
         if self._nic_waiters:
-            wjob, whost = self._nic_waiters.popleft()
-            self._loop.push(0.0, self._enc_send, wjob, whost)
+            self._loop.push(0.0, self._enc_send, *self._nic_waiters.popleft())
         else:
             self._nic_busy = False
         info = self._infos[job[_MODEL]]
@@ -426,66 +471,31 @@ class FlatServingEngine:
         if job[_CANCELLED] or not sent:
             # Undo the routing reservation and retry, like a device loss.
             self._release(host, job[_EST])
-            self._enc_failed(job)
+            self._attempt_failed(job)
             return
         self._enqueue(info.encoders[path], host, job)
 
-    def _enc_failed(self, job: list) -> None:
-        """One encoder attempt failed (flush, stale batch, timeout, or an
-        undeliverable transfer): spend a retry or end the request."""
-        idx = job[_IDX]
-        if not self._retry.allows_retry(int(self._retries[idx])):
-            self._timed_out[idx] = True
-            self._loop.push(0.0, self._enc_path_ended, idx)
-            return
-        delay = self._retry.backoff_delay(int(self._retries[idx]))
-        if delay > 0:
-            self._loop.push(delay, self._enc_route, idx, job[_PATH])
-            return
-        self._enc_route(idx, job[_PATH])
-
-    def _enc_path_done(self, idx: int, path: int, host: str) -> None:
-        self._enc_hosts[idx, path] = self._dev_index[host]
+    def _enc_path_done(self, idx: int, path: int, host: Optional[str] = None) -> None:
+        """An encoder path ended, on ``host`` or, with the retry budget
+        spent, on none; the last path to end routes the head."""
+        if host is not None:
+            self._enc_hosts[idx, path] = self._dev_index[host]
         self._pending[idx] -= 1
         if self._pending[idx] == 0:
-            self._loop.push(0.0, self._encs_joined, idx)
-
-    def _enc_path_ended(self, idx: int) -> None:
-        """An encoder path terminated without a host (retry budget spent)."""
-        self._pending[idx] -= 1
-        if self._pending[idx] == 0:
-            self._loop.push(0.0, self._encs_joined, idx)
-
-    def _encs_joined(self, idx: int) -> None:
-        if self._timed_out[idx]:
-            # Terminal: the request ends timed out, with no finish time.
-            self._unresolved -= 1
-            return
-        self._head_route(idx)
+            self._loop.push(0.0, self._head_route, idx)
 
     # ==================================================================
     # Head path
     # ==================================================================
     def _head_route(self, idx: int) -> None:
         if self._timed_out[idx]:
-            # Terminal: a sibling path spent the retry budget; the request
-            # ends timed out, with no finish time.
+            # Terminal: the retry budget is spent; the request ends timed
+            # out, with no finish time.
             self._unresolved -= 1
             return
-        info = self._infos[self._info_of[idx]]
-        host = self._route_module(info, info.head, reserve=True)
-        if host is None:
-            self._reconfig_waiters.append((True, idx, 0))
-            return
-        if self._head_tried[idx]:
-            self._retries[idx] += 1
-        else:
-            self._head_tried[idx] = True
-        est = self._svc(info, info.head, host) * self._slow[host]
-        job = [True, idx, 0, est, info.index, False, False, None]
-        if self._retry.timeout_s is not None:
-            self._loop.push(self._retry.timeout_s, self._watch_fire, job)
-        self._head_transfers(job, host, 0)
+        attempt = self._attempt(idx, 0, True)
+        if attempt is not None:
+            self._head_transfers(*attempt, 0)
 
     def _head_transfers(self, job: list, host: str, start_path: int) -> None:
         """Ship cached embeddings to the head's host, one hop at a time.
@@ -499,23 +509,21 @@ class FlatServingEngine:
         idx = job[_IDX]
         names = self._device_names
         path = start_path
-        while path < info.n_enc:
-            enc_host = names[self._enc_hosts[idx, path]]
-            if job[_CANCELLED] or not self._network.has_path(enc_host, host):
-                self._release(host, job[_EST])
-                self._head_failed(job, stranded=not job[_CANCELLED])
+        while not job[_CANCELLED]:
+            if path == info.n_enc:
+                self._enqueue(info.head, host, job)
                 return
+            enc_host = names[self._enc_hosts[idx, path]]
+            if not self._network.has_path(enc_host, host):
+                break
             seconds = self._transfer_seconds(enc_host, host, info.out_bytes[path])
             if seconds > 0:
                 self._loop.push(seconds, self._head_transfer_done, job, host, path)
                 return
             self._charge_radio(enc_host, host, info.out_bytes[path])
             path += 1
-        if job[_CANCELLED]:
-            self._release(host, job[_EST])
-            self._head_failed(job)
-            return
-        self._enqueue(info.head, host, job)
+        self._release(host, job[_EST])
+        self._attempt_failed(job, stranded=not job[_CANCELLED])
 
     def _head_transfer_done(self, job: list, host: str, path: int) -> None:
         info = self._infos[job[_MODEL]]
@@ -523,35 +531,9 @@ class FlatServingEngine:
         self._charge_radio(enc_host, host, info.out_bytes[path])
         self._head_transfers(job, host, path + 1)
 
-    def _head_failed(self, job: list, stranded: bool = False) -> None:
-        """One head attempt failed: spend a retry or end the request.
-
-        ``stranded`` marks a partition failure (a cached embedding can't
-        reach the head's host): every re-route at this instant would fail
-        the same reachability check, so the retry parks on the
-        reconfiguration signal instead of spinning — a cut link is always
-        restored eventually (the fault-plan validator rejects permanent
-        cuts), and every reachability change broadcasts the signal.
-        """
-        idx = job[_IDX]
-        if not self._retry.allows_retry(int(self._retries[idx])):
-            self._timed_out[idx] = True
-            self._unresolved -= 1
-            return
-        delay = self._retry.backoff_delay(int(self._retries[idx]))
-        if stranded:
-            if delay > 0:
-                self._loop.push(delay, self._head_stranded, idx)
-            else:
-                self._head_stranded(idx)
-            return
-        if delay > 0:
-            self._loop.push(delay, self._head_route, idx)
-            return
-        self._head_route(idx)
-
     def _head_stranded(self, idx: int) -> None:
-        self._reconfig_waiters.append((True, idx, 0))
+        """Park a stranded head's retry on the reconfiguration signal."""
+        self._reconfig_waiters.append((self._head_route, idx))
 
     # ==================================================================
     # Micro-batch servers
@@ -570,9 +552,15 @@ class FlatServingEngine:
             self._active_servers.add(key)
             self._loop.push(0.0, self._server_drain, module_name, host)
 
-    def _server_drain(self, module_name: str, host: str) -> None:
+    def _server_drain(self, module_name: str, host: str, waited: bool = False) -> None:
         """Drain one (module, host) queue in FIFO micro-batches; returning
-        means "suspended" (a window, a slot wait, or a running batch)."""
+        means "suspended" (a window, a slot wait, or a running batch).
+
+        ``waited`` marks the resume at the end of a batch window: its first
+        chunk goes out without opening another window.  A failure may have
+        flushed the queue during the window, and the device recovered since;
+        then nothing is left to run.
+        """
         rt = self.rt
         key = (module_name, host)
         queue = self._queues[key]
@@ -580,27 +568,14 @@ class FlatServingEngine:
             if host not in self._live:
                 self._flush_queue(key)
                 break
-            if rt.batch_window_s > 0 and len(queue) < rt.max_batch_size:
-                self._loop.push(rt.batch_window_s, self._server_window, module_name, host)
+            if not waited and rt.batch_window_s > 0 and len(queue) < rt.max_batch_size:
+                self._loop.push(rt.batch_window_s, self._server_drain, module_name, host, True)
                 return
+            waited = False
             if self._server_chunk(module_name, host):
                 continue
             return
         self._active_servers.discard(key)
-
-    def _server_window(self, module_name: str, host: str) -> None:
-        key = (module_name, host)
-        if host not in self._live:
-            self._flush_queue(key)
-            self._active_servers.discard(key)
-            return
-        if not self._queues[key]:
-            # A failure flushed the queue during the window and the device
-            # already recovered; nothing left to run.
-            self._active_servers.discard(key)
-            return
-        if self._server_chunk(module_name, host):
-            self._server_drain(module_name, host)
 
     def _server_chunk(self, module_name: str, host: str) -> bool:
         """Extract and submit one micro-batch.
@@ -685,17 +660,13 @@ class FlatServingEngine:
 
     def _job_done(self, job: list, host: str, ok: bool) -> None:
         idx = job[_IDX]
-        if job[_IS_HEAD]:
-            if ok:
-                self._finish[idx] = self._loop.now
-                self._unresolved -= 1
-            else:
-                self._head_failed(job)
+        if not ok:
+            self._attempt_failed(job)
+        elif job[_IS_HEAD]:
+            self._finish[idx] = self._loop.now
+            self._unresolved -= 1
         else:
-            if ok:
-                self._loop.push(0.0, self._enc_path_done, idx, job[_PATH], host)
-            else:
-                self._enc_failed(job)
+            self._loop.push(0.0, self._enc_path_done, idx, job[_PATH], host)
 
     def _drop_backlog(self, host: str, job: list) -> None:
         self._backlog[host] = max(0.0, self._backlog[host] - job[_EST])
@@ -740,10 +711,7 @@ class FlatServingEngine:
 
     def _timeout_resume(self, job: list) -> None:
         """The owner's resume after a watchdog fired: the attempt failed."""
-        if job[_IS_HEAD]:
-            self._head_failed(job)
-        else:
-            self._enc_failed(job)
+        self._attempt_failed(job)
 
     # ==================================================================
     # Streaming queue-aware routing
@@ -1154,12 +1122,9 @@ class FlatServingEngine:
         waiters, self._reconfig_waiters = self._reconfig_waiters, []
         self._loop.push(0.0, self._reconfig_broadcast, waiters)
 
-    def _reconfig_broadcast(self, waiters: List[Tuple[bool, int, int]]) -> None:
-        for is_head, idx, path in waiters:
-            if is_head:
-                self._head_route(idx)
-            else:
-                self._enc_route(idx, path)
+    def _reconfig_broadcast(self, waiters: List[tuple]) -> None:
+        for handler, *args in waiters:
+            handler(*args)
 
     # ==================================================================
     # Brownout controller (graceful load shedding)

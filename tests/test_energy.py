@@ -224,6 +224,35 @@ class TestEnergyBnBExactness:
         assert bnb_j == brute_j
         assert bnb_p.as_dict() == brute_p.as_dict()
 
+    @pytest.mark.parametrize("source", edge_device_names())
+    @pytest.mark.parametrize("factor", [None, 1.0, 1.5])
+    def test_exact_joule_ties_resolve_like_brute(self, source, factor):
+        # A classification request uses no CLIP text encoder or similarity
+        # head, so wherever those two modules go the joules tie bit for bit:
+        # both solvers must keep brute force's lexicographically first
+        # placement among the tied ones.
+        problem = PlacementProblem.from_models(
+            ["clip-vit-b16", "image-classification-vitb16"], edge_device_names()
+        )
+        requests = [InferenceRequest.for_model("image-classification-vitb16", source)]
+        network = Network()
+        model = LatencyModel(problem, network)
+        budget = None
+        if factor is not None:
+            budget = factor * model.objective(requests, greedy_placement(problem))
+        brute_p, brute_j = energy_optimal_placement(
+            problem, requests, network, latency_budget=budget, solver="brute"
+        )
+        bnb_p, bnb_j = energy_optimal_placement(
+            problem, requests, network, latency_budget=budget, solver="bnb"
+        )
+        assert bnb_j == brute_j
+        assert bnb_p.as_dict() == brute_p.as_dict()
+        moved = dict(brute_p.as_dict())
+        for unused in ("clip-trf-38m", "cosine-similarity"):
+            moved[unused] = ("laptop",) if moved[unused] != ("laptop",) else ("desktop",)
+        assert energy_objective(requests, Placement(moved), model) == brute_j
+
     def test_memory_infeasible_raises_under_both_solvers(self):
         # A module that fits on no device is a configuration error, not an
         # over-budget result: both solvers raise the same way (the latency

@@ -185,6 +185,30 @@ class TestTopology:
                 links=(dup, rev),
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("device_names", "desktop"),
+            ("device_names", ["desktop"]),
+            ("device_names", ("nope",)),
+            ("device_names", ("desktop", 3)),
+            ("rate_rps", True),
+            ("capacity_rps", True),
+            ("phase_offset_s", True),
+            ("phase_offset_s", "0"),
+        ],
+    )
+    def test_cluster_spec_refuses_bad_field(self, field, value):
+        kwargs = dict(rate_rps=1.0, capacity_rps=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            ClusterSpec("x", **kwargs)
+
+    def test_cluster_spec_accepts_known_devices(self):
+        spec = ClusterSpec("x", rate_rps=1, capacity_rps=2.5, phase_offset_s=-3,
+                           device_names=("desktop", "jetson-a"))
+        assert spec.device_names == ("desktop", "jetson-a")
+
     def test_unlinked_pair_has_no_price(self):
         topo = FederationTopology(
             clusters=(

@@ -12,11 +12,13 @@ per cluster ``completed + rejected + timed_out == arrivals`` with
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 from conftest import SERVING_MODELS, TESTBED_DEVICES, small_federation
 
 from repro.__main__ import main
+from repro.experiments.federation import study_fault_plans, study_runtime
 from repro.federation import (
     ClusterRoute,
     ClusterSpec,
@@ -323,6 +325,46 @@ class TestRouter:
                 forwarded_out=route.forwarded_out,
                 forwarded_in=route.forwarded_in,
             )
+
+
+#: ``plan_spillover`` pins: (duration_s, scenario) of a seed-7 study plan ->
+#: (routing digest, forwards).  Recorded before the planner's window scan
+#: was rewritten; every decision and every merged route is in the digest.
+SPILLOVER_PINS = {
+    (120.0, "offset-diurnal"): ("a062769f30aea969", 82),
+    (500.0, "offset-diurnal"): ("555acabb50e3a67b", 376),
+    (2000.0, "offset-diurnal"): ("1bc5190d52a0b81d", 1432),
+    (120.0, "regional-outage"): ("7a9e3d3769c9bf37", 79),
+    (500.0, "regional-outage"): ("59c72fdb5f87d3c9", 333),
+}
+
+
+def _routing_digest(routes):
+    rows = []
+    for name in sorted(routes):
+        route = routes[name]
+        trace = route.trace
+        rows.append((
+            name, route.local_arrivals, route.forwarded_out, route.forwarded_in,
+            trace.duration_s, trace.kind, trace.seed,
+            [
+                (d.origin, d.destination, d.index, d.departure_s, d.arrival_s, d.extra_s)
+                for d in route.decisions
+            ],
+            [(a.time, a.model_name) for a in trace.arrivals],
+            list(route.wan_extra_s),
+        ))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+class TestSpilloverPins:
+    @pytest.mark.parametrize("duration_s, scenario", sorted(SPILLOVER_PINS))
+    def test_plan_matches_pin(self, duration_s, scenario):
+        routes = study_runtime(spillover=True, duration_s=duration_s).plan(
+            7, study_fault_plans(scenario, duration_s)
+        )
+        forwards = sum(route.forwarded_out for route in routes.values())
+        assert (_routing_digest(routes), forwards) == SPILLOVER_PINS[duration_s, scenario]
 
 
 class TestRuntimeAndCli:

@@ -724,11 +724,11 @@ class CongestionModel:
 
         Each model's rate is its arrival count divided by the trace window —
         exactly the traffic the serving runtime is about to replay, so the
-        solver prices the congestion that ``serve`` will measure.
+        solver prices the congestion that ``serve`` will measure.  The rates
+        keep the trace's first-appearance order, which fixes the order of
+        :class:`WaitTensors`' float sums.
         """
-        counts: Dict[str, int] = {}
-        for arrival in trace.arrivals:
-            counts[arrival.model_name] = counts.get(arrival.model_name, 0) + 1
+        counts = trace.model_counts()
         duration = float(trace.duration_s)
         if duration <= 0:
             raise ConfigurationError(f"trace duration must be positive, got {duration}")

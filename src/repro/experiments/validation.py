@@ -212,7 +212,7 @@ def predicted_latencies(
         for name in LatencyModel._member_names(spec):
             surcharge += waits[placement.hosts(name)[0]]
         by_model[spec.name] = base + surcharge
-    return [by_model[arrival.model_name] for arrival in trace.arrivals]
+    return [by_model[name] for name in trace.model_names]
 
 
 def run_validation(
@@ -302,7 +302,7 @@ def run_validation(
             ValidationRow(
                 rate_rps=float(rate),
                 overload=overload,
-                arrivals=len(trace.arrivals),
+                arrivals=len(trace),
                 aware=aware,
                 blind=arms["blind"],
                 mean_ratio=mean_ratio,

@@ -44,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.federation.topology import FederationTopology
 from repro.profiles.devices import edge_device_names
 from repro.serving.faults import FAIL, RECOVER, FaultPlan
-from repro.serving.workload import Arrival, ArrivalTrace
+from repro.serving.workload import ArrivalTrace
 
 #: Default spillover request payload in megabytes (the input an edge
 #: cluster ships to a remote peer: an image or audio clip plus metadata).
@@ -78,7 +78,7 @@ class ClusterRoute:
 
     ``trace`` merges the kept local arrivals with the forwarded-in ones,
     sorted by time; ``wan_extra_s[i]`` is the end-to-end WAN penalty in
-    seconds of ``trace.arrivals[i]`` (0.0 for local arrivals).  The
+    seconds of the trace's arrival ``i`` (0.0 for local arrivals).  The
     counters feed the federation conservation contract:
     ``len(trace) == local_arrivals - forwarded_out + forwarded_in``.
     """
@@ -92,17 +92,17 @@ class ClusterRoute:
     decisions: Tuple[SpilloverDecision, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.wan_extra_s) != len(self.trace.arrivals):
+        if len(self.wan_extra_s) != len(self.trace):
             raise ValueError(
                 f"wan_extra_s has {len(self.wan_extra_s)} entries for "
-                f"{len(self.trace.arrivals)} arrivals"
+                f"{len(self.trace)} arrivals"
             )
-        if len(self.trace.arrivals) != (
+        if len(self.trace) != (
             self.local_arrivals - self.forwarded_out + self.forwarded_in
         ):
             raise ValueError(
                 f"cluster {self.name!r} routing lost work: "
-                f"{len(self.trace.arrivals)} routed != {self.local_arrivals} "
+                f"{len(self.trace)} routed != {self.local_arrivals} "
                 f"local - {self.forwarded_out} out + {self.forwarded_in} in"
             )
 
@@ -193,8 +193,8 @@ def plan_spillover(
             name: ClusterRoute(
                 name=name,
                 trace=traces[name],
-                wan_extra_s=tuple(0.0 for _ in traces[name].arrivals),
-                local_arrivals=len(traces[name].arrivals),
+                wan_extra_s=(0.0,) * len(traces[name]),
+                local_arrivals=len(traces[name]),
                 forwarded_out=0,
                 forwarded_in=0,
             )
@@ -203,13 +203,16 @@ def plan_spillover(
 
     n_windows = max(1, int(math.ceil(duration_s / window_s)))
     budgets = _window_budgets(topology, traces, fault_plans, window_s, n_windows)
-    # Occupancy starts as each cluster's local per-window arrival counts and
-    # is updated as forwards leave/land, so later decisions see earlier ones.
-    occupancy: Dict[str, List[int]] = {name: [0] * n_windows for name in names}
+    # Each cluster's arrival indices bucketed by window once, in trace order.
+    # Occupancy starts as the bucket sizes and is updated as forwards
+    # leave/land, so later decisions see earlier ones.
+    local_times = {name: traces[name].times.tolist() for name in names}
+    buckets: Dict[str, List[List[int]]] = {}
     for name in names:
-        for arrival in traces[name].arrivals:
-            w = min(n_windows - 1, int(arrival.time / window_s))
-            occupancy[name][w] += 1
+        buckets[name] = [[] for _ in range(n_windows)]
+        for index, t in enumerate(local_times[name]):
+            buckets[name][min(n_windows - 1, int(t / window_s))].append(index)
+    occupancy = {name: [len(b) for b in buckets[name]] for name in names}
 
     decisions: Dict[str, List[SpilloverDecision]] = {name: [] for name in names}
     forwarded_out_idx: Dict[str, set] = {name: set() for name in names}
@@ -221,20 +224,14 @@ def plan_spillover(
             if overflow <= 0:
                 continue
             # The *latest* arrivals of the window overflow (the earliest
-            # fill the local budget) — scan the window's arrivals once.
-            window_arrivals = [
-                (index, arrival)
-                for index, arrival in enumerate(traces[name].arrivals)
-                if min(n_windows - 1, int(arrival.time / window_s)) == w
-                and index not in forwarded_out_idx[name]
-            ]
-            for index, arrival in window_arrivals[-overflow:] if overflow < len(
-                window_arrivals
-            ) else window_arrivals:
+            # fill the local budget).  None of them has left yet: only this
+            # (window, cluster) step forwards its bucket's arrivals.
+            for index in buckets[name][w][-overflow:]:
+                departure_s = local_times[name][index]
                 choice = None
                 for peer in topology.neighbors(name):
                     delay = topology.wan_delay_s(name, peer, payload_mb)
-                    lands_at = arrival.time + delay
+                    lands_at = departure_s + delay
                     if lands_at >= duration_s:
                         continue
                     peer_w = min(n_windows - 1, int(lands_at / window_s))
@@ -258,7 +255,7 @@ def plan_spillover(
                         origin=name,
                         destination=peer,
                         index=index,
-                        departure_s=arrival.time,
+                        departure_s=departure_s,
                         arrival_s=lands_at,
                         extra_s=delay + topology.return_delay_s(name, peer),
                     )
@@ -272,14 +269,16 @@ def plan_spillover(
             inbound[decision.destination].append(decision)
     for name in names:
         kept = [
-            (arrival.time, arrival.model_name, 0.0)
-            for index, arrival in enumerate(traces[name].arrivals)
+            (t, model, 0.0)
+            for index, (t, model) in enumerate(
+                zip(local_times[name], traces[name].model_names)
+            )
             if index not in forwarded_out_idx[name]
         ]
         landed = [
             (
                 decision.arrival_s,
-                traces[decision.origin].arrivals[decision.index].model_name,
+                traces[decision.origin].model_names[decision.index],
                 decision.extra_s,
             )
             for decision in sorted(
@@ -292,13 +291,14 @@ def plan_spillover(
         routes[name] = ClusterRoute(
             name=name,
             trace=ArrivalTrace(
-                arrivals=tuple(Arrival(time=t, model_name=m) for t, m, _ in merged),
+                times=[t for t, _, _ in merged],
+                model_names=tuple(m for _, m, _ in merged),
                 duration_s=duration_s,
                 kind=traces[name].kind,
                 seed=traces[name].seed,
             ),
             wan_extra_s=tuple(extra for _, _, extra in merged),
-            local_arrivals=len(traces[name].arrivals),
+            local_arrivals=len(traces[name]),
             forwarded_out=len(decisions[name]),
             forwarded_in=len(inbound[name]),
             decisions=tuple(decisions[name]),

@@ -232,12 +232,11 @@ class FlatServingEngine:
         }
         self._track_energy = rt.track_energy
 
-        # The request-state columns: one row per arrival.
-        n = len(trace.arrivals)
-        self._arrival_models = [a.model_name for a in trace.arrivals]
-        self._arrival_times = np.array(
-            [a.time for a in trace.arrivals], dtype=np.float64
-        )
+        # The request-state columns: one row per arrival.  The arrival
+        # columns are the trace's own, shared without a copy (read-only).
+        n = len(trace)
+        self._arrival_models = trace.model_names
+        self._arrival_times = trace.times
         max_enc = max(
             (len(self._engine.resolve_model(name).encoders) for name in rt.models),
             default=0,
@@ -274,9 +273,9 @@ class FlatServingEngine:
         if fault_events:
             self._fault_events = list(fault_events)
             loop.push(0.0, self._fault_advance, 0)
-        if rt.brownout is not None and trace.arrivals:
+        if rt.brownout is not None and n:
             loop.push(0.0, self._brownout_gate)
-        if rt.autoscale and trace.arrivals:
+        if rt.autoscale and n:
             loop.push(0.0, self._autoscale_gate)
 
         loop.run(max_events=rt.max_events)

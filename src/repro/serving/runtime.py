@@ -312,17 +312,25 @@ class ServingRuntime:
         replay: identical inputs, faulted or not, give identical reports.
         """
         served = set(self.models)
-        for index, arrival in enumerate(trace.arrivals):
-            if not 0.0 <= arrival.time < math.inf:
-                raise ValueError(
-                    f"arrival {index} has time {arrival.time!r}; arrival times "
-                    "must be finite and non-negative"
-                )
-            if arrival.model_name not in served:
-                raise ValueError(
-                    f"arrival {index} asks for model {arrival.model_name!r}, which "
-                    f"this runtime does not serve ({sorted(served)})"
-                )
+        times, names = trace.times, trace.model_names
+        # Vectorized checks; the first bad index is searched for only to
+        # name it, and the earlier of the two faults is the one reported.
+        n = len(names)
+        bad_time = ~((times >= 0.0) & (times < math.inf))  # NaN fails both
+        first_time = int(bad_time.argmax()) if bad_time.any() else n
+        first_model = n
+        if not served.issuperset(names):
+            first_model = next(i for i, name in enumerate(names) if name not in served)
+        if first_time < n and first_time <= first_model:
+            raise ValueError(
+                f"arrival {first_time} has time {times[first_time].item()!r}; "
+                "arrival times must be finite and non-negative"
+            )
+        if first_model < n:
+            raise ValueError(
+                f"arrival {first_model} asks for model {names[first_model]!r}, which "
+                f"this runtime does not serve ({sorted(served)})"
+            )
         events = ()
         if faults is not None:
             if not isinstance(faults, FaultPlan):

@@ -32,14 +32,17 @@ same ziggurat routine as n scalar calls — and any overdraw at the end of
 the trace is rewound via ``bit_generator.state`` save/restore, so traces
 stay bit-for-bit identical across seeds and versions.  The scalar samplers
 are kept as ``_*_times_scalar`` reference implementations, pinned to the
-vectorized paths by regression tests.
+vectorized paths by regression tests.  The trace is columnar: the poisson
+times never leave numpy, and the picks are mapped to model names once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,37 +55,134 @@ WORKLOAD_KINDS: Tuple[str, ...] = ("poisson", "bursty", "diurnal")
 
 @dataclass(frozen=True)
 class Arrival:
-    """One request arrival: a catalog model name at a point in time (s)."""
+    """One request arrival: a catalog model name at a point in time (s).
+
+    A per-arrival view of one row of an :class:`ArrivalTrace`; traces
+    store columns, not these objects.
+    """
 
     time: float
     model_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrivalTrace:
-    """A deterministic sequence of arrivals over ``[0, duration_s)``."""
+    """A deterministic sequence of arrivals over ``[0, duration_s)``.
 
-    arrivals: Tuple[Arrival, ...]
+    Stored as two columns: ``times`` (a read-only float64 array, seconds)
+    and ``model_names`` (a tuple of catalog names), one row per arrival,
+    16 bytes per arrival (the names are shared references).  The
+    constructor takes any 1-D sequence of real numbers for ``times`` and
+    any sequence of ``str`` for ``model_names``; a read-only float64 array
+    is kept without a copy.  It refuses, with a :class:`ValueError` naming
+    the column, a ``times`` that is not 1-D or holds a ``bool``, a string
+    or another non-number, a ``model_names`` entry that is not a ``str``,
+    and columns of different lengths.
+    Whether a time is finite and non-negative, and whether a model is
+    served, is the runtime's check (it names the arrival index).
+    """
+
+    times: np.ndarray
+    model_names: Tuple[str, ...]
     duration_s: float
     kind: str
     seed: int
 
+    def __post_init__(self) -> None:
+        times = self.times
+        if not (
+            isinstance(times, np.ndarray)
+            and times.dtype == np.float64
+            and times.ndim == 1
+            and not times.flags.writeable
+        ):
+            times = _time_column(times)
+        names = self.model_names
+        if type(names) is not tuple:
+            if isinstance(names, str) or not isinstance(names, Iterable):
+                raise ValueError(f"model_names must be a sequence of str, got {names!r}")
+            names = tuple(names)
+        if not all(issubclass(t, str) for t in set(map(type, names))):
+            index = next(i for i, m in enumerate(names) if not isinstance(m, str))
+            raise ValueError(
+                f"model_names[{index}] is {names[index]!r}; model names must be str"
+            )
+        if len(times) != len(names):
+            raise ValueError(
+                f"times has {len(times)} entries but model_names has {len(names)}"
+            )
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "model_names", names)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArrivalTrace):
+            return NotImplemented
+        return (
+            (self.duration_s, self.kind, self.seed, self.model_names)
+            == (other.duration_s, other.kind, other.seed, other.model_names)
+            and np.array_equal(self.times, other.times)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.duration_s, self.kind, self.seed, len(self.model_names)))
+
+    def __reduce__(self):
+        # Through the constructor, so an unpickled trace is read-only too.
+        return (
+            type(self),
+            (self.times, self.model_names, self.duration_s, self.kind, self.seed),
+        )
+
     def __len__(self) -> int:
-        return len(self.arrivals)
+        return len(self.model_names)
+
+    @property
+    def arrivals(self) -> Tuple[Arrival, ...]:
+        """The rows as :class:`Arrival` objects, built on every call.
+
+        About 120 bytes per arrival while held, against the columns' 16;
+        nothing on the serving path reads it.
+        """
+        return tuple(map(Arrival, self.times.tolist(), self.model_names))
 
     @property
     def observed_rate_rps(self) -> float:
         """Arrivals per second actually realized by the trace."""
         if self.duration_s <= 0:
             return 0.0
-        return len(self.arrivals) / self.duration_s
+        return len(self) / self.duration_s
 
-    def model_counts(self) -> dict:
-        """How many arrivals each model received."""
-        counts: dict = {}
-        for arrival in self.arrivals:
-            counts[arrival.model_name] = counts.get(arrival.model_name, 0) + 1
-        return counts
+    def model_counts(self) -> Dict[str, int]:
+        """How many arrivals each model received, in first-appearance order."""
+        return dict(Counter(self.model_names))
+
+
+def _time_column(times) -> np.ndarray:
+    """``times`` as a fresh read-only float64 column, or a ValueError."""
+    if not isinstance(times, np.ndarray):
+        if isinstance(times, (str, bytes)) or not isinstance(times, Iterable):
+            raise ValueError(f"times must be a 1-D sequence of real numbers, got {times!r}")
+        times = list(times)
+        # np.asarray would turn a bool among floats into 1.0 or 0.0.
+        for index, value in enumerate(times):
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(
+                    f"times[{index}] is {value!r}; arrival times must be real numbers"
+                )
+        try:
+            times = np.asarray(times)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"times must be a 1-D sequence of real numbers: {exc}") from None
+    if times.ndim != 1:
+        raise ValueError(f"times must be 1-D, got shape {times.shape}")
+    if times.dtype.kind not in "fiu":
+        raise ValueError(
+            f"times must hold real numbers, got dtype {times.dtype} "
+            "(bool, string and object columns are refused)"
+        )
+    column = np.array(times, dtype=np.float64)
+    column.flags.writeable = False
+    return column
 
 
 class WorkloadGenerator:
@@ -164,17 +264,16 @@ class WorkloadGenerator:
             times = self._bursty_times(rng)
         else:
             times = self._diurnal_times(rng)
-        if times:
-            # One batched draw; same stream as one integers() call per time.
-            picks = rng.integers(len(self.models), size=len(times))
-            arrivals = tuple(
-                Arrival(time=t, model_name=self.models[k])
-                for t, k in zip(times, picks)
-            )
-        else:
-            arrivals = ()
+        # One batched draw; same stream as one integers() call per time.
+        picks = rng.integers(len(self.models), size=len(times))
+        times = np.asarray(times, dtype=np.float64)
+        times.flags.writeable = False
         return ArrivalTrace(
-            arrivals=arrivals, duration_s=self.duration_s, kind=self.kind, seed=self.seed
+            times=times,
+            model_names=tuple(np.array(self.models, dtype=object)[picks]),
+            duration_s=self.duration_s,
+            kind=self.kind,
+            seed=self.seed,
         )
 
     # ------------------------------------------------------------------
@@ -182,7 +281,7 @@ class WorkloadGenerator:
         """Batch size: expected draw count plus four-sigma Poisson slack."""
         return max(64, int(expected + 4.0 * math.sqrt(max(expected, 1.0)) + 16.0))
 
-    def _poisson_times(self, rng) -> List[float]:
+    def _poisson_times(self, rng) -> np.ndarray:
         """Batched homogeneous Poisson sampling.
 
         Draw inter-arrival gaps a chunk at a time and cumsum them (numpy's
@@ -209,7 +308,7 @@ class WorkloadGenerator:
                 break
             pieces.append(clock)
             offset = float(clock[-1])
-        return np.concatenate(pieces).tolist() if pieces else []
+        return np.concatenate(pieces)
 
     def _bursty_times(self, rng) -> List[float]:
         """Two-state MMPP: exponential dwell, state-dependent arrival rate.

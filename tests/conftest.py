@@ -11,7 +11,7 @@ from repro.core.placement.problem import PlacementProblem
 from repro.federation import ClusterSpec, FederationTopology, WanLink
 from repro.models.zoo import DEFAULT_ZOO
 from repro.profiles.devices import edge_device_names, testbed_device_names
-from repro.serving.workload import Arrival, ArrivalTrace
+from repro.serving.workload import ArrivalTrace
 from repro.utils.seeding import rng_for
 
 #: The two-model mix and four-device pool shared by the serving and
@@ -43,7 +43,8 @@ def burst_trace(count, spacing_s=0.1, model="clip-vit-b16", duration_s=10.0):
     seconds starting at ``spacing_s``.
     """
     return ArrivalTrace(
-        arrivals=tuple(Arrival(spacing_s * (i + 1), model) for i in range(count)),
+        times=[spacing_s * (i + 1) for i in range(count)],
+        model_names=(model,) * count,
         duration_s=duration_s,
         kind="poisson",
         seed=0,

@@ -33,7 +33,7 @@ from repro.serving import (
     regional_outage,
     slowdown,
 )
-from repro.serving.workload import Arrival, ArrivalTrace
+from repro.serving.workload import ArrivalTrace
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 
@@ -346,9 +346,8 @@ COINCIDENT_TIMES = (
 
 def _coincident_trace():
     return ArrivalTrace(
-        arrivals=tuple(
-            Arrival(time, MODELS[i % len(MODELS)]) for i, time in enumerate(COINCIDENT_TIMES)
-        ),
+        times=COINCIDENT_TIMES,
+        model_names=tuple(MODELS[i % len(MODELS)] for i in range(len(COINCIDENT_TIMES))),
         duration_s=15.0,
         kind="poisson",
         seed=0,

@@ -48,7 +48,7 @@ from repro.serving import (
     slowdown,
 )
 from repro.serving.engine import FlatServingEngine
-from repro.serving.workload import WORKLOAD_KINDS, Arrival, ArrivalTrace
+from repro.serving.workload import WORKLOAD_KINDS, ArrivalTrace
 
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 DURATION_S = 10.0
@@ -188,7 +188,7 @@ def test_timeout_shorter_than_service_with_unbounded_retries():
     with pytest.raises(ValueError, match="timeout_s.*max_retries"):
         RetryPolicy(timeout_s=1.0)
     trace = ArrivalTrace(
-        arrivals=(Arrival(1.0, "clip-vit-b16"),), duration_s=5.0, kind="poisson", seed=0
+        times=(1.0,), model_names=("clip-vit-b16",), duration_s=5.0, kind="poisson", seed=0
     )
     report = ServingRuntime(
         MODELS, slo=SLOPolicy(admission=False),
@@ -292,7 +292,7 @@ def test_malformed_fault_input_raises_before_serving(build, bad):
     """Each case is one malformed fault ingredient; it must raise a
     ``ValueError`` naming the bad value before the engine serves."""
     trace = ArrivalTrace(
-        arrivals=(Arrival(1.0, "clip-vit-b16"),), duration_s=10.0, kind="poisson", seed=0
+        times=(1.0,), model_names=("clip-vit-b16",), duration_s=10.0, kind="poisson", seed=0
     )
     with mock.patch.object(FlatServingEngine, "run", side_effect=AssertionError("served")):
         with pytest.raises(ValueError) as raised:

@@ -12,7 +12,7 @@ from repro.serving import (
     crash,
     generate_churn,
 )
-from repro.serving.workload import Arrival, ArrivalTrace
+from repro.serving.workload import ArrivalTrace
 
 MODELS = SERVING_MODELS
 DEVICES = TESTBED_DEVICES
@@ -70,7 +70,7 @@ class TestServingBasics:
         assert shed.goodput_rps >= flooded.goodput_rps
 
     def test_empty_trace(self):
-        trace = ArrivalTrace(arrivals=(), duration_s=5.0, kind="poisson", seed=0)
+        trace = ArrivalTrace(times=(), model_names=(), duration_s=5.0, kind="poisson", seed=0)
         report = ServingRuntime(MODELS).run(trace)
         assert report.arrivals == 0
         assert report.slo_attainment == 1.0
@@ -116,9 +116,12 @@ class TestServingBasics:
     def test_invalid_arrival_time_rejected(self, bad):
         """A trace with one bad arrival time fails at the boundary, naming
         the arrival, instead of being served as if valid."""
-        arrivals = list(burst_trace(10).arrivals)
-        arrivals[3] = Arrival(bad, arrivals[3].model_name)
-        trace = ArrivalTrace(arrivals=tuple(arrivals), duration_s=10.0, kind="poisson", seed=0)
+        base = burst_trace(10)
+        times = base.times.copy()
+        times[3] = bad
+        trace = ArrivalTrace(
+            times=times, model_names=base.model_names, duration_s=10.0, kind="poisson", seed=0
+        )
         with pytest.raises(ValueError, match="arrival 3 has time"):
             ServingRuntime(MODELS).run(trace)
 
@@ -126,8 +129,10 @@ class TestServingBasics:
     def test_unserved_model_rejected_before_serving(self):
         """An arrival for a model the runtime does not deploy fails at the
         boundary, naming the arrival, before any arrival is dispatched."""
-        arrivals = (Arrival(1.0, "clip-vit-b16"), Arrival(50.0, "imagebind"))
-        trace = ArrivalTrace(arrivals=arrivals, duration_s=60.0, kind="poisson", seed=0)
+        trace = ArrivalTrace(
+            times=(1.0, 50.0), model_names=("clip-vit-b16", "imagebind"),
+            duration_s=60.0, kind="poisson", seed=0,
+        )
         with pytest.raises(ValueError, match="arrival 1 asks for model 'imagebind'"):
             ServingRuntime(["clip-vit-b16"]).run(trace)
 
@@ -283,8 +288,10 @@ class TestAutoscale:
     def test_idle_tail_scales_back_down(self):
         """A burst followed by silence drops the surplus replicas (the
         arrival window is padded so the control loop outlives the burst)."""
-        arrivals = tuple(Arrival(0.05 * (i + 1), "clip-vit-b16") for i in range(24))
-        trace = ArrivalTrace(arrivals=arrivals, duration_s=60.0, kind="poisson", seed=0)
+        trace = ArrivalTrace(
+            times=[0.05 * (i + 1) for i in range(24)], model_names=("clip-vit-b16",) * 24,
+            duration_s=60.0, kind="poisson", seed=0,
+        )
         report = ServingRuntime(
             MODELS,
             slo=SLOPolicy(admission=False),

@@ -201,7 +201,7 @@ class TestVectorizedSamplerRegression:
         else:
             vec = gen._bursty_times(vec_rng)
             ref = gen._bursty_times_scalar(ref_rng)
-        assert vec == ref
+        assert list(vec) == ref
         # The stream must be left at exactly the scalar position, or the
         # subsequent model-assignment draws would diverge.
         assert vec_rng.integers(1 << 30, size=8).tolist() == \

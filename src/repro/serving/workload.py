@@ -89,14 +89,7 @@ class ArrivalTrace:
     seed: int
 
     def __post_init__(self) -> None:
-        times = self.times
-        if not (
-            isinstance(times, np.ndarray)
-            and times.dtype == np.float64
-            and times.ndim == 1
-            and not times.flags.writeable
-        ):
-            times = _time_column(times)
+        times = _time_column(self.times)
         names = self.model_names
         if type(names) is not tuple:
             if isinstance(names, str) or not isinstance(names, Iterable):
@@ -158,7 +151,18 @@ class ArrivalTrace:
 
 
 def _time_column(times) -> np.ndarray:
-    """``times`` as a fresh read-only float64 column, or a ValueError."""
+    """``times`` as a read-only float64 column, or a ValueError.
+
+    A read-only 1-D float64 array is returned as is; anything else is
+    checked and copied.
+    """
+    if (
+        isinstance(times, np.ndarray)
+        and times.dtype == np.float64
+        and times.ndim == 1
+        and not times.flags.writeable
+    ):
+        return times
     if not isinstance(times, np.ndarray):
         if isinstance(times, (str, bytes)) or not isinstance(times, Iterable):
             raise ValueError(f"times must be a 1-D sequence of real numbers, got {times!r}")

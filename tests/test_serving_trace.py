@@ -143,29 +143,30 @@ class TestBoundary:
 
 # -- property search --------------------------------------------------------
 
-TIME_VALUES = st.one_of(
-    st.floats(0.0, 20.0),
-    st.integers(0, 20),
-    st.sampled_from(
-        (math.nan, math.inf, -math.inf, -1.0, -0.0, True, False, "1.0", None)
-    ),
+GOOD_TIMES = st.one_of(st.floats(0.0, 20.0), st.integers(0, 20))
+BAD_TIMES = st.sampled_from(
+    (math.nan, math.inf, -math.inf, -1.0, -0.0, True, False, np.bool_(True), "1.0", None)
 )
-#: Mostly served names, so that whole traces get through to the engine.
-NAME_VALUES = st.sampled_from(MODELS * 4 + ["imagebind", 3, None])
+BAD_NAMES = st.sampled_from(("imagebind", 3, None, b"clip-vit-b16"))
 ARRIVAL_INDEX = re.compile(r"^arrival \d+ ")
 FUZZ_RUNTIME = ServingRuntime(MODELS, slo=SLOPolicy(admission=False), max_events=200_000)
 
 
 @st.composite
 def raw_columns(draw):
+    """Valid columns with, each by chance, one bad time, one bad name,
+    a length mismatch, or the times handed over as a float64 array."""
     n = draw(st.integers(0, 6))
-    times = draw(st.lists(TIME_VALUES, min_size=n, max_size=n))
-    names = draw(st.lists(NAME_VALUES, min_size=n, max_size=n))
+    times = draw(st.lists(GOOD_TIMES, min_size=n, max_size=n))
+    names = draw(st.lists(st.sampled_from(MODELS), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        times[draw(st.integers(0, n - 1))] = draw(BAD_TIMES)
+    if n and draw(st.booleans()):
+        names[draw(st.integers(0, n - 1))] = draw(BAD_NAMES)
     if draw(st.integers(0, 9)) == 0:
-        names = names[:-1] if names else ["clip-vit-b16"]
-    if draw(st.booleans()):
-        times = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=len(names),
-                                       max_size=len(names))))
+        names = names[:-1] if names else [MODELS[0]]
+    elif draw(st.booleans()) and all(type(t) in (int, float) for t in times):
+        times = np.array(times, dtype=np.float64)
     return times, names
 
 
@@ -178,10 +179,17 @@ def test_malformed_traces_serve_conserved_or_raise_named(columns):
     except ValueError as exc:
         assert re.search(r"\b(times|model_names)\b", str(exc)), str(exc)
         return
+    # Accepted columns hold exactly what was given: no bool, string or
+    # None slipped through as a number.
+    assert all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in list(times))
+    assert np.array_equal(trace.times, np.asarray(times, dtype=float), equal_nan=True)
+    assert trace.model_names == tuple(names)
     try:
         report = FUZZ_RUNTIME.run(trace)
     except ValueError as exc:
         assert ARRIVAL_INDEX.match(str(exc)), str(exc)
         return
+    assert all(0.0 <= t < math.inf for t in trace.times.tolist())
+    assert set(trace.model_names) <= set(MODELS)
     assert report.arrivals == len(trace)
     assert report.completed + report.rejected + report.timed_out == report.arrivals

@@ -11,6 +11,12 @@ are bit-identical to brute force, so their floats are exact pins too.
 The ``bench`` and ``bench-replica`` kinds are the ``solve`` benchmark's own
 instance shapes, and every energy case also pins the assignment the energy
 search starts from (greedy, then its budgeted energy descent).
+
+``REPLICA_SLOW_PINS`` (``-m slow``) pins the replica search on larger
+shapes: ``synthetic_instance(5, 6, n_requests=6)`` with two copies for the
+seeds that finish in about two seconds (seeds 0, 3, 4, 5 and 7 do not
+finish in 15 s), plus 5 x 8 seed 1, the replica sweep's largest row
+(about ten seconds).
 """
 
 import pytest
@@ -212,3 +218,32 @@ def test_incumbents_cover_every_energy_case():
 @pytest.mark.parametrize("key", sorted(INCUMBENT_PINS), ids=lambda key: "-".join(map(str, key)))
 def test_energy_incumbent_pinned(key):
     assert incumbent_case(*key) == INCUMBENT_PINS[key]
+
+
+#: ``(modules, devices, seed) -> pinned result`` of the replica search on
+#: ``synthetic_instance(modules, devices, seed=seed, n_requests=6)`` with
+#: ``max_copies=2``.
+REPLICA_SLOW_PINS = {
+    (5, 6, 1): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00', 'dev-03')), ('enc-02', ('dev-00', 'dev-01')), ('enc-03', ('dev-00',)), ('synth-head', ('dev-00',))], 1.6575797353735446, 309, 1, 6061),
+    (5, 6, 2): ([('enc-00', ('dev-00', 'dev-01')), ('enc-01', ('dev-00', 'dev-02')), ('enc-02', ('dev-00', 'dev-02')), ('enc-03', ('dev-00', 'dev-05')), ('synth-head', ('dev-00', 'dev-05'))], 1.5913952181001274, 70, 1, 1310),
+    (5, 6, 6): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00', 'dev-03')), ('enc-02', ('dev-00', 'dev-04')), ('enc-03', ('dev-00',)), ('synth-head', ('dev-00', 'dev-03'))], 3.1573018000011035, 94, 1, 1791),
+    (5, 6, 8): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00', 'dev-03')), ('enc-02', ('dev-00', 'dev-01')), ('enc-03', ('dev-00',)), ('synth-head', ('dev-00',))], 3.302815959466571, 133, 1, 2401),
+    (5, 6, 9): ([('enc-00', ('dev-00', 'dev-01')), ('enc-01', ('dev-00', 'dev-02')), ('enc-02', ('dev-00', 'dev-01')), ('enc-03', ('dev-00', 'dev-02')), ('synth-head', ('dev-00', 'dev-02'))], 3.2804346188794407, 7, 1, 49),
+    (5, 6, 10): ([('enc-00', ('dev-00', 'dev-04')), ('enc-01', ('dev-00', 'dev-03')), ('enc-02', ('dev-00',)), ('enc-03', ('dev-00',)), ('synth-head', ('dev-00', 'dev-04'))], 4.159421804069586, 6, 1, 32),
+    (5, 6, 11): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00', 'dev-05')), ('enc-02', ('dev-00', 'dev-01')), ('enc-03', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-05'))], 3.3431766876088598, 6, 1, 33),
+    (5, 8, 1): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00', 'dev-03')), ('enc-02', ('dev-00', 'dev-06')), ('enc-03', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-06'))], 2.4204013233939565, 436, 2, 15101),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "key", sorted(REPLICA_SLOW_PINS), ids=lambda key: "x".join(map(str, key[:2])) + f"-{key[2]}"
+)
+def test_replica_traversal_pinned_slow(key):
+    n_modules, n_devices, seed = key
+    inst = synthetic_instance(n_modules, n_devices, seed=seed, n_requests=6)
+    stats = BnBStats()
+    placement, objective = replica_branch_and_bound(
+        inst.problem, list(inst.requests), inst.network, max_copies=2, stats=stats,
+    )
+    assert (hosts(placement), objective, stats.nodes, stats.leaves, stats.pruned) == REPLICA_SLOW_PINS[key]

@@ -59,7 +59,6 @@ bounds — again bit-identical to brute-force enumeration.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -82,6 +81,7 @@ from repro.core.placement.tensors import (
     group_latency,
     request_classes,
 )
+from repro.utils.checks import is_limit
 from repro.utils.errors import PlacementError
 
 
@@ -89,15 +89,15 @@ class _GroupBound:
     """Admissible per-(model, source) bounds under partial assignment.
 
     One class for every single-copy objective; :class:`_LatencyBound` and
-    :class:`_EnergyBound` supply the arrays and ``exact(assign)``, the
-    class's true total once every member is placed.  ``A[e]`` is encoder
-    path ``e``'s prefix cost per device (latency: input transfer + compute;
-    energy: compute + input radio), stacked over paths as ``[E, N]``;
-    ``group.out[e]`` is the path's ``[N, N]`` output hop and ``head`` the
-    head's cost row.  ``parallel`` selects Eq. 2's max over paths (with
-    slot contention and LPT queue waits, read from the latency rows);
-    otherwise paths add up, and the plain formula is already exact at
-    completion.
+    :class:`_EnergyBound` supply the arrays and ``total(enc_hosts,
+    head_host)``, the class's true value once every member is placed.
+    ``A[e]`` is encoder path ``e``'s prefix cost per device (latency: input
+    transfer + compute; energy: compute + input radio), stacked over paths
+    as ``[E, N]``; ``group.out[e]`` is the path's ``[N, N]`` output hop and
+    ``head`` the head's cost row.  ``parallel`` selects Eq. 2's max over
+    paths (with slot contention and LPT queue waits, read from the latency
+    rows); otherwise paths add up, and the plain formula is already exact
+    at completion.
 
     Everything scalar is read from Python-float rows (the same doubles)
     built here once per search, in one stacked pass, and freed with the
@@ -123,23 +123,24 @@ class _GroupBound:
                 "intra-module partitioning first (paper Sec. V-B)"
             )
         head_fit, fit = fits[0], fits[1:]  # [N], [E, N]
-        out = np.array(group.out)  # [E, N, N], a set-up temporary
+        out = np.array(group.out)  # [E, N, N]
         # Per encoder path e (rows over the device axis):
         #   A[e][ne]          the path prefix with the encoder on ne
+        #   paths[e][ne][nh]  A[e][ne] + out[e][ne][nh], the whole path
+        #                     (numpy only: its rows are the vectors handed out)
         #   enc_assigned[e]   A + (cheapest out over fitting head hosts)
-        #   head_assigned[e]  cheapest (A + out[:, nh]) over fitting encoder hosts
+        #   head_assigned[e]  cheapest path over fitting encoder hosts, per nh
         #   free[e]           cheapest over both endpoints
         #   out_min_rows[e]   cheapest out over fitting head hosts
-        # Vector math over the device axis reads the numpy arrays.
+        # Vector math over the device axis reads the numpy arrays (views of
+        # them are never written: every vector handed out is a fresh sum).
         out_min = out.min(axis=2, where=head_fit, initial=np.inf)
         self.A = A
-        self.out = group.out
+        self.paths = A[:, :, None] + out
         self.head = head
         self.head_min = float(head.min(where=head_fit, initial=np.inf))
         self.enc_assigned = A + out_min
-        self.head_assigned = (A[:, :, None] + out).min(
-            axis=1, where=fit[:, :, None], initial=np.inf
-        )
+        self.head_assigned = self.paths.min(axis=1, where=fit[:, :, None], initial=np.inf)
         self.free: List[float] = self.enc_assigned.min(axis=1, where=fit, initial=np.inf).tolist()
         self.out_min_rows: List[List[float]] = out_min.tolist()
         self.head_row: List[float] = head.tolist()
@@ -147,6 +148,10 @@ class _GroupBound:
         self.out_rows: List[List[List[float]]] = out.tolist()
         self.enc_assigned_rows: List[List[float]] = self.enc_assigned.tolist()
         self.head_assigned_rows: List[List[float]] = self.head_assigned.tolist()
+
+    def exact(self, assign: Sequence[int]) -> float:
+        """The class's true value under a complete assignment."""
+        return self.total([assign[i] for i in self.encoder_idx], assign[self.head_idx])
 
     # ------------------------------------------------------------------
     # Contention: Eq. 2's max is blind to ``parallel_slots`` until queue
@@ -159,48 +164,63 @@ class _GroupBound:
     # The slack factor absorbs float-rounding differences (the true stage
     # is accumulated in a different operation order); it is ~1e5 times any
     # accumulated ulp error yet far below meaningful latency differences.
+    # Every device has at least one slot, so only a device holding two or
+    # more placed encoders (or one, plus the encoder being placed) can be
+    # oversubscribed.
     # ------------------------------------------------------------------
     _CONTENTION_SLACK = 1.0 - 1e-9
 
-    def _contention_state(self, assign: Sequence[int]):
-        """Assigned per-device loads/members and the unassigned path list."""
+    def _contention_state(self, hosts: Sequence[int]):
+        """Placed encoders' per-device loads and paths, and the unplaced
+        paths, from the encoder ``hosts`` (``-1`` for unplaced)."""
         loads: Dict[int, float] = {}
         members: Dict[int, List[int]] = {}
         unassigned: List[int] = []
-        for e, idx in enumerate(self.encoder_idx):
-            ne = int(assign[idx])
-            if ne >= 0:
-                loads[ne] = loads.get(ne, 0.0) + self.enc_comp_rows[e][ne]
-                members.setdefault(ne, []).append(e)
-            else:
+        comp = self.enc_comp_rows
+        for e, ne in enumerate(hosts):
+            if ne < 0:
                 unassigned.append(e)
+            elif ne in members:
+                loads[ne] += comp[e][ne]
+                members[ne].append(e)
+            else:
+                loads[ne] = comp[e][ne]
+                members[ne] = [e]
         return loads, members, unassigned
 
     def _contention_term(self, n: int, pool: List[int], load: float, nh: int) -> float:
         """Admissible stage bound from slot pressure on device ``n``."""
         in_comm = self.in_comm_rows
-        in_min = min(in_comm[e][n] for e in pool)
+        in_min = min([in_comm[e][n] for e in pool])
         if nh >= 0:
             out = self.out_rows
-            out_floor = min(out[e][n][nh] for e in pool)
+            out_floor = min([out[e][n][nh] for e in pool])
         else:
             out_min = self.out_min_rows
-            out_floor = min(out_min[e][n] for e in pool)
+            out_floor = min([out_min[e][n] for e in pool])
         return (in_min + load / self.tensors.slots[n] + out_floor) * self._CONTENTION_SLACK
 
-    def _contention(self, assign: Sequence[int], nh: int) -> float:
+    def _oversubscribed(self, loads, members, unassigned, nh: int) -> float:
         """Max contention term over devices whose slots are oversubscribed."""
-        if not self.parallel:
-            return 0.0
-        loads, members, unassigned = self._contention_state(assign)
+        slots = self.tensors.slots
         best = 0.0
         for n, here in members.items():
-            if len(here) <= self.tensors.slots[n]:
+            if len(here) <= slots[n]:
                 continue
             term = self._contention_term(n, here + unassigned, loads[n], nh)
             if term > best:
                 best = term
         return best
+
+    def _contention(self, hosts: Sequence[int], nh: int) -> float:
+        """The contention bound of the encoder ``hosts`` (``-1`` unplaced);
+        ``0.0`` without a device holding two placed encoders."""
+        if not self.parallel:
+            return 0.0
+        placed = [n for n in hosts if n >= 0]
+        if len(set(placed)) == len(placed):
+            return 0.0
+        return self._oversubscribed(*self._contention_state(hosts), nh)
 
     # ------------------------------------------------------------------
     def lower_bound(self, assign: Sequence[int]) -> float:
@@ -210,101 +230,121 @@ class _GroupBound:
         assigned — at that point the bound equals the group's true total,
         so the value phase's ``>=`` prune filters deep nodes exactly.
         """
-        if all(assign[i] >= 0 for i in self.members):
-            return float(self.exact(assign))
-        nh = int(assign[self.head_idx])
-        terms = []
-        for e, idx in enumerate(self.encoder_idx):
-            terms.append(self._path_term(e, int(assign[idx]), nh))
+        nh = assign[self.head_idx]
+        hosts = [assign[i] for i in self.encoder_idx]
+        if nh >= 0:
+            if -1 not in hosts:
+                return self.total(hosts, nh)
+            A, out, head_assigned = self.A_rows, self.out_rows, self.head_assigned_rows
+            terms = [
+                A[e][ne] + out[e][ne][nh] if ne >= 0 else head_assigned[e][nh]
+                for e, ne in enumerate(hosts)
+            ]
+            head = self.head_row[nh]
+        else:
+            enc_assigned, free = self.enc_assigned_rows, self.free
+            terms = [
+                enc_assigned[e][ne] if ne >= 0 else free[e] for e, ne in enumerate(hosts)
+            ]
+            head = self.head_min
         if not terms:
             encoder = 0.0
         elif self.parallel:
             encoder = max(terms)
-            contention = self._contention(assign, nh)
+            contention = self._contention(hosts, nh)
             if contention > encoder:
                 encoder = contention
         else:
             encoder = reduce(operator.add, terms, 0.0)
-        head = self.head_row[nh] if nh >= 0 else self.head_min
-        return float(encoder + head)
-
-    def _path_term(self, e: int, ne: int, nh: int) -> float:
-        """Path ``e``'s bound with its encoder on ``ne`` and the head on
-        ``nh`` (``-1`` for unassigned), read from the per-search rows."""
-        if ne >= 0:
-            if nh >= 0:
-                return self.A_rows[e][ne] + self.out_rows[e][ne][nh]
-            return self.enc_assigned_rows[e][ne]
-        return self.head_assigned_rows[e][nh] if nh >= 0 else self.free[e]
+        return encoder + head
 
     def bound_vector(self, assign: Sequence[int], module_index: int) -> np.ndarray:
         """Bound per candidate device if ``module_index`` were placed there.
 
         ``module_index`` must be used by this group (as an encoder, the
-        head, or both roles at once).  When placing it *completes* the
-        group, the vector holds exact (wait-inclusive) totals.
+        head, or both roles at once) and unplaced in ``assign``.  When
+        placing it *completes* the group, the vector holds exact
+        (wait-inclusive) totals.
         """
-        if self.parallel and all(assign[i] >= 0 for i in self.members if i != module_index):
-            return self._exact_vector(assign, module_index)
-        out = self.out
-        nh = int(assign[self.head_idx])
+        nh = assign[self.head_idx]
+        hosts = [assign[i] for i in self.encoder_idx]
         head_here = module_index == self.head_idx
+        if self.parallel and (nh >= 0 or head_here) and all(
+            [ne >= 0 or i == module_index for i, ne in zip(self.encoder_idx, hosts)]
+        ):
+            return self._exact_vector(hosts, nh, module_index)
+        paths = self.paths
         terms: List[object] = []  # scalars and [N] vectors, in path order
-        for e, idx in enumerate(self.encoder_idx):
-            ne = int(assign[idx])
-            if idx == module_index:
-                # This path's encoder is the module being placed.
-                if head_here:
-                    # Module doubles as the head: both endpoints co-locate.
-                    terms.append(self.A[e] + np.diagonal(out[e]))
-                elif nh >= 0:
-                    terms.append(self.A[e] + out[e][:, nh])
-                else:
-                    terms.append(self.enc_assigned[e])
-            elif head_here:
-                # The head is being placed; encoder e is fixed or free.
-                if ne >= 0:
-                    terms.append(self.A_rows[e][ne] + out[e][ne, :])
+        if head_here:
+            # The head is being placed; each encoder is fixed, free, or the
+            # head module itself (both endpoints co-locate).
+            for e, ne in enumerate(hosts):
+                if self.encoder_idx[e] == module_index:
+                    terms.append(paths[e].diagonal())
+                elif ne >= 0:
+                    terms.append(paths[e, ne])
                 else:
                     terms.append(self.head_assigned[e])
-            else:
-                # Path untouched by this move: same scalar as lower_bound.
-                terms.append(self._path_term(e, ne, nh))
+        else:
+            # An encoder is being placed; untouched paths are lower_bound's
+            # scalars.
+            for e, ne in enumerate(hosts):
+                if self.encoder_idx[e] == module_index:
+                    terms.append(paths[e, :, nh] if nh >= 0 else self.enc_assigned[e])
+                elif nh >= 0:
+                    terms.append(
+                        self.A_rows[e][ne] + self.out_rows[e][ne][nh] if ne >= 0
+                        else self.head_assigned_rows[e][nh]
+                    )
+                else:
+                    terms.append(self.enc_assigned_rows[e][ne] if ne >= 0 else self.free[e])
         if not terms:
             encoder = 0.0
         elif self.parallel:
-            encoder = reduce(np.maximum, terms)
-        else:
-            encoder = reduce(operator.add, terms, 0.0)
-        if terms and self.parallel:
             # Base contention (moving module still unassigned) is admissible
             # for every candidate; candidates that oversubscribe a device's
             # slots with the newcomer get the tightened per-device term.
-            base = self._contention(assign, -1 if head_here else nh)
+            if head_here:
+                base = self._contention(hosts, -1)
+            else:
+                loads, members, unassigned = self._contention_state(hosts)
+                base = self._oversubscribed(loads, members, unassigned, nh)
+            # The scalar terms and the base fold into one floor first: with
+            # no NaN in the rows, max is exact in any order.
+            floor = [t for t in terms if type(t) is float]
             if base > 0.0:
-                encoder = np.maximum(encoder, base)
-            if not head_here:
-                encoder = np.asarray(encoder, dtype=np.float64) + np.zeros(len(self.head))
-                loads, members, unassigned = self._contention_state(assign)
+                floor.append(base)
+            encoder = reduce(np.maximum, [t for t in terms if type(t) is not float])
+            if floor:
+                encoder = np.maximum(encoder, max(floor))
+            if not head_here and members:
                 e0 = self.encoder_idx.index(module_index)
                 joiners = [e for e in unassigned if e != e0]
-                for n in range(len(self.head)):
-                    here = members.get(n, ())
-                    if len(here) + 1 <= self.tensors.slots[n]:
-                        continue
-                    load = loads.get(n, 0.0) + self.enc_comp_rows[e0][n]
-                    term = self._contention_term(n, list(here) + [e0] + joiners, load, nh)
+                comp0 = self.enc_comp_rows[e0]
+                slots = self.tensors.slots
+                raised = []
+                for n, here in members.items():
+                    if len(here) < slots[n]:
+                        continue  # room for the newcomer
+                    term = self._contention_term(n, here + [e0] + joiners, loads[n] + comp0[n], nh)
                     if term > encoder[n]:
+                        raised.append((n, term))
+                if raised:
+                    encoder = encoder.copy()  # may be a view of a table
+                    for n, term in raised:
                         encoder[n] = term
+        else:
+            encoder = reduce(operator.add, terms, 0.0)
         head = self.head if head_here else (self.head_row[nh] if nh >= 0 else self.head_min)
         total = encoder + head
         if isinstance(total, np.ndarray):
             return total  # a fresh array: the sum allocated it
         return np.full(len(self.head_row), total)
 
-    def _exact_vector(self, assign: Sequence[int], module_index: int) -> np.ndarray:
+    def _exact_vector(self, hosts: List[int], nh: int, module_index: int) -> np.ndarray:
         """True parallel group latency per candidate device for the last
-        free member.
+        free member, with the other encoders on ``hosts`` and the head on
+        ``nh``.
 
         Queue waits are per-device: placing the last module on ``n`` can
         only change waits *on* ``n``, so the LPT recomputation is confined
@@ -313,55 +353,55 @@ class _GroupBound:
         same float-operation order, so entries stay bit-exact).
         """
         slots = self.tensors.slots
-        n_devices = len(self.head)
-        n_encoders = len(self.encoder_idx)
+        n_encoders = len(hosts)
         moving = [e for e in range(n_encoders) if self.encoder_idx[e] == module_index]
         head_moving = self.head_idx == module_index
 
         if head_moving and moving:  # dual-role module: rare, go scalar
-            fixed_enc = [int(assign[i]) for i in self.encoder_idx]
-            values = np.empty(n_devices, dtype=np.float64)
-            for n in range(n_devices):
-                hosts = [n if e in moving else fixed_enc[e] for e in range(n_encoders)]
-                values[n] = self.total(hosts, n)
+            values = np.empty(len(self.head), dtype=np.float64)
+            for n in range(len(self.head)):
+                enc_hosts = [n if e in moving else hosts[e] for e in range(n_encoders)]
+                values[n] = self.total(enc_hosts, n)
             return values
 
         in_comm, enc_comp, out = self.in_comm_rows, self.enc_comp_rows, self.out_rows
         if head_moving:
             # Encoder hosts (hence waits) are fixed; only out_comm varies.
-            hosts = [int(assign[i]) for i in self.encoder_idx]
-            comps = [enc_comp[e][hosts[e]] for e in range(n_encoders)]
-            waits = _lpt_waits(hosts, comps, slots)
-            paths = [
-                (in_comm[e][hosts[e]] + waits[e] + comps[e]) + self.out[e][hosts[e], :]
-                for e in range(n_encoders)
-            ]
-            return reduce(np.maximum, paths) + self.head
+            if len(set(hosts)) == n_encoders:  # nothing waits
+                rows = [self.paths[e, ne] for e, ne in enumerate(hosts)]
+            else:
+                comps = [enc_comp[e][ne] for e, ne in enumerate(hosts)]
+                waits = _lpt_waits(hosts, comps, slots)
+                rows = [
+                    (in_comm[e][ne] + waits[e] + comps[e]) + self.group.out[e][ne, :]
+                    for e, ne in enumerate(hosts)
+                ]
+            return reduce(np.maximum, rows) + self.head
 
         # One encoder is moving; the head and all other encoders are fixed.
         e0 = moving[0]
-        nh = int(assign[self.head_idx])
-        hosts = [int(assign[self.encoder_idx[e]]) if e != e0 else -1 for e in range(n_encoders)]
         others = [e for e in range(n_encoders) if e != e0]
-        counts: Dict[int, int] = {}
-        for e in others:
-            counts[hosts[e]] = counts.get(hosts[e], 0) + 1
-        waits = _lpt_waits(
-            [hosts[e] for e in others], [enc_comp[e][hosts[e]] for e in others], slots
-        )
-        stage = self.A[e0] + self.out[e0][:, nh]
-        for pos, e in enumerate(others):
-            ne = hosts[e]
-            stage = np.maximum(
-                stage, in_comm[e][ne] + waits[pos] + enc_comp[e][ne] + out[e][ne][nh]
-            )
+        fixed = [hosts[e] for e in others]
+        if len(set(fixed)) == len(fixed):  # nothing waits
+            terms = [self.A_rows[e][ne] + out[e][ne][nh] for e, ne in zip(others, fixed)]
+        else:
+            waits = _lpt_waits(fixed, [enc_comp[e][hosts[e]] for e in others], slots)
+            terms = [
+                in_comm[e][ne] + waits[pos] + enc_comp[e][ne] + out[e][ne][nh]
+                for pos, (e, ne) in enumerate(zip(others, fixed))
+            ]
+        stage = self.paths[e0, :, nh]
+        if terms:
+            stage = np.maximum(stage, max(terms))  # no NaN: max is exact in any order
         values = stage + self.head_row[nh]
         # Candidates where the newcomer overflows the device's slots need
         # the true LPT schedule (waits change on that device only).
-        for n in range(n_devices):
-            if counts.get(n, 0) + 1 > slots[n]:
-                full_hosts = [n if e == e0 else hosts[e] for e in range(n_encoders)]
-                values[n] = self.total(full_hosts, nh)
+        counts: Dict[int, int] = {}
+        for ne in fixed:
+            counts[ne] = counts.get(ne, 0) + 1
+        for n, count in counts.items():
+            if count >= slots[n]:
+                values[n] = self.total([n if e == e0 else hosts[e] for e in range(n_encoders)], nh)
         return values
 
 
@@ -383,9 +423,6 @@ class _LatencyBound(_GroupBound):
             enc_hosts, head_host, self.tensors.slots, self.parallel,
         )
 
-    def exact(self, assign: Sequence[int]) -> float:
-        return self.total([assign[i] for i in self.encoder_idx], assign[self.head_idx])
-
 
 class _EnergyBound(_GroupBound):
     """The energy bound of one request class: paths add up (never
@@ -395,11 +432,9 @@ class _EnergyBound(_GroupBound):
     def __init__(self, tensors: CostTensors, group: EnergyRequestGroup) -> None:
         super().__init__(tensors, group, np.array(group.A), group.head_joules, False)
 
-    def exact(self, assign: Sequence[int]) -> float:
-        return group_joules(
-            self.A_rows, self.out_rows, self.head_row,
-            [assign[i] for i in self.encoder_idx], assign[self.head_idx],
-        )
+    def total(self, enc_hosts: Sequence[int], head_host: int) -> float:
+        """Request joules with encoders on ``enc_hosts``, head on ``head_host``."""
+        return group_joules(self.A_rows, self.out_rows, self.head_row, enc_hosts, head_host)
 
 
 @dataclass
@@ -962,35 +997,49 @@ def _energy_incumbent(search: _EnergySearch) -> Optional[List[int]]:
         if float(search.fan(lat_lb)) > search.latency_budget:
             return None
         en_lb = [bound.lower_bound(assign) for bound in search.en_bounds]
-        for _ in range(32):  # steepest descent; passes bounded for safety
-            improved = False
-            for m in range(search.n_modules):
-                current = best_n = assign[m]
-                assign[m] = -1  # every other module is placed: the vectors are exact
-                joules = search.node_vector(m, search.en_bounds, en_lb).tolist()
-                priced = [(en_lb, search.vectors[m])]
-                latency = None
-                for n in range(search.n_devices):
-                    if n == current or residual[n] < memory[m] or not joules[n] < joules[best_n]:
-                        continue
-                    if latency is None:
-                        latency = search.node_vector(m, search.lat_bounds, lat_lb).tolist()
-                        priced.append((lat_lb, search.vectors[m]))
-                    if latency[n] <= search.latency_budget:
-                        best_n = n
-                assign[m] = best_n
-                if best_n != current:
-                    for lbs, vectors in priced:  # the moved classes' exact totals
-                        for g, vector in vectors.items():
-                            lbs[g] = float(vector[best_n])
-                    residual[current] += memory[m]
-                    residual[best_n] -= memory[m]
-                    improved = True
-            if not improved:
+        # Steepest descent, modules in index order, at most 32 passes.  It
+        # ends when it comes back to the last module that moved (module 0
+        # before any move): nothing has changed since that module's own
+        # evaluation, so neither it nor any module after it would move.
+        last_moved = 0
+        for step in range(32 * search.n_modules):
+            m = step % search.n_modules
+            if step and m == last_moved:
                 break
+            current = best_n = assign[m]
+            assign[m] = -1  # every other module is placed: the vectors are exact
+            joules = search.node_vector(m, search.en_bounds, en_lb).tolist()
+            priced = [(en_lb, search.vectors[m])]
+            latency = None
+            for n in range(search.n_devices):
+                if n == current or residual[n] < memory[m] or not joules[n] < joules[best_n]:
+                    continue
+                if latency is None:
+                    latency = search.node_vector(m, search.lat_bounds, lat_lb).tolist()
+                    priced.append((lat_lb, search.vectors[m]))
+                if latency[n] <= search.latency_budget:
+                    best_n = n
+            assign[m] = best_n
+            if best_n != current:
+                for lbs, vectors in priced:  # the moved classes' exact totals
+                    for g, vector in vectors.items():
+                        lbs[g] = float(vector[best_n])
+                residual[current] += memory[m]
+                residual[best_n] -= memory[m]
+                last_moved = m
         return assign.copy()
     finally:
         assign[:] = [-1] * search.n_modules
+
+
+def checked_budget(value: object) -> float:
+    """``value`` as a latency budget in seconds: a finite real number, or
+    ``inf`` for no budget.  A NaN budget compares false against every
+    latency, and ``True`` would pass for ``1.0``, so both raise, as do
+    ``-inf`` and non-numbers: a :class:`ValueError` naming the field."""
+    if is_limit(value):
+        return float(value)  # type: ignore[arg-type]
+    raise ValueError(f"latency_budget must be a real number (inf for no budget), got {value!r}")
 
 
 def energy_branch_and_bound(
@@ -1015,10 +1064,10 @@ def energy_branch_and_bound(
     meets the budget (the budget is inclusive: ``latency == budget`` is
     feasible); raises :class:`PlacementError` when no memory-feasible
     placement exists at all — the same contract as the brute oracle.
-    ``+inf`` means no budget; a NaN budget raises :class:`ValueError`.
+    ``+inf`` means no budget; a NaN, ``-inf``, ``bool`` or non-number budget
+    raises :class:`ValueError`.
     """
-    if math.isnan(latency_budget):
-        raise ValueError("latency_budget must be a number (inf for no budget), got nan")
+    latency_budget = checked_budget(latency_budget)
     _, tensors = _prologue(problem, requests, network, parallel, tensors, "energy")
     if energy is None:
         energy = EnergyTensors(tensors)

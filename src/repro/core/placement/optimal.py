@@ -23,7 +23,6 @@ argmin.  Candidate scoring runs on the shared cost tensors
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.network import Network
@@ -187,10 +186,10 @@ def energy_optimal_placement(
     The energy counterpart of :func:`optimal_placement`: minimizes the
     total joules of :func:`repro.profiles.energy.energy_objective` over all
     memory-feasible single-copy placements whose latency objective does not
-    exceed ``latency_budget`` (``None`` or ``inf`` means unconstrained, a
-    NaN budget raises :class:`ValueError`; the budget is inclusive).  Ties
-    break toward the lexicographically-smallest assignment under every
-    ``solver`` (``"bnb"`` runs the energy
+    exceed ``latency_budget`` (``None`` or ``inf`` means unconstrained; a
+    NaN, ``bool`` or non-number budget raises :class:`ValueError`; the
+    budget is inclusive).  Ties break toward the lexicographically-smallest
+    assignment under every ``solver`` (``"bnb"`` runs the energy
     branch-and-bound in :mod:`repro.core.placement.bnb`, ``"brute"`` the
     exhaustive sweep; results are identical, brute force just caps out at
     :data:`MAX_ASSIGNMENTS`).  Returns ``(None, inf)`` when memory-feasible
@@ -202,12 +201,10 @@ def energy_optimal_placement(
         raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if not requests:
         raise PlacementError("energy-optimal placement needs at least one request to score")
-    budget = float("inf") if latency_budget is None else float(latency_budget)
-    if math.isnan(budget):
-        raise ValueError("latency_budget must be a number (None for no budget), got nan")
-    if solver == "bnb":
-        from repro.core.placement.bnb import energy_branch_and_bound
+    from repro.core.placement.bnb import checked_budget, energy_branch_and_bound
 
+    budget = float("inf") if latency_budget is None else checked_budget(latency_budget)
+    if solver == "bnb":
         return energy_branch_and_bound(
             problem,
             requests,

@@ -211,23 +211,29 @@ class _ReplicaGroupBound:
                 "apply compression or intra-module partitioning first (paper Sec. V-B)"
             )
         self._head_fit_idx: List[int] = np.flatnonzero(head_fit).tolist()
-        self._enc_fit_idx: List[List[int]] = []
-        for e, idx in enumerate(group.encoder_idx):
-            fit = tensors.fits[idx]
-            if not fit.any():
+        fit = tensors.fits[group.encoder_idx]  # [E, N]
+        for e, placeable in enumerate(fit.any(axis=1).tolist()):
+            if not placeable:
                 raise PlacementError(
                     f"module {group.encoder_names[e]!r} fits on no device; "
                     "apply compression or intra-module partitioning first (paper Sec. V-B)"
                 )
-            self._enc_fit_idx.append(np.flatnonzero(fit).tolist())
         # Python-float rows (built per search, freed with it): the bound
         # works on a handful of hosts, where numpy's per-call cost dominates.
+        #   paths[e][ne][nh]  in + compute + out of path e, encoder on ne,
+        #                     head on nh (exact: the Eq. 1-3 path sum)
+        #   free[e][nh]       the cheapest such path over fitting encoders
         in_comm, enc_comp = np.array(group.in_comm), np.array(group.enc_comp)
+        out = np.array(group.out)
+        paths = (in_comm + enc_comp)[:, :, None] + out
         self._in_rows: List[List[float]] = in_comm.tolist()
         self._comp_rows: List[List[float]] = enc_comp.tolist()
-        self._A_rows: List[List[float]] = (in_comm + enc_comp).tolist()
-        self._out_rows: List[List[List[float]]] = np.array(group.out).tolist()
+        self._out_rows: List[List[List[float]]] = out.tolist()
         self._head_row: List[float] = group.head_comp.tolist()
+        self._paths: List[List[List[float]]] = paths.tolist()
+        self._free: List[List[float]] = paths.min(
+            axis=1, where=fit[:, :, None], initial=np.inf
+        ).tolist()
 
     def lower_bound(self, sets: List[Optional[Tuple[int, ...]]]) -> float:
         """Scalar bound (seconds) for the current partial assignment.
@@ -247,10 +253,11 @@ class _ReplicaGroupBound:
         for e, idx in enumerate(self.group.encoder_idx):
             encs = sets[idx]
             if encs is None:
-                encs = self._enc_fit_idx[e]
-            A, out = self._A_rows[e], self._out_rows[e]
-            prefixes = [(A[ne], out[ne]) for ne in encs]
-            best_per_head = [min([a + row[nh] for a, row in prefixes]) for nh in heads]
+                row = self._free[e]
+                best_per_head = [row[nh] for nh in heads]
+            else:
+                rows = [self._paths[e][ne] for ne in encs]
+                best_per_head = [min([row[nh] for row in rows]) for nh in heads]
             if stage is None:
                 stage = best_per_head
             elif self.parallel:
@@ -327,9 +334,9 @@ class _ReplicaSearch(_SearchState):
     def _scored(self, m: int) -> Iterator[Tuple[float, Tuple[int, ...]]]:
         """Memory-feasible host sets for ``m`` in tie-key order, each with
         the total bound it would leave (priced by a trial descend)."""
-        need = self.memory[m]
+        need, residual = self.memory[m], self.residual
         for subset in self.subsets_of[m]:
-            if all(self.residual[n] >= need for n in subset):
+            if min([residual[n] for n in subset]) >= need:
                 saved = self.descend(m, subset)
                 bound = self.total_bound()
                 self.ascend(m, subset, saved)
@@ -354,7 +361,7 @@ class _ReplicaSearch(_SearchState):
         saved = [(g, self.group_lb[g]) for g in self.groups_using[m]]
         for g in self.groups_using[m]:
             bound = self.bounds[g]
-            if all(self.sets[idx] is not None for idx in bound.members):
+            if None not in [self.sets[idx] for idx in bound.members]:
                 self.group_lb[g] = bound.exact(self.sets)
             else:
                 self.group_lb[g] = bound.lower_bound(self.sets)

@@ -38,7 +38,6 @@ The layer is invalidated when the network topology changes (see
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -50,6 +49,7 @@ from repro.cluster.network import Network, transfer_time
 from repro.cluster.requests import InferenceRequest
 from repro.core.models import ModelSpec
 from repro.core.placement.problem import Placement, PlacementProblem
+from repro.utils.checks import is_finite_real
 from repro.utils.errors import ConfigurationError, PlacementError, RoutingError
 
 
@@ -59,9 +59,9 @@ def _lpt_waits(device_idx: Sequence[int], computes: Sequence[float], slots_of: S
     Mirrors ``LatencyModel._charge_same_device_serialization``: encoders
     sharing a device beyond its ``parallel_slots`` are list-scheduled
     longest-compute-first and charged the busy time of their slot.
+    Callers skip it when the devices are distinct (every slot count is at
+    least 1, so nothing would wait).
     """
-    if len(set(device_idx)) == len(device_idx):
-        return [0.0] * len(device_idx)  # one encoder per device never waits
     by_device: Dict[int, List[int]] = {}
     for index, dev in enumerate(device_idx):
         by_device.setdefault(dev, []).append(index)
@@ -70,10 +70,11 @@ def _lpt_waits(device_idx: Sequence[int], computes: Sequence[float], slots_of: S
         slots = slots_of[dev]
         if len(indices) <= slots:
             continue
-        ordered = sorted(indices, key=lambda i: -computes[i])
+        # Longest first, ties in index order (``reverse`` keeps sort
+        # stability); each job takes the first least-busy slot.
         slot_busy = [0.0] * slots
-        for i in ordered:
-            slot = min(range(slots), key=lambda s: slot_busy[s])
+        for i in sorted(indices, key=computes.__getitem__, reverse=True):
+            slot = slot_busy.index(min(slot_busy))
             wait = slot_busy[slot]
             slot_busy[slot] += computes[i]
             if wait > 0:
@@ -94,13 +95,23 @@ def group_latency(
     out-transfer; then the max over paths (``parallel``) or their
     left-to-right sum; then the head.  Any indexable rows work — numpy
     arrays or Python lists of the same doubles price identically.
+
+    Only encoders that share a device can wait (every device has at least
+    one slot), so the LPT runs only for a parallel class with a repeated
+    host; elsewhere the wait term is dropped (``x + 0.0 == x``).
     """
-    comps = [comp_rows[e][ne] for e, ne in enumerate(enc_hosts)]
-    waits = _lpt_waits(enc_hosts, comps, slots) if parallel else [0.0] * len(comps)
-    totals = [
-        in_rows[e][ne] + waits[e] + comps[e] + out_rows[e][ne][head_host]
-        for e, ne in enumerate(enc_hosts)
-    ]
+    if parallel and len(set(enc_hosts)) < len(enc_hosts):
+        comps = [comp_rows[e][ne] for e, ne in enumerate(enc_hosts)]
+        waits = _lpt_waits(enc_hosts, comps, slots)
+        totals = [
+            in_rows[e][ne] + waits[e] + comps[e] + out_rows[e][ne][head_host]
+            for e, ne in enumerate(enc_hosts)
+        ]
+    else:
+        totals = [
+            in_rows[e][ne] + comp_rows[e][ne] + out_rows[e][ne][head_host]
+            for e, ne in enumerate(enc_hosts)
+        ]
     if not totals:
         encoder = 0.0
     elif parallel:
@@ -481,16 +492,15 @@ class CostTensors:
             hosts = placement.hosts(name)
             if not hosts:
                 raise RoutingError(f"module {name!r} has no hosts")
+            row = comp[idx]
             ordered: List[int] = []
             for device in sorted(hosts):
                 ordered.append(self.device_idx(device))
-                self._checked(request.model, comp[idx], idx, ordered[-1])
+                self._checked(request.model, row, idx, ordered[-1])
             candidates.append(ordered)
         return group, candidates
 
-    def _replica_best(
-        self, request: InferenceRequest, placement: Placement
-    ) -> Tuple[float, Dict[str, str]]:
+    def replica_route_hosts(self, request: InferenceRequest, placement: Placement) -> Dict[str, str]:
         """Joint cheapest-replica routing for one request.
 
         Unlike Eq. 7 (fastest *compute* host per module, which picks the
@@ -502,29 +512,35 @@ class CostTensors:
         candidates in sorted device-name order).
         """
         group, candidates = self._replica_candidates(request, placement)
-        total, combo = group.best_hosts(self, candidates)
-        hosts_map = {
+        combo = group.best_hosts(self, candidates)[1]
+        return {
             self.modules[idx].name: self.device_names[combo[i]]
             for i, idx in enumerate(group.member_idx)
         }
-        return total, hosts_map
-
-    def replica_route_hosts(self, request: InferenceRequest, placement: Placement) -> Dict[str, str]:
-        """Cheapest-replica hosts for ``request`` (see :meth:`_replica_best`)."""
-        return self._replica_best(request, placement)[1]
 
     def replica_total_latency(self, request: InferenceRequest, placement: Placement) -> float:
-        """Single-request Eq. 1 latency under cheapest-replica routing."""
-        return self._replica_best(request, placement)[0]
+        """Single-request Eq. 1 latency under cheapest-replica routing
+        (see :meth:`replica_route_hosts`)."""
+        group, candidates = self._replica_candidates(request, placement)
+        return group.best_hosts(self, candidates)[0]
 
     def replica_objective(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
         """Total latency under cheapest-replica routing, in request order.
 
         The replica-aware counterpart of :meth:`objective` — the objective
         the solvers in :mod:`repro.core.placement.replicas` minimize,
-        fanned out by :func:`fan_out`.
+        fanned out by :func:`fan_out`.  A model's candidate hosts are the
+        same for every source, so each model's are looked up once.
         """
-        return fan_out(requests, lambda request: self.replica_total_latency(request, placement))
+        hosts: Dict[int, List[List[int]]] = {}
+
+        def price(request: InferenceRequest) -> float:
+            key = id(request.model)
+            if key not in hosts:
+                hosts[key] = self._replica_candidates(request, placement)[1]
+            return self.group(request.model, request.source).best_hosts(self, hosts[key])[0]
+
+        return fan_out(requests, price)
 
 
 class EnergyRequestGroup:
@@ -594,14 +610,10 @@ class EnergyTensors:
 
     def __init__(self, tensors: CostTensors) -> None:
         self.tensors = tensors
-        self.active_watts = np.array(
-            [self.profile_of(name).active_watts for name in tensors.device_names],
-            dtype=np.float64,
-        )
-        self.idle_watts = np.array(
-            [self.profile_of(name).idle_watts for name in tensors.device_names],
-            dtype=np.float64,
-        )
+        #: Each device's profile, resolved once per tensors.
+        self.profiles = [self.profile_of(name) for name in tensors.device_names]
+        self.active_watts = np.array([p.active_watts for p in self.profiles], dtype=np.float64)
+        self.idle_watts = np.array([p.idle_watts for p in self.profiles], dtype=np.float64)
         self._compute_joules: Dict[int, Tuple[ModelSpec, np.ndarray]] = {}
         self._input_radio: Dict[Tuple[str, int], np.ndarray] = {}
         self._embed_radio: Dict[int, np.ndarray] = {}
@@ -612,6 +624,10 @@ class EnergyTensors:
         from repro.profiles.energy import resolve_energy_profile
 
         return resolve_energy_profile(name)
+
+    def _radio(self, payload_bytes: int) -> List[float]:
+        """One endpoint's radio joules for ``payload_bytes``, per device."""
+        return [profile.transfer_joules(payload_bytes) for profile in self.profiles]
 
     # ------------------------------------------------------------------
     # Tensor builders (lazy; every entry comes from the scalar oracles)
@@ -631,15 +647,16 @@ class EnergyTensors:
         key = (source, payload_bytes)
         arr = self._input_radio.get(key)
         if arr is None:
-            from repro.profiles.energy import hop_radio_joules
-
-            arr = np.array(
-                [
-                    hop_radio_joules(source, name, payload_bytes)
-                    for name in self.tensors.device_names
-                ],
-                dtype=np.float64,
-            )
+            # ``hop_radio_joules``' formula and order (sender TX + receiver
+            # RX, free when co-located), from the resolved profiles.
+            radio = self._radio(payload_bytes)
+            index = self.tensors._device_index.get(source)
+            if index is not None:
+                tx = radio[index]
+            else:
+                tx = self.profile_of(source).transfer_joules(payload_bytes)
+            values = [0.0 if n == index else tx + rx for n, rx in enumerate(radio)]
+            arr = np.array(values, dtype=np.float64)
             self._input_radio[key] = arr
         return arr
 
@@ -649,12 +666,8 @@ class EnergyTensors:
         arr = self._embed_radio.get(module_index)
         if arr is None:
             payload = self.tensors.modules[module_index].output_bytes
-            # ``hop_radio_joules``' formula and order (sender TX + receiver
-            # RX, free when co-located), with each profile resolved once.
-            radio = [
-                self.profile_of(name).transfer_joules(payload)
-                for name in self.tensors.device_names
-            ]
+            # ``hop_radio_joules``' formula and order, as in input_radio.
+            radio = self._radio(payload)
             arr = np.array(
                 [[0.0 if a == b else tx + rx for b, rx in enumerate(radio)]
                  for a, tx in enumerate(radio)],
@@ -703,14 +716,14 @@ class CongestionModel:
     rho_max: float = 0.95
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rho_max < 1.0:
+        if not (is_finite_real(self.rho_max) and 0.0 < self.rho_max < 1.0):
             raise ConfigurationError(
-                f"rho_max must be in (0, 1), got {self.rho_max}"
+                f"rho_max must be in (0, 1), got {self.rho_max!r}"
             )
         for name, rate in self.rates.items():
-            if not (math.isfinite(rate) and rate >= 0.0):
+            if not (is_finite_real(rate) and rate >= 0.0):
                 raise ConfigurationError(
-                    f"arrival rate for {name!r} must be finite and non-negative, got {rate}"
+                    f"arrival rate for {name!r} must be a finite, non-negative number, got {rate!r}"
                 )
         object.__setattr__(self, "rates", dict(self.rates))
 

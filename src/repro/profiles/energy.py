@@ -34,6 +34,7 @@ from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
 from repro.core.placement.problem import Placement, PlacementProblem
 from repro.core.routing.latency import LatencyModel
+from repro.utils.checks import is_limit
 from repro.utils.errors import ConfigurationError
 from repro.utils.seeding import rng_for
 
@@ -195,9 +196,10 @@ def energy_aware_placement(
     from repro.core.placement.greedy import greedy_placement
     from repro.core.placement.optimal import energy_optimal_placement
 
-    if not latency_budget_factor > 0:
+    if not (is_limit(latency_budget_factor) and latency_budget_factor > 0):
         raise ConfigurationError(
-            f"latency_budget_factor must be positive, got {latency_budget_factor}"
+            "latency_budget_factor must be a positive real number, "
+            f"got {latency_budget_factor!r}"
         )
     net = network if network is not None else Network()
     model = LatencyModel(problem, net, tensors=tensors)

@@ -19,6 +19,11 @@ def is_finite_real(value: object) -> bool:
     )
 
 
+def is_limit(value: object) -> bool:
+    """A finite real number that is not a ``bool``, or ``+inf`` for no limit."""
+    return is_finite_real(value) or (isinstance(value, float) and value == math.inf)
+
+
 def is_count(value: object) -> bool:
     """An ``int`` that is not a ``bool`` (``2.0`` is no count either)."""
     return isinstance(value, int) and not isinstance(value, bool)

@@ -16,6 +16,16 @@ complete state from their rows plus the queue waits, and must equal the
 placement-level ``WaitTensors`` objectives and the cheapest-replica loop
 they replaced.  The search is derandomized and small so tier-1 wall time
 stays bounded.
+
+The pricing kernels take fast paths that skip work whose result is already
+known (no LPT for distinct encoder hosts, no contention state while no
+device holds two placed encoders, each energy profile resolved once).  Each
+is checked against the formula it skips — an always-LPT Eq. 1-3 latency,
+full per-path and per-device scans, ``hop_radio_joules`` per device — on
+drawn rows with shared and distinct hosts, slots 1-3, serial and parallel
+classes and ``inf`` entries.  The energy incumbent's descent, which stops
+once it returns to the last module that moved, must match the full-pass
+descent on cases that need a third pass.
 """
 
 import itertools
@@ -23,20 +33,30 @@ import operator
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.placement.bnb import _EnergyBound, _LatencyBound, _Search
+from repro.core.placement.bnb import (
+    _EnergyBound,
+    _EnergySearch,
+    _LatencyBound,
+    _Search,
+    _energy_incumbent,
+)
+from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.problem import Placement
+from repro.core.routing.latency import LatencyModel
 from repro.core.placement.replicas import _ReplicaGroupBound, _ReplicaSearch
 from repro.core.placement.tensors import (
     CongestionModel,
     CostTensors,
     EnergyTensors,
     WaitTensors,
-    _lpt_waits,
+    group_latency,
 )
 from repro.experiments.scaling import synthetic_instance
+from repro.profiles.energy import hop_radio_joules
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -47,6 +67,55 @@ SHAPES = [(3, 4), (4, 5), (4, 8), (5, 6)]
 # Reference formulas: element reads and per-element min/max on numpy
 # scalars, as the solvers computed them before reading list rows.
 # ----------------------------------------------------------------------
+def ref_lpt_waits(device_idx, computes, slots_of):
+    """Same-device LPT waits, run for every class whatever its hosts."""
+    by_device = {}
+    for index, dev in enumerate(device_idx):
+        by_device.setdefault(dev, []).append(index)
+    waits = [0.0] * len(device_idx)
+    for dev, indices in by_device.items():
+        slots = slots_of[dev]
+        if len(indices) <= slots:
+            continue
+        ordered = sorted(indices, key=lambda i: -computes[i])
+        slot_busy = [0.0] * slots
+        for i in ordered:
+            slot = min(range(slots), key=lambda s: slot_busy[s])
+            wait = slot_busy[slot]
+            slot_busy[slot] += computes[i]
+            if wait > 0:
+                waits[i] = wait
+    return waits
+
+
+def ref_group_latency(
+    in_rows, comp_rows, out_rows, head_row, enc_hosts, head_host, slots, parallel
+):
+    """Eq. 1-3 with the LPT always run and its waits always added."""
+    comps = [comp_rows[e][ne] for e, ne in enumerate(enc_hosts)]
+    waits = ref_lpt_waits(enc_hosts, comps, slots) if parallel else [0.0] * len(comps)
+    totals = [
+        in_rows[e][ne] + waits[e] + comps[e] + out_rows[e][ne][head_host]
+        for e, ne in enumerate(enc_hosts)
+    ]
+    if not totals:
+        encoder = 0.0
+    elif parallel:
+        encoder = max(totals)
+    else:
+        encoder = reduce(operator.add, totals)
+    return encoder + head_row[head_host]
+
+
+def ref_total(bound, enc_hosts, head_host):
+    """A latency class's exact total, from its numpy rows."""
+    group = bound.group
+    return ref_group_latency(
+        group.in_comm, group.enc_comp, group.out, group.head_comp,
+        enc_hosts, head_host, bound.tensors.slots, bound.parallel,
+    )
+
+
 def ref_tables(bound):
     """The set-up tables, built one encoder path at a time."""
     tensors, group = bound.tensors, bound.group
@@ -112,6 +181,9 @@ def ref_contention(bound, assign, nh):
 
 def ref_lower_bound(bound, assign):
     if all(assign[i] >= 0 for i in bound.members):
+        if isinstance(bound, _LatencyBound):
+            hosts = [int(assign[i]) for i in bound.encoder_idx]
+            return ref_total(bound, hosts, int(assign[bound.head_idx]))
         return float(bound.exact(assign))
     out = bound.group.out
     nh = int(assign[bound.head_idx])
@@ -145,7 +217,7 @@ def ref_exact_vector(bound, assign, module_index):
     if bound.head_idx == module_index:
         hosts = [int(assign[i]) for i in bound.encoder_idx]
         comps = [group.enc_comp[e][hosts[e]] for e in range(n_encoders)]
-        waits = _lpt_waits(hosts, comps, tensors.slots)
+        waits = ref_lpt_waits(hosts, comps, tensors.slots)
         paths = [
             (group.in_comm[e][hosts[e]] + waits[e] + comps[e]) + group.out[e][hosts[e], :]
             for e in range(n_encoders)
@@ -158,7 +230,7 @@ def ref_exact_vector(bound, assign, module_index):
     counts = {}
     for e in others:
         counts[hosts[e]] = counts.get(hosts[e], 0) + 1
-    waits = _lpt_waits(
+    waits = ref_lpt_waits(
         [hosts[e] for e in others], [group.enc_comp[e][hosts[e]] for e in others], tensors.slots
     )
     stage = (group.in_comm[e0] + group.enc_comp[e0]) + group.out[e0][:, nh]
@@ -172,7 +244,7 @@ def ref_exact_vector(bound, assign, module_index):
     for n in range(n_devices):
         if counts.get(n, 0) + 1 > tensors.slots[n]:
             full_hosts = [n if e == e0 else hosts[e] for e in range(n_encoders)]
-            values[n] = group.total(tensors, full_hosts, nh)
+            values[n] = ref_total(bound, full_hosts, nh)
     return values
 
 
@@ -246,7 +318,7 @@ def ref_replica_lower_bound(bound, sets):
         ne = (
             np.asarray(enc_allowed, dtype=np.int64)
             if enc_allowed is not None
-            else np.asarray(bound._enc_fit_idx[e], dtype=np.int64)
+            else np.flatnonzero(bound.tensors.fits[idx])
         )
         A = group.in_comm[e][ne] + group.enc_comp[e][ne]
         best_per_head = np.min(A[:, None] + group.out[e][np.ix_(ne, nh)], axis=0)
@@ -270,7 +342,10 @@ def ref_best_hosts(group, tensors, candidates, device_waits=None):
     best_combo = None
     for combo in itertools.product(*candidates):
         enc_hosts = [combo[position[idx]] for idx in group.encoder_idx]
-        value = group.total(tensors, enc_hosts, combo[position[group.head_idx]])
+        value = ref_group_latency(
+            group.in_comm, group.enc_comp, group.out, group.head_comp,
+            enc_hosts, combo[position[group.head_idx]], tensors.slots, tensors.parallel,
+        )
         if device_waits is not None:
             wait = 0.0
             for n in combo:
@@ -374,6 +449,184 @@ def test_replica_bound_matches_numpy_reference(case, salt):
     for group in groups:
         bound = _ReplicaGroupBound(tensors, group)
         assert bound.lower_bound(sets) == ref_replica_lower_bound(bound, sets)
+
+
+# ----------------------------------------------------------------------
+# Kernel fast paths against the formulas they skip
+# ----------------------------------------------------------------------
+#: Row entries: repeats make LPT ties, ``inf`` is a missing throughput.
+ROW_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 7.25, float("inf")])
+
+
+@st.composite
+def latency_rows(draw):
+    """Rows of one class, its encoder and head hosts, slots 1-3 per device
+    and the mode: hosts shared or distinct, as lists or numpy arrays."""
+    n_devices = draw(st.integers(1, 5))
+    n_encoders = draw(st.integers(0, 4))
+
+    def row():
+        return [draw(ROW_VALUES) for _ in range(n_devices)]
+
+    in_rows = [row() for _ in range(n_encoders)]
+    comp_rows = [row() for _ in range(n_encoders)]
+    out_rows = [[row() for _ in range(n_devices)] for _ in range(n_encoders)]
+    head_row = row()
+    device = st.integers(0, n_devices - 1)
+    if n_encoders <= n_devices and draw(st.booleans()):
+        enc_hosts = draw(st.permutations(range(n_devices)))[:n_encoders]
+    else:
+        enc_hosts = [draw(device) for _ in range(n_encoders)]
+    slots = [draw(st.integers(1, 3)) for _ in range(n_devices)]
+    rows = (in_rows, comp_rows, out_rows, head_row)
+    if draw(st.booleans()):
+        rows = tuple(np.array(r, dtype=np.float64) for r in rows)
+    return rows, list(enc_hosts), draw(device), slots, draw(st.booleans())
+
+
+@SETTINGS
+@given(latency_rows())
+def test_group_latency_matches_always_lpt(case):
+    rows, enc_hosts, head_host, slots, parallel = case
+    assert group_latency(*rows, enc_hosts, head_host, slots, parallel) == ref_group_latency(
+        *rows, enc_hosts, head_host, slots, parallel
+    )
+
+
+@st.composite
+def contention_cases(draw, last_free):
+    """``(bound, assign, moving)``: a parallel latency class with slots 1-3
+    per device and its encoders crowded onto devices 0 and 1 (so slots
+    overflow).  ``moving`` is the member to price per device; with
+    ``last_free`` every other member is placed, else one or more are not."""
+    n_modules, n_devices = draw(st.sampled_from(SHAPES))
+    inst = synthetic_instance(n_modules, n_devices, seed=draw(st.integers(0, 30)))
+    tensors = CostTensors(inst.problem, inst.network, parallel=True)
+    tensors.slots = [draw(st.sampled_from([1, 1, 2, 3])) for _ in range(n_devices)]
+    assign = np.array([draw(st.sampled_from([0, 0, 1])) for _ in range(n_modules)])
+    head = n_modules - 1  # synthetic instances list the head last
+    assign[head] = draw(st.integers(0, n_devices - 1))
+    order = draw(st.permutations(range(n_modules)))
+    moving = order[0]
+    free = 0 if last_free else draw(st.integers(1, n_modules - 1))
+    assign[list(order[: free + 1])] = -1
+    request = draw(st.sampled_from(inst.requests))
+    bound = _LatencyBound(tensors, tensors.group(request.model, request.source))
+    return bound, assign, moving
+
+
+def check_against_full_scans(bound, assign, moving):
+    nh = int(assign[bound.head_idx])
+    hosts = [int(assign[i]) for i in bound.encoder_idx]
+    assert bound._contention(hosts, nh) == ref_contention(bound, assign, nh)
+    assert bound._contention(hosts, -1) == ref_contention(bound, assign, -1)
+    assert bound.lower_bound(assign) == ref_lower_bound(bound, assign)
+    got = bound.bound_vector(assign, moving)
+    assert got.tolist() == ref_bound_vector(bound, assign, moving).tolist()
+
+
+@SETTINGS
+@given(contention_cases(last_free=False))
+def test_partial_bounds_match_full_scans(case):
+    check_against_full_scans(*case)
+
+
+@SETTINGS
+@given(contention_cases(last_free=True))
+def test_exact_vectors_match_full_scans(case):
+    check_against_full_scans(*case)
+
+
+@SETTINGS
+@given(st.sampled_from(SHAPES), st.integers(0, 30), st.integers(0, 9), st.integers(1, 10**6))
+def test_radio_rows_match_hop_radio_joules(shape, seed, source_index, payload):
+    inst = synthetic_instance(*shape, seed=seed)
+    tensors = CostTensors(inst.problem, inst.network)
+    energy = EnergyTensors(tensors)
+    names = tensors.device_names
+    # A device of the problem, or a synthetic name outside it.
+    source = names[source_index] if source_index < len(names) else f"dev-{source_index + 40}"
+    assert energy.input_radio(source, payload).tolist() == [
+        hop_radio_joules(source, name, payload) for name in names
+    ]
+    module = source_index % tensors.n_modules
+    payload = tensors.modules[module].output_bytes
+    assert energy.embed_radio(module).tolist() == [
+        [hop_radio_joules(a, b, payload) for b in names] for a in names
+    ]
+
+
+def ref_energy_incumbent(search):
+    """The energy search's seed by full passes: greedy, then every module
+    re-priced each pass until a pass moves nothing (at most 32 passes)."""
+    tensors = search.tensors
+    assign, memory, residual = search.assign, search.memory, list(search.residual)
+    for name, hosts in greedy_placement(tensors.problem).as_dict().items():
+        m, n = tensors.module_idx(name), tensors.device_idx(hosts[0])
+        assign[m] = n
+        residual[n] -= memory[m]
+    try:
+        lat_lb = [bound.lower_bound(assign) for bound in search.lat_bounds]
+        if float(search.fan(lat_lb)) > search.latency_budget:
+            return None
+        en_lb = [bound.lower_bound(assign) for bound in search.en_bounds]
+        for _ in range(32):
+            improved = False
+            for m in range(search.n_modules):
+                current = best_n = assign[m]
+                assign[m] = -1
+                joules = search.node_vector(m, search.en_bounds, en_lb).tolist()
+                priced = [(en_lb, search.vectors[m])]
+                latency = None
+                for n in range(search.n_devices):
+                    if n == current or residual[n] < memory[m] or not joules[n] < joules[best_n]:
+                        continue
+                    if latency is None:
+                        latency = search.node_vector(m, search.lat_bounds, lat_lb).tolist()
+                        priced.append((lat_lb, search.vectors[m]))
+                    if latency[n] <= search.latency_budget:
+                        best_n = n
+                assign[m] = best_n
+                if best_n != current:
+                    for lbs, vectors in priced:
+                        for g, vector in vectors.items():
+                            lbs[g] = float(vector[best_n])
+                    residual[current] += memory[m]
+                    residual[best_n] -= memory[m]
+                    improved = True
+            if not improved:
+                break
+        return assign.copy()
+    finally:
+        assign[:] = [-1] * search.n_modules
+
+
+#: ``(shape, seed, parallel, budget factor)``: the first eight need a third
+#: pass (a module moves again after another one did), the rest two or one.
+DESCENT_CASES = [
+    ((3, 4), 6, False, 1.0), ((3, 4), 25, True, 1.2), ((4, 5), 0, False, 1.0),
+    ((4, 5), 3, False, 1.0), ((4, 5), 13, False, 1.5), ((4, 5), 16, True, 1.2),
+    ((4, 5), 23, False, 1.2), ((4, 8), 0, False, 1.2),
+    ((3, 4), 0, True, 1.5), ((4, 8), 1, True, 1.5), ((5, 6), 2, False, 3.0),
+    ((5, 6), 7, True, 1.0),
+]
+
+
+@pytest.mark.parametrize("case", DESCENT_CASES, ids=str)
+def test_energy_incumbent_matches_full_pass_descent(case):
+    """The descent stops when it returns to the last module that moved; the
+    result must equal the full-pass descent's, which re-prices every module."""
+    shape, seed, parallel, factor = case
+    inst = synthetic_instance(*shape, seed=seed)
+    requests = list(inst.requests)
+    tensors = CostTensors(inst.problem, inst.network, parallel=parallel)
+    model = LatencyModel(inst.problem, inst.network, parallel=parallel, tensors=tensors)
+    budget = factor * model.objective(requests, greedy_placement(inst.problem))
+    got = _energy_incumbent(_EnergySearch(tensors, EnergyTensors(tensors), requests, budget))
+    expected = ref_energy_incumbent(
+        _EnergySearch(tensors, EnergyTensors(tensors), requests, budget)
+    )
+    assert got == expected
 
 
 # ----------------------------------------------------------------------

@@ -246,4 +246,5 @@ def test_replica_traversal_pinned_slow(key):
     placement, objective = replica_branch_and_bound(
         inst.problem, list(inst.requests), inst.network, max_copies=2, stats=stats,
     )
-    assert (hosts(placement), objective, stats.nodes, stats.leaves, stats.pruned) == REPLICA_SLOW_PINS[key]
+    got = (hosts(placement), objective, stats.nodes, stats.leaves, stats.pruned)
+    assert got == REPLICA_SLOW_PINS[key]

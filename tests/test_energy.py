@@ -9,6 +9,7 @@ exactly.
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.cluster.network import Network
@@ -280,6 +281,42 @@ class TestEnergyBnBExactness:
             energy_branch_and_bound(*args, latency_budget=float("nan"))
         with pytest.raises(ConfigurationError, match="latency_budget_factor"):
             energy_aware_placement(*args, latency_budget_factor=float("nan"))
+
+    #: Budgets that were misread: ``True`` ran as 1.0 s, ``float()`` took
+    #: strings, and ``math.isnan`` raised a bare ``TypeError`` on them.
+    BAD_BUDGETS = [True, False, "1", "1.5", b"1", float("-inf"), [1.0]]
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS, ids=repr)
+    @pytest.mark.parametrize("solver", ["bnb", "brute"])
+    def test_malformed_budget_is_refused(self, budget, solver):
+        instance = synthetic_instance(3, 4, seed=0)
+        args = (instance.problem, list(instance.requests), instance.network)
+        with pytest.raises(ValueError, match="latency_budget"):
+            energy_optimal_placement(*args, latency_budget=budget, solver=solver)
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS + [None], ids=repr)
+    def test_malformed_budget_is_refused_by_the_search(self, budget):
+        instance = synthetic_instance(3, 4, seed=0)
+        args = (instance.problem, list(instance.requests), instance.network)
+        with pytest.raises(ValueError, match="latency_budget"):
+            energy_branch_and_bound(*args, latency_budget=budget)
+
+    @pytest.mark.parametrize("factor", [True, "1.5", None, 0, -1.0, float("-inf")], ids=repr)
+    def test_malformed_budget_factor_is_refused(self, factor):
+        instance = synthetic_instance(3, 4, seed=0)
+        args = (instance.problem, list(instance.requests), instance.network)
+        with pytest.raises(ConfigurationError, match="latency_budget_factor"):
+            energy_aware_placement(*args, latency_budget_factor=factor)
+
+    def test_numeric_budgets_keep_their_meaning(self):
+        instance = synthetic_instance(3, 4, seed=0)
+        args = (instance.problem, list(instance.requests), instance.network)
+        free = energy_optimal_placement(*args)
+        assert energy_optimal_placement(*args, latency_budget=float("inf")) == free
+        assert energy_branch_and_bound(*args) == free
+        assert energy_optimal_placement(*args, latency_budget=np.float64("inf")) == free
+        assert energy_optimal_placement(*args, latency_budget=-1) == (None, float("inf"))
+        assert energy_aware_placement(*args, latency_budget_factor=float("inf")) == free[0]
 
     def test_infeasible_budget_returns_none(self):
         problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())

@@ -95,6 +95,17 @@ class TestCongestionModel:
             with pytest.raises(ConfigurationError, match="'clip-vit-b16'.*finite"):
                 CongestionModel({"clip-vit-b16": rate})
 
+    @pytest.mark.parametrize("rate", [True, False, "2", None, [1.0]], ids=repr)
+    def test_non_number_rate_rejected(self, rate):
+        # ``True`` ran as rate 1.0; ``"2"`` escaped as a bare TypeError.
+        with pytest.raises(ConfigurationError, match="'clip-vit-b16'"):
+            CongestionModel({"clip-vit-b16": rate})
+
+    @pytest.mark.parametrize("rho_max", [True, "0.5", None, float("nan")], ids=repr)
+    def test_non_number_rho_max_rejected(self, rho_max):
+        with pytest.raises(ConfigurationError, match="rho_max"):
+            CongestionModel({}, rho_max=rho_max)
+
     def test_rho_max_bounds_rejected(self):
         for rho_max in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ConfigurationError, match="rho_max"):

@@ -12,7 +12,7 @@ from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
 from repro.core.placement.greedy import greedy_placement, replicate_with_leftover
 from repro.core.placement.optimal import enumerate_placements, host_subsets, optimal_placement
-from repro.core.placement.problem import PlacementProblem
+from repro.core.placement.problem import Placement, PlacementProblem
 from repro.core.placement.replicas import (
     replica_aware_greedy,
     replica_branch_and_bound,
@@ -22,7 +22,7 @@ from repro.core.placement.replicas import (
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
 from repro.profiles.devices import edge_device_names
-from repro.utils.errors import PlacementError
+from repro.utils.errors import ConfigurationError, PlacementError
 
 from conftest import seeded_noisy_problem
 
@@ -315,6 +315,59 @@ class TestReplicaAwareGreedy:
             replica_aware_greedy(problem, requests_for(["clip-vit-b16"]), network, max_copies=0)
         with pytest.raises(PlacementError, match="request"):
             replica_aware_greedy(problem, [], network)
+
+
+def _instance_with_gap():
+    """The twin instance plus ``twin-c``, which has no throughput entry for
+    the encoder's kind (memory enough for everything)."""
+    import dataclasses
+
+    from repro.core.modules import ModuleKind
+    from repro.profiles.communication import LinkProfile
+
+    problem, _, model = _symmetric_two_device_instance()
+    gap = dataclasses.replace(
+        problem.devices[0], name="twin-c",
+        throughput={(ModuleKind.CLASSIFIER, "*"): 1000.0},
+    )
+    problem = dataclasses.replace(problem, devices=problem.devices + (gap,))
+    network = Network(
+        links=[
+            LinkProfile(name, "twin-router", bandwidth_bps=10e6, latency_s=0.002)
+            for name in ("twin-a", "twin-b", "twin-c")
+        ]
+    )
+    requests = [InferenceRequest(model, source) for source in ("twin-a", "twin-b")]
+    return problem, network, requests
+
+
+class TestAwareGreedyMissingThroughput:
+    """Pricing a host with no throughput entry for a module raises the
+    device's ``ConfigurationError``, whether the host is in ``base`` or a
+    candidate replica."""
+
+    def test_candidate_host(self):
+        problem, network, requests = _instance_with_gap()
+        base = Placement({"twin-encoder": ("twin-a",), "twin-head": ("twin-a",)})
+        with pytest.raises(ConfigurationError, match="'twin-c' has no throughput entry"):
+            replica_aware_greedy(problem, requests, network, base=base)
+
+    def test_base_host(self):
+        problem, network, requests = _instance_with_gap()
+        base = Placement({"twin-encoder": ("twin-c",), "twin-head": ("twin-a",)})
+        with pytest.raises(ConfigurationError, match="'twin-c' has no throughput entry"):
+            replica_aware_greedy(problem, requests, network, base=base)
+
+    def test_module_at_max_copies_is_not_priced(self):
+        # The encoder is at max_copies, so twin-c is never priced for it;
+        # the head, which twin-c serves, may still gain a copy there.
+        problem, network, requests = _instance_with_gap()
+        base = Placement({"twin-encoder": ("twin-a", "twin-b"), "twin-head": ("twin-a",)})
+        placement, objective = replica_aware_greedy(
+            problem, requests, network, max_copies=2, base=base
+        )
+        assert placement.hosts("twin-encoder") == ("twin-a", "twin-b")
+        assert objective == LatencyModel(problem, network).replica_objective(requests, placement)
 
 
 class TestMaxCopiesBoundary:

@@ -28,7 +28,11 @@ One search core serves every exact solver, the replica search in
 - :class:`_SearchState` — request classes (each (model, source) pair is
   priced once and fanned out in request order), memory residuals and the
   partial assignment.
-- :class:`_GroupBound` — the per-class bound, for latency and energy alike.
+- :class:`_GroupBound` — the bound of every request class of one model,
+  for latency and energy alike.  The classes differ only in their source's
+  input row, so they are stacked on a class axis: the model-level arrays
+  are built once per search, the per-class ones in one numpy pass, and a
+  node prices all of a model's classes as one ``[G, N]`` matrix.
 
 Bound (per request class, fanned out in request order):
 
@@ -77,6 +81,7 @@ from repro.core.placement.tensors import (
     RequestGroup,
     WaitTensors,
     _lpt_waits,
+    encoder_waits,
     group_joules,
     group_latency,
     request_classes,
@@ -86,18 +91,26 @@ from repro.utils.errors import PlacementError
 
 
 class _GroupBound:
-    """Admissible per-(model, source) bounds under partial assignment.
+    """Admissible bounds for every request class of one model, stacked.
 
-    One class for every single-copy objective; :class:`_LatencyBound` and
+    The classes of a model — one per request source — differ only in their
+    source's input row, so one bound holds them all on a leading class axis
+    of size ``G``, in the order of ``groups``.  :class:`_LatencyBound` and
     :class:`_EnergyBound` supply the arrays and ``total(enc_hosts,
-    head_host)``, the class's true value once every member is placed.
-    ``A[e]`` is encoder path ``e``'s prefix cost per device (latency: input
-    transfer + compute; energy: compute + input radio), stacked over paths
-    as ``[E, N]``; ``group.out[e]`` is the path's ``[N, N]`` output hop and
-    ``head`` the head's cost row.  ``parallel`` selects Eq. 2's max over
-    paths (with slot contention and LPT queue waits, read from the latency
-    rows); otherwise paths add up, and the plain formula is already exact
-    at completion.
+    head_host)``, each class's true value once every member is placed.
+    ``A[i, e]`` is class ``i``'s encoder path ``e`` prefix cost per device
+    (latency: input transfer + compute; energy: compute + input radio),
+    ``[G, E, N]``; the model-level ``out[e]`` is the path's ``[N, N]``
+    output hop and ``head`` the head's cost row, built once for the stack.
+    ``parallel`` selects Eq. 2's max over paths (with slot contention and
+    LPT queue waits, read from the latency rows); otherwise paths add up,
+    and the plain formula is already exact at completion.
+
+    :meth:`bound_vector` returns a ``[G, N]`` matrix (one row per class);
+    :meth:`lower_bound`, :meth:`exact` and ``total`` return one Python
+    float per class.  Every entry is the double the per-class formula gives
+    (each array operation is elementwise over the class axis), so the
+    searches' node counts and tie-breaks do not depend on the stacking.
 
     Everything scalar is read from Python-float rows (the same doubles)
     built here once per search, in one stacked pass, and freed with the
@@ -106,9 +119,12 @@ class _GroupBound:
     """
 
     def __init__(
-        self, tensors: CostTensors, group, A: np.ndarray, head: np.ndarray, parallel: bool
+        self, tensors: CostTensors, groups: Sequence, A: np.ndarray, head: np.ndarray,
+        parallel: bool,
     ) -> None:
-        self.group = group
+        #: The first class: its model-level fields (module indices, ``out``)
+        #: are every class's.
+        self.group = group = groups[0]
         self.tensors = tensors
         self.parallel = parallel
         self.encoder_idx = group.encoder_idx
@@ -123,34 +139,37 @@ class _GroupBound:
                 "intra-module partitioning first (paper Sec. V-B)"
             )
         head_fit, fit = fits[0], fits[1:]  # [N], [E, N]
-        out = np.array(group.out)  # [E, N, N]
-        # Per encoder path e (rows over the device axis):
-        #   A[e][ne]          the path prefix with the encoder on ne
-        #   paths[e][ne][nh]  A[e][ne] + out[e][ne][nh], the whole path
-        #                     (numpy only: its rows are the vectors handed out)
-        #   enc_assigned[e]   A + (cheapest out over fitting head hosts)
-        #   head_assigned[e]  cheapest path over fitting encoder hosts, per nh
-        #   free[e]           cheapest over both endpoints
-        #   out_min_rows[e]   cheapest out over fitting head hosts
-        # Vector math over the device axis reads the numpy arrays (views of
-        # them are never written: every vector handed out is a fresh sum).
+        out = np.array(group.out)  # [E, N, N], shared by the classes
+        # Per class i and encoder path e (rows over the device axis):
+        #   A[i, e, ne]           the path prefix with the encoder on ne
+        #   paths[i, e, ne, nh]   A[i, e, ne] + out[e, ne, nh], the whole path
+        #                         (numpy only: its rows are the vectors handed out)
+        #   enc_assigned[i, e]    A + (cheapest out over fitting head hosts)
+        #   head_assigned[i, e]   cheapest path over fitting encoder hosts, per nh
+        #   free[i, e]            cheapest over both endpoints
+        # and, per path only, out_min[e]: the cheapest out over fitting head
+        # hosts.  Vector math over the device axis reads the numpy arrays
+        # (views of them are never written: every matrix handed out is a
+        # fresh sum).
         out_min = out.min(axis=2, where=head_fit, initial=np.inf)
         self.A = A
-        self.paths = A[:, :, None] + out
+        self.out = out
+        self.paths = A[:, :, :, None] + out
         self.head = head
         self.head_min = float(head.min(where=head_fit, initial=np.inf))
         self.enc_assigned = A + out_min
-        self.head_assigned = self.paths.min(axis=1, where=fit[:, :, None], initial=np.inf)
-        self.free: List[float] = self.enc_assigned.min(axis=1, where=fit, initial=np.inf).tolist()
+        self.head_assigned = self.paths.min(axis=2, where=fit[:, :, None], initial=np.inf)
+        self.free = self.enc_assigned.min(axis=2, where=fit, initial=np.inf)
         self.out_min_rows: List[List[float]] = out_min.tolist()
         self.head_row: List[float] = head.tolist()
-        self.A_rows: List[List[float]] = A.tolist()
         self.out_rows: List[List[List[float]]] = out.tolist()
-        self.enc_assigned_rows: List[List[float]] = self.enc_assigned.tolist()
-        self.head_assigned_rows: List[List[float]] = self.head_assigned.tolist()
+        self.A_rows: List[List[List[float]]] = A.tolist()
+        self.enc_assigned_rows: List[List[List[float]]] = self.enc_assigned.tolist()
+        self.head_assigned_rows: List[List[List[float]]] = self.head_assigned.tolist()
+        self.free_rows: List[List[float]] = self.free.tolist()
 
-    def exact(self, assign: Sequence[int]) -> float:
-        """The class's true value under a complete assignment."""
+    def exact(self, assign: Sequence[int]) -> List[float]:
+        """Each class's true value under a complete assignment."""
         return self.total([assign[i] for i in self.encoder_idx], assign[self.head_idx])
 
     # ------------------------------------------------------------------
@@ -161,12 +180,13 @@ class _GroupBound:
     # least ``sum(compute(S_n)) / slots_n``, and the last-finishing path
     # also pays its input and output transfers — at least the minimum over
     # S_n plus every still-unassigned encoder (any of which may join n).
-    # The slack factor absorbs float-rounding differences (the true stage
-    # is accumulated in a different operation order); it is ~1e5 times any
-    # accumulated ulp error yet far below meaningful latency differences.
-    # Every device has at least one slot, so only a device holding two or
-    # more placed encoders (or one, plus the encoder being placed) can be
-    # oversubscribed.
+    # Only the input floor ``in_min`` is per class, so a term is one value
+    # per class.  The slack factor absorbs float-rounding differences (the
+    # true stage is accumulated in a different operation order); it is
+    # ~1e5 times any accumulated ulp error yet far below meaningful latency
+    # differences.  Every device has at least one slot, so only a device
+    # holding two or more placed encoders (or one, plus the encoder being
+    # placed) can be oversubscribed.
     # ------------------------------------------------------------------
     _CONTENTION_SLACK = 1.0 - 1e-9
 
@@ -188,46 +208,49 @@ class _GroupBound:
                 members[ne] = [e]
         return loads, members, unassigned
 
-    def _contention_term(self, n: int, pool: List[int], load: float, nh: int) -> float:
-        """Admissible stage bound from slot pressure on device ``n``."""
-        in_comm = self.in_comm_rows
-        in_min = min([in_comm[e][n] for e in pool])
+    def _contention_term(self, n: int, pool: List[int], load: float, nh: int) -> List[float]:
+        """Admissible stage bound per class from slot pressure on device ``n``."""
+        share = load / self.tensors.slots[n]
         if nh >= 0:
             out = self.out_rows
             out_floor = min([out[e][n][nh] for e in pool])
         else:
             out_min = self.out_min_rows
             out_floor = min([out_min[e][n] for e in pool])
-        return (in_min + load / self.tensors.slots[n] + out_floor) * self._CONTENTION_SLACK
+        slack = self._CONTENTION_SLACK
+        return [
+            (min([in_comm[e][n] for e in pool]) + share + out_floor) * slack
+            for in_comm in self.in_comm_rows
+        ]
 
-    def _oversubscribed(self, loads, members, unassigned, nh: int) -> float:
-        """Max contention term over devices whose slots are oversubscribed."""
+    def _oversubscribed(self, loads, members, unassigned, nh: int) -> Optional[List[float]]:
+        """Per class, the max contention term over devices whose slots are
+        oversubscribed; ``None`` without one."""
         slots = self.tensors.slots
-        best = 0.0
+        best = None
         for n, here in members.items():
             if len(here) <= slots[n]:
                 continue
             term = self._contention_term(n, here + unassigned, loads[n], nh)
-            if term > best:
-                best = term
+            best = term if best is None else [t if t > b else b for t, b in zip(term, best)]
         return best
 
-    def _contention(self, hosts: Sequence[int], nh: int) -> float:
-        """The contention bound of the encoder ``hosts`` (``-1`` unplaced);
-        ``0.0`` without a device holding two placed encoders."""
+    def _contention(self, hosts: Sequence[int], nh: int) -> Optional[List[float]]:
+        """The contention bound per class of the encoder ``hosts`` (``-1``
+        unplaced); ``None`` without a device holding two placed encoders."""
         if not self.parallel:
-            return 0.0
+            return None
         placed = [n for n in hosts if n >= 0]
         if len(set(placed)) == len(placed):
-            return 0.0
+            return None
         return self._oversubscribed(*self._contention_state(hosts), nh)
 
     # ------------------------------------------------------------------
-    def lower_bound(self, assign: Sequence[int]) -> float:
-        """Scalar bound for the current partial assignment.
+    def lower_bound(self, assign: Sequence[int]) -> List[float]:
+        """Scalar bound per class for the current partial assignment.
 
         **Exact** (queue waits included) once every member module is
-        assigned — at that point the bound equals the group's true total,
+        assigned — at that point the bound equals the class's true total,
         so the value phase's ``>=`` prune filters deep nodes exactly.
         """
         nh = assign[self.head_idx]
@@ -235,35 +258,35 @@ class _GroupBound:
         if nh >= 0:
             if -1 not in hosts:
                 return self.total(hosts, nh)
-            A, out, head_assigned = self.A_rows, self.out_rows, self.head_assigned_rows
-            terms = [
-                A[e][ne] + out[e][ne][nh] if ne >= 0 else head_assigned[e][nh]
-                for e, ne in enumerate(hosts)
+            out = self.out_rows
+            stage = [
+                [
+                    A[e][ne] + out[e][ne][nh] if ne >= 0 else head_assigned[e][nh]
+                    for e, ne in enumerate(hosts)
+                ]
+                for A, head_assigned in zip(self.A_rows, self.head_assigned_rows)
             ]
             head = self.head_row[nh]
         else:
-            enc_assigned, free = self.enc_assigned_rows, self.free
-            terms = [
-                enc_assigned[e][ne] if ne >= 0 else free[e] for e, ne in enumerate(hosts)
+            stage = [
+                [enc_assigned[e][ne] if ne >= 0 else free[e] for e, ne in enumerate(hosts)]
+                for enc_assigned, free in zip(self.enc_assigned_rows, self.free_rows)
             ]
             head = self.head_min
-        if not terms:
-            encoder = 0.0
-        elif self.parallel:
-            encoder = max(terms)
-            contention = self._contention(hosts, nh)
-            if contention > encoder:
-                encoder = contention
-        else:
-            encoder = reduce(operator.add, terms, 0.0)
-        return encoder + head
+        if not self.parallel:
+            return [reduce(operator.add, terms, 0.0) + head for terms in stage]
+        contention = self._contention(hosts, nh)
+        if contention is None:
+            return [max(terms) + head for terms in stage]
+        return [max(max(terms), floor) + head for terms, floor in zip(stage, contention)]
 
     def bound_vector(self, assign: Sequence[int], module_index: int) -> np.ndarray:
-        """Bound per candidate device if ``module_index`` were placed there.
+        """Bound per class and candidate device, ``[G, N]``, if
+        ``module_index`` were placed there.
 
-        ``module_index`` must be used by this group (as an encoder, the
+        ``module_index`` must be used by this model (as an encoder, the
         head, or both roles at once) and unplaced in ``assign``.  When
-        placing it *completes* the group, the vector holds exact
+        placing it *completes* the classes, the matrix holds exact
         (wait-inclusive) totals.
         """
         nh = assign[self.head_idx]
@@ -274,83 +297,77 @@ class _GroupBound:
         ):
             return self._exact_vector(hosts, nh, module_index)
         paths = self.paths
-        terms: List[object] = []  # scalars and [N] vectors, in path order
+        # Per path, in path order: a [G, N] matrix, or a [G, 1] column of
+        # the path's fixed value per class (views of the tables).
+        terms: List[np.ndarray] = []
         if head_here:
             # The head is being placed; each encoder is fixed, free, or the
             # head module itself (both endpoints co-locate).
             for e, ne in enumerate(hosts):
                 if self.encoder_idx[e] == module_index:
-                    terms.append(paths[e].diagonal())
+                    terms.append(paths[:, e].diagonal(axis1=1, axis2=2))
                 elif ne >= 0:
-                    terms.append(paths[e, ne])
+                    terms.append(paths[:, e, ne])
                 else:
-                    terms.append(self.head_assigned[e])
+                    terms.append(self.head_assigned[:, e])
         else:
             # An encoder is being placed; untouched paths are lower_bound's
-            # scalars.
+            # values, one per class.
             for e, ne in enumerate(hosts):
                 if self.encoder_idx[e] == module_index:
-                    terms.append(paths[e, :, nh] if nh >= 0 else self.enc_assigned[e])
+                    terms.append(paths[:, e, :, nh] if nh >= 0 else self.enc_assigned[:, e])
                 elif nh >= 0:
                     terms.append(
-                        self.A_rows[e][ne] + self.out_rows[e][ne][nh] if ne >= 0
-                        else self.head_assigned_rows[e][nh]
+                        paths[:, e, ne, nh, None] if ne >= 0
+                        else self.head_assigned[:, e, nh, None]
                     )
                 else:
-                    terms.append(self.enc_assigned_rows[e][ne] if ne >= 0 else self.free[e])
-        if not terms:
-            encoder = 0.0
-        elif self.parallel:
+                    terms.append(
+                        self.enc_assigned[:, e, ne, None] if ne >= 0 else self.free[:, e, None]
+                    )
+        if self.parallel:
             # Base contention (moving module still unassigned) is admissible
             # for every candidate; candidates that oversubscribe a device's
             # slots with the newcomer get the tightened per-device term.
+            # With no NaN in the rows, max is exact in any order.
             if head_here:
                 base = self._contention(hosts, -1)
             else:
                 loads, members, unassigned = self._contention_state(hosts)
                 base = self._oversubscribed(loads, members, unassigned, nh)
-            # The scalar terms and the base fold into one floor first: with
-            # no NaN in the rows, max is exact in any order.
-            floor = [t for t in terms if type(t) is float]
-            if base > 0.0:
-                floor.append(base)
-            encoder = reduce(np.maximum, [t for t in terms if type(t) is not float])
-            if floor:
-                encoder = np.maximum(encoder, max(floor))
+            if base is not None:
+                terms.append(np.array(base)[:, None])
+            encoder = reduce(np.maximum, terms)
             if not head_here and members:
                 e0 = self.encoder_idx.index(module_index)
                 joiners = [e for e in unassigned if e != e0]
                 comp0 = self.enc_comp_rows[e0]
                 slots = self.tensors.slots
-                raised = []
-                for n, here in members.items():
-                    if len(here) < slots[n]:
-                        continue  # room for the newcomer
-                    term = self._contention_term(n, here + [e0] + joiners, loads[n] + comp0[n], nh)
-                    if term > encoder[n]:
-                        raised.append((n, term))
+                raised = [
+                    (n, self._contention_term(n, here + [e0] + joiners, loads[n] + comp0[n], nh))
+                    for n, here in members.items()
+                    if len(here) >= slots[n]  # else room for the newcomer
+                ]
                 if raised:
                     encoder = encoder.copy()  # may be a view of a table
                     for n, term in raised:
-                        encoder[n] = term
+                        encoder[:, n] = np.maximum(encoder[:, n], term)
         else:
             encoder = reduce(operator.add, terms, 0.0)
         head = self.head if head_here else (self.head_row[nh] if nh >= 0 else self.head_min)
-        total = encoder + head
-        if isinstance(total, np.ndarray):
-            return total  # a fresh array: the sum allocated it
-        return np.full(len(self.head_row), total)
+        return encoder + head  # a fresh [G, N] array: the sum allocated it
 
     def _exact_vector(self, hosts: List[int], nh: int, module_index: int) -> np.ndarray:
-        """True parallel group latency per candidate device for the last
-        free member, with the other encoders on ``hosts`` and the head on
-        ``nh``.
+        """True parallel latency per class and candidate device for the
+        last free member, with the other encoders on ``hosts`` and the head
+        on ``nh``.
 
         Queue waits are per-device: placing the last module on ``n`` can
         only change waits *on* ``n``, so the LPT recomputation is confined
         to candidates that would actually exceed their slots; every other
         entry is pure array math over the precomputed tensors (and uses the
-        same float-operation order, so entries stay bit-exact).
+        same float-operation order, so entries stay bit-exact).  The waits
+        depend on compute alone, so one LPT serves every class.
         """
         slots = self.tensors.slots
         n_encoders = len(hosts)
@@ -358,22 +375,21 @@ class _GroupBound:
         head_moving = self.head_idx == module_index
 
         if head_moving and moving:  # dual-role module: rare, go scalar
-            values = np.empty(len(self.head), dtype=np.float64)
-            for n in range(len(self.head)):
-                enc_hosts = [n if e in moving else hosts[e] for e in range(n_encoders)]
-                values[n] = self.total(enc_hosts, n)
-            return values
+            return np.array([
+                self.total([n if e in moving else hosts[e] for e in range(n_encoders)], n)
+                for n in range(len(self.head_row))
+            ]).T
 
-        in_comm, enc_comp, out = self.in_comm_rows, self.enc_comp_rows, self.out_rows
+        in_comm, enc_comp, out = self.in_comm, self.enc_comp_rows, self.out_rows
         if head_moving:
             # Encoder hosts (hence waits) are fixed; only out_comm varies.
             if len(set(hosts)) == n_encoders:  # nothing waits
-                rows = [self.paths[e, ne] for e, ne in enumerate(hosts)]
+                rows = [self.paths[:, e, ne] for e, ne in enumerate(hosts)]
             else:
                 comps = [enc_comp[e][ne] for e, ne in enumerate(hosts)]
                 waits = _lpt_waits(hosts, comps, slots)
                 rows = [
-                    (in_comm[e][ne] + waits[e] + comps[e]) + self.group.out[e][ne, :]
+                    (in_comm[:, e, ne] + waits[e] + comps[e])[:, None] + self.out[e, ne]
                     for e, ne in enumerate(hosts)
                 ]
             return reduce(np.maximum, rows) + self.head
@@ -383,16 +399,16 @@ class _GroupBound:
         others = [e for e in range(n_encoders) if e != e0]
         fixed = [hosts[e] for e in others]
         if len(set(fixed)) == len(fixed):  # nothing waits
-            terms = [self.A_rows[e][ne] + out[e][ne][nh] for e, ne in zip(others, fixed)]
+            terms = [self.paths[:, e, ne, nh] for e, ne in zip(others, fixed)]
         else:
             waits = _lpt_waits(fixed, [enc_comp[e][hosts[e]] for e in others], slots)
             terms = [
-                in_comm[e][ne] + waits[pos] + enc_comp[e][ne] + out[e][ne][nh]
+                in_comm[:, e, ne] + waits[pos] + enc_comp[e][ne] + out[e][ne][nh]
                 for pos, (e, ne) in enumerate(zip(others, fixed))
             ]
-        stage = self.paths[e0, :, nh]
-        if terms:
-            stage = np.maximum(stage, max(terms))  # no NaN: max is exact in any order
+        stage = self.paths[:, e0, :, nh]
+        if terms:  # no NaN: max is exact in any order
+            stage = np.maximum(stage, reduce(np.maximum, terms)[:, None])
         values = stage + self.head_row[nh]
         # Candidates where the newcomer overflows the device's slots need
         # the true LPT schedule (waits change on that device only).
@@ -401,40 +417,53 @@ class _GroupBound:
             counts[ne] = counts.get(ne, 0) + 1
         for n, count in counts.items():
             if count >= slots[n]:
-                values[n] = self.total([n if e == e0 else hosts[e] for e in range(n_encoders)], nh)
+                values[:, n] = self.total(
+                    [n if e == e0 else hosts[e] for e in range(n_encoders)], nh
+                )
         return values
 
 
 class _LatencyBound(_GroupBound):
-    """The latency bound of one request class: ``A = in + compute``, exact
-    totals by Eq. 1-3 (:func:`~repro.core.placement.tensors.group_latency`)
-    over the bound's rows, with queue waits when ``tensors.parallel``."""
+    """The latency bound of one model's request classes: ``A = in +
+    compute``, exact totals by Eq. 1-3
+    (:func:`~repro.core.placement.tensors.group_latency`) over the bound's
+    rows, with queue waits when ``tensors.parallel`` (scheduled once for
+    the stack)."""
 
-    def __init__(self, tensors: CostTensors, group: RequestGroup) -> None:
-        in_comm, enc_comp = np.array(group.in_comm), np.array(group.enc_comp)
-        super().__init__(tensors, group, in_comm + enc_comp, group.head_comp, tensors.parallel)
-        self.in_comm_rows: List[List[float]] = in_comm.tolist()
+    def __init__(self, tensors: CostTensors, groups: Sequence[RequestGroup]) -> None:
+        in_comm = np.array([group.in_comm for group in groups])  # [G, E, N]
+        enc_comp = np.array(groups[0].enc_comp)  # [E, N]
+        super().__init__(tensors, groups, in_comm + enc_comp, groups[0].head_comp, tensors.parallel)
+        self.in_comm = in_comm
+        self.in_comm_rows: List[List[List[float]]] = in_comm.tolist()
         self.enc_comp_rows: List[List[float]] = enc_comp.tolist()
 
-    def total(self, enc_hosts: Sequence[int], head_host: int) -> float:
-        """Eq. 1-3 latency with encoders on ``enc_hosts``, head on ``head_host``."""
-        return group_latency(
-            self.in_comm_rows, self.enc_comp_rows, self.out_rows, self.head_row,
-            enc_hosts, head_host, self.tensors.slots, self.parallel,
-        )
+    def total(self, enc_hosts: Sequence[int], head_host: int) -> List[float]:
+        """Eq. 1-3 latency per class with encoders on ``enc_hosts``, head on
+        ``head_host``."""
+        comp, out, head = self.enc_comp_rows, self.out_rows, self.head_row
+        slots, parallel = self.tensors.slots, self.parallel
+        waits = encoder_waits(comp, enc_hosts, slots, parallel)
+        return [
+            group_latency(in_rows, comp, out, head, enc_hosts, head_host, slots, parallel, waits)
+            for in_rows in self.in_comm_rows
+        ]
 
 
 class _EnergyBound(_GroupBound):
-    """The energy bound of one request class: paths add up (never
+    """The energy bound of one model's request classes: paths add up (never
     ``parallel``), exact totals by
     :func:`~repro.core.placement.tensors.group_joules` over the bound's rows."""
 
-    def __init__(self, tensors: CostTensors, group: EnergyRequestGroup) -> None:
-        super().__init__(tensors, group, np.array(group.A), group.head_joules, False)
+    def __init__(self, tensors: CostTensors, groups: Sequence[EnergyRequestGroup]) -> None:
+        A = np.array([group.A for group in groups])  # [G, E, N]
+        super().__init__(tensors, groups, A, groups[0].head_joules, False)
 
-    def total(self, enc_hosts: Sequence[int], head_host: int) -> float:
-        """Request joules with encoders on ``enc_hosts``, head on ``head_host``."""
-        return group_joules(self.A_rows, self.out_rows, self.head_row, enc_hosts, head_host)
+    def total(self, enc_hosts: Sequence[int], head_host: int) -> List[float]:
+        """Request joules per class with encoders on ``enc_hosts``, head on
+        ``head_host``."""
+        out, head = self.out_rows, self.head_row
+        return [group_joules(A, out, head, enc_hosts, head_host) for A in self.A_rows]
 
 
 @dataclass
@@ -539,6 +568,9 @@ class _SearchState:
     and fanned out over the request list in request order (keeping the
     objective's left-to-right summation bit-identical to the scalar path).
     ``groups_using[m]`` lists the classes whose model uses module ``m``.
+    The classes of one model form a stack (``stacks[s]``, class indices in
+    first-appearance order), priced together by one :class:`_GroupBound`;
+    ``stacks_using[m]`` lists the stacks whose model uses module ``m``.
     """
 
     def __init__(self, tensors: CostTensors, requests: Sequence[InferenceRequest]) -> None:
@@ -559,9 +591,34 @@ class _SearchState:
         for g, group in enumerate(self.groups):
             for idx in group.member_idx:
                 self.groups_using[idx].append(g)
-        #: Per-module class bound vectors from the latest node expansion,
-        #: read back by ``descend`` (each module sits once on a DFS path).
-        self.vectors: Dict[int, Dict[int, np.ndarray]] = {}
+        stack_of: Dict[int, List[int]] = {}
+        for g, group in enumerate(self.groups):
+            stack_of.setdefault(id(group.model), []).append(g)
+        self.stacks: List[List[int]] = list(stack_of.values())
+        self.stacks_using: List[List[int]] = [[] for _ in range(self.n_modules)]
+        for s, classes in enumerate(self.stacks):
+            for idx in self.groups[classes[0]].member_idx:
+                self.stacks_using[idx].append(s)
+        #: Per-module ``(classes, [G, N] bound matrix)`` of each stack from
+        #: the latest node expansion, read back by ``descend`` (each module
+        #: sits once on a DFS path).
+        self.vectors: Dict[int, List[Tuple[List[int], np.ndarray]]] = {}
+
+    def stacked_groups(self) -> List[List[RequestGroup]]:
+        """The request classes, split into their model's stacks."""
+        return [[self.groups[g] for g in classes] for classes in self.stacks]
+
+    def class_values(self, bounds: Sequence[_GroupBound], price) -> List[float]:
+        """Per-class values of ``price(bound)`` (one list per stack)."""
+        values = [0.0] * len(self.groups)
+        for classes, bound in zip(self.stacks, bounds):
+            for g, value in zip(classes, price(bound)):
+                values[g] = value
+        return values
+
+    def lower_bounds(self, bounds: Sequence[_GroupBound]) -> List[float]:
+        """Every class's lower bound under the current assignment."""
+        return self.class_values(bounds, lambda bound: bound.lower_bound(self.assign))
 
     def fan(self, values: Sequence, total=0.0):
         """Request-order sum of per-class ``values`` (scalars or vectors)."""
@@ -571,21 +628,37 @@ class _SearchState:
 
     def node_vector(self, m: int, bounds: Sequence[_GroupBound], lbs: List[float]) -> np.ndarray:
         """Fanned per-device bound if module ``m`` went to each device."""
-        vectors = {g: bounds[g].bound_vector(self.assign, m) for g in self.groups_using[m]}
-        self.vectors[m] = vectors
-        values = [vectors[g] if g in vectors else lb for g, lb in enumerate(lbs)]
+        values: List[object] = list(lbs)
+        priced = []
+        for s in self.stacks_using[m]:
+            classes = self.stacks[s]
+            matrix = bounds[s].bound_vector(self.assign, m)
+            priced.append((classes, matrix))
+            for g, row in zip(classes, matrix):
+                values[g] = row
+        self.vectors[m] = priced
         return self.fan(values, np.zeros(self.n_devices, dtype=np.float64))
+
+    @staticmethod
+    def take(
+        priced: List[Tuple[List[int], np.ndarray]], n: int, lbs: List[float]
+    ) -> List[Tuple[int, float]]:
+        """Set ``lbs`` of the ``priced`` stacks' classes (``(classes, [G, N]
+        matrix)`` pairs from :meth:`node_vector`) to their bounds on device
+        ``n``; returns the values replaced."""
+        saved = []
+        for classes, matrix in priced:
+            for g, value in zip(classes, matrix[:, n].tolist()):
+                saved.append((g, lbs[g]))
+                lbs[g] = value
+        return saved
 
     def place(self, m: int, n: int, lbs: List[float]) -> List[Tuple[int, float]]:
         """Put ``m`` on ``n``, taking its classes' bounds from the node's
         vectors; returns the undo list for :meth:`unplace`."""
         self.assign[m] = n
         self.residual[n] -= self.memory[m]
-        vectors = self.vectors[m]
-        saved = [(g, lbs[g]) for g in vectors]
-        for g, vector in vectors.items():
-            lbs[g] = float(vector[n])
-        return saved
+        return self.take(self.vectors[m], n, lbs)
 
     def unplace(self, m: int, n: int, lbs: List[float], saved: List[Tuple[int, float]]) -> None:
         for g, value in saved:
@@ -617,8 +690,9 @@ class _SearchState:
         head_modules = {g.head_idx for g in self.groups}
         criticality = [0.0] * self.n_modules
         for bound in bounds:
-            for e, idx in enumerate(bound.encoder_idx):
-                criticality[idx] = max(criticality[idx], bound.free[e])
+            for free in bound.free_rows:
+                for e, idx in enumerate(bound.encoder_idx):
+                    criticality[idx] = max(criticality[idx], free[e])
         names = self.tensors.module_names
 
         def key(m: int) -> Tuple[int, int, float, int, str]:
@@ -759,9 +833,14 @@ class _WaitState:
     def ascend(self, m: int, hosts: Sequence[int]) -> None:
         self.descend(m, hosts, -1.0)
 
+    def clear(self) -> None:
+        """Drop every assigned member's load and visits."""
+        for state in (self.u, self.r, self.inf, self.vis):
+            state.fill(0.0)
+
 
 class _Search(_SearchState):
-    """The latency search: per-class bounds plus the optional wait add-on."""
+    """The latency search: per-model stacked bounds plus the optional wait add-on."""
 
     def __init__(
         self,
@@ -770,8 +849,8 @@ class _Search(_SearchState):
         congestion: Optional[CongestionModel] = None,
     ) -> None:
         super().__init__(tensors, requests)
-        self.bounds = [_LatencyBound(tensors, group) for group in self.groups]
-        self.lbs = [bound.lower_bound(self.assign) for bound in self.bounds]
+        self.bounds = [_LatencyBound(tensors, groups) for groups in self.stacked_groups()]
+        self.lbs = self.lower_bounds(self.bounds)
         self.wait_tensors = WaitTensors(tensors, congestion) if congestion is not None else None
         self.wait = _WaitState(self.wait_tensors, self) if self.wait_tensors is not None else None
         self.tie_devices = sorted(range(self.n_devices), key=lambda n: tensors.device_names[n])
@@ -784,15 +863,16 @@ class _Search(_SearchState):
         member order onto ``0.0``, then onto its Eq. 1-3 total."""
         assign = self.assign
         if self.wait_tensors is None:
-            return float(self.fan([b.exact(assign) for b in self.bounds]))
+            return float(self.fan(self.class_values(self.bounds, lambda b: b.exact(assign))))
         waits = self.wait_tensors.device_waits(self.requests, lambda m: (assign[m],))
-        values = []
-        for bound in self.bounds:
-            wait = 0.0
+
+        def price(bound: _GroupBound) -> List[float]:
+            wait = 0.0  # a model's classes share their members' hosts
             for idx in bound.group.member_idx:
                 wait = wait + waits[assign[idx]]
-            values.append(bound.exact(assign) + wait)
-        return float(self.fan(values))
+            return [value + wait for value in bound.exact(assign)]
+
+        return float(self.fan(self.class_values(self.bounds, price)))
 
     def node_bounds(self, m: int) -> np.ndarray:
         """Per-device total bound if module ``m`` went to each device."""
@@ -873,11 +953,12 @@ def branch_and_bound_placement(
 class _EnergySearch(_SearchState):
     """The energy search's state.
 
-    Tracks **two** admissible bound families per request class — joules
+    Tracks **two** admissible bound families per model stack — joules
     (the objective being minimized) and latency (the Eq. 4a budget
-    constraint) — both :class:`_GroupBound`\\ s fanned out in request order
-    so leaf values are bit-identical to the scalar oracles.  Energy paths
-    add up, so its bounds run ``parallel=False`` over the energy arrays.
+    constraint) — both :class:`_GroupBound`\\ s whose class rows are
+    fanned out in request order so leaf values are bit-identical to the
+    scalar oracles.  Energy paths add up, so its bounds run
+    ``parallel=False`` over the energy arrays.
     """
 
     def __init__(
@@ -889,18 +970,20 @@ class _EnergySearch(_SearchState):
     ) -> None:
         super().__init__(tensors, requests)
         self.latency_budget = latency_budget
-        self.lat_bounds = [_LatencyBound(tensors, group) for group in self.groups]
+        stacks = self.stacked_groups()
+        self.lat_bounds = [_LatencyBound(tensors, groups) for groups in stacks]
         self.en_bounds = [
-            _EnergyBound(tensors, energy.group(group.model, group.source))
-            for group in self.groups
+            _EnergyBound(tensors, [energy.group(group.model, group.source) for group in groups])
+            for groups in stacks
         ]
-        self.lat_lb = [bound.lower_bound(self.assign) for bound in self.lat_bounds]
-        self.en_lb = [bound.lower_bound(self.assign) for bound in self.en_bounds]
+        self.lat_lb = self.lower_bounds(self.lat_bounds)
+        self.en_lb = self.lower_bounds(self.en_bounds)
 
     def leaf_energy(self) -> float:
         """Exact joules of the full assignment (request-order summation,
         bit-identical to ``EnergyTensors.objective`` on the same placement)."""
-        return float(self.fan([b.exact(self.assign) for b in self.en_bounds]))
+        assign = self.assign
+        return float(self.fan(self.class_values(self.en_bounds, lambda b: b.exact(assign))))
 
     def children(self, m: int) -> List[Tuple[float, int]]:
         """Candidates by ascending energy bound.
@@ -924,9 +1007,10 @@ class _EnergySearch(_SearchState):
         """
         saved = self.place(m, n, self.en_lb)
         lat_saved = []
-        for g in self.groups_using[m]:
-            lat_saved.append((g, self.lat_lb[g]))
-            self.lat_lb[g] = self.lat_bounds[g].lower_bound(self.assign)
+        for s in self.stacks_using[m]:
+            for g, value in zip(self.stacks[s], self.lat_bounds[s].lower_bound(self.assign)):
+                lat_saved.append((g, self.lat_lb[g]))
+                self.lat_lb[g] = value
         undo = (saved, lat_saved)
         if float(self.fan(self.lat_lb)) > self.latency_budget:
             self.ascend(m, n, undo)
@@ -993,10 +1077,10 @@ def _energy_incumbent(search: _EnergySearch) -> Optional[List[int]]:
         assign[m] = n
         residual[n] -= memory[m]
     try:
-        lat_lb = [bound.lower_bound(assign) for bound in search.lat_bounds]
+        lat_lb = search.lower_bounds(search.lat_bounds)
         if float(search.fan(lat_lb)) > search.latency_budget:
             return None
-        en_lb = [bound.lower_bound(assign) for bound in search.en_bounds]
+        en_lb = search.lower_bounds(search.en_bounds)
         # Steepest descent, modules in index order, at most 32 passes.  It
         # ends when it comes back to the last module that moved (module 0
         # before any move): nothing has changed since that module's own
@@ -1022,8 +1106,7 @@ def _energy_incumbent(search: _EnergySearch) -> Optional[List[int]]:
             assign[m] = best_n
             if best_n != current:
                 for lbs, vectors in priced:  # the moved classes' exact totals
-                    for g, vector in vectors.items():
-                        lbs[g] = float(vector[best_n])
+                    search.take(vectors, best_n, lbs)
                 residual[current] += memory[m]
                 residual[best_n] -= memory[m]
                 last_moved = m

@@ -67,7 +67,7 @@ from repro.core.placement.tensors import (
     WaitTensors,
     cheapest_hosts,
 )
-from repro.utils.errors import PlacementError
+from repro.utils.errors import ConfigurationError, PlacementError
 
 def replica_brute_force(
     problem: PlacementProblem,
@@ -126,59 +126,51 @@ def replica_aware_greedy(
     ``(objective, module name, device name)`` triple.
 
     ``base`` seeds the search (defaults to greedy Algorithm 1's single-copy
-    placement, so the result is always at least as good as greedy).
-    Returns ``(placement, objective_seconds)`` with host tuples in sorted
-    device-name order.  ``congestion`` prices candidates with the
-    queue-aware ``congestion_replica_objective`` instead.
+    placement, so the result is always at least as good as greedy).  A base
+    that places a module of the problem nowhere, repeats a host, exceeds
+    ``max_copies`` or a device's memory raises :class:`PlacementError`; one
+    that names an unknown module or device raises
+    :class:`ConfigurationError`.  Returns ``(placement, objective_seconds)``
+    with host tuples in sorted device-name order.  ``congestion`` prices
+    candidates with the queue-aware ``congestion_replica_objective``
+    instead.  Candidates are priced on the replica search's own rows
+    (:class:`_ReplicaSearch`), the doubles ``LatencyModel.replica_objective``
+    (or its queue-aware counterpart) returns for the same placement.
     """
     _check_max_copies(max_copies)
-    if not requests:
-        raise PlacementError("replica placement needs at least one request to score")
-    from repro.core.routing.latency import LatencyModel
+    _, tensors = _prologue(problem, requests, network, parallel, tensors, "replica")
+    seed = base if base is not None else greedy_placement(problem)
+    _check_base(problem, seed, max_copies)
+    search = _ReplicaSearch(tensors, requests, max_copies, congestion=congestion)
+    return search.aware_greedy(seed, max_copies)
 
-    net = network if network is not None else Network()
-    model = LatencyModel(problem, net, parallel=parallel, tensors=tensors)
-    if congestion is not None:
-        def score(placement: Placement) -> float:
-            return model.congestion_replica_objective(requests, placement, congestion)
-    else:
-        def score(placement: Placement) -> float:
-            return model.replica_objective(requests, placement)
-    current = base if base is not None else greedy_placement(problem)
-    modules = {m.name: m for m in problem.modules}
-    residual: Dict[str, int] = {d.name: d.memory_bytes for d in problem.devices}
-    for name, hosts in current.as_dict().items():
+
+def _check_base(problem: PlacementProblem, base: Placement, max_copies: int) -> None:
+    """Refuse a seed placement outside the replica search space."""
+    modules = {module.name: module for module in problem.modules}
+    budget = {device.name: device.memory_bytes for device in problem.devices}
+    used = dict.fromkeys(budget, 0)
+    for name, hosts in base.as_dict().items():
+        if name not in modules:
+            raise ConfigurationError(f"base places {name!r}, which is not a module of the problem")
         for host in hosts:
-            residual[host] -= modules[name].memory_bytes
-    best_objective = score(current)
-
-    while True:
-        best_move: Optional[Tuple[float, str, str]] = None
-        for module_name in sorted(modules):
-            hosts = current.hosts(module_name)
-            if len(hosts) >= max_copies:
-                continue
-            need = modules[module_name].memory_bytes
-            for device in problem.devices:
-                if device.name in hosts or residual[device.name] < need:
-                    continue
-                candidate = current.with_extra(module_name, device.name)
-                objective = score(candidate)
-                if objective >= best_objective:
-                    continue
-                move = (objective, module_name, device.name)
-                if best_move is None or move < best_move:
-                    best_move = move
-        if best_move is None:
-            break
-        best_objective, module_name, device_name = best_move
-        current = current.with_extra(module_name, device_name)
-        residual[device_name] -= modules[module_name].memory_bytes
-
-    canonical = Placement(
-        {name: tuple(sorted(hosts)) for name, hosts in current.as_dict().items()}
-    )
-    return canonical, best_objective
+            if host not in budget:
+                raise ConfigurationError(f"base places {name!r} on unknown device {host!r}")
+            used[host] += modules[name].memory_bytes
+        if len(set(hosts)) != len(hosts):
+            raise PlacementError(f"base repeats a host of {name!r}: {tuple(hosts)}")
+        if len(hosts) > max_copies:
+            raise PlacementError(
+                f"base places {name!r} on {len(hosts)} hosts, more than max_copies={max_copies}"
+            )
+    for name in modules:
+        if not base.as_dict().get(name):
+            raise PlacementError(f"base leaves module {name!r} unplaced")
+    for host, total in used.items():
+        if total > budget[host]:
+            raise PlacementError(
+                f"base puts {total} bytes on {host!r}, over its {budget[host]}-byte budget"
+            )
 
 
 class _ReplicaGroupBound:
@@ -319,7 +311,10 @@ class _ReplicaSearch(_SearchState):
                 else []
             )
         self.bounds = [_ReplicaGroupBound(tensors, group) for group in self.groups]
-        self.group_lb = [bound.lower_bound(self.sets) for bound in self.bounds]
+        #: Every class's bound with nothing assigned (what :meth:`reset`
+        #: restores).
+        self.root_lb = [bound.lower_bound(self.sets) for bound in self.bounds]
+        self.group_lb = list(self.root_lb)
 
         # Queue-wait bound state (the *bound* only needs admissibility;
         # leaves are re-priced canonically for bit-identity).
@@ -352,12 +347,18 @@ class _ReplicaSearch(_SearchState):
     def leaf_value(bound: float) -> float:
         return bound  # exact: every class is complete at a leaf
 
-    def descend(self, m: int, subset: Tuple[int, ...]) -> List[Tuple[int, float]]:
-        self.sets[m] = subset
+    def _occupy(self, m: int, subset: Tuple[int, ...], sign: int) -> None:
+        """Put ``m`` on the hosts ``subset`` (``sign`` 1) or take it off
+        (-1): its host set, the hosts' memory and queue load.  The class
+        bounds are the caller's to update."""
+        self.sets[m] = subset if sign > 0 else None
         for n in subset:
-            self.residual[n] -= self.memory[m]
+            self.residual[n] -= sign * self.memory[m]
         if self.wait is not None:
-            self.wait.descend(m, subset)
+            self.wait.descend(m, subset, float(sign))
+
+    def descend(self, m: int, subset: Tuple[int, ...]) -> List[Tuple[int, float]]:
+        self._occupy(m, subset, 1)
         saved = [(g, self.group_lb[g]) for g in self.groups_using[m]]
         for g in self.groups_using[m]:
             bound = self.bounds[g]
@@ -370,11 +371,94 @@ class _ReplicaSearch(_SearchState):
     def ascend(self, m: int, subset: Tuple[int, ...], saved: List[Tuple[int, float]]) -> None:
         for g, value in saved:
             self.group_lb[g] = value
+        self._occupy(m, subset, -1)
+
+    def _move(
+        self, m: int, hosts: Tuple[int, ...], subset: Tuple[int, ...]
+    ) -> List[Tuple[int, float]]:
+        """Move ``m`` from ``hosts`` onto ``subset``; :meth:`ascend` with the
+        returned list, then ``_occupy(m, hosts, 1)``, moves it back."""
+        self._occupy(m, hosts, -1)
+        return self.descend(m, subset)
+
+    def reset(self) -> None:
+        """Back to the empty assignment the search starts from (queue loads
+        zeroed outright: undone float sums need not return to 0.0)."""
+        self.sets[:] = [None] * self.n_modules
+        self.residual[:] = [int(b) for b in self.tensors.capacity]
+        self.group_lb[:] = self.root_lb
         if self.wait is not None:
-            self.wait.ascend(m, subset)
-        for n in subset:
-            self.residual[n] += self.memory[m]
-        self.sets[m] = None
+            self.wait.clear()
+
+    def aware_greedy(self, base: Placement, max_copies: int) -> Tuple[Placement, float]:
+        """:func:`replica_aware_greedy` from a checked ``base``, every
+        candidate priced by this search's rows: take the module off its
+        hosts, descend onto the candidate set, read :meth:`total_bound`
+        (exact at a full assignment, queue waits included) and undo.  The
+        search is left empty.
+
+        A host is priced only after the ``ConfigurationError`` check the
+        placement-level objective makes (a device with no throughput entry
+        for the module), in the same order: the base's hosts by model in
+        request order, member and device name, then each candidate.
+        """
+        tensors = self.tensors
+        names = tensors.device_names
+        modules = sorted(range(self.n_modules), key=tensors.module_names.__getitem__)
+        seed = base.as_dict()
+        current = {
+            tensors.module_idx(name): tuple(
+                sorted((tensors.device_idx(host) for host in hosts), key=names.__getitem__)
+            )
+            for name, hosts in seed.items()
+        }
+        models: Dict[int, RequestGroup] = {}  # each requested model's first class
+        for group in self.groups:
+            models.setdefault(id(group.model), group)
+
+        def check(m: int, hosts: Sequence[int]) -> None:
+            for group in models.values():
+                if m in group.member_idx:
+                    row = tensors.model_compute(group.model)[m]
+                    for n in hosts:
+                        tensors._checked(group.model, row, m, n)
+
+        try:
+            for group in models.values():
+                for idx in group.member_idx:
+                    check(idx, current[idx])
+            for m, hosts in current.items():
+                self.descend(m, hosts)
+            best_objective = self.total_bound()
+            while True:
+                # ``(objective, module name, device name)`` decides ties.
+                best: Optional[Tuple[Tuple[float, str, str], int, Tuple[int, ...]]] = None
+                for m in modules:
+                    hosts = current[m]
+                    if len(hosts) >= max_copies:
+                        continue
+                    for n in range(self.n_devices):
+                        if n in hosts or self.residual[n] < self.memory[m]:
+                            continue
+                        check(m, (n,))
+                        candidate = tuple(sorted(hosts + (n,), key=names.__getitem__))
+                        saved = self._move(m, hosts, candidate)
+                        objective = self.total_bound()
+                        self.ascend(m, candidate, saved)
+                        self._occupy(m, hosts, 1)
+                        key = (objective, tensors.module_names[m], names[n])
+                        if objective < best_objective and (best is None or key < best[0]):
+                            best = (key, m, candidate)
+                if best is None:
+                    break
+                (best_objective, _, _), m, candidate = best
+                self._move(m, current[m], candidate)
+                current[m] = candidate
+        finally:
+            self.reset()
+        return Placement(
+            {name: tuple(names[n] for n in current[tensors.module_idx(name)]) for name in seed}
+        ), best_objective
 
     def total_bound(self) -> float:
         """Fanned per-request bound (exact at leaves, request-order sum).
@@ -457,16 +541,14 @@ def replica_branch_and_bound(
     ``stats`` counts the nodes, leaves and prunes of both phases.
     """
     _check_max_copies(max_copies)
-    net, tensors = _prologue(problem, requests, network, parallel, tensors, "replica")
+    _, tensors = _prologue(problem, requests, network, parallel, tensors, "replica")
     search = _ReplicaSearch(tensors, requests, max_copies, congestion=congestion)
-    # Attained incumbent: the replica-aware greedy (always a member of the
-    # search space: <= max_copies sorted host tuples, memory-feasible).
+    # Attained incumbent: the replica-aware greedy from greedy Algorithm 1
+    # (always a member of the search space: <= max_copies sorted host
+    # tuples, memory-feasible), priced on this search's rows.
     best_value = float("inf")
     try:
-        _, best_value = replica_aware_greedy(
-            problem, requests, network=net, max_copies=max_copies,
-            parallel=parallel, tensors=tensors, congestion=congestion,
-        )
+        _, best_value = search.aware_greedy(greedy_placement(problem), max_copies)
     except PlacementError:
         pass
     # Heads first (they pin every path's output endpoint), then by

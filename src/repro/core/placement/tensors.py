@@ -82,9 +82,26 @@ def _lpt_waits(device_idx: Sequence[int], computes: Sequence[float], slots_of: S
     return waits
 
 
+def encoder_waits(
+    comp_rows, enc_hosts: Sequence[int], slots: Sequence[int], parallel: bool
+) -> Optional[List[float]]:
+    """The LPT waits of encoders on ``enc_hosts``, or ``None`` when none
+    can wait.
+
+    Only encoders that share a device can wait (every device has at least
+    one slot), so the LPT runs only for a parallel class with a repeated
+    host.  The waits depend on compute alone, so every request class of a
+    model shares them.
+    """
+    if parallel and len(set(enc_hosts)) < len(enc_hosts):
+        return _lpt_waits(enc_hosts, [comp_rows[e][ne] for e, ne in enumerate(enc_hosts)], slots)
+    return None
+
+
 def group_latency(
     in_rows, comp_rows, out_rows, head_row,
     enc_hosts: Sequence[int], head_host: int, slots: Sequence[int], parallel: bool,
+    waits: Optional[Sequence[float]] = None,
 ):
     """Eq. 1-3 latency of one request class, read from row containers.
 
@@ -96,15 +113,16 @@ def group_latency(
     left-to-right sum; then the head.  Any indexable rows work — numpy
     arrays or Python lists of the same doubles price identically.
 
-    Only encoders that share a device can wait (every device has at least
-    one slot), so the LPT runs only for a parallel class with a repeated
-    host; elsewhere the wait term is dropped (``x + 0.0 == x``).
+    ``waits`` are :func:`encoder_waits` of the same hosts, for a caller
+    that prices several classes of one model; otherwise they are scheduled
+    here.  Where no encoder can wait the wait term is dropped
+    (``x + 0.0 == x``).
     """
-    if parallel and len(set(enc_hosts)) < len(enc_hosts):
-        comps = [comp_rows[e][ne] for e, ne in enumerate(enc_hosts)]
-        waits = _lpt_waits(enc_hosts, comps, slots)
+    if waits is None and parallel and len(set(enc_hosts)) < len(enc_hosts):
+        waits = encoder_waits(comp_rows, enc_hosts, slots, parallel)
+    if waits is not None:
         totals = [
-            in_rows[e][ne] + waits[e] + comps[e] + out_rows[e][ne][head_host]
+            in_rows[e][ne] + waits[e] + comp_rows[e][ne] + out_rows[e][ne][head_host]
             for e, ne in enumerate(enc_hosts)
         ]
     else:

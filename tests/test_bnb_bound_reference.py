@@ -2,15 +2,22 @@
 
 ``_GroupBound`` and ``_ReplicaGroupBound`` read per-search Python-float
 rows instead of numpy scalars, and build their tables for all encoder
-paths in one stacked pass.  The formulas they replaced live on here as
-test-side references, written over the bound's numpy arrays one path at a
-time: every bound and table must equal its reference with ``==`` (same
-doubles, not approximately), because the searches' node counts and
-tie-breaks depend on exact values.
+paths in one stacked pass.  A ``_GroupBound`` holds every request class of
+one model on a class axis.  The formulas they replaced live on here as
+test-side references (``RefClass``), written over one class's own numpy
+arrays (``tensors.group(...)``) one path at a time: every class row of
+every bound and table must equal its reference with ``==`` (same doubles,
+not approximately), because the searches' node counts and tie-breaks
+depend on exact values.
 
 Random partial assignments cover parallel and serial classes, encoders
 sharing a host (the slot-contention terms), an unplaced head, the
 last-free-member exact vector, the energy bound and replica host sets.
+The stacked bounds run on problems with one to three models sharing
+modules (a module may be one model's encoder and its head at once) and
+one to four sources per model; the search must fan each class's row out
+in request order and read the chosen device's column when it places a
+module.  Tier 1 runs those properties on 40 examples, ``-m slow`` on 400.
 The queue-aware leaves are checked the same way: both searches price a
 complete state from their rows plus the queue waits, and must equal the
 placement-level ``WaitTensors`` objectives and the cheapest-replica loop
@@ -28,6 +35,7 @@ once it returns to the last module that moved, must match the full-pass
 descent on cases that need a third pass.
 """
 
+import dataclasses
 import itertools
 import operator
 from functools import reduce
@@ -40,10 +48,13 @@ from hypothesis import strategies as st
 from repro.core.placement.bnb import (
     _EnergyBound,
     _EnergySearch,
+    _GroupBound,
     _LatencyBound,
     _Search,
+    _SearchState,
     _energy_incumbent,
 )
+from repro.cluster.requests import InferenceRequest
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.problem import Placement
 from repro.core.routing.latency import LatencyModel
@@ -107,125 +118,150 @@ def ref_group_latency(
     return encoder + head_row[head_host]
 
 
-def ref_total(bound, enc_hosts, head_host):
-    """A latency class's exact total, from its numpy rows."""
-    group = bound.group
-    return ref_group_latency(
-        group.in_comm, group.enc_comp, group.out, group.head_comp,
-        enc_hosts, head_host, bound.tensors.slots, bound.parallel,
-    )
+class RefClass:
+    """One request class's bound inputs, built from its own numpy arrays
+    (``tensors.group(...)``, or the energy class's) one encoder path at a
+    time: what a per-class bound held before a model's classes were
+    stacked.  ``energy`` is the class's ``EnergyRequestGroup``, or ``None``
+    for the latency bound."""
+
+    def __init__(self, tensors, group, energy=None):
+        self.tensors, self.group, self.energy = tensors, group, energy
+        self.encoder_idx, self.head_idx = group.encoder_idx, group.head_idx
+        self.members = set(group.encoder_idx) | {group.head_idx}
+        if energy is None:
+            self.parallel = tensors.parallel
+            self.A = [i + c for i, c in zip(group.in_comm, group.enc_comp)]
+            self.out, self.head = group.out, group.head_comp
+        else:
+            self.parallel = False
+            self.A, self.out, self.head = list(energy.A), energy.out, energy.head_joules
+        head_fit = tensors.fits[self.head_idx]
+        self.out_min, self.enc_assigned, self.head_assigned, self.free = [], [], [], []
+        for e, idx in enumerate(self.encoder_idx):
+            fit = tensors.fits[idx]
+            out_min = np.min(self.out[e][:, head_fit], axis=1)
+            self.out_min.append(out_min)
+            self.enc_assigned.append(self.A[e] + out_min)
+            masked = np.where(fit[:, None], self.A[e][:, None] + self.out[e], np.inf)
+            self.head_assigned.append(np.min(masked, axis=0))
+            self.free.append(float(np.min(self.enc_assigned[e][fit])))
+        self.head_min = float(np.min(self.head[head_fit]))
 
 
-def ref_tables(bound):
-    """The set-up tables, built one encoder path at a time."""
-    tensors, group = bound.tensors, bound.group
-    head_fit = tensors.fits[bound.head_idx]
-    tables = {"out_min": [], "enc_assigned": [], "head_assigned": [], "free": []}
-    for e, idx in enumerate(bound.encoder_idx):
-        fit = tensors.fits[idx]
-        out = group.out[e]
-        out_min = np.min(out[:, head_fit], axis=1)
-        enc_assigned = bound.A[e] + out_min
-        masked = np.where(fit[:, None], bound.A[e][:, None] + out, np.inf)
-        tables["out_min"].append(out_min.tolist())
-        tables["enc_assigned"].append(enc_assigned.tolist())
-        tables["head_assigned"].append(np.min(masked, axis=0).tolist())
-        tables["free"].append(float(np.min(enc_assigned[fit])))
-    tables["head_min"] = float(np.min(bound.head[head_fit]))
-    return tables
-
-
-def bound_tables(bound):
+def ref_tables(ref):
     return {
-        "out_min": bound.out_min_rows, "enc_assigned": bound.enc_assigned_rows,
-        "head_assigned": bound.head_assigned_rows, "free": bound.free,
+        "out_min": [row.tolist() for row in ref.out_min],
+        "enc_assigned": [row.tolist() for row in ref.enc_assigned],
+        "head_assigned": [row.tolist() for row in ref.head_assigned],
+        "free": ref.free, "head_min": ref.head_min,
+    }
+
+
+def bound_tables(bound, i):
+    """Class row ``i``'s tables of a stacked bound."""
+    return {
+        "out_min": bound.out_min_rows, "enc_assigned": bound.enc_assigned_rows[i],
+        "head_assigned": bound.head_assigned_rows[i], "free": bound.free_rows[i],
         "head_min": bound.head_min,
     }
 
 
-def ref_contention_state(bound, assign):
+def ref_total(ref, enc_hosts, head_host):
+    """A class's exact total, from its numpy rows."""
+    if ref.energy is not None:
+        return float(ref.energy.total(enc_hosts, head_host))
+    group = ref.group
+    return ref_group_latency(
+        group.in_comm, group.enc_comp, group.out, group.head_comp,
+        enc_hosts, head_host, ref.tensors.slots, ref.parallel,
+    )
+
+
+def ref_contention_state(ref, assign):
     loads, members, unassigned = {}, {}, []
-    for e, idx in enumerate(bound.encoder_idx):
+    for e, idx in enumerate(ref.encoder_idx):
         ne = int(assign[idx])
         if ne >= 0:
-            loads[ne] = loads.get(ne, 0.0) + float(bound.group.enc_comp[e][ne])
+            loads[ne] = loads.get(ne, 0.0) + float(ref.group.enc_comp[e][ne])
             members.setdefault(ne, []).append(e)
         else:
             unassigned.append(e)
     return loads, members, unassigned
 
 
-def ref_contention_term(bound, n, pool, load, nh):
-    in_min = min(float(bound.group.in_comm[e][n]) for e in pool)
+def ref_contention_term(ref, n, pool, load, nh):
+    in_min = min(float(ref.group.in_comm[e][n]) for e in pool)
     if nh >= 0:
-        out_floor = min(float(bound.group.out[e][n, nh]) for e in pool)
+        out_floor = min(float(ref.out[e][n, nh]) for e in pool)
     else:
-        head_fit = bound.tensors.fits[bound.head_idx]
-        out_floor = min(float(np.min(bound.group.out[e][n, head_fit])) for e in pool)
-    return (in_min + load / bound.tensors.slots[n] + out_floor) * bound._CONTENTION_SLACK
+        head_fit = ref.tensors.fits[ref.head_idx]
+        out_floor = min(float(np.min(ref.out[e][n, head_fit])) for e in pool)
+    return (in_min + load / ref.tensors.slots[n] + out_floor) * _GroupBound._CONTENTION_SLACK
 
 
-def ref_contention(bound, assign, nh):
-    if not bound.parallel:
+def ref_contention(ref, assign, nh):
+    if not ref.parallel:
         return 0.0
-    loads, members, unassigned = ref_contention_state(bound, assign)
+    loads, members, unassigned = ref_contention_state(ref, assign)
     best = 0.0
     for n, here in members.items():
-        if len(here) <= bound.tensors.slots[n]:
+        if len(here) <= ref.tensors.slots[n]:
             continue
-        term = ref_contention_term(bound, n, here + unassigned, loads[n], nh)
+        term = ref_contention_term(ref, n, here + unassigned, loads[n], nh)
         if term > best:
             best = term
     return best
 
 
-def ref_lower_bound(bound, assign):
-    if all(assign[i] >= 0 for i in bound.members):
-        if isinstance(bound, _LatencyBound):
-            hosts = [int(assign[i]) for i in bound.encoder_idx]
-            return ref_total(bound, hosts, int(assign[bound.head_idx]))
-        return float(bound.exact(assign))
-    out = bound.group.out
-    nh = int(assign[bound.head_idx])
+def ref_lower_bound(ref, assign):
+    if all(assign[i] >= 0 for i in ref.members):
+        hosts = [int(assign[i]) for i in ref.encoder_idx]
+        return ref_total(ref, hosts, int(assign[ref.head_idx]))
+    nh = int(assign[ref.head_idx])
     terms = []
-    for e, idx in enumerate(bound.encoder_idx):
+    for e, idx in enumerate(ref.encoder_idx):
         ne = int(assign[idx])
         if ne >= 0:
             terms.append(
-                bound.A[e][ne] + out[e][ne, nh] if nh >= 0 else bound.enc_assigned[e][ne]
+                ref.A[e][ne] + ref.out[e][ne, nh] if nh >= 0 else ref.enc_assigned[e][ne]
             )
         else:
-            terms.append(bound.head_assigned[e][nh] if nh >= 0 else bound.free[e])
-    if not terms:
-        encoder = 0.0
-    elif bound.parallel:
+            terms.append(ref.head_assigned[e][nh] if nh >= 0 else ref.free[e])
+    if ref.parallel:
         encoder = max(terms)
-        contention = ref_contention(bound, assign, nh)
+        contention = ref_contention(ref, assign, nh)
         if contention > encoder:
             encoder = contention
     else:
         encoder = reduce(operator.add, terms, 0.0)
-    head = bound.head[nh] if nh >= 0 else bound.head_min
+    head = ref.head[nh] if nh >= 0 else ref.head_min
     return float(encoder + head)
 
 
-def ref_exact_vector(bound, assign, module_index):
-    group, tensors = bound.group, bound.tensors
-    n_devices = len(bound.head)
-    n_encoders = len(bound.encoder_idx)
-    moving = [e for e in range(n_encoders) if bound.encoder_idx[e] == module_index]
-    if bound.head_idx == module_index:
-        hosts = [int(assign[i]) for i in bound.encoder_idx]
+def ref_exact_vector(ref, assign, module_index):
+    group, tensors = ref.group, ref.tensors
+    n_devices = len(ref.head)
+    n_encoders = len(ref.encoder_idx)
+    moving = [e for e in range(n_encoders) if ref.encoder_idx[e] == module_index]
+    if ref.head_idx == module_index and moving:  # a dual-role module
+        values = np.empty(n_devices)
+        for n in range(n_devices):
+            hosts = [n if e in moving else int(assign[ref.encoder_idx[e]]) for e in range(n_encoders)]
+            values[n] = ref_total(ref, hosts, n)
+        return values
+    if ref.head_idx == module_index:
+        hosts = [int(assign[i]) for i in ref.encoder_idx]
         comps = [group.enc_comp[e][hosts[e]] for e in range(n_encoders)]
         waits = ref_lpt_waits(hosts, comps, tensors.slots)
         paths = [
             (group.in_comm[e][hosts[e]] + waits[e] + comps[e]) + group.out[e][hosts[e], :]
             for e in range(n_encoders)
         ]
-        return reduce(np.maximum, paths) + bound.head
+        return reduce(np.maximum, paths) + ref.head
     e0 = moving[0]
-    nh = int(assign[bound.head_idx])
-    hosts = [int(assign[bound.encoder_idx[e]]) if e != e0 else -1 for e in range(n_encoders)]
+    nh = int(assign[ref.head_idx])
+    hosts = [int(assign[ref.encoder_idx[e]]) if e != e0 else -1 for e in range(n_encoders)]
     others = [e for e in range(n_encoders) if e != e0]
     counts = {}
     for e in others:
@@ -240,67 +276,64 @@ def ref_exact_vector(bound, assign, module_index):
             group.in_comm[e][hosts[e]] + waits[pos] + group.enc_comp[e][hosts[e]]
             + group.out[e][hosts[e], nh],
         )
-    values = np.asarray(stage + bound.head[nh], dtype=np.float64)
+    values = np.asarray(stage + ref.head[nh], dtype=np.float64)
     for n in range(n_devices):
         if counts.get(n, 0) + 1 > tensors.slots[n]:
             full_hosts = [n if e == e0 else hosts[e] for e in range(n_encoders)]
-            values[n] = ref_total(bound, full_hosts, nh)
+            values[n] = ref_total(ref, full_hosts, nh)
     return values
 
 
-def ref_bound_vector(bound, assign, module_index):
-    if bound.parallel and all(assign[i] >= 0 for i in bound.members if i != module_index):
-        return ref_exact_vector(bound, assign, module_index)
-    out = bound.group.out
-    nh = int(assign[bound.head_idx])
-    head_here = module_index == bound.head_idx
+def ref_bound_vector(ref, assign, module_index):
+    if ref.parallel and all(assign[i] >= 0 for i in ref.members if i != module_index):
+        return ref_exact_vector(ref, assign, module_index)
+    out = ref.out
+    nh = int(assign[ref.head_idx])
+    head_here = module_index == ref.head_idx
     terms = []
-    for e, idx in enumerate(bound.encoder_idx):
+    for e, idx in enumerate(ref.encoder_idx):
         ne = int(assign[idx])
         if idx == module_index:
             if head_here:
-                terms.append(bound.A[e] + np.diagonal(out[e]))
+                terms.append(ref.A[e] + np.diagonal(out[e]))
             elif nh >= 0:
-                terms.append(bound.A[e] + out[e][:, nh])
+                terms.append(ref.A[e] + out[e][:, nh])
             else:
-                terms.append(bound.enc_assigned[e])
+                terms.append(ref.enc_assigned[e])
         elif head_here:
             if ne >= 0:
-                terms.append(bound.A[e][ne] + out[e][ne, :])
+                terms.append(ref.A[e][ne] + out[e][ne, :])
             else:
-                terms.append(bound.head_assigned[e])
+                terms.append(ref.head_assigned[e])
         elif ne >= 0:
             terms.append(
-                bound.A[e][ne] + out[e][ne, nh] if nh >= 0 else bound.enc_assigned[e][ne]
+                ref.A[e][ne] + out[e][ne, nh] if nh >= 0 else ref.enc_assigned[e][ne]
             )
         else:
-            terms.append(bound.head_assigned[e][nh] if nh >= 0 else bound.free[e])
-    if not terms:
-        encoder = 0.0
-    elif bound.parallel:
+            terms.append(ref.head_assigned[e][nh] if nh >= 0 else ref.free[e])
+    if ref.parallel:
         encoder = reduce(np.maximum, terms)
-    else:
-        encoder = reduce(operator.add, terms, 0.0)
-    if terms and bound.parallel:
-        base = ref_contention(bound, assign, -1 if head_here else nh)
+        base = ref_contention(ref, assign, -1 if head_here else nh)
         if base > 0.0:
             encoder = np.maximum(encoder, base)
         if not head_here:
-            encoder = np.asarray(encoder, dtype=np.float64) + np.zeros(len(bound.head))
-            loads, members, unassigned = ref_contention_state(bound, assign)
-            e0 = bound.encoder_idx.index(module_index)
+            encoder = np.asarray(encoder, dtype=np.float64) + np.zeros(len(ref.head))
+            loads, members, unassigned = ref_contention_state(ref, assign)
+            e0 = ref.encoder_idx.index(module_index)
             joiners = [e for e in unassigned if e != e0]
-            for n in range(len(bound.head)):
+            for n in range(len(ref.head)):
                 here = members.get(n, ())
-                if len(here) + 1 <= bound.tensors.slots[n]:
+                if len(here) + 1 <= ref.tensors.slots[n]:
                     continue
-                load = loads.get(n, 0.0) + float(bound.group.enc_comp[e0][n])
-                term = ref_contention_term(bound, n, list(here) + [e0] + joiners, load, nh)
+                load = loads.get(n, 0.0) + float(ref.group.enc_comp[e0][n])
+                term = ref_contention_term(ref, n, list(here) + [e0] + joiners, load, nh)
                 if term > encoder[n]:
                     encoder[n] = term
-    head = bound.head if head_here else (bound.head[nh] if nh >= 0 else bound.head_min)
+    else:
+        encoder = reduce(operator.add, terms, 0.0)
+    head = ref.head if head_here else (ref.head[nh] if nh >= 0 else ref.head_min)
     return np.broadcast_to(
-        np.asarray(encoder + head, dtype=np.float64), bound.head.shape
+        np.asarray(encoder + head, dtype=np.float64), ref.head.shape
     ).copy()
 
 
@@ -359,78 +392,185 @@ def ref_best_hosts(group, tensors, candidates, device_waits=None):
 # ----------------------------------------------------------------------
 # Random instances and assignments
 # ----------------------------------------------------------------------
+def tighten(draw, tensors):
+    """Possibly tight memory: each module keeps a random half of the
+    devices it fits, and always one of them (so it still fits somewhere)."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        mask = rng.random(tensors.fits.shape) < 0.5
+        for m, row in enumerate(tensors.fits):
+            mask[m, rng.choice(np.flatnonzero(row))] = True
+        tensors.fits = tensors.fits & mask
+
+
 def draw_instance(draw):
-    """A synthetic instance and its tensors, possibly with tight memory
-    (each module fits only some devices)."""
+    """A synthetic instance and its tensors, possibly with tight memory."""
     n_modules, n_devices = draw(st.sampled_from(SHAPES))
     seed = draw(st.integers(0, 30))
     parallel = draw(st.booleans())
     inst = synthetic_instance(n_modules, n_devices, seed=seed)
     tensors = CostTensors(inst.problem, inst.network, parallel=parallel)
-    if draw(st.booleans()):
-        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-        mask = rng.random(tensors.fits.shape) < 0.5
-        mask[np.arange(n_modules), rng.integers(n_devices, size=n_modules)] = True
-        tensors.fits = tensors.fits & mask
+    tighten(draw, tensors)
     return inst, tensors
+
+
+def draw_requests(draw):
+    """``(tensors, requests)``: a synthetic instance with one to three
+    models sharing its modules — each extra model takes a subset of the
+    encoders (in any order, with its own work scales) and the same head,
+    or now and then one of its encoders as the head (a module in both
+    roles) — and one to four sources per model, requests interleaved and
+    repeated."""
+    n_modules, n_devices = draw(st.sampled_from(SHAPES))
+    inst = synthetic_instance(n_modules, n_devices, seed=draw(st.integers(0, 30)))
+    base = inst.model
+    models = [base]
+    # Choices list the richer case first: Hypothesis starts from the first.
+    for k in range(draw(st.sampled_from([1, 2, 0]))):
+        encoders = draw(st.permutations(base.encoders))[: draw(st.integers(1, len(base.encoders)))]
+        head = draw(st.sampled_from([base.head, base.head, encoders[0]]))
+        scales = [draw(st.sampled_from([0.5, 1.0, 3.0])) for _ in encoders]
+        models.append(dataclasses.replace(
+            base, name=f"{base.name}-{k}", encoders=tuple(encoders), head=head,
+            work_scale=dict(zip(encoders, scales)),
+        ))
+    problem = dataclasses.replace(inst.problem, models=tuple(models))
+    tensors = CostTensors(problem, inst.network, parallel=draw(st.sampled_from([True, False])))
+    tighten(draw, tensors)
+    requests = []
+    for model in models:
+        sources = draw(st.permutations(tensors.device_names))[: draw(st.sampled_from([4, 2, 3, 1]))]
+        requests += [InferenceRequest(model, source) for source in sources]
+    requests += draw(st.lists(st.sampled_from(requests), max_size=4))
+    return tensors, draw(st.permutations(requests))
+
+
+def draw_assign(draw, tensors):
+    """``(assign, moving)``: some modules placed (encoders possibly sharing
+    a host), the rest free, ``moving`` a free module to price per device.
+    A drawn share of the other modules is free: none (the exact vector),
+    a quarter, half or three quarters."""
+    n_modules, n_devices = tensors.n_modules, tensors.n_devices
+    device = st.integers(0, n_devices - 1)
+    assign = [draw(device) for _ in range(n_modules)]
+    share = draw(st.sampled_from([0.5, 0.0, 0.25, 0.75]))
+    for m in draw(st.permutations(range(n_modules)))[: round(share * n_modules)]:
+        assign[m] = -1
+    if draw(st.booleans()):  # two encoders on one host: slot contention
+        assign[0] = assign[1] = draw(st.integers(0, n_devices - 1))
+    moving = draw(st.integers(0, n_modules - 1))
+    assign[moving] = -1
+    return assign, moving
+
+
+@st.composite
+def stack_cases(draw):
+    """``(tensors, requests, assign, moving)`` for the stacked bounds."""
+    tensors, requests = draw_requests(draw)
+    return (tensors, requests, *draw_assign(draw, tensors))
 
 
 @st.composite
 def partial_cases(draw):
-    """``(tensors, groups, assign, moving)`` on a synthetic instance: some
-    modules placed (encoders possibly sharing a host), the head possibly
-    unplaced, ``moving`` an unplaced member to price per device, and
-    possibly tight memory."""
+    """``(tensors, groups, assign, moving)`` on a single-model synthetic
+    instance (for the replica bound)."""
     inst, tensors = draw_instance(draw)
-    n_modules, n_devices = tensors.n_modules, tensors.n_devices
-    last_free = draw(st.booleans())  # every other member placed: exact vector
-    assign = np.array(
-        [draw(st.integers(0 if last_free else -1, n_devices - 1)) for _ in range(n_modules)],
-        dtype=np.int64,
-    )
-    if draw(st.booleans()):  # two encoders on one host: slot contention
-        shared = draw(st.integers(0, n_devices - 1))
-        assign[0] = assign[1] = shared
-    head = n_modules - 1  # synthetic instances list the head last
-    if not last_free and draw(st.booleans()):
-        assign[head] = -1
-    moving = draw(st.integers(0, n_modules - 1))
-    assign[moving] = -1
+    assign, moving = draw_assign(draw, tensors)
+    if draw(st.booleans()):
+        assign[tensors.n_modules - 1] = -1  # synthetic instances list the head last
     groups = [tensors.group(request.model, request.source) for request in inst.requests]
-    return tensors, groups, assign, moving
+    return tensors, groups, np.array(assign, dtype=np.int64), moving
 
 
-@SETTINGS
-@given(partial_cases())
-def test_latency_bounds_match_numpy_reference(case):
-    tensors, groups, assign, moving = case
-    for group in groups:
-        bound = _LatencyBound(tensors, group)
-        assert bound_tables(bound) == ref_tables(bound)
-        assert bound.A.tolist() == [
-            (i + c).tolist() for i, c in zip(group.in_comm, group.enc_comp)
-        ]
-        assert bound.lower_bound(assign) == ref_lower_bound(bound, assign)
-        expected = ref_bound_vector(bound, assign, moving)
-        got = bound.bound_vector(assign, moving)
-        assert got.dtype == np.float64 and got.shape == expected.shape
-        assert got.tolist() == expected.tolist()
-        got[:] = -1.0  # the search owns the vector: no bound state aliases it
-        assert bound.bound_vector(assign, moving).tolist() == expected.tolist()
+#: Tier-1 runs each stacked-bound property on 40 examples; ``-m slow``
+#: runs the same derandomized search on 400.
+PROFILES = [pytest.param(40, id="40"), pytest.param(400, id="400", marks=pytest.mark.slow)]
 
 
-@SETTINGS
-@given(partial_cases())
-def test_energy_bounds_match_numpy_reference(case):
-    tensors, groups, assign, moving = case
-    energy = EnergyTensors(tensors)
-    for group in groups:
-        en = energy.group(group.model, group.source)
-        bound = _EnergyBound(tensors, en)
-        assert bound_tables(bound) == ref_tables(bound)
-        assert bound.lower_bound(assign) == ref_lower_bound(bound, assign)
-        got = bound.bound_vector(assign, moving)
-        assert got.tolist() == ref_bound_vector(bound, assign, moving).tolist()
+def run_property(strategy, check, examples):
+    settings(max_examples=examples, deadline=None, derandomize=True, database=None)(
+        given(strategy)(check)
+    )()
+
+
+def check_stacks(tensors, requests, assign, moving, energy):
+    """Every class row of every stacked bound ``==`` its per-class
+    reference, and the search fans the rows in request order."""
+    search = _SearchState(tensors, requests)
+    # One stack per model, holding every class of it in class order.
+    models = [id(group.model) for group in search.groups]
+    assert sorted(g for classes in search.stacks for g in classes) == list(range(len(models)))
+    assert [classes for classes in search.stacks] == [
+        [g for g, model in enumerate(models) if model == models[classes[0]]]
+        for classes in search.stacks
+    ]
+    assert len(search.stacks) == len(set(models))
+    refs, bounds = [], []
+    for classes in search.stacks:
+        groups = [search.groups[g] for g in classes]
+        if energy is None:
+            bounds.append(_LatencyBound(tensors, groups))
+            refs.append([RefClass(tensors, group) for group in groups])
+        else:
+            en = [energy.group(group.model, group.source) for group in groups]
+            bounds.append(_EnergyBound(tensors, en))
+            refs.append([RefClass(tensors, group, e) for group, e in zip(groups, en)])
+    lbs = [0.0] * len(search.groups)
+    class_vectors = {}
+    for classes, bound, stack in zip(search.stacks, bounds, refs):
+        lower = bound.lower_bound(assign)
+        assert all(type(value) is float for value in lower)
+        full = [n if n >= 0 else 0 for n in assign]
+        exact = bound.exact(full)
+        used = moving in stack[0].members
+        if used:
+            got = bound.bound_vector(assign, moving)
+            assert got.dtype == np.float64 and got.shape == (len(stack), tensors.n_devices)
+        for i, (g, ref) in enumerate(zip(classes, stack)):
+            assert bound_tables(bound, i) == ref_tables(ref)
+            assert bound.A[i].tolist() == [row.tolist() for row in ref.A]
+            assert lower[i] == ref_lower_bound(ref, assign)
+            assert exact[i] == ref_lower_bound(ref, full)
+            lbs[g] = lower[i]
+            if used:
+                class_vectors[g] = ref_bound_vector(ref, assign, moving)
+                assert got[i].tolist() == class_vectors[g].tolist()
+        if used:
+            got[:] = -1.0  # the search owns the matrix: no bound state aliases it
+            again = bound.bound_vector(assign, moving)
+            assert [again[i].tolist() for i in range(len(stack))] == [
+                class_vectors[g].tolist() for g in classes
+            ]
+    # node_vector fans each class's row (or its scalar bound) in request
+    # order, left to right from zeros; place reads the chosen column.
+    search.assign[:] = assign
+    fanned = search.node_vector(moving, bounds, list(lbs))
+    expected = np.zeros(tensors.n_devices)
+    for g in search.group_of_request:
+        expected = expected + class_vectors.get(g, lbs[g])
+    assert fanned.tolist() == expected.tolist()
+    n = assign[0] if assign[0] >= 0 else tensors.n_devices - 1
+    placed = list(lbs)
+    search.place(moving, n, placed)
+    assert placed == [float(class_vectors[g][n]) if g in class_vectors else lbs[g]
+                      for g in range(len(lbs))]
+
+
+@pytest.mark.parametrize("examples", PROFILES)
+def test_latency_bounds_match_numpy_reference(examples):
+    def check(case):
+        check_stacks(*case, energy=None)
+
+    run_property(stack_cases(), check, examples)
+
+
+@pytest.mark.parametrize("examples", PROFILES)
+def test_energy_bounds_match_numpy_reference(examples):
+    def check(case):
+        tensors = case[0]
+        check_stacks(*case, energy=EnergyTensors(tensors))
+
+    run_property(stack_cases(), check, examples)
 
 
 @SETTINGS
@@ -495,34 +635,38 @@ def test_group_latency_matches_always_lpt(case):
 
 @st.composite
 def contention_cases(draw, last_free):
-    """``(bound, assign, moving)``: a parallel latency class with slots 1-3
-    per device and its encoders crowded onto devices 0 and 1 (so slots
-    overflow).  ``moving`` is the member to price per device; with
-    ``last_free`` every other member is placed, else one or more are not."""
+    """``(bound, refs, assign, moving)``: the stacked latency bound of a
+    parallel model's four classes, with slots 1-3 per device and its
+    encoders crowded onto devices 0 and 1 (so slots overflow).  ``moving``
+    is the member to price per device; with ``last_free`` every other
+    member is placed, else one or more are not."""
     n_modules, n_devices = draw(st.sampled_from(SHAPES))
     inst = synthetic_instance(n_modules, n_devices, seed=draw(st.integers(0, 30)))
     tensors = CostTensors(inst.problem, inst.network, parallel=True)
     tensors.slots = [draw(st.sampled_from([1, 1, 2, 3])) for _ in range(n_devices)]
-    assign = np.array([draw(st.sampled_from([0, 0, 1])) for _ in range(n_modules)])
+    assign = [draw(st.sampled_from([0, 0, 1])) for _ in range(n_modules)]
     head = n_modules - 1  # synthetic instances list the head last
     assign[head] = draw(st.integers(0, n_devices - 1))
     order = draw(st.permutations(range(n_modules)))
     moving = order[0]
     free = 0 if last_free else draw(st.integers(1, n_modules - 1))
-    assign[list(order[: free + 1])] = -1
-    request = draw(st.sampled_from(inst.requests))
-    bound = _LatencyBound(tensors, tensors.group(request.model, request.source))
-    return bound, assign, moving
+    for m in order[: free + 1]:
+        assign[m] = -1
+    groups = [tensors.group(request.model, request.source) for request in inst.requests]
+    refs = [RefClass(tensors, group) for group in groups]
+    return _LatencyBound(tensors, groups), refs, assign, moving
 
 
-def check_against_full_scans(bound, assign, moving):
-    nh = int(assign[bound.head_idx])
-    hosts = [int(assign[i]) for i in bound.encoder_idx]
-    assert bound._contention(hosts, nh) == ref_contention(bound, assign, nh)
-    assert bound._contention(hosts, -1) == ref_contention(bound, assign, -1)
-    assert bound.lower_bound(assign) == ref_lower_bound(bound, assign)
+def check_against_full_scans(bound, refs, assign, moving):
+    nh = assign[bound.head_idx]
+    hosts = [assign[i] for i in bound.encoder_idx]
+    for head_host in (nh, -1):
+        got = bound._contention(hosts, head_host)
+        expected = [ref_contention(ref, assign, head_host) for ref in refs]
+        assert (got if got is not None else [0.0] * len(refs)) == expected
+    assert bound.lower_bound(assign) == [ref_lower_bound(ref, assign) for ref in refs]
     got = bound.bound_vector(assign, moving)
-    assert got.tolist() == ref_bound_vector(bound, assign, moving).tolist()
+    assert got.tolist() == [ref_bound_vector(ref, assign, moving).tolist() for ref in refs]
 
 
 @SETTINGS
@@ -566,10 +710,10 @@ def ref_energy_incumbent(search):
         assign[m] = n
         residual[n] -= memory[m]
     try:
-        lat_lb = [bound.lower_bound(assign) for bound in search.lat_bounds]
+        lat_lb = search.lower_bounds(search.lat_bounds)
         if float(search.fan(lat_lb)) > search.latency_budget:
             return None
-        en_lb = [bound.lower_bound(assign) for bound in search.en_bounds]
+        en_lb = search.lower_bounds(search.en_bounds)
         for _ in range(32):
             improved = False
             for m in range(search.n_modules):
@@ -589,8 +733,7 @@ def ref_energy_incumbent(search):
                 assign[m] = best_n
                 if best_n != current:
                     for lbs, vectors in priced:
-                        for g, vector in vectors.items():
-                            lbs[g] = float(vector[best_n])
+                        search.take(vectors, best_n, lbs)
                     residual[current] += memory[m]
                     residual[best_n] -= memory[m]
                     improved = True

@@ -308,6 +308,29 @@ class TestReplicaAwareGreedy:
         _, greedy_o = replica_aware_greedy(problem, requests, network, max_copies=2)
         assert greedy_o >= exact_o
 
+    @pytest.mark.parametrize("seed, cap", [(1, 1.0), (2, 1.5), (6, 1.0), (6, 1.5)])
+    def test_tight_memory(self, seed, cap):
+        # Every device holds ``cap`` times the largest module, so replicas
+        # compete for memory; pricing a candidate must give back exactly
+        # the memory it borrowed.
+        import dataclasses
+
+        inst = synthetic_instance(3, 4, seed=seed)
+        big = max(module.memory_bytes for module in inst.problem.modules)
+        devices = tuple(
+            dataclasses.replace(device, memory_bytes=int(cap * big))
+            for device in inst.problem.devices
+        )
+        problem = dataclasses.replace(inst.problem, devices=devices)
+        requests = list(inst.requests)
+        placement, objective = replica_aware_greedy(problem, requests, inst.network)
+        modules = {m.name: m for m in problem.modules}
+        for device in devices:
+            assert placement.used_bytes(device.name, modules) <= device.memory_bytes
+        model = LatencyModel(problem, inst.network)
+        assert objective == model.replica_objective(requests, placement)
+        assert objective <= model.replica_objective(requests, greedy_placement(problem))
+
     def test_validation(self):
         network = Network()
         problem = noisy_problem(["clip-vit-b16"], 0)
@@ -368,6 +391,47 @@ class TestAwareGreedyMissingThroughput:
         )
         assert placement.hosts("twin-encoder") == ("twin-a", "twin-b")
         assert objective == LatencyModel(problem, network).replica_objective(requests, placement)
+
+
+class TestAwareGreedyBase:
+    """A seed placement outside the replica search space is refused before
+    any pricing (pricing twin-c would raise its throughput error
+    instead)."""
+
+    ENC, HEAD = "twin-encoder", "twin-head"
+
+    @pytest.mark.parametrize(
+        "assignments, error, match",
+        [
+            ({ENC: ("twin-a", "twin-b", "twin-c"), HEAD: ("twin-a",)}, PlacementError,
+             "3 hosts, more than max_copies=2"),
+            ({ENC: ("twin-a", "twin-a"), HEAD: ("twin-a",)}, PlacementError, "repeats a host"),
+            ({ENC: ("twin-a",)}, PlacementError, "leaves module 'twin-head' unplaced"),
+            ({ENC: ("twin-a",), HEAD: ()}, PlacementError, "leaves module 'twin-head' unplaced"),
+            ({ENC: ("twin-small",), HEAD: ("twin-a",)}, PlacementError,
+             "puts 100000000 bytes on .twin-small., over its 60000000-byte budget"),
+            ({ENC: ("mainframe",), HEAD: ("twin-a",)}, ConfigurationError,
+             "unknown device 'mainframe'"),
+            ({ENC: ("twin-a",), HEAD: ("twin-a",), "mystery": ("twin-a",)}, ConfigurationError,
+             "'mystery', which is not a module"),
+        ],
+        ids=["too-many-hosts", "repeated-host", "missing-module", "no-hosts",
+             "over-budget", "unknown-device", "unknown-module"],
+    )
+    def test_refused(self, assignments, error, match):
+        import dataclasses
+
+        from repro.profiles.communication import LinkProfile
+
+        problem, network, requests = _instance_with_gap()
+        small = dataclasses.replace(problem.devices[0], name="twin-small", memory_bytes=60_000_000)
+        problem = dataclasses.replace(problem, devices=problem.devices + (small,))
+        assert problem.modules[0].memory_bytes > small.memory_bytes
+        network.add_link(LinkProfile("twin-small", "twin-router", bandwidth_bps=10e6, latency_s=0.002))
+        with pytest.raises(error, match=match):
+            replica_aware_greedy(
+                problem, requests, network, max_copies=2, base=Placement(assignments)
+            )
 
 
 class TestMaxCopiesBoundary:

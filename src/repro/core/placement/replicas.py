@@ -150,7 +150,8 @@ def _check_base(problem: PlacementProblem, base: Placement, max_copies: int) -> 
     modules = {module.name: module for module in problem.modules}
     budget = {device.name: device.memory_bytes for device in problem.devices}
     used = dict.fromkeys(budget, 0)
-    for name, hosts in base.as_dict().items():
+    assignments = base.as_dict()
+    for name, hosts in assignments.items():
         if name not in modules:
             raise ConfigurationError(f"base places {name!r}, which is not a module of the problem")
         for host in hosts:
@@ -164,7 +165,7 @@ def _check_base(problem: PlacementProblem, base: Placement, max_copies: int) -> 
                 f"base places {name!r} on {len(hosts)} hosts, more than max_copies={max_copies}"
             )
     for name in modules:
-        if not base.as_dict().get(name):
+        if not assignments.get(name):
             raise PlacementError(f"base leaves module {name!r} unplaced")
     for host, total in used.items():
         if total > budget[host]:

@@ -13,10 +13,10 @@ instance shapes, and every energy case also pins the assignment the energy
 search starts from (greedy, then its budgeted energy descent).
 
 ``REPLICA_SLOW_PINS`` (``-m slow``) pins the replica search on larger
-shapes: ``synthetic_instance(5, 6, n_requests=6)`` with two copies for the
-seeds that finish in about two seconds (seeds 0, 3, 4, 5 and 7 do not
-finish in 15 s), plus 5 x 8 seed 1, the replica sweep's largest row
-(about ten seconds).
+shapes: ``synthetic_instance(5, 6, n_requests=6)`` with two copies for
+seeds 0-2 and 4 and 6-11 (seeds 0, 4 and 7 are the heavy tail: 5,445 to
+10,602 nodes, 30-60 s when they were recorded), plus 5 x 8 seed 1, the
+replica sweep's largest row.  Seeds 3 and 5 are not pinned.
 """
 
 import pytest
@@ -224,9 +224,12 @@ def test_energy_incumbent_pinned(key):
 #: ``synthetic_instance(modules, devices, seed=seed, n_requests=6)`` with
 #: ``max_copies=2``.
 REPLICA_SLOW_PINS = {
+    (5, 6, 0): ([('enc-00', ('dev-00', 'dev-02')), ('enc-01', ('dev-00', 'dev-01')), ('enc-02', ('dev-00', 'dev-05')), ('enc-03', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-05'))], 1.5892237570723136, 5894, 1, 117633),
     (5, 6, 1): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00', 'dev-03')), ('enc-02', ('dev-00', 'dev-01')), ('enc-03', ('dev-00',)), ('synth-head', ('dev-00',))], 1.6575797353735446, 309, 1, 6061),
     (5, 6, 2): ([('enc-00', ('dev-00', 'dev-01')), ('enc-01', ('dev-00', 'dev-02')), ('enc-02', ('dev-00', 'dev-02')), ('enc-03', ('dev-00', 'dev-05')), ('synth-head', ('dev-00', 'dev-05'))], 1.5913952181001274, 70, 1, 1310),
+    (5, 6, 4): ([('enc-00', ('dev-00', 'dev-03')), ('enc-01', ('dev-00', 'dev-01')), ('enc-02', ('dev-00', 'dev-01')), ('enc-03', ('dev-00', 'dev-03')), ('synth-head', ('dev-00', 'dev-01'))], 3.1775164806174887, 5445, 4, 108681),
     (5, 6, 6): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00', 'dev-03')), ('enc-02', ('dev-00', 'dev-04')), ('enc-03', ('dev-00',)), ('synth-head', ('dev-00', 'dev-03'))], 3.1573018000011035, 94, 1, 1791),
+    (5, 6, 7): ([('enc-00', ('dev-00', 'dev-05')), ('enc-01', ('dev-00',)), ('enc-02', ('dev-00', 'dev-03')), ('enc-03', ('dev-00',)), ('synth-head', ('dev-03', 'dev-05'))], 1.7479477506561458, 10602, 1, 192850),
     (5, 6, 8): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00', 'dev-03')), ('enc-02', ('dev-00', 'dev-01')), ('enc-03', ('dev-00',)), ('synth-head', ('dev-00',))], 3.302815959466571, 133, 1, 2401),
     (5, 6, 9): ([('enc-00', ('dev-00', 'dev-01')), ('enc-01', ('dev-00', 'dev-02')), ('enc-02', ('dev-00', 'dev-01')), ('enc-03', ('dev-00', 'dev-02')), ('synth-head', ('dev-00', 'dev-02'))], 3.2804346188794407, 7, 1, 49),
     (5, 6, 10): ([('enc-00', ('dev-00', 'dev-04')), ('enc-01', ('dev-00', 'dev-03')), ('enc-02', ('dev-00',)), ('enc-03', ('dev-00',)), ('synth-head', ('dev-00', 'dev-04'))], 4.159421804069586, 6, 1, 32),

@@ -90,6 +90,21 @@ from repro.utils.checks import is_limit
 from repro.utils.errors import PlacementError
 
 
+def member_fits(tensors: CostTensors, group) -> Tuple[np.ndarray, np.ndarray]:
+    """The head's ``[N]`` and the encoders' ``[E, N]`` rows of
+    ``tensors.fits`` for ``group``'s model; a module that fits on no device
+    raises :class:`PlacementError`, the head checked first."""
+    fits = tensors.fits[[group.head_idx, *group.encoder_idx]]
+    placeable = fits.any(axis=1)
+    if not placeable.all():
+        name = [group.head_name, *group.encoder_names][placeable.tolist().index(False)]
+        raise PlacementError(
+            f"module {name!r} fits on no device; apply compression or "
+            "intra-module partitioning first (paper Sec. V-B)"
+        )
+    return fits[0], fits[1:]
+
+
 class _GroupBound:
     """Admissible bounds for every request class of one model, stacked.
 
@@ -130,15 +145,7 @@ class _GroupBound:
         self.encoder_idx = group.encoder_idx
         self.head_idx = group.head_idx
         self.members = tuple(set(group.encoder_idx) | {group.head_idx})
-        fits = tensors.fits[[group.head_idx, *group.encoder_idx]]
-        placeable = fits.any(axis=1)
-        if not placeable.all():
-            name = [group.head_name, *group.encoder_names][placeable.tolist().index(False)]
-            raise PlacementError(
-                f"module {name!r} fits on no device; apply compression or "
-                "intra-module partitioning first (paper Sec. V-B)"
-            )
-        head_fit, fit = fits[0], fits[1:]  # [N], [E, N]
+        head_fit, fit = member_fits(tensors, group)
         out = np.array(group.out)  # [E, N, N], shared by the classes
         # Per class i and encoder path e (rows over the device axis):
         #   A[i, e, ne]           the path prefix with the encoder on ne

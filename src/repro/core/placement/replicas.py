@@ -28,10 +28,15 @@ Three solvers, same contract as the single-copy stack:
   solvers' search core in :mod:`repro.core.placement.bnb` (one DFS
   driver, two phases: value, then a tie-break walk in brute-force key
   order).  It supplies only its ``children(m)`` — memory-feasible host
-  sets, each priced by a trial descend under admissible per-request-class
-  bounds — and its host-set descend/ascend, returning the **identical
-  placement, objective, and tie-break** as brute force (property-tested
-  in ``tests/test_replicas.py``).
+  sets under admissible bounds, one :class:`_ReplicaBound` per model
+  stacking its request classes — and its host-set descend/ascend,
+  returning the **identical placement, objective, and tie-break** as brute
+  force (property-tested in ``tests/test_replicas.py``).  A node prices
+  ``m`` on each single device once (a ``[G][N]`` table per model) and
+  reads every host set's class values as the min of its devices' entries,
+  bit-identical to pricing the set itself (see :class:`_ReplicaBound`);
+  ``descend`` reads the chosen set from the same table, and the greedy
+  prices "add device n" as ``min(current value, entry n)``.
 
 All durations are **seconds**; module sizes are **bytes**.  Host tuples in
 returned placements are in sorted device-name order (the canonical form the
@@ -56,6 +61,7 @@ from repro.core.placement.bnb import (
     _SearchState,
     _two_phase,
     _WaitState,
+    member_fits,
 )
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.optimal import SOLVERS, _brute_force, _check_max_copies, host_subsets
@@ -174,8 +180,10 @@ def _check_base(problem: PlacementProblem, base: Placement, max_copies: int) -> 
             )
 
 
-class _ReplicaGroupBound:
-    """Admissible per-(model, source) latency bounds under partial host sets.
+class _ReplicaBound:
+    """Admissible bounds of every request class of one model under partial
+    host sets, stacked on a class axis (the classes differ only in their
+    source's input rows).
 
     For a partial assignment (some modules pinned to host sets, others
     free), each encoder path is lower-bounded by the cheapest
@@ -185,51 +193,101 @@ class _ReplicaGroupBound:
     True replica-routed latency picks ONE combination and adds
     non-negative queue waits, so it can only be larger; min/max/sum over
     the same precomputed floats keep the bound monotone (IEEE-754), hence
-    admissible.  The bound is *not* exact at completion (paths are bounded
-    independently, routing is joint), so complete classes are priced by
+    admissible.  At completion it misses same-device LPT waits and a
+    module's two roles sharing one host, so complete classes are priced by
     :meth:`exact` — :func:`~repro.core.placement.tensors.cheapest_hosts`
     over the bound's rows, with the queue waits at congestion-aware leaves.
+
+    **Per-device host sets.**  :meth:`device_values` prices module ``m`` on
+    each single device in one pass, a ``[G][N]`` table; a host set's class
+    value is the min of its devices' entries, bit for bit:
+
+    - a partial bound is a max, sum or min that rises with the cost of
+      ``m``'s cheapest replica (for the head, a min over head hosts), and
+      IEEE rounding preserves that order, so the min moves outside;
+    - an exact value is a min over host combos, and the combos of a set are
+      the union of its singletons' combos.
+
+    An exact entry is read from the bound when no host combo can put more
+    encoders on a device than its slots and ``m`` has one role: given the
+    head host the class's value is the max or sum of its paths, each
+    rising with its own host, so the min over combos is the fold of the
+    per-path mins, and ``x + 0.0 == x`` for the LPT waits no combo pays.
+    Otherwise each device's entry enumerates the host combos.
+
+    Two exceptions, both priced per set:
+
+    - a module that is this model's head *and* one of its encoders lets
+      :meth:`lower_bound` pick its head replica and its encoder replica
+      independently (a min over ``S x S``), which no singleton sees, so
+      while its classes are partial :meth:`device_values` returns ``None``
+      and each set is priced by :meth:`lower_bound` itself;
+    - the queue-aware search reads only its waits-free part from the
+      table: its wait term depends on how many copies share a module's
+      load, so it is added per set, and a complete state is priced by
+      :meth:`exact` with the queue waits (``_ReplicaSearch._scored``).
     """
 
-    def __init__(self, tensors: CostTensors, group: RequestGroup) -> None:
+    def __init__(self, tensors: CostTensors, groups: Sequence[RequestGroup]) -> None:
+        #: The first class: its model-level fields are every class's.
+        self.group = group = groups[0]
         self.tensors = tensors
-        self.group = group
         self.parallel = tensors.parallel
         self.members = group.member_idx
         self.head_idx = group.head_idx
-        head_fit = tensors.fits[group.head_idx]
-        if not head_fit.any():
-            raise PlacementError(
-                f"module {group.head_name!r} fits on no device; "
-                "apply compression or intra-module partitioning first (paper Sec. V-B)"
-            )
+        self.encoder_idx = group.encoder_idx
+        self.dual = group.head_idx in group.encoder_idx
+        head_fit, fit = member_fits(tensors, group)  # [N], [E, N]
         self._head_fit_idx: List[int] = np.flatnonzero(head_fit).tolist()
-        fit = tensors.fits[group.encoder_idx]  # [E, N]
-        for e, placeable in enumerate(fit.any(axis=1).tolist()):
-            if not placeable:
-                raise PlacementError(
-                    f"module {group.encoder_names[e]!r} fits on no device; "
-                    "apply compression or intra-module partitioning first (paper Sec. V-B)"
-                )
         # Python-float rows (built per search, freed with it): the bound
         # works on a handful of hosts, where numpy's per-call cost dominates.
-        #   paths[e][ne][nh]  in + compute + out of path e, encoder on ne,
-        #                     head on nh (exact: the Eq. 1-3 path sum)
-        #   free[e][nh]       the cheapest such path over fitting encoders
-        in_comm, enc_comp = np.array(group.in_comm), np.array(group.enc_comp)
-        out = np.array(group.out)
-        paths = (in_comm + enc_comp)[:, :, None] + out
-        self._in_rows: List[List[float]] = in_comm.tolist()
+        #   paths[i][e][ne][nh]  in + compute + out of class i's path e,
+        #                        encoder on ne, head on nh (the Eq. 1-3 path sum)
+        #   free[i][e][nh]       the cheapest such path over fitting encoders
+        in_comm = np.array([g.in_comm for g in groups])  # [G, E, N]
+        enc_comp, out = np.array(group.enc_comp), np.array(group.out)
+        paths = (in_comm + enc_comp)[:, :, :, None] + out
+        self._in_rows: List[List[List[float]]] = in_comm.tolist()
         self._comp_rows: List[List[float]] = enc_comp.tolist()
         self._out_rows: List[List[List[float]]] = out.tolist()
         self._head_row: List[float] = group.head_comp.tolist()
-        self._paths: List[List[List[float]]] = paths.tolist()
-        self._free: List[List[float]] = paths.min(
-            axis=1, where=fit[:, :, None], initial=np.inf
+        self._paths: List[List[List[List[float]]]] = paths.tolist()
+        self._free: List[List[List[float]]] = paths.min(
+            axis=2, where=fit[:, :, None], initial=np.inf
         ).tolist()
 
-    def lower_bound(self, sets: List[Optional[Tuple[int, ...]]]) -> float:
-        """Scalar bound (seconds) for the current partial assignment.
+    def _stage(
+        self, i: int, sets: List[Optional[Tuple[int, ...]]], heads: Sequence[int],
+        e0: int = -1, path: Optional[List[float]] = None,
+    ) -> List[float]:
+        """Class ``i``'s encoder stage per head host in ``heads``: each
+        path at its cheapest allowed replica (path ``e0`` on the ``path``
+        row instead), folded left to right by max (parallel) or sum."""
+        stage: Optional[List[float]] = None
+        for e, idx in enumerate(self.encoder_idx):
+            encs = sets[idx]
+            if e == e0:
+                terms = [path[nh] for nh in heads]  # type: ignore[index]
+            elif encs is None:
+                row = self._free[i][e]
+                terms = [row[nh] for nh in heads]
+            else:
+                rows = [self._paths[i][e][ne] for ne in encs]
+                terms = [min([row[nh] for row in rows]) for nh in heads]
+            if stage is None:
+                stage = terms
+            elif self.parallel:
+                stage = [max(s, b) for s, b in zip(stage, terms)]
+            else:
+                stage = [s + b for s, b in zip(stage, terms)]
+        return stage  # type: ignore[return-value]
+
+    def _heads(self, sets: List[Optional[Tuple[int, ...]]]) -> Sequence[int]:
+        heads = sets[self.head_idx]
+        return self._head_fit_idx if heads is None else heads
+
+    def lower_bound(self, sets: List[Optional[Tuple[int, ...]]]) -> List[float]:
+        """Scalar bound per class (seconds) for the current partial assignment.
 
         Exploits the structure of cheapest-replica routing: *given* the
         head host, encoder paths choose their replicas independently, so
@@ -239,41 +297,78 @@ class _ReplicaGroupBound:
         over all (encoder, head) pairs at once.  Queue waits are
         non-negative, so the relaxation never exceeds the true value.
         """
-        heads = sets[self.head_idx]
-        if heads is None:
-            heads = self._head_fit_idx
-        stage: Optional[List[float]] = None
-        for e, idx in enumerate(self.group.encoder_idx):
-            encs = sets[idx]
-            if encs is None:
-                row = self._free[e]
-                best_per_head = [row[nh] for nh in heads]
-            else:
-                rows = [self._paths[e][ne] for ne in encs]
-                best_per_head = [min([row[nh] for row in rows]) for nh in heads]
-            if stage is None:
-                stage = best_per_head
-            elif self.parallel:
-                stage = [max(s, b) for s, b in zip(stage, best_per_head)]
-            else:
-                stage = [s + b for s, b in zip(stage, best_per_head)]
+        heads = self._heads(sets)
         head = self._head_row
-        if stage is None:
-            return min([head[nh] for nh in heads])
-        return min([s + head[nh] for s, nh in zip(stage, heads)])
+        return [
+            min([s + head[nh] for s, nh in zip(self._stage(i, sets, heads), heads)])
+            for i in range(len(self._paths))
+        ]
 
     def exact(
         self, sets: List[Optional[Tuple[int, ...]]], waits: Optional[Sequence[float]] = None
-    ) -> float:
-        """True class value (seconds) once every member set is assigned:
-        the cheapest-replica minimum over the bound's rows, each combo
-        charged its hosts' ``waits`` when given."""
-        return cheapest_hosts(
-            self._in_rows, self._comp_rows, self._out_rows, self._head_row,
-            self.group.enc_pos, self.group.head_pos,
-            [sets[idx] for idx in self.members],  # type: ignore[misc]
-            self.tensors.slots, self.parallel, waits,
-        )[0]
+    ) -> List[float]:
+        """Each class's true value (seconds) once every member set is
+        assigned: the cheapest-replica minimum over the bound's rows, each
+        combo charged its hosts' ``waits`` when given."""
+        return [
+            value for value, _ in cheapest_hosts(
+                self._in_rows, self._comp_rows, self._out_rows, self._head_row,
+                self.group.enc_pos, self.group.head_pos,
+                [sets[idx] for idx in self.members],  # type: ignore[misc]
+                self.tensors.slots, self.parallel, waits,
+            )
+        ]
+
+    def _waits_free(
+        self, sets: List[Optional[Tuple[int, ...]]], m: int, devices: Sequence[int]
+    ) -> bool:
+        """Whether no host combo, ``m`` on any of ``devices``, puts more
+        encoders on a device than its slots (so none waits)."""
+        if not self.parallel:
+            return True
+        count: Dict[int, int] = {}
+        for idx in self.encoder_idx:
+            for n in devices if idx == m else sets[idx]:  # type: ignore[union-attr]
+                count[n] = count.get(n, 0) + 1
+        slots = self.tensors.slots
+        return all([k <= slots[n] for n, k in count.items()])
+
+    def device_values(
+        self, sets: List[Optional[Tuple[int, ...]]], m: int, devices: Sequence[int]
+    ) -> Optional[List[List[Optional[float]]]]:
+        """Each class's value with the unassigned module ``m`` on each one
+        of ``devices`` alone, as ``[G][N]`` rows (``None`` off ``devices``):
+        exact where that completes the classes (from the bound where nothing
+        can wait), else the bound.  ``None`` for a head that is also an
+        encoder while the classes are partial (see the class docstring)."""
+        n_devices = self.tensors.n_devices
+        table: List[List[Optional[float]]] = [[None] * n_devices for _ in self._paths]
+        complete = all([sets[idx] is not None for idx in self.members if idx != m])
+        if complete and (self.dual or not self._waits_free(sets, m, devices)):
+            priced = list(sets)
+            for n in devices:
+                priced[m] = (n,)
+                for row, value in zip(table, self.exact(priced)):
+                    row[n] = value
+            return table
+        head = self._head_row
+        if m == self.head_idx:
+            if self.dual:
+                return None
+            # Head on n alone: the bound's stage read at nh = n.
+            for i, row in enumerate(table):
+                for s, n in zip(self._stage(i, sets, devices), devices):
+                    row[n] = s + head[n]
+            return table
+        # Encoder path e0 on n alone: its whole path row with the encoder on n.
+        heads = self._heads(sets)
+        e0 = self.encoder_idx.index(m)
+        for i, row in enumerate(table):
+            paths = self._paths[i][e0]
+            for n in devices:
+                stage = self._stage(i, sets, heads, e0, paths[n])
+                row[n] = min([s + head[nh] for s, nh in zip(stage, heads)])
+        return table
 
 
 class _ReplicaSearch(_SearchState):
@@ -311,11 +406,15 @@ class _ReplicaSearch(_SearchState):
                 if fitting
                 else []
             )
-        self.bounds = [_ReplicaGroupBound(tensors, group) for group in self.groups]
+        self.bounds = [_ReplicaBound(tensors, groups) for groups in self.stacked_groups()]
         #: Every class's bound with nothing assigned (what :meth:`reset`
         #: restores).
-        self.root_lb = [bound.lower_bound(self.sets) for bound in self.bounds]
+        self.root_lb = self.class_values(self.bounds, lambda bound: bound.lower_bound(self.sets))
         self.group_lb = list(self.root_lb)
+        #: Per module, ``(classes, bound, table)`` for each stack using it,
+        #: from the module's latest expansion (:meth:`_price`), read back by
+        #: :meth:`descend` (each module sits once on a DFS path).
+        self.tables: Dict[int, List[Tuple[List[int], _ReplicaBound, Optional[list]]]] = {}
 
         # Queue-wait bound state (the *bound* only needs admissibility;
         # leaves are re-priced canonically for bit-identity).
@@ -327,16 +426,52 @@ class _ReplicaSearch(_SearchState):
         )
 
     # ------------------------------------------------------------------
+    def _price(self, m: int, devices: Sequence[int]) -> None:
+        """Price the unassigned module ``m`` on each of ``devices`` alone,
+        one ``[G][N]`` table per stack using it (:meth:`_ReplicaBound.device_values`)."""
+        self.tables[m] = [
+            (self.stacks[s], self.bounds[s], self.bounds[s].device_values(self.sets, m, devices))
+            for s in self.stacks_using[m]
+        ]
+
+    def _set_values(self, m: int, subset: Tuple[int, ...]) -> List[Tuple[int, float]]:
+        """``(class, value)`` for every class using ``m``, with ``m`` on
+        ``subset`` (already in :attr:`sets`): the min of the subset's table
+        entries, or the stack's own bound where it has no table."""
+        values: List[Tuple[int, float]] = []
+        for classes, bound, table in self.tables[m]:
+            if table is None:
+                values.extend(zip(classes, bound.lower_bound(self.sets)))
+            else:
+                values.extend(zip(classes, [min([row[n] for n in subset]) for row in table]))
+        return values
+
     def _scored(self, m: int) -> Iterator[Tuple[float, Tuple[int, ...]]]:
         """Memory-feasible host sets for ``m`` in tie-key order, each with
-        the total bound it would leave (priced by a trial descend)."""
+        the total bound it would leave, read from one per-device table.
+
+        With ``congestion`` the wait term stays per set: the waits depend on
+        how many copies share ``m``'s load, so each set's load is put on the
+        wait state for :meth:`total_bound` and taken off again (a complete
+        assignment is priced exactly, queue waits included)."""
         need, residual = self.memory[m], self.residual
-        for subset in self.subsets_of[m]:
-            if min([residual[n] for n in subset]) >= need:
-                saved = self.descend(m, subset)
-                bound = self.total_bound()
-                self.ascend(m, subset, saved)
-                yield bound, subset
+        subsets = [s for s in self.subsets_of[m] if min([residual[n] for n in s]) >= need]
+        if not subsets:
+            return
+        self._price(m, sorted({n for subset in subsets for n in subset}))
+        for subset in subsets:
+            self.sets[m] = subset
+            values = list(self.group_lb)
+            for g, value in self._set_values(m, subset):
+                values[g] = value
+            if self.wait is None:
+                bound = float(self.fan(values))
+            else:
+                self.wait.descend(m, subset)
+                bound = self.total_bound(values)
+                self.wait.ascend(m, subset)
+            self.sets[m] = None
+            yield bound, subset
 
     def value_children(self, m: int) -> List[Tuple[float, Tuple[int, ...]]]:
         return sorted(self._scored(m), key=operator.itemgetter(0))
@@ -359,14 +494,13 @@ class _ReplicaSearch(_SearchState):
             self.wait.descend(m, subset, float(sign))
 
     def descend(self, m: int, subset: Tuple[int, ...]) -> List[Tuple[int, float]]:
+        """Put ``m`` on ``subset``, its classes' values read from the tables
+        of ``m``'s expansion."""
         self._occupy(m, subset, 1)
-        saved = [(g, self.group_lb[g]) for g in self.groups_using[m]]
-        for g in self.groups_using[m]:
-            bound = self.bounds[g]
-            if None not in [self.sets[idx] for idx in bound.members]:
-                self.group_lb[g] = bound.exact(self.sets)
-            else:
-                self.group_lb[g] = bound.lower_bound(self.sets)
+        saved = []
+        for g, value in self._set_values(m, subset):
+            saved.append((g, self.group_lb[g]))
+            self.group_lb[g] = value
         return saved
 
     def ascend(self, m: int, subset: Tuple[int, ...], saved: List[Tuple[int, float]]) -> None:
@@ -374,28 +508,83 @@ class _ReplicaSearch(_SearchState):
             self.group_lb[g] = value
         self._occupy(m, subset, -1)
 
-    def _move(
-        self, m: int, hosts: Tuple[int, ...], subset: Tuple[int, ...]
-    ) -> List[Tuple[int, float]]:
-        """Move ``m`` from ``hosts`` onto ``subset``; :meth:`ascend` with the
-        returned list, then ``_occupy(m, hosts, 1)``, moves it back."""
-        self._occupy(m, hosts, -1)
-        return self.descend(m, subset)
-
     def reset(self) -> None:
         """Back to the empty assignment the search starts from (queue loads
         zeroed outright: undone float sums need not return to 0.0)."""
         self.sets[:] = [None] * self.n_modules
         self.residual[:] = [int(b) for b in self.tensors.capacity]
         self.group_lb[:] = self.root_lb
+        self.tables.clear()
         if self.wait is not None:
             self.wait.clear()
 
+    def _check_hosts(self, m: int, hosts: Sequence[int]) -> None:
+        """The placement-level objective's ``ConfigurationError`` for a host
+        with no throughput entry for ``m``, model by model."""
+        tensors = self.tensors
+        for classes in self.stacks:
+            group = self.groups[classes[0]]
+            if m in group.member_idx:
+                row = tensors.model_compute(group.model)[m]
+                for n in hosts:
+                    tensors._checked(group.model, row, m, n)
+
+    def _fill(self, current: Dict[int, Tuple[int, ...]]) -> None:
+        """Put every module on its ``current`` hosts and price every class
+        exactly."""
+        for m, hosts in current.items():
+            self._occupy(m, hosts, 1)
+        self.group_lb[:] = self.class_values(self.bounds, lambda bound: bound.exact(self.sets))
+
+    def _candidates(
+        self, current: Dict[int, Tuple[int, ...]], max_copies: int
+    ) -> List[Tuple[Tuple[float, str, str], int, Tuple[int, ...], Optional[List[float]]]]:
+        """One greedy round's candidate replicas on the full assignment
+        ``current``, in (module name, device) order: ``((objective, module
+        name, device name), module, host set, class values)``.
+
+        Adding device ``n`` to ``m``'s hosts prices each class using ``m``
+        as ``min(current value, entry n)`` of ``m``'s per-device table: the
+        classes are complete, so the entries are exact.  With
+        ``congestion`` the waits depend on the copy count, so each
+        candidate set is priced as a leaf (class values ``None``).
+        """
+        tensors = self.tensors
+        names = tensors.device_names
+        rows = []
+        for m in sorted(range(self.n_modules), key=tensors.module_names.__getitem__):
+            hosts = current[m]
+            if len(hosts) >= max_copies:
+                continue
+            devices = [
+                n for n in range(self.n_devices)
+                if n not in hosts and self.residual[n] >= self.memory[m]
+            ]
+            for n in devices:
+                self._check_hosts(m, (n,))
+            if self.wait is None and devices:
+                self.sets[m] = None
+                self._price(m, devices)
+                self.sets[m] = hosts
+            for n in devices:
+                candidate = tuple(sorted(hosts + (n,), key=names.__getitem__))
+                values: Optional[List[float]] = None
+                if self.wait is None:
+                    values = list(self.group_lb)
+                    for classes, _, table in self.tables[m]:
+                        for g, row in zip(classes, table):  # type: ignore[arg-type]
+                            values[g] = min(values[g], row[n])
+                    objective = float(self.fan(values))
+                else:
+                    self.sets[m] = candidate
+                    objective = self._leaf_value()
+                    self.sets[m] = hosts
+                rows.append(((objective, tensors.module_names[m], names[n]), m, candidate, values))
+        return rows
+
     def aware_greedy(self, base: Placement, max_copies: int) -> Tuple[Placement, float]:
         """:func:`replica_aware_greedy` from a checked ``base``, every
-        candidate priced by this search's rows: take the module off its
-        hosts, descend onto the candidate set, read :meth:`total_bound`
-        (exact at a full assignment, queue waits included) and undo.  The
+        candidate priced by this search's rows (:meth:`_candidates`).  The
         search is left empty.
 
         A host is priced only after the ``ConfigurationError`` check the
@@ -405,7 +594,6 @@ class _ReplicaSearch(_SearchState):
         """
         tensors = self.tensors
         names = tensors.device_names
-        modules = sorted(range(self.n_modules), key=tensors.module_names.__getitem__)
         seed = base.as_dict()
         current = {
             tensors.module_idx(name): tuple(
@@ -413,47 +601,25 @@ class _ReplicaSearch(_SearchState):
             )
             for name, hosts in seed.items()
         }
-        models: Dict[int, RequestGroup] = {}  # each requested model's first class
-        for group in self.groups:
-            models.setdefault(id(group.model), group)
-
-        def check(m: int, hosts: Sequence[int]) -> None:
-            for group in models.values():
-                if m in group.member_idx:
-                    row = tensors.model_compute(group.model)[m]
-                    for n in hosts:
-                        tensors._checked(group.model, row, m, n)
-
         try:
-            for group in models.values():
-                for idx in group.member_idx:
-                    check(idx, current[idx])
-            for m, hosts in current.items():
-                self.descend(m, hosts)
+            for classes in self.stacks:
+                for idx in self.groups[classes[0]].member_idx:
+                    self._check_hosts(idx, current[idx])
+            self._fill(current)
             best_objective = self.total_bound()
             while True:
                 # ``(objective, module name, device name)`` decides ties.
-                best: Optional[Tuple[Tuple[float, str, str], int, Tuple[int, ...]]] = None
-                for m in modules:
-                    hosts = current[m]
-                    if len(hosts) >= max_copies:
-                        continue
-                    for n in range(self.n_devices):
-                        if n in hosts or self.residual[n] < self.memory[m]:
-                            continue
-                        check(m, (n,))
-                        candidate = tuple(sorted(hosts + (n,), key=names.__getitem__))
-                        saved = self._move(m, hosts, candidate)
-                        objective = self.total_bound()
-                        self.ascend(m, candidate, saved)
-                        self._occupy(m, hosts, 1)
-                        key = (objective, tensors.module_names[m], names[n])
-                        if objective < best_objective and (best is None or key < best[0]):
-                            best = (key, m, candidate)
+                best = None
+                for row in self._candidates(current, max_copies):
+                    if row[0][0] < best_objective and (best is None or row[0] < best[0]):
+                        best = row
                 if best is None:
                     break
-                (best_objective, _, _), m, candidate = best
-                self._move(m, current[m], candidate)
+                (best_objective, _, _), m, candidate, values = best
+                self._occupy(m, current[m], -1)
+                self._occupy(m, candidate, 1)
+                if values is not None:
+                    self.group_lb[:] = values
                 current[m] = candidate
         finally:
             self.reset()
@@ -461,8 +627,9 @@ class _ReplicaSearch(_SearchState):
             {name: tuple(names[n] for n in current[tensors.module_idx(name)]) for name in seed}
         ), best_objective
 
-    def total_bound(self) -> float:
-        """Fanned per-request bound (exact at leaves, request-order sum).
+    def total_bound(self, values: Optional[Sequence[float]] = None) -> float:
+        """Fanned per-request bound of the class ``values`` (default: the
+        current ones), exact at leaves, request-order sum.
 
         With ``congestion`` set, leaves return the **exact** queue-aware
         value (bit-identical to ``WaitTensors.replica_objective`` on the
@@ -475,7 +642,7 @@ class _ReplicaSearch(_SearchState):
         """
         if self.wait is not None and all(s is not None for s in self.sets):
             return self._leaf_value()
-        total = self.fan(self.group_lb)
+        total = self.fan(self.group_lb if values is None else values)
         if self.wait is None:
             return float(total)
         sets = self.sets
@@ -503,7 +670,7 @@ class _ReplicaSearch(_SearchState):
         sets = self.sets
         assert self.wait_tensors is not None
         waits = self.wait_tensors.device_waits(self.requests, lambda m: sets[m])
-        return float(self.fan([bound.exact(sets, waits) for bound in self.bounds]))
+        return float(self.fan(self.class_values(self.bounds, lambda b: b.exact(sets, waits))))
 
     def winner(self) -> Placement:
         names = self.tensors.device_names

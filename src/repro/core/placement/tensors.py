@@ -142,40 +142,48 @@ def group_latency(
 
 
 def cheapest_hosts(
-    in_rows, comp_rows, out_rows, head_row,
+    in_stack, comp_rows, out_rows, head_row,
     enc_pos: Sequence[int], head_pos: int, candidates: Sequence[Sequence[int]],
     slots: Sequence[int], parallel: bool, waits: Optional[Sequence[float]] = None,
-) -> Tuple[float, Tuple[int, ...]]:
-    """Cheapest-replica routing of one request class, from row containers.
+) -> List[Tuple[float, Tuple[int, ...]]]:
+    """Cheapest-replica routing of a model's request classes, from row
+    containers.
 
-    ``candidates[i]`` lists the allowed device indices of member ``i``
-    (encoders first in path order, then the head); encoder path ``e`` sits
-    at member ``enc_pos[e]`` and the head at ``head_pos``.  Host combos are
-    enumerated lexicographically over the candidate order, each priced by
-    :func:`group_latency`, and only a **strictly** smaller value replaces
-    the incumbent — so candidates in sorted-device-name order break ties
-    toward the lexicographically smallest combo.  With ``waits`` (per-device
-    expected queue waits), each combo also pays its hosts' waits, added in
-    member order onto ``0.0`` and then onto the Eq. 1-3 total.
+    ``in_stack[i]`` is class ``i``'s input rows (the classes of one model
+    differ only there).  ``candidates[i]`` lists the allowed device indices
+    of member ``i`` (encoders first in path order, then the head); encoder
+    path ``e`` sits at member ``enc_pos[e]`` and the head at ``head_pos``.
+    Host combos are enumerated lexicographically over the candidate order,
+    each priced per class by :func:`group_latency` (its LPT waits scheduled
+    once for every class), and only a **strictly** smaller value replaces
+    a class's incumbent — so candidates in sorted-device-name order break
+    ties toward the lexicographically smallest combo.  With ``waits``
+    (per-device expected queue waits), each combo also pays its hosts'
+    waits, added in member order onto ``0.0`` and then onto the Eq. 1-3
+    total.
 
-    Returns ``(value, combo)`` with ``combo[i]`` member ``i``'s device.
+    Returns ``(value, combo)`` per class, ``combo[i]`` member ``i``'s device.
     """
-    best_value = float("inf")
-    best_combo: Optional[Tuple[int, ...]] = None
+    best: List[Tuple[float, Optional[Tuple[int, ...]]]] = [(float("inf"), None)] * len(in_stack)
     for combo in itertools.product(*candidates):
-        value = group_latency(
-            in_rows, comp_rows, out_rows, head_row,
-            [combo[p] for p in enc_pos], combo[head_pos], slots, parallel,
-        )
+        enc_hosts = [combo[p] for p in enc_pos]
+        lpt = encoder_waits(comp_rows, enc_hosts, slots, parallel)
+        wait = None
         if waits is not None:
             wait = 0.0
             for n in combo:
                 wait = wait + waits[n]
-            value = value + wait
-        if best_combo is None or value < best_value:
-            best_value, best_combo = value, combo
-    assert best_combo is not None, "every member's candidates must be non-empty"
-    return best_value, best_combo
+        for i, in_rows in enumerate(in_stack):
+            value = group_latency(
+                in_rows, comp_rows, out_rows, head_row,
+                enc_hosts, combo[head_pos], slots, parallel, lpt,
+            )
+            if wait is not None:
+                value = value + wait
+            if best[i][1] is None or value < best[i][0]:
+                best[i] = (value, combo)
+    assert all(combo is not None for _, combo in best), "every member's candidates must be non-empty"
+    return best  # type: ignore[return-value]
 
 
 def request_classes(
@@ -287,10 +295,10 @@ class RequestGroup:
         class's arrays.  Returns ``(total_seconds, chosen host per member)``.
         """
         return cheapest_hosts(
-            self.in_comm, self.enc_comp, self.out, self.head_comp,
+            [self.in_comm], self.enc_comp, self.out, self.head_comp,
             self.enc_pos, self.head_pos, candidates, tensors.slots, tensors.parallel,
             device_waits,
-        )
+        )[0]
 
 
 class CostTensors:

@@ -1,9 +1,9 @@
 """The exact solvers' bounds against their numpy reference formulas.
 
-``_GroupBound`` and ``_ReplicaGroupBound`` read per-search Python-float
-rows instead of numpy scalars, and build their tables for all encoder
-paths in one stacked pass.  A ``_GroupBound`` holds every request class of
-one model on a class axis.  The formulas they replaced live on here as
+``_GroupBound`` and ``_ReplicaBound`` read per-search Python-float rows
+instead of numpy scalars, and build their tables for all encoder paths in
+one stacked pass.  Each holds every request class of one model on a class
+axis.  The formulas they replaced live on here as
 test-side references (``RefClass``), written over one class's own numpy
 arrays (``tensors.group(...)``) one path at a time: every class row of
 every bound and table must equal its reference with ``==`` (same doubles,
@@ -33,6 +33,17 @@ drawn rows with shared and distinct hosts, slots 1-3, serial and parallel
 classes and ``inf`` entries.  The energy incumbent's descent, which stops
 once it returns to the last module that moved, must match the full-pass
 descent on cases that need a third pass.
+
+The replica search prices a module on each single device once and reads a
+host set's class values as the min of its devices' entries.  The pricing
+it replaced — each class bounded on its own, each host set by a trial
+descend (descend, ``total_bound``, ascend), each greedy candidate by a
+trial move — lives on here as ``RefReplicaSearch``.  On drawn instances
+(one to three models sharing modules, a head that is also an encoder,
+serial and parallel classes, slots 1-3, ``max_copies`` 1-3, tight memory,
+with and without an offered load) both phases' children, the class values
+after every descend and every greedy candidate's objective must ``==`` the
+reference.
 """
 
 import dataclasses
@@ -58,7 +69,7 @@ from repro.cluster.requests import InferenceRequest
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.problem import Placement
 from repro.core.routing.latency import LatencyModel
-from repro.core.placement.replicas import _ReplicaGroupBound, _ReplicaSearch
+from repro.core.placement.replicas import _ReplicaSearch
 from repro.core.placement.tensors import (
     CongestionModel,
     CostTensors,
@@ -337,13 +348,13 @@ def ref_bound_vector(ref, assign, module_index):
     ).copy()
 
 
-def ref_replica_lower_bound(bound, sets):
-    group = bound.group
-    head_allowed = sets[bound.head_idx]
+def ref_replica_lower_bound(tensors, group, sets):
+    """One class's replica bound from its numpy arrays, one path at a time."""
+    head_allowed = sets[group.head_idx]
     nh = (
         np.asarray(head_allowed, dtype=np.int64)
         if head_allowed is not None
-        else np.asarray(bound._head_fit_idx, dtype=np.int64)
+        else np.flatnonzero(tensors.fits[group.head_idx])
     )
     stage = None
     for e, idx in enumerate(group.encoder_idx):
@@ -351,13 +362,13 @@ def ref_replica_lower_bound(bound, sets):
         ne = (
             np.asarray(enc_allowed, dtype=np.int64)
             if enc_allowed is not None
-            else np.flatnonzero(bound.tensors.fits[idx])
+            else np.flatnonzero(tensors.fits[idx])
         )
         A = group.in_comm[e][ne] + group.enc_comp[e][ne]
         best_per_head = np.min(A[:, None] + group.out[e][np.ix_(ne, nh)], axis=0)
         if stage is None:
             stage = best_per_head
-        elif bound.parallel:
+        elif tensors.parallel:
             stage = np.maximum(stage, best_per_head)
         else:
             stage = stage + best_per_head
@@ -470,18 +481,6 @@ def stack_cases(draw):
     return (tensors, requests, *draw_assign(draw, tensors))
 
 
-@st.composite
-def partial_cases(draw):
-    """``(tensors, groups, assign, moving)`` on a single-model synthetic
-    instance (for the replica bound)."""
-    inst, tensors = draw_instance(draw)
-    assign, moving = draw_assign(draw, tensors)
-    if draw(st.booleans()):
-        assign[tensors.n_modules - 1] = -1  # synthetic instances list the head last
-    groups = [tensors.group(request.model, request.source) for request in inst.requests]
-    return tensors, groups, np.array(assign, dtype=np.int64), moving
-
-
 #: Tier-1 runs each stacked-bound property on 40 examples; ``-m slow``
 #: runs the same derandomized search on 400.
 PROFILES = [pytest.param(40, id="40"), pytest.param(400, id="400", marks=pytest.mark.slow)]
@@ -573,22 +572,34 @@ def test_energy_bounds_match_numpy_reference(examples):
     run_property(stack_cases(), check, examples)
 
 
-@SETTINGS
-@given(partial_cases(), st.integers(0, 2**16))
-def test_replica_bound_matches_numpy_reference(case, salt):
-    tensors, groups, assign, _ = case
-    rng = np.random.default_rng(salt)
+def draw_sets(rng, tensors, assign):
+    """Host sets from a single-copy ``assign``: ``None`` where unplaced,
+    else the device alone or with a second one."""
     sets = []
-    for n in assign.tolist():
+    for n in assign:
         if n < 0:
             sets.append(None)  # unassigned: every fitting device allowed
         elif rng.random() < 0.5:
             sets.append((n,))
         else:
             sets.append(tuple(sorted({n, int(rng.integers(tensors.n_devices))})))
-    for group in groups:
-        bound = _ReplicaGroupBound(tensors, group)
-        assert bound.lower_bound(sets) == ref_replica_lower_bound(bound, sets)
+    return sets
+
+
+@SETTINGS
+@given(stack_cases(), st.integers(0, 2**16))
+def test_replica_bound_matches_numpy_reference(case, salt):
+    """Every class row of each model's stacked replica bound ``==`` that
+    class's numpy formula."""
+    tensors, requests, assign, _ = case
+    sets = draw_sets(np.random.default_rng(salt), tensors, assign)
+    search = _ReplicaSearch(tensors, requests, max_copies=2)
+    for classes, bound in zip(search.stacks, search.bounds):
+        lower = bound.lower_bound(sets)
+        assert all(type(value) is float for value in lower)
+        assert lower == [
+            ref_replica_lower_bound(tensors, search.groups[g], sets) for g in classes
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -823,30 +834,385 @@ def test_latency_leaf_matches_wait_objective(case):
 @SETTINGS
 @given(leaf_cases())
 def test_replica_leaf_matches_wait_objective(case):
+    """The queue-aware leaf, and each of its class rows, against the
+    placement-level cheapest-replica loop."""
     inst, tensors, sets, congestion = case
     requests = list(inst.requests)
     search = _ReplicaSearch(tensors, requests, max_copies=2, congestion=congestion)
     search.sets[:] = sets
-    expected = WaitTensors(tensors, congestion).replica_objective(
-        requests, placement_of(tensors, sets)
-    )
+    wait = WaitTensors(tensors, congestion)
+    expected = wait.replica_objective(requests, placement_of(tensors, sets))
     assert search.total_bound() == expected
+    waits = wait.waits_for_placement(requests, placement_of(tensors, sets))
+    for classes, bound in zip(search.stacks, search.bounds):
+        assert bound.exact(sets, waits) == [
+            ref_best_hosts(
+                search.groups[g], tensors, [sets[idx] for idx in search.groups[g].member_idx],
+                waits,
+            )[0]
+            for g in classes
+        ]
 
 
 @SETTINGS
 @given(leaf_cases(), st.integers(0, 2**16))
 def test_replica_exact_matches_best_hosts_loop(case, salt):
-    """Random non-negative waits, zeros included, spanning magnitudes so a
-    reordered wait sum rounds differently."""
+    """Every class row of the stacked exact value, waits or none, against
+    the numpy cheapest-replica loop.  Random non-negative waits, zeros
+    included, spanning magnitudes so a reordered wait sum rounds
+    differently."""
     inst, tensors, sets, _ = case
     rng = np.random.default_rng(salt)
     waits = [
         0.0 if rng.random() < 0.3 else float(rng.random() * 10.0 ** rng.integers(-4, 2))
         for _ in range(tensors.n_devices)
     ]
-    for request in inst.requests:
-        group = tensors.group(request.model, request.source)
-        bound = _ReplicaGroupBound(tensors, group)
-        candidates = [sets[idx] for idx in group.member_idx]
-        assert bound.exact(sets) == ref_best_hosts(group, tensors, candidates)[0]
-        assert bound.exact(sets, waits) == ref_best_hosts(group, tensors, candidates, waits)[0]
+    search = _ReplicaSearch(tensors, list(inst.requests), max_copies=2)
+    for classes, bound in zip(search.stacks, search.bounds):
+        groups = [search.groups[g] for g in classes]
+        candidates = [[sets[idx] for idx in group.member_idx] for group in groups]
+        assert bound.exact(sets) == [
+            ref_best_hosts(group, tensors, hosts)[0] for group, hosts in zip(groups, candidates)
+        ]
+        assert bound.exact(sets, waits) == [
+            ref_best_hosts(group, tensors, hosts, waits)[0]
+            for group, hosts in zip(groups, candidates)
+        ]
+
+
+# ----------------------------------------------------------------------
+# Per-device host sets: the replica search against its per-set pricing
+# ----------------------------------------------------------------------
+class RefReplicaClass:
+    """One request class's replica bound as the search priced it before
+    per-device tables: plain Python over its own rows, the lower bound per
+    host set and the exact value by its own cheapest-replica loop."""
+
+    def __init__(self, tensors, group):
+        self.tensors, self.group, self.parallel = tensors, group, tensors.parallel
+        self.members = group.member_idx
+        self.head_fit = np.flatnonzero(tensors.fits[group.head_idx]).tolist()
+        fit = tensors.fits[group.encoder_idx]
+        in_comm, enc_comp = np.array(group.in_comm), np.array(group.enc_comp)
+        out = np.array(group.out)
+        paths = (in_comm + enc_comp)[:, :, None] + out
+        self.rows = (in_comm.tolist(), enc_comp.tolist(), out.tolist(), group.head_comp.tolist())
+        self.paths = paths.tolist()
+        self.free = paths.min(axis=1, where=fit[:, :, None], initial=np.inf).tolist()
+
+    def lower_bound(self, sets):
+        group = self.group
+        heads = sets[group.head_idx]
+        if heads is None:
+            heads = self.head_fit
+        stage = None
+        for e, idx in enumerate(group.encoder_idx):
+            encs = sets[idx]
+            if encs is None:
+                best_per_head = [self.free[e][nh] for nh in heads]
+            else:
+                rows = [self.paths[e][ne] for ne in encs]
+                best_per_head = [min([row[nh] for row in rows]) for nh in heads]
+            if stage is None:
+                stage = best_per_head
+            elif self.parallel:
+                stage = [max(s, b) for s, b in zip(stage, best_per_head)]
+            else:
+                stage = [s + b for s, b in zip(stage, best_per_head)]
+        head = self.rows[3]
+        return min([s + head[nh] for s, nh in zip(stage, heads)])
+
+    def exact(self, sets, waits=None):
+        group, (in_rows, comp, out, head) = self.group, self.rows
+        best = None
+        for combo in itertools.product(*[sets[idx] for idx in self.members]):
+            value = group_latency(
+                in_rows, comp, out, head, [combo[p] for p in group.enc_pos],
+                combo[group.head_pos], self.tensors.slots, self.parallel,
+            )
+            if waits is not None:
+                wait = 0.0
+                for n in combo:
+                    wait = wait + waits[n]
+                value = value + wait
+            if best is None or value < best:
+                best = value
+        return best
+
+
+class RefReplicaSearch(_ReplicaSearch):
+    """The replica search with each class bounded on its own and each host
+    set priced by a trial descend (descend, ``total_bound``, ascend), and
+    each greedy candidate by a trial move: the pricing the per-device
+    tables replaced."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.refs = [RefReplicaClass(self.tensors, group) for group in self.groups]
+        self.root_lb = [ref.lower_bound(self.sets) for ref in self.refs]
+        self.group_lb = list(self.root_lb)
+
+    def _scored(self, m):
+        need, residual = self.memory[m], self.residual
+        for subset in self.subsets_of[m]:
+            if min([residual[n] for n in subset]) >= need:
+                saved = self.descend(m, subset)
+                bound = self.total_bound()
+                self.ascend(m, subset, saved)
+                yield bound, subset
+
+    def descend(self, m, subset):
+        self._occupy(m, subset, 1)
+        saved = [(g, self.group_lb[g]) for g in self.groups_using[m]]
+        for g in self.groups_using[m]:
+            ref = self.refs[g]
+            if None not in [self.sets[idx] for idx in ref.members]:
+                self.group_lb[g] = ref.exact(self.sets)
+            else:
+                self.group_lb[g] = ref.lower_bound(self.sets)
+        return saved
+
+    def _leaf_value(self):
+        sets = self.sets
+        waits = self.wait_tensors.device_waits(self.requests, lambda m: sets[m])
+        return float(self.fan([ref.exact(sets, waits) for ref in self.refs]))
+
+    def fill(self, current):
+        for m, hosts in current.items():
+            self.descend(m, hosts)
+
+    def candidate_objectives(self, current, max_copies):
+        """One greedy round: each candidate priced by moving the module onto
+        the candidate set, reading ``total_bound`` and moving it back."""
+        names = self.tensors.device_names
+        objectives = []
+        for m in sorted(range(self.n_modules), key=self.tensors.module_names.__getitem__):
+            hosts = current[m]
+            if len(hosts) >= max_copies:
+                continue
+            for n in range(self.n_devices):
+                if n in hosts or self.residual[n] < self.memory[m]:
+                    continue
+                candidate = tuple(sorted(hosts + (n,), key=names.__getitem__))
+                self._occupy(m, hosts, -1)
+                saved = self.descend(m, candidate)
+                objectives.append(self.total_bound())
+                self.ascend(m, candidate, saved)
+                self._occupy(m, hosts, 1)
+        return objectives
+
+
+def draw_replica_case(draw):
+    """``(tensors, requests, max_copies, congestion, squeeze)``: one to
+    three models sharing modules (a head may also be one of its model's
+    encoders), serial or parallel, slots 1-3 per device, possibly tight
+    fitting masks, ``max_copies`` 1-3, an offered load or none, and bytes
+    taken off each device's free memory (``squeeze``) so that some host
+    sets do not fit."""
+    tensors, requests = draw_requests(draw)
+    tensors.slots = [draw(st.sampled_from([1, 2, 3])) for _ in range(tensors.n_devices)]
+    max_copies = draw(st.sampled_from([2, 3, 1]))
+    congestion = None
+    if draw(st.booleans()):
+        rate = draw(st.sampled_from((0.5, 0.0, 5.0)))
+        congestion = CongestionModel({request.model.name: rate for request in requests})
+    squeeze = [0] * tensors.n_devices
+    if draw(st.booleans()):
+        biggest = int(tensors.memory.max())
+        squeeze = [
+            int(cap) - biggest * draw(st.integers(1, 3)) if draw(st.booleans()) else 0
+            for cap in tensors.capacity
+        ]
+        squeeze = [max(q, 0) for q in squeeze]
+    return tensors, requests, max_copies, congestion, squeeze
+
+
+def replica_pair(tensors, requests, max_copies, congestion, squeeze):
+    """The search and its per-set reference on the same squeezed state."""
+    pair = []
+    for cls in (_ReplicaSearch, RefReplicaSearch):
+        search = cls(tensors, requests, max_copies, congestion=congestion)
+        search.residual[:] = [r - q for r, q in zip(search.residual, squeeze)]
+        pair.append(search)
+    assert pair[0].group_lb == pair[1].group_lb
+    return pair
+
+
+@st.composite
+def replica_paths(draw):
+    """A replica case, a module order and per-depth child picks."""
+    case = draw_replica_case(draw)
+    tensors = case[0]
+    order = draw(st.permutations(range(tensors.n_modules)))
+    picks = [draw(st.integers(0, 10**6)) for _ in order]
+    return (*case, order, picks)
+
+
+def same_children(search, ref, m):
+    """Both phases' children of ``m``: the same ``(bound, host set)`` lists."""
+    children = search.value_children(m)
+    assert children == ref.value_children(m)
+    assert list(search.tie_children(m)) == list(ref.tie_children(m))
+    return children
+
+
+def check_replica_path(case):
+    """Walk one path down the search and its reference together.  At each
+    depth both give the same children in both phases; a first child is
+    descended, the next module's children compared under it, and undone;
+    then a second child is descended and the walk goes on under it (so a
+    module is priced again after a sibling changed the state above it).
+    Class values must agree after every descend and ascend, and the
+    complete state's bound with it."""
+    tensors, requests, max_copies, congestion, squeeze, order, picks = case
+    search, ref = replica_pair(tensors, requests, max_copies, congestion, squeeze)
+    for depth, (m, pick) in enumerate(zip(order, picks)):
+        children = same_children(search, ref, m)
+        if not children:
+            return
+        first = children[pick % len(children)][1]
+        second = children[(pick // 7) % len(children)][1]
+        if depth + 1 < len(order) and first != second:
+            undo = (search.descend(m, first), ref.descend(m, first))
+            assert search.group_lb == ref.group_lb
+            same_children(search, ref, order[depth + 1])
+            search.ascend(m, first, undo[0])
+            ref.ascend(m, first, undo[1])
+            assert search.group_lb == ref.group_lb
+        search.descend(m, second)
+        ref.descend(m, second)
+        assert search.group_lb == ref.group_lb
+    assert search.total_bound() == ref.total_bound()
+
+
+@pytest.mark.parametrize("examples", PROFILES)
+def test_replica_children_match_trial_descends(examples):
+    run_property(replica_paths(), check_replica_path, examples)
+
+
+@st.composite
+def replica_fills(draw):
+    """A replica case and a complete assignment: every module on one of
+    its host sets (memory permitting or not)."""
+    case = draw_replica_case(draw)
+    tensors, requests, max_copies = case[:3]
+    search = _ReplicaSearch(tensors, requests, max_copies)
+    current = {
+        m: draw(st.sampled_from(subsets)) for m, subsets in enumerate(search.subsets_of)
+    }
+    return (*case, current)
+
+
+def check_greedy_candidates(case):
+    """Two greedy rounds: each candidate's objective ``==`` its trial move,
+    the second after both apply the first round's first candidate."""
+    tensors, requests, max_copies, congestion, squeeze, current = case
+    search, ref = replica_pair(tensors, requests, max_copies, congestion, squeeze)
+    search._fill(current)
+    ref.fill(current)
+    if congestion is None:
+        assert search.group_lb == ref.group_lb
+    assert search.total_bound() == ref.total_bound()
+    current = dict(current)
+    for _ in range(2):
+        rows = search._candidates(current, max_copies)
+        assert [key[0] for key, *_ in rows] == ref.candidate_objectives(current, max_copies)
+        if not rows:
+            return
+        _, m, candidate, values = rows[0]
+        search._occupy(m, current[m], -1)
+        search._occupy(m, candidate, 1)
+        if values is not None:
+            search.group_lb[:] = values
+        ref._occupy(m, current[m], -1)
+        ref.descend(m, candidate)
+        current[m] = candidate
+
+
+@pytest.mark.parametrize("examples", PROFILES)
+def test_replica_greedy_candidates_match_trial_moves(examples):
+    run_property(replica_fills(), check_greedy_candidates, examples)
+
+
+@st.composite
+def replica_tables(draw):
+    """A partial host-set state and an unassigned module to tabulate."""
+    tensors, requests = draw_requests(draw)
+    search = _ReplicaSearch(tensors, requests, max_copies=draw(st.sampled_from([2, 3])))
+    sets = [
+        draw(st.sampled_from([None, *subsets])) for subsets in search.subsets_of
+    ]
+    m = draw(st.integers(0, tensors.n_modules - 1))
+    sets[m] = None
+    return search, sets, m
+
+
+def check_tables(case):
+    """Each stack's per-device table: every class entry ``==`` that class's
+    reference with ``m`` on the device alone, and every host set's min over
+    its entries ``==`` the reference on the set — except a head that is
+    also an encoder while its classes are partial, which has no table."""
+    search, sets, m = case
+    tensors = search.tensors
+    devices = list(range(tensors.n_devices))
+    for s in search.stacks_using[m]:
+        classes, bound = search.stacks[s], search.bounds[s]
+        refs = [RefReplicaClass(tensors, search.groups[g]) for g in classes]
+        table = bound.device_values(sets, m, devices)
+        complete = all(sets[idx] is not None for idx in bound.members if idx != m)
+
+        def ref_value(ref, hosts):
+            priced = list(sets)
+            priced[m] = hosts
+            return ref.exact(priced) if complete else ref.lower_bound(priced)
+
+        if table is None:
+            assert bound.dual and m == bound.head_idx and not complete
+            continue
+        for ref, row in zip(refs, table):
+            assert row == [ref_value(ref, (n,)) for n in devices]
+            for hosts in search.subsets_of[m]:
+                assert min([row[n] for n in hosts]) == ref_value(ref, hosts)
+
+
+@pytest.mark.parametrize("examples", PROFILES)
+def test_replica_device_tables_match_per_set_reference(examples):
+    run_property(replica_tables(), check_tables, examples)
+
+
+def test_dual_role_module_is_priced_per_set():
+    """A module that is one model's head and also its encoder, placed on
+    two devices while another encoder is still free: its head and encoder
+    replicas are picked independently (min over S x S), below every
+    singleton on some set (rare: 4 x 8 seed 8 has one such set), so the
+    search prices each set from the bound itself."""
+    inst = synthetic_instance(4, 8, seed=8)
+    base = inst.model
+    dual = dataclasses.replace(
+        base, name=f"{base.name}-dual", head=base.encoders[0], encoders=base.encoders,
+    )
+    problem = dataclasses.replace(inst.problem, models=(dual,))
+    tensors = CostTensors(problem, inst.network)
+    requests = [InferenceRequest(dual, source) for source in tensors.device_names]
+    search = _ReplicaSearch(tensors, requests, max_copies=2)
+    ref = RefReplicaSearch(tensors, requests, max_copies=2)
+    m = tensors.module_idx(base.encoders[0])
+    bound = search.bounds[0]
+    assert bound.dual and m == bound.head_idx
+    assert bound.device_values(search.sets, m, range(tensors.n_devices)) is None
+    assert search.value_children(m) == ref.value_children(m)
+    # The independent pick is strictly below the singletons on some set.
+    refs = [RefReplicaClass(tensors, group) for group in search.groups]
+    gaps = 0
+    for hosts in search.subsets_of[m]:
+        sets = [None] * tensors.n_modules
+        sets[m] = hosts
+        for r in refs:
+            singles = []
+            for n in hosts:
+                sets[m] = (n,)
+                singles.append(r.lower_bound(sets))
+            sets[m] = hosts
+            assert r.lower_bound(sets) <= min(singles)
+            gaps += r.lower_bound(sets) < min(singles)
+    assert gaps

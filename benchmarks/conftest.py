@@ -6,7 +6,14 @@ Each benchmark regenerates one paper artifact (table or figure), prints it
 regression in the reproduction fails the bench run.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The loop-based scalar references (``objective_scalar``) live with the
+# tests; the placement-scaling bench asserts bit identity against them.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def run_once(benchmark, fn, *args, **kwargs):

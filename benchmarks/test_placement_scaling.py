@@ -19,6 +19,8 @@ from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
 from repro.serving import FaultPlan, ServingRuntime, SLOPolicy, WorkloadGenerator, crash
 
+from scalar_reference import objective_scalar
+
 #: (modules, devices) sweep: first two are paper scale, the rest beyond it.
 SWEEP = [(3, 4), (4, 5), (6, 8), (8, 16), (10, 32)]
 OBJECTIVE_REPEATS = 30
@@ -32,14 +34,14 @@ def _objective_sweep():
         placement = greedy_placement(instance.problem)
         model = LatencyModel(instance.problem, instance.network)
         value = model.objective(requests, placement)  # warm tensors
-        assert value == model.objective_scalar(requests, placement)  # bit-identical
+        assert value == objective_scalar(model, requests, placement)  # bit-identical
         start = time.perf_counter()
         for _ in range(OBJECTIVE_REPEATS):
             model.objective(requests, placement)
         tensor_s = (time.perf_counter() - start) / OBJECTIVE_REPEATS
         start = time.perf_counter()
         for _ in range(OBJECTIVE_REPEATS):
-            model.objective_scalar(requests, placement)
+            objective_scalar(model, requests, placement)
         scalar_s = (time.perf_counter() - start) / OBJECTIVE_REPEATS
         rows.append((n_modules, n_devices, scalar_s, tensor_s, scalar_s / tensor_s))
     return rows

@@ -46,6 +46,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The scalar objective the "objective mismatch" gate compares against.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 FULL_SWEEP = [(3, 4), (4, 5), (6, 8), (8, 16), (10, 24), (10, 32)]
 SMOKE_SWEEP = [(3, 4), (6, 8), (8, 16)]
@@ -83,6 +85,7 @@ def bench_objective(n_modules: int, n_devices: int, repeats: int) -> dict:
     from repro.core.placement.greedy import greedy_placement
     from repro.core.routing.latency import LatencyModel
     from repro.experiments.scaling import synthetic_instance
+    from scalar_reference import objective_scalar
 
     instance = synthetic_instance(n_modules, n_devices, seed=1, n_requests=16)
     requests = list(instance.requests)
@@ -92,7 +95,7 @@ def bench_objective(n_modules: int, n_devices: int, repeats: int) -> dict:
     build_start = time.perf_counter()
     tensor_value = model.objective(requests, placement)  # builds tensors
     tensor_build_s = time.perf_counter() - build_start
-    scalar_value = model.objective_scalar(requests, placement)
+    scalar_value = objective_scalar(model, requests, placement)
 
     start = time.perf_counter()
     for _ in range(repeats):
@@ -100,7 +103,7 @@ def bench_objective(n_modules: int, n_devices: int, repeats: int) -> dict:
     tensor_s = (time.perf_counter() - start) / repeats
     start = time.perf_counter()
     for _ in range(repeats):
-        model.objective_scalar(requests, placement)
+        objective_scalar(model, requests, placement)
     scalar_s = (time.perf_counter() - start) / repeats
     return {
         "modules": n_modules,

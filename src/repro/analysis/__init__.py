@@ -3,9 +3,8 @@
 Static analysis over the repo's own sources enforcing the contracts the
 correctness story rests on: seeded randomness (R001), wall-clock-free
 simulation (R002), cache-coherent routing-state mutation (R003), explicit
-iteration order in replay paths (R004), tested scalar oracles (R005), and
-unit-stating public APIs (R006).  See docs/analysis.md for the rule
-catalog and pragma syntax.
+iteration order in replay paths (R004), and unit-stating public APIs
+(R006).  See docs/analysis.md for the rule catalog and pragma syntax.
 
 Library use::
 
@@ -17,7 +16,7 @@ Stdlib-only: importing this package never pulls numpy, so the lint CI
 gate runs without installing the runtime dependencies.
 """
 
-from repro.analysis.config import LintConfig, default_config
+from repro.analysis.config import LintConfig
 from repro.analysis.findings import (
     JSON_SCHEMA_VERSION,
     Finding,
@@ -36,7 +35,6 @@ __all__ = [
     "PRAGMA_RULE_ID",
     "Rule",
     "SuppressedFinding",
-    "default_config",
     "iter_source_files",
     "register",
     "registered_rules",

@@ -9,7 +9,6 @@ map; fixtures and embedding callers can narrow or widen them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Tuple
 
 
@@ -32,17 +31,12 @@ class LintConfig:
 
     #: Rule ids to run; None runs every registered rule.
     enabled_rules: Optional[Tuple[str, ...]] = None
-    #: Test tree R005 greps for ``*_scalar`` oracle references (None skips
-    #: the cross-check, e.g. when linting a lone fixture file).
-    tests_root: Optional[Path] = None
     #: Files allowed to touch ``np.random`` directly (the seeding shrine).
     seeding_allowlist: Tuple[str, ...] = ("utils/seeding.py",)
     #: Packages whose code must never read wall clocks or the environment.
     sim_pure_scopes: Tuple[str, ...] = ("sim/", "serving/", "core/", "federation/")
     #: Packages whose iteration order must be explicit (replay paths).
     ordered_iter_scopes: Tuple[str, ...] = ("sim/", "serving/", "federation/")
-    #: Packages scanned for public ``X``/``X_scalar`` oracle pairs.
-    parity_scopes: Tuple[str, ...] = ("core/", "serving/", "federation/")
     #: Packages whose public unit-named functions must state units.
     units_scopes: Tuple[str, ...] = ("profiles/", "core/", "serving/", "federation/")
 
@@ -50,17 +44,4 @@ class LintConfig:
         return self.enabled_rules is None or rule_id in self.enabled_rules
 
 
-def default_config(root: Path) -> LintConfig:
-    """The CLI default: auto-discover the repo's ``tests/`` tree.
-
-    When linting ``<repo>/src/repro``, the sibling test tree lives two
-    levels up; fall back to "no cross-check" when it isn't there (linting a
-    fixture directory or an installed package).
-    """
-    for candidate in (root.parent.parent / "tests", root.parent / "tests"):
-        if candidate.is_dir():
-            return LintConfig(tests_root=candidate)
-    return LintConfig()
-
-
-__all__ = ["LintConfig", "default_config", "in_scope", "matches_file"]
+__all__ = ["LintConfig", "in_scope", "matches_file"]

@@ -2,9 +2,8 @@
 
 A rule is a class with a stable ``id`` (``RNNN``), a short ``name``, and
 the ``invariant`` it protects (one sentence; surfaced in ``--format json``
-and docs/analysis.md).  Rules are instantiated fresh per lint run — they
-may accumulate state across files (R005 collects oracle pairs) and emit
-project-wide findings from :meth:`Rule.finalize`.
+and docs/analysis.md).  Rules are instantiated fresh per lint run and
+check one file at a time.
 
 Adding a rule: subclass :class:`Rule` in a ``rules_*`` module, decorate
 with :func:`register`, import the module from ``repro.analysis.runner``
@@ -34,7 +33,7 @@ class FileContext:
 
 
 class Rule:
-    """Base class: override ``check_file`` and/or ``finalize``."""
+    """Base class: override ``check_file``."""
 
     id: str = ""
     name: str = ""
@@ -44,10 +43,6 @@ class Rule:
         self.config = config
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        return ()
-
-    def finalize(self) -> Iterable[Finding]:
-        """Project-wide findings after every file has been checked."""
         return ()
 
 

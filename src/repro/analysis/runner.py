@@ -20,12 +20,11 @@ from typing import Iterable, List, Optional, Sequence
 # Importing the rule modules is what populates the registry.
 from repro.analysis import (  # noqa: F401  (registration side effect)
     rules_order,
-    rules_parity,
     rules_rng,
     rules_state,
     rules_units,
 )
-from repro.analysis.config import LintConfig, default_config
+from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding, LintResult, SuppressedFinding
 from repro.analysis.pragmas import PRAGMA_RULE_ID, PRAGMA_RULE_NAME, parse_pragmas
 from repro.analysis.registry import FileContext, create_rules, registered_rules
@@ -60,16 +59,10 @@ def run_lint(
     paths: Optional[Sequence[Path]] = None,
     config: Optional[LintConfig] = None,
 ) -> LintResult:
-    """Lint ``root`` (or ``paths`` under it) and return the full result.
-
-    ``config=None`` uses :func:`~repro.analysis.config.default_config`,
-    which auto-discovers the repo's ``tests/`` tree for the R005
-    cross-check.
-    """
+    """Lint ``root`` (or ``paths`` under it) and return the full result
+    (``config=None`` runs every rule with the default scopes)."""
     root = Path(root).resolve()
-    if config is None:
-        config = default_config(root)
-    rules = create_rules(config)
+    rules = create_rules(config if config is not None else LintConfig())
     known_ids = set(registered_rules())
     result = LintResult(root=root)
     result.rules_run = {rule.id: rule.name for rule in rules}
@@ -98,8 +91,6 @@ def run_lint(
         ctx = FileContext(path=path, relpath=relpath, source=source, tree=tree)
         for rule in rules:
             raw.extend(rule.check_file(ctx))
-    for rule in rules:
-        raw.extend(rule.finalize())
 
     for finding in raw:
         suppression = suppressions.get(finding.path, {}).get(finding.line)
@@ -118,8 +109,8 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     """The ``python -m repro lint`` entry point; exits 0 iff clean."""
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
-        description="AST invariant checker: determinism, cache coherence, "
-        "scalar parity, and unit contracts over src/ (see docs/analysis.md).",
+        description="AST invariant checker: determinism, cache coherence "
+        "and unit contracts over src/ (see docs/analysis.md).",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,

@@ -94,10 +94,6 @@ class Network:
         """Return one link to nominal bandwidth (undo :meth:`degrade_link`)."""
         self.degrade_link(a, b, 1.0)
 
-    def link_factor(self, a: str, b: str) -> float:
-        """Current bandwidth multiplier for a link (1.0 when nominal)."""
-        return self._degraded.get(self._link_key(a, b), 1.0)
-
     def _neighbours(self, node: str) -> Iterable[Tuple[str, LinkProfile]]:
         """``node``'s routable neighbours, in link-insertion order; cut
         links (factor ``0.0``) are skipped."""
@@ -208,10 +204,6 @@ class Network:
         the endpoints coincide): path latency + serialization at the
         bottleneck, see :func:`transfer_time`."""
         return transfer_time(self.route(src, dst), payload_bytes)
-
-    def device_nodes(self) -> List[str]:
-        """All non-router nodes."""
-        return [node for node in self._adj if not node.endswith(("-router", "-gateway"))]
 
 
 def transfer_time(route, payload_bytes: int):

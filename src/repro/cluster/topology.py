@@ -56,14 +56,6 @@ class EdgeCluster:
         """Devices currently hosting ``module_name`` (the paper's ``N_m``)."""
         return [device for device in self.devices.values() if device.hosts(module_name)]
 
-    def total_loaded_params(self) -> int:
-        """Distinct parameters resident across the cluster (sharing metric)."""
-        seen = {}
-        for device in self.devices.values():
-            for module in device.loaded.values():
-                seen[(device.name, module.name)] = module.params
-        return sum(seen.values())
-
     def max_device_params(self) -> int:
         """Largest per-device resident parameter count (split metric)."""
         per_device = [

@@ -41,11 +41,6 @@ class PartitionedModule:
     def stage_count(self) -> int:
         return len(self.stages)
 
-    @property
-    def total_memory_bytes(self) -> int:
-        """Summed memory requirement of every stage, in bytes."""
-        return sum(stage.memory_bytes for stage in self.stages)
-
 
 def partition_module(module: ModuleSpec, stages: int) -> PartitionedModule:
     """Split ``module`` into ``stages`` equal sequential stages.
@@ -78,24 +73,6 @@ def partition_module(module: ModuleSpec, stages: int) -> PartitionedModule:
             )
         )
     return PartitionedModule(source=module, stages=tuple(stage_specs))
-
-
-def minimum_stages(module: ModuleSpec, devices: Sequence[DeviceProfile]) -> int:
-    """Fewest equal stages that makes every stage fit the largest device.
-
-    Raises :class:`PlacementError` when even :data:`MAX_STAGES` stages do
-    not fit — at that point the model simply exceeds the cluster.
-    """
-    largest = max(device.memory_bytes for device in devices)
-    if largest <= 0:
-        raise PlacementError("no device has memory available")
-    needed = math.ceil(module.memory_bytes / largest)
-    if needed > MAX_STAGES:
-        raise PlacementError(
-            f"module {module.name!r} needs {needed} stages (> {MAX_STAGES}); "
-            "the cluster cannot host it"
-        )
-    return max(1, needed)
 
 
 @dataclass(frozen=True)

@@ -761,15 +761,18 @@ class _WaitState:
     """Incremental queue-wait bookkeeping for the congestion-aware searches.
 
     Maintains load sums over *assigned* members — utilization ``u[n]`` and
-    residual ``r[n]`` per device — plus ``inf[n]``, the count of infinite
-    (missing-throughput) loads on ``n``, kept apart so ascend undoes them
-    exactly (``inf - inf`` would poison the sums with NaN), and ``vis[n]``,
-    how many per-request member waits are already charged to ``n``.  Load
-    rows are precomputed per (copy count ``k``, module): ``du[k - 1][m]`` /
-    ``dr[k - 1][m]`` are the load every model using ``m`` adds to each of
-    ``k`` hosts (its rate split evenly over the copies), summed in
-    ``WaitTensors.entries`` order.  :meth:`descend`/:meth:`ascend` take
-    host sets (one-device tuples in the single-copy search).
+    residual ``r[n]`` per device — and ``vis[n]``, how many per-request
+    member waits are already charged to ``n``.  Load rows are precomputed
+    per (copy count ``k``, module): ``du[k - 1][m]`` / ``dr[k - 1][m]`` are
+    the load every model using ``m`` adds to each of ``k`` hosts (its rate
+    split evenly over the copies), summed in ``WaitTensors.entries`` order;
+    a missing-throughput entry is ``inf`` and prices its device's wait at
+    ``inf``.  :meth:`descend` takes a host set (a one-device tuple in the
+    single-copy search) and returns the entries it overwrote, which
+    :meth:`ascend` writes back.  Both searches undo last-in-first-out, so
+    the sums at a node are the ones a search descending straight to it
+    would hold: no bound depends on the siblings priced before it
+    (``u + d - d`` need not equal ``u``).
 
     The single-copy bound (:meth:`bound_vector`) re-prices only the
     candidate device at its increased load and charges the module's request
@@ -802,7 +805,6 @@ class _WaitState:
                 self.wreq[idx] += 1.0
         self.u = np.zeros(tensors.n_devices, dtype=np.float64)
         self.r = np.zeros(tensors.n_devices, dtype=np.float64)
-        self.inf = np.zeros(tensors.n_devices, dtype=np.float64)
         self.vis = np.zeros(tensors.n_devices, dtype=np.float64)
         self.slots = np.array(tensors.slots, dtype=np.float64)
         self.rho_max = wait.congestion.rho_max
@@ -810,8 +812,7 @@ class _WaitState:
     def _waits(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The wait formula per device; ``inf`` where a load is infinite."""
         rho = np.minimum(u / self.slots, self.rho_max)
-        waits = (r / self.slots) / (2.0 * (1.0 - rho))
-        return np.where(self.inf > 0, np.inf, waits) if self.inf.any() else waits
+        return (r / self.slots) / (2.0 * (1.0 - rho))
 
     def waits(self) -> np.ndarray:
         """Per-device waits from the assigned members' load alone."""
@@ -827,23 +828,22 @@ class _WaitState:
         vec = base - charged + (self.vis + self.wreq[m]) * new_waits
         return vec * _WAIT_SLACK
 
-    def descend(self, m: int, hosts: Sequence[int], sign: float = 1.0) -> None:
+    def descend(self, m: int, hosts: Sequence[int]) -> List[Tuple[int, float, float, float]]:
+        """Add ``m``'s load and request visits on ``hosts``; returns the
+        ``(n, u, r, vis)`` entries :meth:`ascend` restores."""
         du, dr = self.du[len(hosts) - 1][m], self.dr[len(hosts) - 1][m]
+        saved = []
         for n in hosts:
-            if dr[n] == np.inf:  # an infinite service time makes both rows inf
-                self.inf[n] += sign
-            else:
-                self.u[n] += sign * du[n]
-                self.r[n] += sign * dr[n]
-            self.vis[n] += sign * self.wreq[m]
+            saved.append((n, self.u[n], self.r[n], self.vis[n]))
+            self.u[n] += du[n]
+            self.r[n] += dr[n]
+            self.vis[n] += self.wreq[m]
+        return saved
 
-    def ascend(self, m: int, hosts: Sequence[int]) -> None:
-        self.descend(m, hosts, -1.0)
-
-    def clear(self) -> None:
-        """Drop every assigned member's load and visits."""
-        for state in (self.u, self.r, self.inf, self.vis):
-            state.fill(0.0)
+    def ascend(self, saved: List[Tuple[int, float, float, float]]) -> None:
+        """Restore the entries of the latest :meth:`descend` still applied."""
+        for n, u, r, vis in saved:
+            self.u[n], self.r[n], self.vis[n] = u, r, vis
 
 
 class _Search(_SearchState):
@@ -895,16 +895,15 @@ class _Search(_SearchState):
         row = self.node_bounds(m).tolist()
         return [(row[n], n) for n in self.fitting(m, self.tie_devices)]
 
-    def descend(self, m: int, n: int) -> List[Tuple[int, float]]:
-        saved = self.place(m, n, self.lbs)
-        if self.wait is not None:
-            self.wait.descend(m, (n,))
-        return saved
+    def descend(self, m: int, n: int):
+        undo = self.place(m, n, self.lbs)
+        return undo, (self.wait.descend(m, (n,)) if self.wait is not None else None)
 
-    def ascend(self, m: int, n: int, saved: List[Tuple[int, float]]) -> None:
-        if self.wait is not None:
-            self.wait.ascend(m, (n,))
-        self.unplace(m, n, self.lbs, saved)
+    def ascend(self, m: int, n: int, saved) -> None:
+        undo, loads = saved
+        if loads is not None:
+            self.wait.ascend(loads)
+        self.unplace(m, n, self.lbs, undo)
 
     def winner(self) -> Placement:
         return self.placement(self.assign)

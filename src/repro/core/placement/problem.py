@@ -128,21 +128,9 @@ class Placement:
         except KeyError:
             raise ConfigurationError(f"module {module_name!r} is unplaced") from None
 
-    def primary_host(self, module_name: str) -> str:
-        """First host (used when a module has a single copy)."""
-        return self.hosts(module_name)[0]
-
     @property
     def module_names(self) -> List[str]:
         return list(self.assignments)
-
-    def modules_on(self, device_name: str) -> List[str]:
-        """Module names hosted by ``device_name``."""
-        return [name for name, hosts in self.assignments.items() if device_name in hosts]
-
-    def used_bytes(self, device_name: str, modules: Mapping[str, ModuleSpec]) -> int:
-        """Total weight bytes this placement puts on ``device_name``."""
-        return sum(modules[name].memory_bytes for name in self.modules_on(device_name))
 
     def as_dict(self) -> Dict[str, Tuple[str, ...]]:
         return dict(self.assignments)

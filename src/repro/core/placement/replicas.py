@@ -452,8 +452,8 @@ class _ReplicaSearch(_SearchState):
 
         With ``congestion`` the wait term stays per set: the waits depend on
         how many copies share ``m``'s load, so each set's load is put on the
-        wait state for :meth:`total_bound` and taken off again (a complete
-        assignment is priced exactly, queue waits included)."""
+        wait state for :meth:`total_bound` and its entries restored after
+        (a complete assignment is priced exactly, queue waits included)."""
         need, residual = self.memory[m], self.residual
         subsets = [s for s in self.subsets_of[m] if min([residual[n] for n in s]) >= need]
         if not subsets:
@@ -467,9 +467,9 @@ class _ReplicaSearch(_SearchState):
             if self.wait is None:
                 bound = float(self.fan(values))
             else:
-                self.wait.descend(m, subset)
+                loads = self.wait.descend(m, subset)
                 bound = self.total_bound(values)
-                self.wait.ascend(m, subset)
+                self.wait.ascend(loads)
             self.sets[m] = None
             yield bound, subset
 
@@ -485,38 +485,38 @@ class _ReplicaSearch(_SearchState):
 
     def _occupy(self, m: int, subset: Tuple[int, ...], sign: int) -> None:
         """Put ``m`` on the hosts ``subset`` (``sign`` 1) or take it off
-        (-1): its host set, the hosts' memory and queue load.  The class
-        bounds are the caller's to update."""
+        (-1): its host set and the hosts' memory.  The class bounds and
+        queue loads are the caller's to update."""
         self.sets[m] = subset if sign > 0 else None
         for n in subset:
             self.residual[n] -= sign * self.memory[m]
-        if self.wait is not None:
-            self.wait.descend(m, subset, float(sign))
 
-    def descend(self, m: int, subset: Tuple[int, ...]) -> List[Tuple[int, float]]:
+    def descend(self, m: int, subset: Tuple[int, ...]):
         """Put ``m`` on ``subset``, its classes' values read from the tables
-        of ``m``'s expansion."""
+        of ``m``'s expansion, and its load on the wait state."""
         self._occupy(m, subset, 1)
-        saved = []
+        undo = []
         for g, value in self._set_values(m, subset):
-            saved.append((g, self.group_lb[g]))
+            undo.append((g, self.group_lb[g]))
             self.group_lb[g] = value
-        return saved
+        return undo, (self.wait.descend(m, subset) if self.wait is not None else None)
 
-    def ascend(self, m: int, subset: Tuple[int, ...], saved: List[Tuple[int, float]]) -> None:
-        for g, value in saved:
+    def ascend(self, m: int, subset: Tuple[int, ...], saved) -> None:
+        undo, loads = saved
+        for g, value in undo:
             self.group_lb[g] = value
+        if loads is not None:
+            self.wait.ascend(loads)
         self._occupy(m, subset, -1)
 
     def reset(self) -> None:
-        """Back to the empty assignment the search starts from (queue loads
-        zeroed outright: undone float sums need not return to 0.0)."""
+        """Back to the empty assignment the search starts from (the greedy
+        prices queue-aware candidates as exact leaves, so it never puts load
+        on the wait state)."""
         self.sets[:] = [None] * self.n_modules
         self.residual[:] = [int(b) for b in self.tensors.capacity]
         self.group_lb[:] = self.root_lb
         self.tables.clear()
-        if self.wait is not None:
-            self.wait.clear()
 
     def _check_hosts(self, m: int, hosts: Sequence[int]) -> None:
         """The placement-level objective's ``ConfigurationError`` for a host

@@ -807,7 +807,7 @@ class WaitTensors:
     models in request first-appearance order, members in ``member_idx``
     order, replica hosts in sorted-device-name order — so the tensorized
     waits are **bit-identical** to the scalar oracle
-    (``LatencyModel.congestion_waits_scalar``).
+    (``congestion_waits_scalar`` in ``tests/scalar_reference.py``).
     """
 
     def __init__(self, tensors: CostTensors, congestion: CongestionModel) -> None:

@@ -43,15 +43,6 @@ def check_placement(problem: PlacementProblem, placement: Placement) -> None:
             )
 
 
-def is_feasible(problem: PlacementProblem, placement: Placement) -> bool:
-    """Boolean wrapper around :func:`check_placement`."""
-    try:
-        check_placement(problem, placement)
-    except PlacementError:
-        return False
-    return True
-
-
 def per_device_params(problem: PlacementProblem, placement: Placement) -> Dict[str, int]:
     """Resident parameter count per device (the Table VI split metric)."""
     modules = {module.name: module for module in problem.modules}

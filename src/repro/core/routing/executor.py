@@ -169,19 +169,6 @@ class ExecutionResult:
         """Completion time of the last request."""
         return max((outcome.finish_time for outcome in self.outcomes), default=0.0)
 
-    def outcome_for(self, request_id: int) -> RequestOutcome:
-        for outcome in self.outcomes:
-            if outcome.request.request_id == request_id:
-                return outcome
-        raise KeyError(f"no outcome for request {request_id}")
-
-    def output_for(self, request_id: int):
-        """The real inference output for ``request_id`` (backend runs only)."""
-        try:
-            return self.outputs[request_id]
-        except KeyError:
-            raise KeyError(f"no output for request {request_id}") from None
-
 
 def execute_requests(
     cluster: EdgeCluster,

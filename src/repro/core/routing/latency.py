@@ -15,10 +15,9 @@ and network oracles, so they agree on an idle cluster.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
@@ -92,23 +91,17 @@ class LatencyBreakdown:
         """``t_total`` of Eq. 1."""
         return self.encoder_latency + self.head_compute
 
-    @property
-    def bottleneck_encoder(self) -> Optional[str]:
-        """The slowest encoder path's module (drives parallel latency)."""
-        if not self.encoder_paths:
-            return None
-        return max(self.encoder_paths, key=lambda path: path.total).module_name
-
 
 class LatencyModel:
     """Prices requests against a placement on a network of devices.
 
     Routing, single-request pricing, and the objective run on the shared
     :class:`~repro.core.placement.tensors.CostTensors` layer (precomputed
-    per-problem numpy arrays, bit-identical to the scalar formulas).  The
-    ``*_scalar`` methods keep the original loop implementations as the
-    independent reference the tensor path is tested against; no pricing
-    path reaches them.
+    per-problem numpy arrays, bit-identical to the scalar formulas), and the
+    queue-aware prices on :class:`~repro.core.placement.tensors.WaitTensors`.
+    The loop-based references they are tested against with ``==`` live in
+    ``tests/scalar_reference.py``; they price through :meth:`_breakdown`
+    with their own ``compute_seconds``.
     """
 
     def __init__(
@@ -152,15 +145,6 @@ class LatencyModel:
         """
         return self.tensors.compute_value(request.model, module_name, device_name)
 
-    def compute_seconds_scalar(self, request: InferenceRequest, module_name: str, device_name: str) -> float:
-        """``t^comp`` in seconds through the device oracle directly — never
-        the tensor cache, so the ``*_scalar`` reference paths stay fully
-        independent."""
-        module = self._module(module_name)
-        device = self.problem.device(device_name)
-        base = device.compute_seconds(module, work_scale=request.model.scale_for(module_name))
-        return base * self.problem.compute_noise.get((module_name, device_name), 1.0)
-
     def _module(self, name: str) -> ModuleSpec:
         try:
             return self._modules[name]
@@ -179,148 +163,33 @@ class LatencyModel:
             request=request, hosts=self.tensors.route_hosts(request, placement)
         )
 
-    def route_scalar(self, request: InferenceRequest, placement: Placement) -> RoutingDecision:
-        """Reference implementation of Eq. 7 (no tensor cache)."""
-        hosts: Dict[str, str] = {}
-        for module_name in request.model.module_names:
-            candidates = placement.hosts(module_name)
-            if not candidates:
-                raise RoutingError(f"module {module_name!r} has no hosts")
-            hosts[module_name] = min(
-                candidates,
-                key=lambda device: (
-                    self.compute_seconds_scalar(request, module_name, device),
-                    device,
-                ),
-            )
-        return RoutingDecision(request=request, hosts=hosts)
-
     # ------------------------------------------------------------------
     # Cheapest-replica routing (transfer-aware; the replica solvers' rule)
     # ------------------------------------------------------------------
-    def _replica_best_scalar(
-        self, request: InferenceRequest, placement: Placement
-    ) -> Tuple[float, RoutingDecision]:
-        """Reference cheapest-replica routing: joint min of Eq. 1-3 latency.
-
-        Eq. 7 routes every module to its fastest *compute* host, which is
-        the same device for every request — replicas never change it.  The
-        replica rule instead minimizes the request's full latency (input
-        transfer + compute + embedding shipping) over every combination of
-        hosts drawn from each module's replica set, so requests from
-        different sources pick different replicas.  Ties break toward the
-        lexicographically smallest host combination (modules in
-        encoders-then-head order, hosts in sorted device-name order) —
-        identical to the tensorized path, property-tested with ``==``.
-        """
-        members: List[str] = []
-        for name in request.model.module_names:
-            if name not in members:
-                members.append(name)
-        candidate_lists: List[List[str]] = []
-        for name in members:
-            hosts = placement.hosts(name)
-            if not hosts:
-                raise RoutingError(f"module {name!r} has no hosts")
-            candidate_lists.append(sorted(hosts))
-        best: Optional[Tuple[float, RoutingDecision]] = None
-        for combo in itertools.product(*candidate_lists):
-            decision = RoutingDecision(request=request, hosts=dict(zip(members, combo)))
-            total = self._breakdown(
-                request, placement, decision, self.compute_seconds_scalar
-            ).total
-            if best is None or total < best[0]:
-                best = (total, decision)
-        assert best is not None  # candidate_lists are all non-empty
-        return best
-
     def replica_route(self, request: InferenceRequest, placement: Placement) -> RoutingDecision:
-        """Cheapest-replica hosts for one request (see `_replica_best_scalar`)."""
+        """Cheapest-replica hosts for one request: the host combination, one
+        host from each module's replica set, with the least Eq. 1-3 latency
+        (input transfer + compute + embedding shipping), so requests from
+        different sources pick different replicas.  Ties break toward the
+        lexicographically smallest combination (modules in
+        encoders-then-head order, hosts in sorted device-name order)."""
         return RoutingDecision(
             request=request, hosts=self.tensors.replica_route_hosts(request, placement)
         )
 
-    def replica_route_scalar(self, request: InferenceRequest, placement: Placement) -> RoutingDecision:
-        """Reference cheapest-replica routing (no tensor cache)."""
-        return self._replica_best_scalar(request, placement)[1]
-
     def replica_total_latency(self, request: InferenceRequest, placement: Placement) -> float:
         """``t_total`` (seconds) under cheapest-replica routing."""
         return self.tensors.replica_total_latency(request, placement)
-
-    def replica_total_latency_scalar(self, request: InferenceRequest, placement: Placement) -> float:
-        """Reference scalar ``t_total`` under cheapest-replica routing."""
-        return self._replica_best_scalar(request, placement)[0]
 
     def replica_objective(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
         """Total latency (seconds) over ``requests`` under cheapest-replica
         routing — the objective the replica-aware solvers minimize."""
         return self.tensors.replica_objective(requests, placement)
 
-    def replica_objective_scalar(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
-        """Reference scalar replica objective: per-request loops, no tensors."""
-        return sum(
-            self.replica_total_latency_scalar(request, placement) for request in requests
-        )
-
     # ------------------------------------------------------------------
     # Queue-aware pricing (expected waits from offered load; see
     # repro.core.placement.tensors.WaitTensors for the model)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _member_names(model) -> List[str]:
-        """Distinct member modules, encoders first then head (``M_k``)."""
-        members: List[str] = []
-        for name in model.module_names:
-            if name not in members:
-                members.append(name)
-        return members
-
-    def congestion_waits_scalar(
-        self, requests: Sequence[InferenceRequest], placement: Placement, congestion
-    ) -> Dict[str, float]:
-        """Per-device expected wait ``W_n`` in seconds — scalar reference.
-
-        M/G/1-style: each distinct model (request first-appearance order)
-        splits its arrival rate evenly over each member module's replicas
-        (sorted-device-name order) and contributes utilization
-        ``u_n += lam * s`` and residual ``R_n += lam * s^2`` per visit with
-        service time ``s``; a device with ``c_n`` parallel slots then
-        charges ``W_n = (R_n / c_n) / (2 * (1 - min(u_n / c_n, rho_max)))``.
-        Zero arrival rates give ``W_n == 0.0`` exactly.  The tensorized
-        :class:`~repro.core.placement.tensors.WaitTensors` replays this
-        float-operation order bit-for-bit.
-        """
-        u: Dict[str, float] = {}
-        r: Dict[str, float] = {}
-        seen = set()
-        for request in requests:
-            model = request.model
-            if id(model) in seen:
-                continue
-            seen.add(id(model))
-            lam = congestion.rate_for(model.name)
-            for name in self._member_names(model):
-                hosts = placement.hosts(name)
-                if not hosts:
-                    raise RoutingError(f"module {name!r} has no hosts")
-                ordered = sorted(hosts)
-                share = lam / len(ordered)
-                for device in ordered:
-                    s = self.compute_seconds_scalar(request, name, device)
-                    load = share * s
-                    u[device] = u.get(device, 0.0) + load
-                    r[device] = r.get(device, 0.0) + load * s
-        waits: Dict[str, float] = {}
-        rho_max = congestion.rho_max
-        for device in self.problem.devices:
-            slots = device.parallel_slots
-            rho = u.get(device.name, 0.0) / slots
-            if rho > rho_max:
-                rho = rho_max
-            waits[device.name] = (r.get(device.name, 0.0) / slots) / (2.0 * (1.0 - rho))
-        return waits
-
     def congestion_waits(
         self, requests: Sequence[InferenceRequest], placement: Placement, congestion
     ) -> Dict[str, float]:
@@ -335,93 +204,12 @@ class LatencyModel:
         """Queue-aware Problem (4a): base latency plus routed-host waits."""
         return WaitTensors(self.tensors, congestion).objective(requests, placement)
 
-    def congestion_objective_scalar(
-        self, requests: Sequence[InferenceRequest], placement: Placement, congestion
-    ) -> float:
-        """Reference scalar queue-aware objective.
-
-        Per (model, source) class: the base Eq. 1-3 total under Eq. 7
-        routing plus one wait per distinct member module at its routed host
-        (member order), fanned out in request order — the float-operation
-        order :class:`~repro.core.placement.tensors.WaitTensors` mirrors.
-        """
-        waits = self.congestion_waits_scalar(requests, placement, congestion)
-        cache: Dict[Tuple[int, str], float] = {}
-        total = 0.0
-        for request in requests:
-            key = (id(request.model), request.source)
-            value = cache.get(key)
-            if value is None:
-                decision = self.route_scalar(request, placement)
-                base = self._breakdown(
-                    request, placement, decision, self.compute_seconds_scalar
-                ).total
-                wait = 0.0
-                for name in self._member_names(request.model):
-                    wait = wait + waits[decision.host_of(name)]
-                value = base + wait
-                cache[key] = value
-            total = total + value
-        return float(total)
-
-    def _congestion_replica_best_scalar(
-        self,
-        request: InferenceRequest,
-        placement: Placement,
-        waits: Mapping[str, float],
-    ) -> Tuple[float, RoutingDecision]:
-        """Wait-aware cheapest-replica routing (scalar reference).
-
-        Identical enumeration and tie-break to :meth:`_replica_best_scalar`,
-        but each host combination is charged its hosts' expected waits on
-        top of the Eq. 1-3 total, so routing itself avoids hot devices.
-        """
-        members = self._member_names(request.model)
-        candidate_lists: List[List[str]] = []
-        for name in members:
-            hosts = placement.hosts(name)
-            if not hosts:
-                raise RoutingError(f"module {name!r} has no hosts")
-            candidate_lists.append(sorted(hosts))
-        best: Optional[Tuple[float, RoutingDecision]] = None
-        for combo in itertools.product(*candidate_lists):
-            decision = RoutingDecision(request=request, hosts=dict(zip(members, combo)))
-            total = self._breakdown(
-                request, placement, decision, self.compute_seconds_scalar
-            ).total
-            wait = 0.0
-            for device in combo:
-                wait = wait + waits[device]
-            value = total + wait
-            if best is None or value < best[0]:
-                best = (value, decision)
-        assert best is not None  # candidate_lists are all non-empty
-        return best
-
     def congestion_replica_objective(
         self, requests: Sequence[InferenceRequest], placement: Placement, congestion
     ) -> float:
         """Queue-aware cheapest-replica objective (the replica solvers'
         congestion objective): routing minimizes latency *plus* waits."""
         return WaitTensors(self.tensors, congestion).replica_objective(requests, placement)
-
-    def congestion_replica_objective_scalar(
-        self, requests: Sequence[InferenceRequest], placement: Placement, congestion
-    ) -> float:
-        """Reference scalar queue-aware replica objective."""
-        waits = self.congestion_waits_scalar(requests, placement, congestion)
-        cache: Dict[Tuple[int, str], float] = {}
-        total = 0.0
-        for request in requests:
-            key = (id(request.model), request.source)
-            value = cache.get(key)
-            if value is None:
-                value = self._congestion_replica_best_scalar(
-                    request, placement, waits
-                )[0]
-                cache[key] = value
-            total = total + value
-        return float(total)
 
     # ------------------------------------------------------------------
     # Eq. 1-3
@@ -504,24 +292,6 @@ class LatencyModel:
         """``t_total(y^q)`` for one request."""
         return self.tensors.total_latency(request, placement)
 
-    def total_latency_scalar(self, request: InferenceRequest, placement: Placement) -> float:
-        """Reference scalar ``t_total``: Eq. 1-3 priced entirely through the
-        device/network oracles — no tensor-cache reads anywhere."""
-        return self._breakdown(
-            request,
-            placement,
-            self.route_scalar(request, placement),
-            self.compute_seconds_scalar,
-        ).total
-
     def objective(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
         """Problem (4a)'s objective: total latency over all requests."""
         return self.tensors.objective(requests, placement)
-
-    def objective_scalar(self, requests: Sequence[InferenceRequest], placement: Placement) -> float:
-        """Reference scalar objective: per-request loops, no tensor reads.
-
-        Kept (and exercised by the property tests) as the independent ground
-        truth the tensorized path must match bit-for-bit.
-        """
-        return sum(self.total_latency_scalar(request, placement) for request in requests)

@@ -70,12 +70,6 @@ class SharingPlan:
             return 0.0
         return 1.0 - self.shared_params / self.unshared_params
 
-    def reuse_count(self, module_name: str) -> int:
-        """How many deployed models reference ``module_name``."""
-        return sum(
-            1 for model in self.models if module_name in split_model(model).model.module_names
-        )
-
 
 def build_sharing_plan(models: Sequence["ModelSpec | str"]) -> SharingPlan:
     """Build the incremental sharing ledger for ``models`` in order."""
@@ -108,8 +102,3 @@ def build_sharing_plan(models: Sequence["ModelSpec | str"]) -> SharingPlan:
 def sharing_savings(models: Sequence["ModelSpec | str"]) -> float:
     """Convenience: the saving fraction for deploying ``models`` with sharing."""
     return build_sharing_plan(models).saving_fraction
-
-
-def distinct_module_names(models: Sequence["ModelSpec | str"]) -> List[str]:
-    """Names of the union module set for ``models`` (first-use order)."""
-    return [module.name for module in build_sharing_plan(models).distinct_modules]

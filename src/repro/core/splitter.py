@@ -9,7 +9,7 @@ drops to ``max(r_m)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.core.catalog import get_model, get_module
 from repro.core.models import ModelSpec
@@ -44,16 +44,6 @@ class SplitModel:
         return max(module.params for module in self.modules)
 
     @property
-    def total_memory_bytes(self) -> int:
-        """Monolithic memory requirement in bytes."""
-        return sum(module.memory_bytes for module in self.modules)
-
-    @property
-    def max_module_memory_bytes(self) -> int:
-        """Worst per-device memory requirement after splitting, in bytes."""
-        return max(module.memory_bytes for module in self.modules)
-
-    @property
     def saving_fraction(self) -> float:
         """Relative reduction of the worst single-device parameter load.
 
@@ -64,11 +54,6 @@ class SplitModel:
             return 0.0
         return 1.0 - self.max_module_params / self.total_params
 
-    @property
-    def parallel_encoder_count(self) -> int:
-        """Number of encoders that can run concurrently for one request."""
-        return len(self.encoders)
-
 
 def split_model(model: "ModelSpec | str") -> SplitModel:
     """Decompose ``model`` (spec or catalog name) into functional modules."""
@@ -76,8 +61,3 @@ def split_model(model: "ModelSpec | str") -> SplitModel:
     encoders = tuple(get_module(name) for name in spec.encoders)
     head = get_module(spec.head)
     return SplitModel(model=spec, encoders=encoders, head=head)
-
-
-def split_many(models: List["ModelSpec | str"]) -> List[SplitModel]:
-    """Split several models, preserving order."""
-    return [split_model(model) for model in models]

@@ -33,11 +33,6 @@ class Task(enum.Enum):
         """The task-head kind (LLM / distance / classifier)."""
         return _TASK_HEAD[self]
 
-    @property
-    def parallelizable(self) -> bool:
-        """True when the task has >= 2 encoders (Table IV's '||' rows)."""
-        return len(self.encoder_kinds) >= 2
-
 
 _TASK_ENCODERS = {
     Task.IMAGE_TEXT_RETRIEVAL: (ModuleKind.VISION_ENCODER, ModuleKind.TEXT_ENCODER),

@@ -153,13 +153,6 @@ class LatentConceptSpace:
         pairs = quantized.reshape(TOKENS_PER_PROMPT, 2)
         return pairs[:, 0] * bins + pairs[:, 1]
 
-    def latent_from_tokens(self, tokens: np.ndarray) -> np.ndarray:
-        """Approximate inverse of :meth:`tokens_from_latent` (bin centers)."""
-        bins = _TEXT_BINS
-        pairs = np.stack([tokens // bins, tokens % bins], axis=1).reshape(-1)
-        centers = (pairs + 0.5) / bins * 2.0 - 1.0
-        return np.arctanh(np.clip(centers, -0.999, 0.999)) / 1.5
-
     def tokens_for_class(self, class_index: int) -> np.ndarray:
         """Token sequence for class ``class_index``'s name."""
         self._check_class(class_index)

@@ -1,24 +1,14 @@
-"""Shared experiment plumbing: fresh clusters, engines, single-shot latency."""
+"""Shared experiment plumbing: single-shot latency on a fresh cluster."""
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.cluster.topology import EdgeCluster, build_testbed
+from repro.cluster.topology import build_testbed
 from repro.core.engine import S2M3Engine
-from repro.profiles.devices import edge_device_names, testbed_device_names
+from repro.profiles.devices import edge_device_names
 
 DEFAULT_REQUESTER = "jetson-a"
-
-
-def fresh_edge_cluster(requester: str = DEFAULT_REQUESTER) -> EdgeCluster:
-    """The paper's default deployment: four PAN edge devices."""
-    return build_testbed(edge_device_names(), requester=requester)
-
-
-def fresh_full_cluster(requester: str = DEFAULT_REQUESTER) -> EdgeCluster:
-    """Edge devices plus the GPU server (Table IX's last row)."""
-    return build_testbed(testbed_device_names(), requester=requester)
 
 
 def s2m3_single_request_latency(

@@ -209,7 +209,7 @@ def predicted_latencies(
     for spec, request in zip(problem.models, requests):
         base = model.objective([request], placement)
         surcharge = 0.0
-        for name in LatencyModel._member_names(spec):
+        for name in dict.fromkeys(spec.module_names):  # distinct members, in order
             surcharge += waits[placement.hosts(name)[0]]
         by_model[spec.name] = base + surcharge
     return [by_model[name] for name in trace.model_names]

@@ -31,8 +31,8 @@ samplers — ``Generator.exponential(size=n)`` fills sequentially with the
 same ziggurat routine as n scalar calls — and any overdraw at the end of
 the trace is rewound via ``bit_generator.state`` save/restore, so traces
 stay bit-for-bit identical across seeds and versions.  The scalar samplers
-are kept as ``_*_times_scalar`` reference implementations, pinned to the
-vectorized paths by regression tests.  The trace is columnar: the poisson
+they are pinned to (``_poisson_times_scalar``, ``_bursty_times_scalar``)
+live in ``tests/scalar_reference.py``.  The trace is columnar: the poisson
 times never leave numpy, and the picks are mapped to model names once.
 """
 
@@ -399,38 +399,3 @@ class WorkloadGenerator:
             )
             if float(rng.uniform()) * peak <= instantaneous:
                 times.append(now)
-
-    # -- scalar reference implementations ------------------------------
-    # The original one-draw-per-arrival samplers.  The vectorized paths
-    # above are required (by regression tests) to consume the identical RNG
-    # stream and return bit-identical times; keep these in sync with any
-    # distributional change.
-
-    def _poisson_times_scalar(self, rng) -> List[float]:
-        times: List[float] = []
-        now = 0.0
-        while True:
-            now += float(rng.exponential(1.0 / self.rate_rps))
-            if now >= self.duration_s:
-                return times
-            times.append(now)
-
-    def _bursty_times_scalar(self, rng) -> List[float]:
-        times: List[float] = []
-        now = 0.0
-        in_burst = False
-        state_ends = float(rng.exponential(self.base_dwell_s))
-        while now < self.duration_s:
-            rate = self.rate_rps * (self.burst_factor if in_burst else 1.0)
-            gap = float(rng.exponential(1.0 / rate))
-            if now + gap >= state_ends:
-                now = state_ends
-                in_burst = not in_burst
-                dwell = self.burst_dwell_s if in_burst else self.base_dwell_s
-                state_ends = now + float(rng.exponential(dwell))
-                continue
-            now += gap
-            if now >= self.duration_s:
-                break
-            times.append(now)
-        return times

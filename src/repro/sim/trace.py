@@ -85,23 +85,6 @@ class TraceRecorder:
         """End time of the last span (0.0 when empty)."""
         return max((span.end for span in self.spans), default=0.0)
 
-    def total_time(self, category: str) -> float:
-        """Sum of span durations in a category (may double-count overlaps)."""
-        return sum(span.duration for span in self.spans if span.category == category)
-
-    def parallel_compute_spans(self) -> List[tuple]:
-        """Pairs of compute spans on *different* devices that overlap in time.
-
-        Non-empty output demonstrates per-request parallel encoding (Fig. 3).
-        """
-        compute = self.by_category(CATEGORY_COMPUTE)
-        pairs = []
-        for i, first in enumerate(compute):
-            for second in compute[i + 1:]:
-                if first.device != second.device and first.overlaps(second):
-                    pairs.append((first, second))
-        return pairs
-
     # ------------------------------------------------------------------
     # Rendering (Fig. 3)
     # ------------------------------------------------------------------

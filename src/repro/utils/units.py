@@ -22,11 +22,6 @@ def million(value: float) -> int:
     return int(round(value * 1_000_000))
 
 
-def billion(value: float) -> int:
-    """Return ``value`` billions as an integer count."""
-    return int(round(value * 1_000_000_000))
-
-
 def params_to_bytes(params: int, bytes_per_param: float = BYTES_PER_PARAM_FP16) -> int:
     """Memory footprint of a module with ``params`` parameters.
 

@@ -4,14 +4,17 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cluster.topology import build_testbed
 from repro.core.placement.problem import PlacementProblem
 from repro.federation import ClusterSpec, FederationTopology, WanLink
+from repro.datasets.latent import _TEXT_BINS
 from repro.models.zoo import DEFAULT_ZOO
 from repro.profiles.devices import edge_device_names, testbed_device_names
 from repro.serving.workload import ArrivalTrace
+from repro.sim.trace import CATEGORY_COMPUTE
 from repro.utils.seeding import rng_for
 
 #: The two-model mix and four-device pool shared by the serving and
@@ -100,6 +103,37 @@ def seeded_noisy_problem(
         for device in base.devices
     }
     return dataclasses.replace(base, compute_noise=noise)
+
+
+def used_bytes(placement, device_name, modules):
+    """Weight bytes ``placement`` puts on ``device_name`` (``modules`` maps
+    name -> spec)."""
+    return sum(
+        modules[name].memory_bytes
+        for name, hosts in placement.assignments.items()
+        if device_name in hosts
+    )
+
+
+def parallel_compute_spans(trace):
+    """Pairs of compute spans on *different* devices that overlap in time:
+    non-empty output shows per-request parallel encoding (Fig. 3)."""
+    compute = trace.by_category(CATEGORY_COMPUTE)
+    return [
+        (first, second)
+        for i, first in enumerate(compute)
+        for second in compute[i + 1:]
+        if first.device != second.device and first.overlaps(second)
+    ]
+
+
+def latent_from_tokens(tokens):
+    """Approximate inverse of ``LatentConceptSpace.tokens_from_latent``
+    (bin centers)."""
+    bins = _TEXT_BINS
+    pairs = np.stack([tokens // bins, tokens % bins], axis=1).reshape(-1)
+    centers = (pairs + 0.5) / bins * 2.0 - 1.0
+    return np.arctanh(np.clip(centers, -0.999, 0.999)) / 1.5
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Self-tests for the ``repro.analysis`` invariant linter.
 
-Three layers:
+Four layers:
 
 - **fixture tests** — for every rule, a snippet that fires, a snippet that
   is clean, and a pragma-suppressed variant, linted from a tmp tree;
@@ -9,11 +9,14 @@ Three layers:
 - **acceptance meta-tests** — the repo's own ``src/`` lints clean, and
   deleting any single ``self._state_version += 1`` line from the serving
   engine (or seeding the global numpy RNG) makes the linter fail, which is
-  the whole point of the tool.
+  the whole point of the tool;
+- **scalar references** — ``src/`` defines no ``*_scalar`` function, and
+  every public reference in ``tests/scalar_reference.py`` is used by a test.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -29,6 +32,8 @@ from repro.analysis.runner import main as lint_main
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
 ENGINE_PATH = SRC_ROOT / "serving" / "engine.py"
+REFERENCE_PATH = REPO_ROOT / "tests" / "scalar_reference.py"
+THIS_PATH = Path(__file__).resolve()
 
 
 def lint_tree(tmp_path, files, **config_kwargs):
@@ -272,60 +277,43 @@ class TestOrderedIteration:
 
 
 # ----------------------------------------------------------------------
-# R005 scalar-parity
+# Scalar references: none in src/, every one in tests/ used
 # ----------------------------------------------------------------------
-class TestScalarParity:
-    ORACLE = (
-        "class Model:\n"
-        "    def route(self, r):\n"
-        "        return self.route_scalar(r)\n"
-        "    def route_scalar(self, r):\n"
-        "        return r\n"
-    )
+class TestScalarReferences:
+    """The loop-based oracles live test-side, and every one is used."""
 
-    def test_fires_when_no_test_references_the_scalar(self, tmp_path):
-        tests = tmp_path / "tests"
-        tests.mkdir()
-        (tests / "test_model.py").write_text(
-            "def test_route():\n    assert True\n", encoding="utf-8"
-        )
-        result = lint_tree(
-            tmp_path, {"core/oracle.py": self.ORACLE}, tests_root=tests
-        )
-        r005 = [f for f in result.findings if f.rule == "R005"]
-        assert len(r005) == 1
-        assert "route_scalar" in r005[0].message
+    def test_src_defines_no_scalar_function(self):
+        found = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    node.name.endswith("_scalar")
+                ):
+                    found.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno} {node.name}")
+        assert found == []
 
-    def test_clean_when_scalar_is_referenced(self, tmp_path):
-        tests = tmp_path / "tests"
-        tests.mkdir()
-        (tests / "test_model.py").write_text(
-            "def test_parity(m, r):\n"
-            "    assert m.route(r) == m.route_scalar(r)\n",
-            encoding="utf-8",
+    def test_every_public_reference_is_used(self):
+        # A word-boundary match, so ``replica_route_scalar`` does not count
+        # as a use of ``route_scalar``; this file names both, so it is no use.
+        tree = ast.parse(REFERENCE_PATH.read_text(encoding="utf-8"))
+        public = [
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        ]
+        assert len(public) >= 10
+        corpus = "\n".join(
+            path.read_text(encoding="utf-8")
+            for root in (REPO_ROOT / "tests", REPO_ROOT / "benchmarks")
+            for path in sorted(root.rglob("*.py"))
+            if path not in (REFERENCE_PATH, THIS_PATH)
         )
-        result = lint_tree(
-            tmp_path, {"core/oracle.py": self.ORACLE}, tests_root=tests
-        )
-        assert "R005" not in rules_fired(result)
-
-    def test_substring_reference_does_not_count(self, tmp_path):
-        # ``replica_route_scalar`` must not satisfy ``route_scalar``.
-        tests = tmp_path / "tests"
-        tests.mkdir()
-        (tests / "test_model.py").write_text(
-            "def test_other(m, r):\n"
-            "    assert m.replica_route_scalar(r)\n",
-            encoding="utf-8",
-        )
-        result = lint_tree(
-            tmp_path, {"core/oracle.py": self.ORACLE}, tests_root=tests
-        )
-        assert "R005" in rules_fired(result)
-
-    def test_skipped_without_tests_root(self, tmp_path):
-        result = lint_tree(tmp_path, {"core/oracle.py": self.ORACLE})
-        assert "R005" not in rules_fired(result)
+        unused = [
+            name for name in public
+            if re.search(rf"\b{re.escape(name)}\b", corpus) is None
+        ]
+        assert unused == []
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +457,7 @@ class TestCli:
         assert report["schema"] == JSON_SCHEMA_VERSION
         assert report["ok"] is False
         assert report["files_scanned"] == 1
-        assert set(report["rules"]) >= {"R001", "R002", "R003", "R004", "R005", "R006"}
+        assert set(report["rules"]) >= {"R001", "R002", "R003", "R004", "R006"}
         finding = report["findings"][0]
         assert set(finding) == {"rule", "path", "line", "col", "message"}
         assert finding["rule"] == "R001"
@@ -491,7 +479,7 @@ class TestRepoIsClean:
         assert result.findings == [], result.render_text()
         assert result.files_scanned > 100
         assert set(result.rules_run) == {
-            "R000", "R001", "R002", "R003", "R004", "R005", "R006",
+            "R000", "R001", "R002", "R003", "R004", "R006",
         }
 
     def test_every_suppression_carries_a_reason(self):
@@ -518,7 +506,7 @@ class TestEngineContractIsLoadBearing:
         for site in sites:
             mutated = lines[:site] + lines[site + 1 :]
             target.write_text("".join(mutated), encoding="utf-8")
-            result = run_lint(tmp_path, config=LintConfig(tests_root=None))
+            result = run_lint(tmp_path)
             assert any(f.rule == "R003" for f in result.findings), (
                 f"deleting the bump at engine.py line {site + 1} "
                 "went undetected"
@@ -528,7 +516,7 @@ class TestEngineContractIsLoadBearing:
         target = tmp_path / "serving" / "engine.py"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text("".join(self._engine_lines()), encoding="utf-8")
-        result = run_lint(tmp_path, config=LintConfig(tests_root=None))
+        result = run_lint(tmp_path)
         assert result.ok, result.render_text()
 
     def test_global_numpy_seed_is_detected(self, tmp_path):
@@ -537,5 +525,5 @@ class TestEngineContractIsLoadBearing:
         target = tmp_path / "serving" / "engine.py"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(source, encoding="utf-8")
-        result = run_lint(tmp_path, config=LintConfig(tests_root=None))
+        result = run_lint(tmp_path)
         assert any(f.rule == "R001" for f in result.findings)

@@ -970,7 +970,7 @@ class RefReplicaSearch(_ReplicaSearch):
                 self.group_lb[g] = ref.exact(self.sets)
             else:
                 self.group_lb[g] = ref.lower_bound(self.sets)
-        return saved
+        return saved, (self.wait.descend(m, subset) if self.wait is not None else None)
 
     def _leaf_value(self):
         sets = self.sets

@@ -21,6 +21,8 @@ from repro.datasets.samples import AlignmentSample, RetrievalSample, VQASample
 from repro.utils.errors import ConfigurationError
 from repro.utils.seeding import rng_for
 
+from conftest import latent_from_tokens
+
 
 @pytest.fixture
 def space():
@@ -86,7 +88,7 @@ class TestTextCodebook:
 
     def test_roundtrip_approximates_latent(self, space):
         latent = space.class_latents[2]
-        decoded = space.latent_from_tokens(space.tokens_from_latent(latent))
+        decoded = latent_from_tokens(space.tokens_from_latent(latent))
         cos = decoded @ latent / (np.linalg.norm(decoded) * np.linalg.norm(latent))
         assert cos > 0.95  # quantization is mild
 

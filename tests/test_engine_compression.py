@@ -51,6 +51,6 @@ class TestCompressionFallback:
     def test_compressed_memory_fits_host(self):
         engine = S2M3Engine(cluster(), [MODEL], allow_compression=True)
         report = engine.deploy()
-        host = report.placement.primary_host("vicuna-13b-int8")
+        host = report.placement.hosts("vicuna-13b-int8")[0]
         device = engine.cluster.device(host)
         assert device.used_bytes <= device.profile.memory_bytes

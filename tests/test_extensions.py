@@ -13,7 +13,6 @@ from repro.core.partitioning import (
     MAX_STAGES,
     chain_seconds,
     fit_oversized_module,
-    minimum_stages,
     partition_module,
     place_stages,
 )
@@ -109,17 +108,6 @@ class TestPartitioning:
     def test_invalid_stage_count(self):
         with pytest.raises(ValueError):
             partition_module(get_module("vicuna-7b"), 0)
-
-    def test_minimum_stages_for_oversized_module(self):
-        module = get_module("vicuna-13b")  # 26 GB
-        devices = [get_device_profile("laptop")]  # 14 GB
-        assert minimum_stages(module, devices) == 2
-
-    def test_minimum_stages_cap(self):
-        module = get_module("vicuna-13b")
-        devices = [get_device_profile("jetson-a")]  # 400 MB -> 65 stages
-        with pytest.raises(PlacementError):
-            minimum_stages(module, devices)
 
     def test_fit_oversized_spans_devices(self):
         # 14 GB module over two devices with 8-9 GB free each.

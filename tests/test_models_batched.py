@@ -271,13 +271,7 @@ class TestRealComputeBurst:
         result = execute_batched_burst(
             cluster, engine.placement, requests, engine.latency_model(), backend=backend
         )
-        assert [result.output_for(r.request_id) for r in requests] == expected
-
-    def test_output_for_unknown_request_raises(self):
-        from repro.core.routing.executor import ExecutionResult
-
-        with pytest.raises(KeyError):
-            ExecutionResult().output_for(123)
+        assert [result.outputs[r.request_id] for r in requests] == expected
 
     def test_mixed_length_text_inputs_share_a_chunk(self, zoo):
         # Prompt sets and questions of differing token lengths are all valid

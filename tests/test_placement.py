@@ -12,7 +12,7 @@ from repro.core.placement.greedy import (
 )
 from repro.core.placement.optimal import enumerate_placements, optimal_placement
 from repro.core.placement.problem import Placement, PlacementProblem
-from repro.core.placement.validation import check_placement, is_feasible, per_device_params
+from repro.core.placement.validation import check_placement, per_device_params
 from repro.core.placement.variants import (
     ascending_memory_placement,
     no_accumulation_placement,
@@ -21,6 +21,8 @@ from repro.core.placement.variants import (
 from repro.core.routing.latency import LatencyModel
 from repro.profiles.devices import edge_device_names
 from repro.utils.errors import ConfigurationError, PlacementError
+
+from conftest import used_bytes
 
 
 def problem_for(models, devices=None):
@@ -77,21 +79,21 @@ class TestGreedyPlacement:
         # Vision on desktop, text on laptop (paper Sec. VI-B deployment).
         problem = problem_for(["clip-vit-b16"])
         placement = greedy_placement(problem)
-        assert placement.primary_host("clip-vit-b16-vision") == "desktop"
-        assert placement.primary_host("clip-trf-38m") == "laptop"
+        assert placement.hosts("clip-vit-b16-vision")[0] == "desktop"
+        assert placement.hosts("clip-trf-38m")[0] == "laptop"
 
     def test_spreads_heavy_encoders_across_devices(self):
         problem = problem_for(["clip-vit-b16"])
         placement = greedy_placement(problem)
-        vision_host = placement.primary_host("clip-vit-b16-vision")
-        text_host = placement.primary_host("clip-trf-38m")
+        vision_host = placement.hosts("clip-vit-b16-vision")[0]
+        text_host = placement.hosts("clip-trf-38m")[0]
         assert vision_host != text_host  # parallelism preserved
 
     def test_respects_memory_limits(self):
         # The Jetsons (400 MB) cannot host the 7B LLM.
         problem = problem_for(["llava-v1.5-7b"])
         placement = greedy_placement(problem)
-        assert placement.primary_host("vicuna-7b") not in ("jetson-a", "jetson-b")
+        assert placement.hosts("vicuna-7b")[0] not in ("jetson-a", "jetson-b")
 
     def test_unplaceable_module_raises(self):
         problem = problem_for(["llava-v1.5-7b"], devices=["jetson-a", "jetson-b"])
@@ -115,7 +117,7 @@ class TestReplication:
         placement = replicate_with_leftover(problem, greedy_placement(problem), max_copies=3)
         modules = {m.name: m for m in problem.modules}
         for device in problem.devices:
-            used = placement.used_bytes(device.name, modules)
+            used = used_bytes(placement, device.name, modules)
             assert used <= device.memory_bytes
 
     def test_max_copies_bound(self):
@@ -140,7 +142,7 @@ class TestReplication:
         shrunk = tuple(
             dataclasses.replace(
                 device,
-                memory_bytes=max(1, placement.used_bytes(device.name, modules)),
+                memory_bytes=max(1, used_bytes(placement, device.name, modules)),
             )
             for device in base.devices
         )
@@ -151,7 +153,7 @@ class TestReplication:
                 assert hosts == placement.hosts(name)
         # And memory stays respected on the shrunken devices.
         for device in tight.devices:
-            assert replicated.used_bytes(device.name, modules) <= device.memory_bytes
+            assert used_bytes(replicated, device.name, modules) <= device.memory_bytes
 
     def test_single_device_cannot_replicate(self):
         """With one device there is no distinct host for a second copy —
@@ -196,7 +198,7 @@ class TestOptimalPlacement:
         for placement in enumerate_placements(problem):
             assert all(len(hosts) == 1 for hosts in placement.as_dict().values())
             for device in problem.devices:
-                assert placement.used_bytes(device.name, modules) <= device.memory_bytes
+                assert used_bytes(placement, device.name, modules) <= device.memory_bytes
             keys.append(tuple(sorted(placement.as_dict().items())))
         assert len(keys) > 1
         assert keys == sorted(set(keys))
@@ -245,7 +247,7 @@ class TestVariants:
         a = random_placement(problem, seed=7)
         b = random_placement(problem, seed=7)
         assert a.as_dict() == b.as_dict()
-        assert is_feasible(problem, a)
+        check_placement(problem, a)
 
 
 class TestValidation:

@@ -27,9 +27,14 @@ from repro.profiles.communication import PAN_ROUTER
 from repro.profiles.devices import edge_device_names
 from repro.profiles.devices import testbed_device_names as _testbed_device_names
 from repro.utils.errors import ConfigurationError, PlacementError, RoutingError
-from repro.utils.seeding import rng_for
 
 from conftest import seeded_noisy_problem
+from scalar_reference import (
+    compute_seconds_scalar,
+    objective_scalar,
+    route_scalar,
+    total_latency_scalar,
+)
 
 #: Randomized paper-scale instances: (models, devices, noise seed).
 MODEL_SETS = [
@@ -53,32 +58,47 @@ def paper_scale_instances():
                 yield models, devices, seed
 
 
+#: The objective sweep of ``scripts/run_benchmarks.py`` (smoke shapes):
+#: ``synthetic_instance(n, d, seed=1, n_requests=16)`` with a greedy placement.
+BENCH_OBJECTIVE_SHAPES = [(3, 4), (6, 8), (8, 16)]
+
+
+def bit_identity_cases():
+    """``(model, requests, placements)``: the paper-scale instances, then
+    the benchmark script's synthetic ones."""
+    network = Network()
+    for models, devices, seed in paper_scale_instances():
+        problem = noisy_problem(models, devices, seed)
+        requests = [
+            InferenceRequest.for_model(name, source)
+            for name in models
+            for source in ("jetson-a", "desktop")
+        ]
+        yield LatencyModel(problem, network), requests, (
+            greedy_placement(problem),
+            replicate_with_leftover(problem, greedy_placement(problem)),
+            random_placement(problem, seed=seed),
+        )
+    for n_modules, n_devices in BENCH_OBJECTIVE_SHAPES:
+        instance = synthetic_instance(n_modules, n_devices, seed=1, n_requests=16)
+        model = LatencyModel(instance.problem, instance.network)
+        yield model, list(instance.requests), (greedy_placement(instance.problem),)
+
+
 class TestTensorBitIdentity:
     def test_objective_route_and_latency_match_scalar(self):
-        network = Network()
-        for models, devices, seed in paper_scale_instances():
-            problem = noisy_problem(models, devices, seed)
-            model = LatencyModel(problem, network)
-            requests = [
-                InferenceRequest.for_model(name, source)
-                for name in models
-                for source in ("jetson-a", "desktop")
-            ]
-            for placement in (
-                greedy_placement(problem),
-                replicate_with_leftover(problem, greedy_placement(problem)),
-                random_placement(problem, seed=seed),
-            ):
-                assert model.objective(requests, placement) == model.objective_scalar(
-                    requests, placement
+        for model, requests, placements in bit_identity_cases():
+            for placement in placements:
+                assert model.objective(requests, placement) == objective_scalar(
+                    model, requests, placement
                 )
                 for request in requests:
                     assert model.total_latency(request, placement) == (
-                        model.total_latency_scalar(request, placement)
+                        total_latency_scalar(model, request, placement)
                     )
                     assert (
                         model.route(request, placement).hosts
-                        == model.route_scalar(request, placement).hosts
+                        == route_scalar(model, request, placement).hosts
                     )
 
     def test_compute_seconds_matches_scalar(self):
@@ -93,7 +113,7 @@ class TestTensorBitIdentity:
             for module in request.model.module_names:
                 for device in problem.devices:
                     assert model.compute_seconds(request, module, device.name) == (
-                        model.compute_seconds_scalar(request, module, device.name)
+                        compute_seconds_scalar(model, request, module, device.name)
                     )
 
     def test_nonparallel_mode_matches_scalar(self):
@@ -105,8 +125,8 @@ class TestTensorBitIdentity:
             InferenceRequest.for_model("imagebind", "jetson-a"),
         ]
         placement = greedy_placement(problem)
-        assert model.objective(requests, placement) == model.objective_scalar(
-            requests, placement
+        assert model.objective(requests, placement) == objective_scalar(
+            model, requests, placement
         )
 
     def test_total_latency_equals_breakdown_total(self):
@@ -181,7 +201,7 @@ class TestTensorBitIdentity:
         placement = greedy_placement(problem)
         request = InferenceRequest.for_model("clip-vit-b16", "jetson-a")
         assert model.total_latency(request, placement) == (
-            model.total_latency_scalar(request, placement)
+            total_latency_scalar(model, request, placement)
         )
 
 
@@ -409,7 +429,7 @@ class TestMissingThroughputParity:
         network.add_link(LinkProfile("gapped", "pan-router", 1e9, 0.001))
         model = LatencyModel(problem, network)
         with pytest.raises(ConfigurationError, match="throughput"):
-            model.objective_scalar([request], placement)
+            objective_scalar(model, [request], placement)
         with pytest.raises(ConfigurationError, match="throughput"):
             model.objective([request], placement)
         with pytest.raises(ConfigurationError, match="throughput"):

@@ -1,8 +1,8 @@
 """Queue-aware placement: wait-model bit-identity, deltas, solver exactness.
 
 Like the rest of the vectorized layer, the wait term's contract is *bit
-identity* with the scalar oracle in ``LatencyModel`` — these tests compare
-with ``==`` on floats, not ``pytest.approx`` — and the queue-aware
+identity* with the scalar oracle in ``tests/scalar_reference.py`` — these
+tests compare with ``==`` on floats, not ``pytest.approx`` — and the queue-aware
 branch-and-bound must return brute force's exact placement, objective, and
 tie-break.  The zero-traffic limit is load-bearing throughout: with every
 arrival rate at 0.0 the wait term is exactly ``+0.0``, so the queue-aware
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
-from repro.core.placement.bnb import branch_and_bound_placement
+from repro.core.placement.bnb import _Search, branch_and_bound_placement
 from repro.core.placement.greedy import greedy_placement, replicate_with_leftover
 from repro.core.placement.optimal import optimal_placement
 from repro.core.placement.problem import PlacementProblem
@@ -44,6 +44,11 @@ from repro.utils.errors import ConfigurationError
 from repro.utils.seeding import rng_for
 
 from conftest import seeded_noisy_problem
+from scalar_reference import (
+    congestion_objective_scalar,
+    congestion_replica_objective_scalar,
+    congestion_waits_scalar,
+)
 
 #: Paper-scale model sets kept small enough that brute force stays the
 #: oracle for both the single-copy and the replica solver.
@@ -153,10 +158,35 @@ class TestWaitBitIdentity:
             ):
                 assert model.congestion_waits(
                     requests, placement, congestion
-                ) == model.congestion_waits_scalar(requests, placement, congestion)
+                ) == congestion_waits_scalar(model, requests, placement, congestion)
                 assert model.congestion_objective(
                     requests, placement, congestion
-                ) == model.congestion_objective_scalar(requests, placement, congestion)
+                ) == congestion_objective_scalar(model, requests, placement, congestion)
+
+    def test_validation_predictions_match_scalar(self):
+        # The solver-vs-serving study predicts each arrival at its model's
+        # queue-aware class value; one arrival per model, in model order,
+        # sums to the scalar objective over the study's solver requests.
+        from repro.experiments.validation import (
+            STUDY_MODELS,
+            _solver_requests,
+            predicted_latencies,
+        )
+        from repro.serving.workload import ArrivalTrace
+
+        problem = PlacementProblem.from_models(STUDY_MODELS, edge_device_names())
+        placement = greedy_placement(problem)
+        congestion = congestion_for(STUDY_MODELS, 0)
+        names = tuple(spec.name for spec in problem.models)
+        trace = ArrivalTrace(
+            times=[1.0 + i for i in range(len(names))], model_names=names,
+            duration_s=10.0, kind="poisson", seed=0,
+        )
+        predicted = predicted_latencies(problem, placement, congestion, trace)
+        model = LatencyModel(problem, Network())
+        assert sum(predicted) == congestion_objective_scalar(
+            model, _solver_requests(problem), placement, congestion
+        )
 
     def test_replica_objective_matches_scalar(self):
         network = Network()
@@ -171,8 +201,8 @@ class TestWaitBitIdentity:
             ):
                 assert model.congestion_replica_objective(
                     requests, placement, congestion
-                ) == model.congestion_replica_objective_scalar(
-                    requests, placement, congestion
+                ) == congestion_replica_objective_scalar(
+                    model, requests, placement, congestion
                 )
 
     def test_zero_rates_reduce_bit_exactly(self):
@@ -254,20 +284,94 @@ class TestWaitState:
                 if m == text and gapped not in hosts:
                     hosts[0] = gapped  # a set holding the missing-throughput device
                 hosts = tuple(sorted(hosts, key=lambda n: tensors.device_names[n]))
-                state.descend(m, hosts)
-                moves.append((m, hosts))
-                assert np.isfinite(state.u).all() and np.isfinite(state.r).all()
-            assert state.inf[gapped] == 1
+                moves.append(state.descend(m, hosts))
+                assert not np.isnan(state.u).any() and not np.isnan(state.r).any()
             waits = state.waits()
             assert waits[gapped] == np.inf
             assert not np.isnan(waits).any()
-            for m, hosts in reversed(moves):
-                state.ascend(m, hosts)
-                assert np.isfinite(state.u).all() and np.isfinite(state.r).all()
-            assert not state.inf.any()
-            assert not state.vis.any()
-            assert np.allclose(state.u, 0.0, atol=1e-12)
-            assert np.allclose(state.r, 0.0, atol=1e-12)
+            for saved in reversed(moves):
+                state.ascend(saved)
+            # Restored, not subtracted: exactly the empty state again.
+            assert not state.u.any() and not state.r.any() and not state.vis.any()
+
+
+def explore(search, modules):
+    """Visit every child of every node below the current one (descend,
+    recurse, ascend), leaving the search where it was."""
+    if not modules:
+        return
+    m = modules[0]
+    for _, child in search.value_children(m):
+        saved = search.descend(m, child)
+        explore(search, modules[1:])
+        search.ascend(m, child, saved)
+
+
+def priced_children(search, m):
+    """Both phases' children of ``m``: ``(bound, choice)`` lists."""
+    return search.value_children(m), list(search.tie_children(m))
+
+
+def check_history_independent(make_search, order):
+    """At the node two levels down the first children, price the next
+    module's children; explore that node's subtree and its parent's other
+    children's subtrees; price the children again.  Both pricings and a
+    fresh search's, descended straight to the node, must be equal floats."""
+    m0, m1, m2 = order[:3]
+
+    def descend_to_node(search):
+        n0 = search.value_children(m0)[0][1]
+        search.descend(m0, n0)
+        siblings = [child for _, child in search.value_children(m1)]
+        saved = search.descend(m1, siblings[0])
+        return siblings, saved
+
+    search = make_search()
+    siblings, saved = descend_to_node(search)
+    assert len(siblings) > 1
+    first = priced_children(search, m2)
+    explore(search, order[2:])
+    search.ascend(m1, siblings[0], saved)
+    for sibling in siblings[1:]:
+        other = search.descend(m1, sibling)
+        explore(search, order[2:])
+        search.ascend(m1, sibling, other)
+    search.value_children(m1)  # the node's own expansion, as the search reads it
+    search.descend(m1, siblings[0])
+    again = priced_children(search, m2)
+    fresh = make_search()
+    descend_to_node(fresh)
+    assert first == again == priced_children(fresh, m2)
+
+
+class TestHistoryIndependentWaitBounds:
+    """The queue-aware bounds at a node do not depend on which siblings
+    were priced or explored before it: the wait state restores what each
+    descend overwrote instead of subtracting the load again.  (Subtracting
+    it, ``u + d - d``, moved the floats by an ulp on every seed here.)"""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_latency_search(self, seed):
+        inst = synthetic_instance(5, 5, seed=seed, n_requests=6)
+        congestion = congestion_for([inst.model.name], seed, lo=0.5, hi=4.0)
+
+        def make_search():
+            tensors = CostTensors(inst.problem, inst.network)
+            return _Search(tensors, list(inst.requests), congestion=congestion)
+
+        search = make_search()
+        check_history_independent(make_search, search.value_order(search.bounds))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_replica_search(self, seed):
+        inst = synthetic_instance(4, 4, seed=seed, n_requests=6)
+        congestion = congestion_for([inst.model.name], seed, lo=0.5, hi=4.0)
+
+        def make_search():
+            tensors = CostTensors(inst.problem, inst.network)
+            return _ReplicaSearch(tensors, list(inst.requests), 2, congestion=congestion)
+
+        check_history_independent(make_search, make_search().value_order(()))
 
 
 class TestQueueAwareBnB:

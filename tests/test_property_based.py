@@ -18,12 +18,14 @@ from repro.profiles.devices import edge_device_names, testbed_device_names as _a
 from repro.sim import FlatEventLoop, SlotPool
 from repro.utils.seeding import derive_seed
 
+from conftest import latent_from_tokens
+
 MODEL_NAMES = sorted(MODEL_CATALOG)
 #: Models whose largest module fits the edge devices (vicuna-13b needs the
 #: desktop; everything here is safely placeable on the 4-device PAN).
 EDGE_PLACEABLE = [
     name for name in MODEL_NAMES
-    if split_model(name).max_module_memory_bytes <= 14 * 1024**3
+    if max(module.memory_bytes for module in split_model(name).modules) <= 14 * 1024**3
 ]
 
 model_lists = st.lists(st.sampled_from(MODEL_NAMES), min_size=1, max_size=6)
@@ -200,6 +202,6 @@ class TestLatentInvariants:
         space = LatentConceptSpace(num_classes=num_classes, seed=seed)
         index = class_index % num_classes
         latent = space.class_latents[index]
-        decoded = space.latent_from_tokens(space.tokens_from_latent(latent))
+        decoded = latent_from_tokens(space.tokens_from_latent(latent))
         cos = decoded @ latent / (np.linalg.norm(decoded) * np.linalg.norm(latent))
         assert cos > 0.9

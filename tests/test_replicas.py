@@ -24,7 +24,12 @@ from repro.experiments.scaling import synthetic_instance
 from repro.profiles.devices import edge_device_names
 from repro.utils.errors import ConfigurationError, PlacementError
 
-from conftest import seeded_noisy_problem
+from conftest import seeded_noisy_problem, used_bytes
+from scalar_reference import (
+    replica_objective_scalar,
+    replica_route_scalar,
+    replica_total_latency_scalar,
+)
 
 MODEL_SETS = [
     ["clip-vit-b16"],
@@ -125,15 +130,15 @@ class TestReplicaPricingBitIdentity:
                     replicate_with_leftover(problem, single, max_copies=3),
                 ):
                     assert model.replica_objective(requests, placement) == (
-                        model.replica_objective_scalar(requests, placement)
+                        replica_objective_scalar(model, requests, placement)
                     )
                     for request in requests:
                         assert model.replica_total_latency(request, placement) == (
-                            model.replica_total_latency_scalar(request, placement)
+                            replica_total_latency_scalar(model, request, placement)
                         )
                         assert (
                             model.replica_route(request, placement).hosts
-                            == model.replica_route_scalar(request, placement).hosts
+                            == replica_route_scalar(model, request, placement).hosts
                         )
 
     def test_replica_routing_never_worse_than_eq7(self):
@@ -265,7 +270,7 @@ class TestReplicaSolvers:
         for placement in enumerate_placements(problem, max_copies=2):
             count += 1
             for device in problem.devices:
-                assert placement.used_bytes(device.name, modules) <= device.memory_bytes
+                assert used_bytes(placement, device.name, modules) <= device.memory_bytes
             key = tuple(sorted(placement.as_dict().items()))
             if previous is not None:
                 assert key > previous
@@ -295,7 +300,7 @@ class TestReplicaAwareGreedy:
         assert objective == model.replica_objective(requests, placement)
         modules = {m.name: m for m in problem.modules}
         for device in problem.devices:
-            assert placement.used_bytes(device.name, modules) <= device.memory_bytes
+            assert used_bytes(placement, device.name, modules) <= device.memory_bytes
         for hosts in placement.as_dict().values():
             assert 1 <= len(hosts) <= 2
             assert tuple(sorted(hosts)) == hosts  # canonical order
@@ -326,7 +331,7 @@ class TestReplicaAwareGreedy:
         placement, objective = replica_aware_greedy(problem, requests, inst.network)
         modules = {m.name: m for m in problem.modules}
         for device in devices:
-            assert placement.used_bytes(device.name, modules) <= device.memory_bytes
+            assert used_bytes(placement, device.name, modules) <= device.memory_bytes
         model = LatencyModel(problem, inst.network)
         assert objective == model.replica_objective(requests, placement)
         assert objective <= model.replica_objective(requests, greedy_placement(problem))

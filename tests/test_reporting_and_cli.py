@@ -4,7 +4,6 @@ import pytest
 
 from repro.__main__ import EXPERIMENTS, main
 from repro.experiments.reporting import ExperimentTable, format_million, relative_saving
-from repro.experiments.runner import fresh_edge_cluster, fresh_full_cluster
 
 
 class TestExperimentTable:
@@ -50,21 +49,6 @@ class TestReportingHelpers:
         assert format_million(1_400_000_000) == "1.4B"
         assert format_million(52_000) == "52K"
         assert format_million(12) == "12"
-
-
-class TestRunnerHelpers:
-    def test_fresh_edge_cluster_has_four_devices(self):
-        cluster = fresh_edge_cluster()
-        assert len(cluster.device_names) == 4
-        assert "server" not in cluster.device_names
-
-    def test_fresh_full_cluster_includes_server(self):
-        assert "server" in fresh_full_cluster().device_names
-
-    def test_clusters_are_independent(self):
-        a = fresh_edge_cluster()
-        b = fresh_edge_cluster()
-        assert a.sim is not b.sim
 
 
 class TestCli:

@@ -13,6 +13,8 @@ from repro.sim.trace import CATEGORY_COMPUTE, CATEGORY_HEAD, CATEGORY_TRANSMISSI
 from repro.profiles.devices import edge_device_names
 from repro.utils.errors import CapacityError, ConfigurationError, RoutingError
 
+from conftest import parallel_compute_spans
+
 
 def deployed_engine(models, parallel=True, share=True):
     cluster = build_testbed(edge_device_names(), requester="jetson-a")
@@ -32,7 +34,7 @@ class TestSingleRequest:
     def test_encoders_overlap_in_time(self):
         engine = deployed_engine(["clip-vit-b16"])
         engine.serve([engine.request("clip-vit-b16")])
-        assert len(engine.cluster.trace.parallel_compute_spans()) >= 1
+        assert len(parallel_compute_spans(engine.cluster.trace)) >= 1
 
     def test_sequential_mode_is_slower(self):
         parallel = deployed_engine(["clip-vit-b16"])
@@ -57,7 +59,7 @@ class TestSingleRequest:
     def test_single_encoder_task_has_no_parallelism(self):
         engine = deployed_engine(["image-classification-vitb16"])
         engine.serve([engine.request("image-classification-vitb16")])
-        assert engine.cluster.trace.parallel_compute_spans() == []
+        assert parallel_compute_spans(engine.cluster.trace) == []
 
 
 class TestConcurrency:
@@ -90,14 +92,6 @@ class TestConcurrency:
         result = engine.serve(requests)
         ids = [o.request.request_id for o in result.outcomes]
         assert ids == sorted(ids)
-
-    def test_outcome_lookup(self):
-        engine = deployed_engine(["clip-vit-b16"])
-        request = engine.request("clip-vit-b16")
-        result = engine.serve([request])
-        assert result.outcome_for(request.request_id).request is request
-        with pytest.raises(KeyError):
-            result.outcome_for(-1)
 
     def test_service_noise_scales_latency(self):
         engine = deployed_engine(["clip-vit-b16"])
@@ -229,20 +223,6 @@ class TestExecutionResultStats:
         assert empty.mean_latency == 0.0
         assert empty.max_latency == 0.0
         assert empty.makespan == 0.0
-
-    def test_outcome_index_tracks_appends(self):
-        # The request_id index refreshes when outcomes are appended after a
-        # lookup (the executors append during the simulation run).
-        engine = deployed_engine(["clip-vit-b16"])
-        first = engine.request("clip-vit-b16")
-        result = engine.serve([first])
-        assert result.outcome_for(first.request_id).request is first
-
-        engine2 = deployed_engine(["clip-vit-b16"])
-        second = engine2.request("clip-vit-b16")
-        later = engine2.serve([second]).outcomes[0]
-        result.outcomes.append(later)
-        assert result.outcome_for(second.request_id) is later
 
     def test_latencies_cached_and_consistent(self):
         engine = deployed_engine(["clip-vit-b16"])

@@ -5,6 +5,8 @@ import pytest
 from repro.serving.faults import FAIL, RECOVER, generate_churn
 from repro.serving.workload import WORKLOAD_KINDS, ArrivalTrace, WorkloadGenerator
 
+from scalar_reference import _bursty_times_scalar, _poisson_times_scalar
+
 MODELS = ["clip-vit-b16", "encoder-vqa-small"]
 DEVICES = ["desktop", "laptop", "jetson-b", "jetson-a"]
 
@@ -197,10 +199,10 @@ class TestVectorizedSamplerRegression:
         ref_rng = rng_for("serving-workload", kind, seed)
         if kind == "poisson":
             vec = gen._poisson_times(vec_rng)
-            ref = gen._poisson_times_scalar(ref_rng)
+            ref = _poisson_times_scalar(gen, ref_rng)
         else:
             vec = gen._bursty_times(vec_rng)
-            ref = gen._bursty_times_scalar(ref_rng)
+            ref = _bursty_times_scalar(gen, ref_rng)
         assert list(vec) == ref
         # The stream must be left at exactly the scalar position, or the
         # subsequent model-assignment draws would diverge.
@@ -217,9 +219,9 @@ class TestVectorizedSamplerRegression:
         trace = gen.generate()
         rng = rng_for("serving-workload", kind, 5)
         if kind == "poisson":
-            times = gen._poisson_times_scalar(rng)
+            times = _poisson_times_scalar(gen, rng)
         elif kind == "bursty":
-            times = gen._bursty_times_scalar(rng)
+            times = _bursty_times_scalar(gen, rng)
         else:
             times = gen._diurnal_times(rng)
         historical = [

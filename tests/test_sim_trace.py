@@ -5,10 +5,11 @@ import pytest
 from repro.sim.trace import (
     CATEGORY_COMPUTE,
     CATEGORY_HEAD,
-    CATEGORY_TRANSMISSION,
     Span,
     TraceRecorder,
 )
+
+from conftest import parallel_compute_spans
 
 
 class TestSpan:
@@ -50,23 +51,17 @@ class TestTraceRecorder:
     def test_makespan_empty(self):
         assert TraceRecorder().makespan() == 0.0
 
-    def test_total_time_by_category(self):
-        trace = TraceRecorder()
-        trace.record("a", CATEGORY_TRANSMISSION, "t1", 0.0, 0.1)
-        trace.record("b", CATEGORY_TRANSMISSION, "t2", 1.0, 1.3)
-        assert trace.total_time(CATEGORY_TRANSMISSION) == pytest.approx(0.4)
-
     def test_parallel_compute_detection(self):
         trace = TraceRecorder()
         trace.record("laptop", CATEGORY_COMPUTE, "text", 0.0, 2.0)
         trace.record("jetson", CATEGORY_COMPUTE, "vision", 0.5, 1.5)
-        assert len(trace.parallel_compute_spans()) == 1
+        assert len(parallel_compute_spans(trace)) == 1
 
     def test_same_device_compute_not_parallel(self):
         trace = TraceRecorder()
         trace.record("laptop", CATEGORY_COMPUTE, "a", 0.0, 2.0)
         trace.record("laptop", CATEGORY_COMPUTE, "b", 1.0, 3.0)
-        assert trace.parallel_compute_spans() == []
+        assert parallel_compute_spans(trace) == []
 
     def test_gantt_renders_all_devices(self):
         trace = TraceRecorder()

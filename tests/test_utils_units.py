@@ -6,7 +6,6 @@ from repro.utils.units import (
     GB,
     KB,
     MB,
-    billion,
     format_bytes,
     format_params,
     format_seconds,
@@ -21,9 +20,6 @@ class TestConversions:
 
     def test_million_fractional(self):
         assert million(1.5) == 1_500_000
-
-    def test_billion(self):
-        assert billion(1.1) == 1_100_000_000
 
     def test_binary_units_are_powers_of_1024(self):
         assert MB == 1024 * KB

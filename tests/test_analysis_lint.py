@@ -279,23 +279,36 @@ class TestOrderedIteration:
 # ----------------------------------------------------------------------
 # Scalar references: none in src/, every one in tests/ used
 # ----------------------------------------------------------------------
+def scalar_definitions(root):
+    """``path:line name`` for every function under ``root`` named ``*_scalar``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.name.endswith("_scalar")
+            ):
+                found.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
+    return found
+
+
+def unreferenced(names, corpus):
+    """The ``names`` that ``corpus`` never mentions as a whole word.
+
+    A word-boundary match, so ``replica_route_scalar`` does not count as a
+    use of ``route_scalar``.
+    """
+    return [name for name in names if re.search(rf"\b{re.escape(name)}\b", corpus) is None]
+
+
 class TestScalarReferences:
     """The loop-based oracles live test-side, and every one is used."""
 
     def test_src_defines_no_scalar_function(self):
-        found = []
-        for path in sorted(SRC_ROOT.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-                    node.name.endswith("_scalar")
-                ):
-                    found.append(f"{path.relative_to(SRC_ROOT)}:{node.lineno} {node.name}")
-        assert found == []
+        assert scalar_definitions(SRC_ROOT) == []
 
     def test_every_public_reference_is_used(self):
-        # A word-boundary match, so ``replica_route_scalar`` does not count
-        # as a use of ``route_scalar``; this file names both, so it is no use.
+        # This file names every reference, so it is no use as a corpus.
         tree = ast.parse(REFERENCE_PATH.read_text(encoding="utf-8"))
         public = [
             node.name
@@ -309,11 +322,30 @@ class TestScalarReferences:
             for path in sorted(root.rglob("*.py"))
             if path not in (REFERENCE_PATH, THIS_PATH)
         )
-        unused = [
-            name for name in public
-            if re.search(rf"\b{re.escape(name)}\b", corpus) is None
-        ]
-        assert unused == []
+        assert unreferenced(public, corpus) == []
+
+    def test_finds_a_scalar_definition(self, tmp_path):
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "m.py").write_text(
+            "class Model:\n"
+            "    def route(self):\n"
+            "        return 1\n"
+            "    def route_scalar(self):\n"
+            "        return 1\n"
+        )
+        assert scalar_definitions(tmp_path) == ["core/m.py:4 route_scalar"]
+
+    def test_fires_when_no_test_references_the_scalar(self):
+        corpus = "def test_route(model):\n    assert model.route(r, p)\n"
+        assert unreferenced(["route_scalar"], corpus) == ["route_scalar"]
+
+    def test_clean_when_scalar_is_referenced(self):
+        corpus = "assert model.route(r, p) == route_scalar(model, r, p)\n"
+        assert unreferenced(["route_scalar"], corpus) == []
+
+    def test_substring_reference_does_not_count(self):
+        corpus = "assert replica_route_scalar(model, r, p) == expected\n"
+        assert unreferenced(["route_scalar"], corpus) == ["route_scalar"]
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,20 @@ class TestSharingPlan:
         saving = sharing_savings(self.TASKS)
         assert saving == pytest.approx(0.615, abs=0.01)
 
+    def test_reuse_counts(self):
+        # A module's first step adds it; every later step that needs it reuses it.
+        plan = build_sharing_plan(self.TASKS)
+
+        def users(name):
+            return sum(
+                1
+                for step in plan.steps
+                if name in {m.name for m in step.new_modules + step.reused_modules}
+            )
+
+        assert users("clip-vit-b16-vision") == 4
+        assert users("imagebind-audio-vitb") == 1
+
     def test_single_model_saves_nothing(self):
         assert sharing_savings(["clip-vit-b16"]) == 0.0
 

@@ -1,6 +1,8 @@
 """Extensions: compression, partitioning, adaptive placement, queue-aware
 routing, batched bursts, energy model."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.network import Network
@@ -108,6 +110,23 @@ class TestPartitioning:
     def test_invalid_stage_count(self):
         with pytest.raises(ValueError):
             partition_module(get_module("vicuna-7b"), 0)
+
+    def test_minimum_stages_for_oversized_module(self):
+        # 26 GB over two devices with 14 GB free each: two stages suffice.
+        module = get_module("vicuna-13b")
+        devices = [get_device_profile("desktop"), get_device_profile("laptop")]
+        residual = {"desktop": 14 * GB, "laptop": 14 * GB}
+        placement, _ = fit_oversized_module(module, devices, Network(), residual_bytes=residual)
+        assert placement.partitioned.stage_count == 2
+
+    def test_minimum_stages_cap(self):
+        # Ten 3 GB devices hold 26 GB in total, but only in 9+ stages.
+        module = get_module("vicuna-13b")
+        jetson = get_device_profile("jetson-a")
+        devices = [dataclasses.replace(jetson, name=f"jetson-{i}") for i in range(10)]
+        residual = {device.name: 3 * GB for device in devices}
+        with pytest.raises(PlacementError, match=f"within {MAX_STAGES} stages"):
+            fit_oversized_module(module, devices, Network(), residual_bytes=residual)
 
     def test_fit_oversized_spans_devices(self):
         # 14 GB module over two devices with 8-9 GB free each.

@@ -4,6 +4,8 @@ import pytest
 
 from repro.__main__ import EXPERIMENTS, main
 from repro.experiments.reporting import ExperimentTable, format_million, relative_saving
+from repro.experiments.runner import s2m3_single_request_latency
+from repro.profiles.devices import edge_device_names
 
 
 class TestExperimentTable:
@@ -49,6 +51,24 @@ class TestReportingHelpers:
         assert format_million(1_400_000_000) == "1.4B"
         assert format_million(52_000) == "52K"
         assert format_million(12) == "12"
+
+
+class TestRunnerHelpers:
+    def test_default_devices_are_the_edge_cluster(self):
+        assert s2m3_single_request_latency("clip-vit-b16") == s2m3_single_request_latency(
+            "clip-vit-b16", device_names=edge_device_names()
+        )
+
+    def test_clusters_are_independent(self):
+        # Each call deploys on a fresh cluster, so nothing carries over.
+        first = s2m3_single_request_latency("clip-vit-b16")
+        assert first > 0
+        assert s2m3_single_request_latency("clip-vit-b16") == first
+
+    def test_sequential_is_no_faster_than_parallel(self):
+        parallel = s2m3_single_request_latency("clip-vit-b16")
+        sequential = s2m3_single_request_latency("clip-vit-b16", parallel=False)
+        assert sequential >= parallel
 
 
 class TestCli:

@@ -73,6 +73,13 @@ class TestLatencyBreakdown:
             breakdown.encoder_latency + breakdown.head_compute
         )
 
+    def test_bottleneck_is_text_for_retrieval(self, retrieval_setup):
+        # Zero-shot retrieval's prompt-set encoding dominates (footnote 2).
+        _, placement, model, request = retrieval_setup
+        breakdown = model.breakdown(request, placement)
+        slowest = max(breakdown.encoder_paths, key=lambda path: path.total)
+        assert slowest.module_name == "clip-trf-38m"
+
     def test_local_encoder_has_zero_input_comm(self):
         # Vision encoder on the requester itself: no input transfer.
         problem = PlacementProblem.from_models(["clip-vit-b16"], edge_device_names())

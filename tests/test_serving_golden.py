@@ -243,6 +243,21 @@ ATTEMPT_CASES = [
 ]
 
 
+#: Admission-on runs where every arrival is priced against the SLO, so a
+#: stale admission price shows up in the rejection reasons.
+ADMISSION_CASES = [
+    # A link fault that slows the requester's uplink but keeps every device
+    # reachable: it moves no routing state, yet reprices each rejected
+    # arrival's isolated latency and so its reason.
+    pytest.param(
+        dict(rate=1.0, duration=30.0,
+             events=degrade_link("jetson-a", "pan-router", 0.1, 10.0, 20.0),
+             runtime_kwargs=dict(slo=SLOPolicy(absolute_s=0.05))),
+        id="link-reprice-all-rejected",
+    ),
+]
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_config(self, config, request):
@@ -251,6 +266,10 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("case", ATTEMPT_CASES)
     def test_attempt_branch(self, case, request):
         assert_matches_golden(_run(**case), f"attempt:{request.node.callspec.id}")
+
+    @pytest.mark.parametrize("case", ADMISSION_CASES)
+    def test_admission(self, case, request):
+        assert_matches_golden(_run(**case), f"admission:{request.node.callspec.id}")
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_seeds_poisson_churn(self, seed):

@@ -255,6 +255,15 @@ ADMISSION_CASES = [
              runtime_kwargs=dict(slo=SLOPolicy(absolute_s=0.05))),
         id="link-reprice-all-rejected",
     ),
+    # Brownout levels that rise between two SLO rejections of one model at
+    # an unchanged routing state: the second arrival is shed, not priced.
+    pytest.param(
+        dict(rate=2.0, seed=1,
+             runtime_kwargs=dict(
+                 brownout=BrownoutPolicy(interval_s=0.5, high_backlog_s=0.5,
+                                         low_backlog_s=0.125))),
+        id="brownout-shed-after-reject",
+    ),
 ]
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.catalog import (
-    MODEL_CATALOG,
     MODULE_CATALOG,
     get_model,
     get_module,

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.tasks import Task
 from repro.datasets.benchmarks import (
     BENCHMARKS,
     generate_benchmark,

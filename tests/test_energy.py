@@ -31,7 +31,6 @@ from repro.profiles.energy import (
     resolve_energy_profile,
 )
 from repro.utils.errors import ConfigurationError, PlacementError
-from repro.utils.seeding import rng_for
 
 from conftest import assert_matches_golden, seeded_noisy_problem
 

@@ -9,14 +9,12 @@ from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
 from repro.cluster.topology import build_testbed
 from repro.core.catalog import get_module
-from repro.core.compression import QUANTIZATION_LEVELS, compress_to_fit, quantize
+from repro.core.compression import compress_to_fit, quantize
 from repro.core.engine import S2M3Engine
 from repro.core.partitioning import (
     MAX_STAGES,
-    chain_seconds,
     fit_oversized_module,
     partition_module,
-    place_stages,
 )
 from repro.core.placement.adaptive import (
     AdaptivePlacementController,

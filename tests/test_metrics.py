@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.metrics import LatencySummary, compare, summarize, summarize_latencies
+from repro.cluster.metrics import compare, summarize, summarize_latencies
 from repro.cluster.topology import build_testbed
 from repro.core.engine import S2M3Engine
 from repro.profiles.devices import edge_device_names

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.catalog import get_module
 from repro.core.modules import ModuleKind
 from repro.datasets.latent import LatentConceptSpace
 from repro.models.heads import CosineSimilarityHead, InfoNCEHead, LinearClassifierHead

@@ -387,7 +387,7 @@ class TestMissingThroughputParity:
         # path must do the same instead of returning inf.
         from repro.core.catalog import get_model
         from repro.core.modules import ModuleKind
-        from repro.profiles.devices import DeviceProfile, get_device_profile
+        from repro.profiles.devices import DeviceProfile
         from repro.utils.units import GB, MB
 
         spec = get_model("clip-vit-b16")

@@ -13,7 +13,6 @@ from repro.profiles.calibration import (
 from repro.profiles.communication import LinkProfile
 from repro.profiles.compute import DEFAULT_COMPUTE_MODEL, ComputeModel
 from repro.profiles.devices import (
-    DEVICE_PROFILES,
     edge_device_names,
     get_device_profile,
     testbed_device_names as _testbed_device_names,

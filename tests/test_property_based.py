@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.network import Network
 from repro.cluster.requests import InferenceRequest
-from repro.core.catalog import MODEL_CATALOG, list_models
+from repro.core.catalog import MODEL_CATALOG
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.problem import PlacementProblem
 from repro.core.placement.validation import check_placement

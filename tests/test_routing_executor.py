@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.requests import InferenceRequest, sequential_workload, simultaneous_workload
+from repro.cluster.requests import InferenceRequest
 from repro.cluster.topology import build_testbed
 from repro.core.engine import S2M3Engine
 from repro.core.placement.problem import Placement

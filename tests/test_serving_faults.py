@@ -15,8 +15,6 @@ Three layers under test:
    and the golden report digest hold across fault type x autoscale.
 """
 
-import math
-
 import pytest
 from conftest import assert_matches_golden
 

@@ -33,7 +33,8 @@ and energy runs.  What those digests pin:
 
 Caches (service seconds, transfer seconds, batch services, isolated
 estimates and autoscaler views keyed by a placement/live-set generation
-counter, isolated totals keyed by routed hosts) memoize pure deterministic
+counter, isolated totals keyed by routed hosts, rejection verdicts keyed by
+routing-state version and brownout level) memoize pure deterministic
 functions only, so they change *when* a float is computed, never *which*
 float.
 """
@@ -227,6 +228,14 @@ class FlatServingEngine:
         # long runs of consecutive rejected arrivals.
         self._slo_cache: Dict[float, float] = {}
         self._reject_reason_cache: Dict[Tuple[float, float], str] = {}
+        # Verdict memo: model name -> (state_version, brownout_level, slo,
+        # predicted, reason) of its last SLO rejection.  The verdict reads
+        # only the isolated estimate (generation, bandwidths), the pressure
+        # (routing state) and the shed set (brownout level), so an arrival
+        # at the same version and level is rejected the same way without
+        # re-pricing; a link fault reprices with no version bump and clears
+        # it.  ``predicted`` is kept for the coherence tests only.
+        self._verdicts: Dict[str, Tuple[int, int, float, float, str]] = {}
         self._energy_profiles = {
             name: resolve_energy_profile(name) for name in self._device_names
         }
@@ -311,13 +320,24 @@ class FlatServingEngine:
     def _on_arrival(self, idx: int) -> None:
         rt = self.rt
         model_name = self._arrival_models[idx]
-        info = self._info_for(model_name)
         # Mirrors engine.request(): the id is drawn from the same global
         # counter at the same point, but the (frozen, slow-to-construct)
         # request object itself is only materialized by _replace_decision,
         # for the admits in the controller's recents window.
         request_id = next(_request_counter)
         self._req_ids[idx] = request_id
+        verdict = self._verdicts.get(model_name)
+        if (
+            verdict is not None
+            and verdict[0] == self._state_version
+            and verdict[1] == self._brownout_level
+        ):
+            # Rejected at this very routing state: only admits read
+            # _info_of, so the hit leaves it unwritten.
+            self._slo[idx] = verdict[2]
+            self._reject(idx, verdict[4])
+            return
+        info = self._info_for(model_name)
         self._info_of[idx] = info.index
 
         isolated = self._isolated(info)
@@ -346,6 +366,9 @@ class FlatServingEngine:
                 if reason is None:
                     reason = f"predicted {predicted:.2f}s exceeds SLO {slo_s:.2f}s"
                     self._reject_reason_cache[(predicted, slo_s)] = reason
+                self._verdicts[model_name] = (
+                    self._state_version, self._brownout_level, slo_s, predicted, reason
+                )
                 self._reject(idx, reason)
                 return
         self._admitted[idx] = True
@@ -969,10 +992,12 @@ class FlatServingEngine:
             detail = ""
         self._transfer_cache.clear()
         # Isolated estimates price transfer legs at current bandwidths, so
-        # a repriced link invalidates them even when the placement
-        # generation and reachability are unchanged.
+        # a repriced link invalidates them, and the verdicts priced from
+        # them, even when the placement generation and reachability are
+        # unchanged.
         self._isolated_cache.clear()
         self._isolated_memo.clear()
+        self._verdicts.clear()
         changed, change_detail = self._refresh_reachability()
         if change_detail:
             detail = f"{detail}; {change_detail}" if detail else change_detail

@@ -3,19 +3,21 @@
 The autoscaler's per-module scale view is cached per placement generation,
 the isolated-latency estimate per generation on top of a memo keyed by
 routed hosts, the route cache (each module's live ``(service, host)``
-pairs) per generation, the queue pressure per routing-state version, and
-transfer prices until a link fault.  These tests patch
+pairs) per generation, the queue pressure per routing-state version, the
+last rejection verdict of each model per routing-state version and
+brownout level, and transfer prices until a link fault.  These tests patch
 :class:`FlatServingEngine` so that every such lookup is recomputed from
-scratch and compared with ``==``.  A view that outlives a mid-tick
-scale-down, a memo that outlives a link fault, or a pressure that outlives
-a reservation fails here.
+scratch and compared with ``==``, and every arrival's admission decision
+with it.  A view that outlives a mid-tick scale-down, a memo that outlives
+a link fault, or a pressure or verdict that outlives a reservation fails
+here.
 """
 
 from collections import Counter
 
 import pytest
 from conftest import assert_matches_golden
-from test_serving_golden import CONFIGS, MODELS, _run
+from test_serving_golden import ADMISSION_CASES, CONFIGS, MODELS, _run
 
 from repro.core.routing.latency import RoutingDecision
 from repro.serving import (
@@ -88,6 +90,30 @@ def _queue_pressure_from_scratch(engine, info):
     return encoder_wait + waits[info.head]
 
 
+def _decision_from_scratch(engine, idx):
+    """Admission of arrival ``idx`` with no cache, in the engine's order:
+    ``(admitted, slo, reject reason, predicted latency of an SLO reject)``."""
+    slo_policy = engine.rt.slo
+    model_name = engine._arrival_models[idx]
+    info = engine._info_for(model_name)
+    isolated = _isolated_from_scratch(engine, info)
+    if isolated is None:
+        slo = slo_policy.slo_for(0.0)
+        if slo_policy.admission:
+            return False, slo, "no live host for a required module", None
+    else:
+        slo = slo_policy.slo_for(isolated)
+    if model_name in engine._brownout_shed:
+        reason = f"brownout level {engine._brownout_level}: shedding {model_name}"
+        return False, slo, reason, None
+    if isolated is not None:
+        predicted = isolated + _queue_pressure_from_scratch(engine, info)
+        if not slo_policy.admit(predicted, slo):
+            reason = f"predicted {predicted:.2f}s exceeds SLO {slo:.2f}s"
+            return False, slo, reason, predicted
+    return True, slo, None, None
+
+
 @pytest.fixture
 def checked_engine(monkeypatch):
     """Patch the cached lookups to assert against a fresh recomputation;
@@ -97,7 +123,7 @@ def checked_engine(monkeypatch):
         name: getattr(FlatServingEngine, name)
         for name in (
             "_scale_view", "_isolated", "_live_pairs", "_queue_pressure",
-            "_transfer_seconds",
+            "_transfer_seconds", "_on_arrival",
         )
     }
 
@@ -131,6 +157,21 @@ def checked_engine(monkeypatch):
         checks["transfer_seconds"] += 1
         return value
 
+    def checked_on_arrival(self, idx):
+        admitted, slo, reason, predicted = _decision_from_scratch(self, idx)
+        model_name = self._arrival_models[idx]
+        verdict = self._verdicts.get(model_name)
+        if verdict is not None and verdict[:2] == (self._state_version, self._brownout_level):
+            checks["verdict_hit"] += 1
+        originals["_on_arrival"](self, idx)
+        assert self._admitted[idx] == admitted
+        assert self._slo[idx] == slo
+        assert self._rejected[idx] == reason
+        if predicted is not None:
+            assert self._verdicts[model_name][3] == predicted
+        checks["arrival"] += 1
+
+    monkeypatch.setattr(FlatServingEngine, "_on_arrival", checked_on_arrival)
     monkeypatch.setattr(FlatServingEngine, "_scale_view", checked_scale_view)
     monkeypatch.setattr(FlatServingEngine, "_isolated", checked_isolated)
     monkeypatch.setattr(FlatServingEngine, "_live_pairs", checked_live_pairs)
@@ -180,5 +221,29 @@ def test_pressure_sees_release_of_a_cancelled_transfer(checked_engine):
         slo=SLOPolicy(latency_multiplier=1.5),
         retry=RetryPolicy(timeout_s=2.0, max_retries=0),
     ).run(trace, faults=plan)
-    assert checked_engine["queue_pressure"] == report.arrivals
+    assert checked_engine["arrival"] == report.arrivals
+    assert checked_engine["queue_pressure"] > 0
     assert report.rejected and report.timed_out
+
+
+ADMISSION_BY_ID = {param.id: param.values[0] for param in ADMISSION_CASES}
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "admission:link-reprice-all-rejected",
+        "admission:brownout-shed-after-reject",
+        "config:bursty-stragglers-churn-brownout",
+        "config:bursty-autoscale-churn",
+    ],
+)
+def test_memoized_rejections_match_fresh_decisions(key, checked_engine):
+    """Runs where the verdict memo serves rejections: across a bandwidth
+    change that bumps no routing-state version, across brownout level
+    changes, and across churn migrations and scaling."""
+    group, case_id = key.split(":")
+    checked = _run(**(ADMISSION_BY_ID if group == "admission" else CONFIG_BY_ID)[case_id])
+    assert checked_engine["verdict_hit"] > 0
+    assert checked_engine["arrival"] == checked.arrivals
+    assert_matches_golden(checked, key)

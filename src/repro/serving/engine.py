@@ -34,9 +34,9 @@ and energy runs.  What those digests pin:
 Caches (service seconds, transfer seconds, batch services, isolated
 estimates and autoscaler views keyed by a placement/live-set generation
 counter, isolated totals keyed by routed hosts, rejection verdicts keyed by
-routing-state version and brownout level) memoize pure deterministic
-functions only, so they change *when* a float is computed, never *which*
-float.
+routing-state version and brownout level, reject reasons) memoize pure
+deterministic functions only, so they change *when* a float is computed,
+never *which* float.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ class FlatServingEngine:
     #: Cache-coherence contract, machine-checked by lint rule R003: any
     #: method that mutates one of these routing-scored attributes must
     #: advance ``_state_version`` (directly or via ``_bump_generation``)
-    #: on its fall-through path, or the pressure/isolated caches keyed on
-    #: the counter would serve stale floats.  ``run`` is exempt: it builds
-    #: the state wholesale before the event loop starts.
+    #: on its fall-through path, or the rejection verdicts keyed on the
+    #: counter would outlive the state they priced.  ``run`` is exempt: it
+    #: builds the state wholesale before the event loop starts.
     _ROUTING_STATE = frozenset(
         {
             "_slot_used", "_slot_waiters", "_backlog", "_reserved",
@@ -202,7 +202,6 @@ class FlatServingEngine:
         self._info_by_name: Dict[str, _ModelInfo] = {}
         self._svc_cache: Dict[Tuple[int, str, str], float] = {}
         self._batch_cache: Dict[Tuple[str, str, int, int], float] = {}
-        self._scale_cache: Dict[Tuple[int, str], float] = {}
         self._transfer_cache: Dict[Tuple[str, str, int], float] = {}
         self._isolated_cache: Dict[int, Tuple[int, Optional[float]]] = {}
         # Isolated totals by (info.index, routed hosts): a routed breakdown
@@ -214,19 +213,10 @@ class FlatServingEngine:
         # to the placement, the live set or device memory goes through.
         self._route_cache: Dict[Tuple[int, str], List[Tuple[float, str]]] = {}
         self._scale_views: Dict[str, _ScaleView] = {}
-        # Queue-pressure memo: info.index -> (state_version, pressure).
         # _state_version advances at every routing-state mutation (slots,
-        # waiters, backlog, reserved, generation), so a hit means the exact
-        # same floats would be recomputed.  At heavy overload, runs of
-        # consecutive rejected arrivals leave the state untouched and this
-        # turns the per-arrival pressure scan into a dict probe.
+        # waiters, backlog, reserved, generation).  The reject reason is a
+        # pure format of (predicted, slo).
         self._state_version = 0
-        self._pressure_cache: Dict[int, Tuple[int, float]] = {}
-        # slo_for is pure in its argument (frozen policy), and the reject
-        # reason is a pure format of (predicted, slo) — both memoized
-        # because overloaded runs recompute them with identical inputs for
-        # long runs of consecutive rejected arrivals.
-        self._slo_cache: Dict[float, float] = {}
         self._reject_reason_cache: Dict[Tuple[float, float], str] = {}
         # Verdict memo: model name -> (state_version, brownout_level, slo,
         # predicted, reason) of its last SLO rejection.  The verdict reads
@@ -348,10 +338,7 @@ class FlatServingEngine:
                 self._reject(idx, "no live host for a required module")
                 return
         else:
-            slo_s = self._slo_cache.get(isolated)
-            if slo_s is None:
-                slo_s = rt.slo.slo_for(isolated)
-                self._slo_cache[isolated] = slo_s
+            slo_s = rt.slo.slo_for(isolated)
             self._slo[idx] = slo_s
         if model_name in self._brownout_shed:
             self._reject(
@@ -359,7 +346,9 @@ class FlatServingEngine:
                 f"brownout level {self._brownout_level}: shedding {model_name}",
             )
             return
-        if isolated is not None:
+        # With admission off every arrival is admitted, so the prediction
+        # is never priced.
+        if isolated is not None and rt.slo.admission:
             predicted = isolated + self._queue_pressure(info)
             if not rt.slo.admit(predicted, slo_s):
                 reason = self._reject_reason_cache.get((predicted, slo_s))
@@ -615,10 +604,11 @@ class FlatServingEngine:
         if not self._devices[host].hosts(module_name):
             self._notify_chunk(host, chunk, False)
             return True
+        infos = self._infos
         best = chunk[0]
-        best_scale = self._scale_for(best[_MODEL], module_name)
+        best_scale = infos[best[_MODEL]].spec.scale_for(module_name)
         for job in chunk[1:]:
-            scale = self._scale_for(job[_MODEL], module_name)
+            scale = infos[job[_MODEL]].spec.scale_for(module_name)
             if scale > best_scale:
                 best, best_scale = job, scale
         service = self._slow[host] * self._batch_service(
@@ -815,28 +805,21 @@ class FlatServingEngine:
         self._state_version += 1
 
     def _queue_pressure(self, info: _ModelInfo) -> float:
-        cached = self._pressure_cache.get(info.index)
-        if cached is not None and cached[0] == self._state_version:
-            return cached[1]
         # A what-if routing: nothing is reserved (admission must not poison
         # the waits of requests it rejects), so the per-module waits
         # captured during the scan equal the waits at the chosen hosts.
         waits: Dict[str, float] = {}
-        pressure = float("inf")
         for module_name in info.module_names:
             scored = self._route_scored(info, module_name)
             if scored is None:
-                break
+                return float("inf")
             waits[module_name] = scored[2]
-        else:
-            encoder_wait = 0.0
-            for encoder_name in info.encoders:
-                wait = waits[encoder_name]
-                if wait > encoder_wait:
-                    encoder_wait = wait
-            pressure = encoder_wait + waits[info.head]
-        self._pressure_cache[info.index] = (self._state_version, pressure)
-        return pressure
+        encoder_wait = 0.0
+        for encoder_name in info.encoders:
+            wait = waits[encoder_name]
+            if wait > encoder_wait:
+                encoder_wait = wait
+        return encoder_wait + waits[info.head]
 
     def _isolated(self, info: _ModelInfo) -> Optional[float]:
         cached = self._isolated_cache.get(info.index)
@@ -890,14 +873,6 @@ class FlatServingEngine:
                 batch_size=batch,
             )
             self._batch_cache[key] = value
-        return value
-
-    def _scale_for(self, model_i: int, module_name: str) -> float:
-        key = (model_i, module_name)
-        value = self._scale_cache.get(key)
-        if value is None:
-            value = self._infos[model_i].spec.scale_for(module_name)
-            self._scale_cache[key] = value
         return value
 
     def _transfer_seconds(self, src: str, dst: str, payload_bytes: int) -> float:

@@ -3,14 +3,13 @@
 The autoscaler's per-module scale view is cached per placement generation,
 the isolated-latency estimate per generation on top of a memo keyed by
 routed hosts, the route cache (each module's live ``(service, host)``
-pairs) per generation, the queue pressure per routing-state version, the
-last rejection verdict of each model per routing-state version and
-brownout level, and transfer prices until a link fault.  These tests patch
-:class:`FlatServingEngine` so that every such lookup is recomputed from
-scratch and compared with ``==``, and every arrival's admission decision
-with it.  A view that outlives a mid-tick scale-down, a memo that outlives
-a link fault, or a pressure or verdict that outlives a reservation fails
-here.
+pairs) per generation, the last rejection verdict of each model per
+routing-state version and brownout level, and transfer prices until a link
+fault.  These tests patch :class:`FlatServingEngine` so that every such
+lookup, and the uncached queue pressure, is recomputed from scratch and
+compared with ``==``, and every arrival's admission decision with it.  A
+view that outlives a mid-tick scale-down, a memo that outlives a link
+fault, or a verdict that outlives a reservation fails here.
 """
 
 from collections import Counter
@@ -190,9 +189,7 @@ def checked_engine(monkeypatch):
 )
 def test_cached_lookups_match_recomputation(config_id, checked_engine):
     checked = _run(**CONFIG_BY_ID[config_id])
-    for lookup in (
-        "scale_view", "isolated", "live_pairs", "queue_pressure", "transfer_seconds"
-    ):
+    for lookup in ("scale_view", "isolated", "live_pairs", "transfer_seconds"):
         assert checked_engine[lookup] > 0, lookup
     assert any(s.action == "add" and s.applied for s in checked.scaling)
     # The checks only read: the patched run reports exactly the golden.
@@ -207,8 +204,8 @@ def test_pressure_sees_release_of_a_cancelled_transfer(checked_engine):
     lands, the attempt releases its reservation and, with no retry budget,
     ends without touching slots, backlog or reservations again.  The tight
     SLO rejects most arrivals in between, and a rejection changes nothing
-    either.  So the next arrival's pressure read is fresh only if the
-    release itself advanced the routing-state version.
+    either.  So the next arrival escapes a stale rejection verdict only
+    if the release itself advanced the routing-state version.
     """
     trace = WorkloadGenerator(
         MODELS, kind="poisson", rate_rps=1.0, duration_s=30.0, seed=0

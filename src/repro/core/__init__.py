@@ -19,8 +19,6 @@ from repro.core.catalog import (
     get_model,
     get_module,
     list_models,
-    list_modules,
-    models_for_task,
 )
 from repro.core.modules import ModuleKind, ModuleSpec
 from repro.core.models import ModelSpec
@@ -34,10 +32,7 @@ __all__ = [
     "get_model",
     "get_module",
     "list_models",
-    "list_modules",
-    "models_for_task",
     "S2M3Engine",
-    "InferenceResult",
     "ModuleKind",
     "ModuleSpec",
     "ModelSpec",
@@ -52,8 +47,8 @@ __all__ = [
 def __getattr__(name: str):
     """Lazily expose the engine: it imports :mod:`repro.cluster`, which in
     turn imports :mod:`repro.core` submodules — eager import would cycle."""
-    if name in ("S2M3Engine", "InferenceResult"):
-        from repro.core import engine
+    if name == "S2M3Engine":
+        from repro.core.engine import S2M3Engine
 
-        return getattr(engine, name)
+        return S2M3Engine
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

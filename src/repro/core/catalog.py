@@ -233,16 +233,6 @@ def get_model(name: str) -> ModelSpec:
         raise ConfigurationError(f"unknown model {name!r}") from None
 
 
-def list_modules() -> List[ModuleSpec]:
-    """All catalogued modules in declaration order."""
-    return list(MODULE_CATALOG.values())
-
-
 def list_models() -> List[ModelSpec]:
     """All catalogued models in declaration order."""
     return list(MODEL_CATALOG.values())
-
-
-def models_for_task(task: Task) -> List[ModelSpec]:
-    """All catalogued models serving ``task``."""
-    return [model for model in MODEL_CATALOG.values() if model.task is task]

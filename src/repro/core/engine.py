@@ -304,12 +304,3 @@ class S2M3Engine:
         """Convenience: one simultaneous request per named model."""
         requests = [self.request(name, arrival_time=arrival_time) for name in model_names]
         return self.serve(requests)
-
-
-@dataclass(frozen=True)
-class InferenceResult:
-    """Public result type for one served request (re-exported by repro.core)."""
-
-    model_name: str
-    latency: float
-    routing: Dict[str, str]

@@ -15,7 +15,6 @@ from repro.datasets.benchmarks import (
     BenchmarkSpec,
     generate_benchmark,
     get_benchmark,
-    list_benchmarks,
 )
 from repro.datasets.samples import (
     AlignmentSample,
@@ -31,7 +30,6 @@ __all__ = [
     "BenchmarkSpec",
     "generate_benchmark",
     "get_benchmark",
-    "list_benchmarks",
     "AlignmentSample",
     "CaptioningSample",
     "ClassificationSample",

@@ -9,7 +9,7 @@ seed); see DESIGN.md for the substitution rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.core.tasks import Task
 from repro.datasets.latent import LatentConceptSpace
@@ -79,10 +79,6 @@ def get_benchmark(name: str) -> BenchmarkSpec:
         return BENCHMARKS[name]
     except KeyError:
         raise ConfigurationError(f"unknown benchmark {name!r}") from None
-
-
-def list_benchmarks() -> List[BenchmarkSpec]:
-    return list(BENCHMARKS.values())
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,6 @@ from repro.utils.units import (
     GB,
     KB,
     MB,
-    format_bytes,
-    format_params,
-    format_seconds,
     million,
     params_to_bytes,
 )
@@ -30,9 +27,6 @@ __all__ = [
     "GB",
     "KB",
     "MB",
-    "format_bytes",
-    "format_params",
-    "format_seconds",
     "million",
     "params_to_bytes",
 ]

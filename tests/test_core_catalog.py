@@ -7,8 +7,6 @@ from repro.core.catalog import (
     get_model,
     get_module,
     list_models,
-    list_modules,
-    models_for_task,
 )
 from repro.core.modules import ModuleKind
 from repro.core.tasks import Task
@@ -56,7 +54,7 @@ class TestModuleCatalog:
         assert get_module("food101-classifier").params == 52_000
 
     def test_all_modules_have_positive_work_or_are_heads(self):
-        for module in list_modules():
+        for module in MODULE_CATALOG.values():
             assert module.work > 0
 
     def test_memory_is_fp16_bytes(self):
@@ -66,7 +64,7 @@ class TestModuleCatalog:
 
 class TestModelCatalog:
     def test_nine_clip_retrieval_variants(self):
-        retrieval = models_for_task(Task.IMAGE_TEXT_RETRIEVAL)
+        retrieval = [m for m in list_models() if m.task is Task.IMAGE_TEXT_RETRIEVAL]
         assert len(retrieval) == 9
 
     def test_clip_vit_b16_total_params_match_table6(self):

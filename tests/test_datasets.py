@@ -7,7 +7,6 @@ from repro.datasets.benchmarks import (
     BENCHMARKS,
     generate_benchmark,
     get_benchmark,
-    list_benchmarks,
 )
 from repro.datasets.latent import (
     AUDIO_DIM,
@@ -148,6 +147,6 @@ class TestBenchmarks:
         assert len(generate_benchmark("cifar-10")) == spec.default_samples
 
     def test_every_benchmark_generates(self):
-        for spec in list_benchmarks():
+        for spec in BENCHMARKS.values():
             samples = generate_benchmark(spec.name, samples=2)
             assert len(samples) == 2

@@ -65,7 +65,6 @@ class TestLazyCoreExports:
         import repro.core as core
 
         assert core.S2M3Engine.__name__ == "S2M3Engine"
-        assert core.InferenceResult.__name__ == "InferenceResult"
 
     def test_unknown_attribute_raises(self):
         import repro.core as core

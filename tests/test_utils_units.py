@@ -1,4 +1,4 @@
-"""Unit helpers: conversions and formatting."""
+"""Unit helpers: conversions."""
 
 import pytest
 
@@ -6,9 +6,6 @@ from repro.utils.units import (
     GB,
     KB,
     MB,
-    format_bytes,
-    format_params,
-    format_seconds,
     million,
     params_to_bytes,
 )
@@ -38,36 +35,3 @@ class TestConversions:
         with pytest.raises(ValueError):
             params_to_bytes(-1)
 
-
-class TestFormatting:
-    def test_format_params_millions(self):
-        assert format_params(86_000_000) == "86M"
-
-    def test_format_params_billions(self):
-        assert format_params(1_100_000_000) == "1.1B"
-
-    def test_format_params_thousands(self):
-        assert format_params(52_000) == "52K"
-
-    def test_format_params_small(self):
-        assert format_params(42) == "42"
-
-    def test_format_params_rejects_negative(self):
-        with pytest.raises(ValueError):
-            format_params(-5)
-
-    def test_format_bytes_gb(self):
-        assert format_bytes(2 * GB) == "2.0 GB"
-
-    def test_format_bytes_mb(self):
-        assert format_bytes(int(1.5 * MB)) == "1.5 MB"
-
-    def test_format_bytes_small(self):
-        assert format_bytes(100) == "100 B"
-
-    def test_format_bytes_rejects_negative(self):
-        with pytest.raises(ValueError):
-            format_bytes(-1)
-
-    def test_format_seconds(self):
-        assert format_seconds(2.478) == "2.48s"

@@ -17,11 +17,11 @@ on identical seeded workloads:
 
 Run with ``python -m repro federation --study`` (single configurable runs
 without ``--study``).  ``scripts/run_benchmarks.py`` records the SAME
-study into ``BENCH_federation.json`` — with conservation, merge
-bit-identity, and spillover-wins gates — so there is exactly one
-definition to drift.  All latencies are end-to-end **seconds** (serving
-plus WAN penalty for forwarded requests); goodput is end-to-end SLO-met
-completions per second.
+study into ``BENCH_federation.json``, and ``tests/test_study_gates.py``
+asserts its conservation, merge bit-identity, and spillover-wins gates,
+so there is exactly one definition to drift.  All latencies are
+end-to-end **seconds** (serving plus WAN penalty for forwarded
+requests); goodput is end-to-end SLO-met completions per second.
 """
 
 from __future__ import annotations

@@ -95,7 +95,8 @@ def run_solver_study(
 
 #: The serving configurations under study: (key, display label, runtime
 #: kwargs).  ``scripts/run_benchmarks.py`` records the SAME study into
-#: ``BENCH_replicas.json``, so there is exactly one definition to drift.
+#: ``BENCH_replicas.json`` and ``tests/test_study_gates.py`` asserts its
+#: gates, so there is exactly one definition to drift.
 SERVING_CONFIGURATIONS = (
     ("single_copy", "single-copy", {"replicate": False}),
     ("leftover", "leftover replication", {"replicate": True}),

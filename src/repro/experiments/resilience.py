@@ -16,8 +16,9 @@ configurations on the same seeded workload and fault schedule:
   shed the lowest-SLO-slack model classes first).
 
 Run with ``python -m repro resilience``.  ``scripts/run_benchmarks.py``
-records the SAME study into ``BENCH_resilience.json`` (plus conservation
-and determinism gates), so there is exactly one definition to drift.  All
+records the SAME study into ``BENCH_resilience.json``, and
+``tests/test_study_gates.py`` asserts its conservation, graceful-wins and
+determinism gates, so there is exactly one definition to drift.  All
 latencies are **seconds** of simulated time; goodput is SLO-met
 completions per second.
 """
@@ -42,8 +43,8 @@ STUDY_DURATION_S = 40.0
 STUDY_SEED = 7
 
 #: The degradation configurations under study: (key, display label,
-#: runtime kwargs).  The benchmark gate compares ``graceful`` against
-#: ``baseline`` row by row, so keep exactly these two keys.
+#: runtime kwargs).  ``tests/test_study_gates.py`` compares ``graceful``
+#: against ``baseline`` row by row, so keep exactly these two keys.
 RESILIENCE_CONFIGURATIONS = (
     ("baseline", "degradation off", {}),
     (

@@ -1,8 +1,8 @@
 """Synthetic beyond-paper-scale placement instances.
 
 The paper's instances top out at 4 modules x 5 devices.  The scaling
-benchmarks (``benchmarks/test_placement_scaling.py`` and
-``scripts/run_benchmarks.py``) need instances up to ~10 modules x ~32
+benchmarks (``benchmarks/test_placement_scaling.py`` and the solver
+sweeps of ``tests/test_study_gates.py``) need instances up to ~10 modules x ~32
 devices to exercise the cost-tensor layer and the branch-and-bound solver,
 so this module fabricates deterministic ones: a multi-modal model whose
 encoders cycle through the vision/text/audio kinds, a fleet of heterogeneous

@@ -16,8 +16,8 @@ on each and compares:
 - **aware vs blind** — serving-measured p95 and goodput across the two
   placements.
 
-Two gates (checked into ``BENCH_validation.json`` by
-``scripts/run_benchmarks.py``):
+Two gates (recorded into ``BENCH_validation.json`` by
+``scripts/run_benchmarks.py``, asserted by ``tests/test_study_gates.py``):
 
 a. On **sub-saturation** rows the predicted mean and p95 must track the
    measured ones within the tolerance band (ratio in ``[0.5, 2.0]`` by

@@ -17,6 +17,11 @@ shapes: ``synthetic_instance(5, 6, n_requests=6)`` with two copies for
 seeds 0-2 and 4 and 6-11 (seeds 0, 4 and 7 are the heavy tail: 5,445 to
 10,602 nodes, 30-60 s when they were recorded), plus 5 x 8 seed 1, the
 replica sweep's largest row.  Seeds 3 and 5 are not pinned.
+
+``SWEEP_PINS`` pins brute force's placement and objective on every solver
+sweep row that the ``BENCH_*.json`` records run brute force on.  Tier 1
+checks the branch-and-bound against each pin; brute force proves them, under
+``-m slow`` where it takes seconds.
 """
 
 import pytest
@@ -31,7 +36,8 @@ from repro.core.placement.bnb import (
     energy_branch_and_bound,
 )
 from repro.core.placement.greedy import greedy_placement
-from repro.core.placement.replicas import replica_branch_and_bound
+from repro.core.placement.optimal import energy_optimal_placement, optimal_placement
+from repro.core.placement.replicas import replica_branch_and_bound, replica_optimal_placement
 from repro.core.placement.tensors import CongestionModel, EnergyTensors
 from repro.core.routing.latency import LatencyModel
 from repro.experiments.scaling import synthetic_instance
@@ -251,3 +257,74 @@ def test_replica_traversal_pinned_slow(key):
     )
     got = (hosts(placement), objective, stats.nodes, stats.leaves, stats.pruned)
     assert got == REPLICA_SLOW_PINS[key]
+
+
+#: ``(solver, modules, devices, max_copies) -> (placement, objective)`` of
+#: brute force on the solver sweep rows of ``BENCH_placement.json``,
+#: ``BENCH_energy.json`` and ``BENCH_replicas.json`` that run it:
+#: ``synthetic_instance(modules, devices, seed=1)`` with four requests (six
+#: for the replica rows), the energy rows under 1.5 x greedy's latency.
+SWEEP_PINS = {
+    ('latency', 3, 4, 1): ([('enc-00', ('dev-02',)), ('enc-01', ('dev-02',)), ('synth-head', ('dev-02',))], 2.212882446167337),
+    ('latency', 4, 5, 1): ([('enc-00', ('dev-03',)), ('enc-01', ('dev-00',)), ('enc-02', ('dev-01',)), ('synth-head', ('dev-01',))], 1.7961179099820799),
+    ('latency', 6, 8, 1): ([('enc-00', ('dev-00',)), ('enc-01', ('dev-00',)), ('enc-02', ('dev-00',)), ('enc-03', ('dev-01',)), ('enc-04', ('dev-05',)), ('synth-head', ('dev-05',))], 2.032470861038363),
+    ('energy', 3, 4, 1): ([('enc-00', ('dev-02',)), ('enc-01', ('dev-02',)), ('synth-head', ('dev-02',))], 80.49676071319271),
+    ('energy', 4, 5, 1): ([('enc-00', ('dev-04',)), ('enc-01', ('dev-01',)), ('enc-02', ('dev-01',)), ('synth-head', ('dev-01',))], 161.55955242842023),
+    ('energy', 6, 8, 1): ([('enc-00', ('dev-01',)), ('enc-01', ('dev-01',)), ('enc-02', ('dev-02',)), ('enc-03', ('dev-01',)), ('enc-04', ('dev-00',)), ('synth-head', ('dev-01',))], 226.7327903301151),
+    ('replica', 3, 4, 2): ([('enc-00', ('dev-00', 'dev-02')), ('enc-01', ('dev-00', 'dev-02')), ('synth-head', ('dev-00', 'dev-02'))], 3.327917246839415),
+    ('replica', 4, 5, 2): ([('enc-00', ('dev-00', 'dev-03')), ('enc-01', ('dev-00',)), ('enc-02', ('dev-00', 'dev-01')), ('synth-head', ('dev-00', 'dev-01'))], 2.68892714816743),
+    ('replica', 4, 6, 2): ([('enc-00', ('dev-00', 'dev-01')), ('enc-01', ('dev-00', 'dev-05')), ('enc-02', ('dev-00',)), ('synth-head', ('dev-00',))], 4.673790474975495),
+}
+
+#: Brute force takes seconds on these rows (6 x 8 about 12 s each, replica
+#: 4 x 5 about 7 s and 4 x 6 about 35 s), so it proves their pins under
+#: ``-m slow`` only.
+SWEEP_PINS_SLOW = {
+    ("latency", 6, 8, 1), ("energy", 6, 8, 1), ("replica", 4, 5, 2), ("replica", 4, 6, 2),
+}
+
+
+def sweep_case(key, solver):
+    """``(placement, objective)`` of ``solver`` (``"bnb"`` or ``"brute"``)
+    on the sweep row ``key``."""
+    kind, n_modules, n_devices, max_copies = key
+    inst = synthetic_instance(
+        n_modules, n_devices, seed=1, n_requests=6 if kind == "replica" else 4
+    )
+    problem, network, requests = inst.problem, inst.network, list(inst.requests)
+    model = LatencyModel(problem, network)
+    if kind == "latency":
+        result = optimal_placement(problem, requests, network, solver=solver)
+    elif kind == "energy":
+        budget = 1.5 * model.objective(requests, greedy_placement(problem))
+        result = energy_optimal_placement(
+            problem, requests, network, latency_budget=budget, solver=solver,
+            tensors=model.tensors,
+        )
+    else:
+        result = replica_optimal_placement(
+            problem, requests, network, max_copies=max_copies, solver=solver,
+            tensors=model.tensors,
+        )
+    return hosts(result[0]), result[1]
+
+
+def sweep_id(key):
+    return f"{key[0]}-{key[1]}x{key[2]}-mc{key[3]}"
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_PINS), ids=sweep_id)
+def test_bnb_matches_sweep_pin(key):
+    assert sweep_case(key, "bnb") == SWEEP_PINS[key]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        pytest.param(key, marks=pytest.mark.slow) if key in SWEEP_PINS_SLOW else key
+        for key in sorted(SWEEP_PINS)
+    ],
+    ids=sweep_id,
+)
+def test_brute_proves_sweep_pin(key):
+    assert sweep_case(key, "brute") == SWEEP_PINS[key]

@@ -330,10 +330,12 @@ class TestEnergyBnBExactness:
 
     def test_solves_ten_by_thirtytwo_under_five_seconds(self):
         # The acceptance scale: far beyond brute force's 2M-assignment cap.
+        # Also the largest row of BENCH_energy.json, whose gates it asserts.
         instance = synthetic_instance(10, 32, seed=1, n_requests=4)
         requests = list(instance.requests)
         model = LatencyModel(instance.problem, instance.network)
-        budget = 1.5 * model.objective(requests, greedy_placement(instance.problem))
+        greedy = greedy_placement(instance.problem)
+        budget = 1.5 * model.objective(requests, greedy)
         start = time.perf_counter()
         placement, joules = energy_branch_and_bound(
             instance.problem, requests, instance.network,
@@ -342,6 +344,7 @@ class TestEnergyBnBExactness:
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"energy bnb took {elapsed:.1f}s at 10x32"
         assert model.objective(requests, placement) <= budget
+        assert joules <= energy_objective(requests, greedy, model) + 1e-12
         energy = EnergyTensors(model.tensors)
         assert joules == energy.objective(requests, placement)
 

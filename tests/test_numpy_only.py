@@ -2,7 +2,9 @@
 
 networkx is a test-only oracle (see ``test_network_paths.py``).  A fresh
 interpreter with networkx blocked must still import the package, the
-serving runtime and the CLI, and serve a short trace.
+serving runtime, the CLI and every experiment module, serve a short trace,
+run the brute-force, energy and replica searches on a small instance, and
+fan a federation out over worker processes.
 """
 
 import os
@@ -27,6 +29,28 @@ report = ServingRuntime(models).run(trace)
 assert report.arrivals == len(trace) > 0
 assert report.completed > 0
 print("served", report.completed)
+
+import importlib
+import pkgutil
+
+import repro.experiments
+
+for module in pkgutil.iter_modules(repro.experiments.__path__):
+    importlib.import_module("repro.experiments." + module.name)
+
+from repro.core.placement.optimal import energy_optimal_placement, optimal_placement
+from repro.core.placement.replicas import replica_optimal_placement
+from repro.experiments.federation import STUDY_SEED, study_runtime
+from repro.experiments.scaling import synthetic_instance
+
+instance = synthetic_instance(3, 4, seed=1, n_requests=4)
+args = (instance.problem, list(instance.requests), instance.network)
+assert optimal_placement(*args, solver="brute") == optimal_placement(*args)
+assert energy_optimal_placement(*args)[0] is not None
+assert replica_optimal_placement(*args, max_copies=2)[1] > 0
+federated = study_runtime(spillover=True, duration_s=40.0).run(STUDY_SEED, parallel=True)
+assert federated.local_arrivals > 0
+print("federated", federated.completed)
 """
 
 

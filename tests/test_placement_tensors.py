@@ -58,9 +58,11 @@ def paper_scale_instances():
                 yield models, devices, seed
 
 
-#: The objective sweep of ``scripts/run_benchmarks.py`` (smoke shapes):
-#: ``synthetic_instance(n, d, seed=1, n_requests=16)`` with a greedy placement.
-BENCH_OBJECTIVE_SHAPES = [(3, 4), (6, 8), (8, 16)]
+#: The objective sweep that ``BENCH_placement.json`` records:
+#: ``synthetic_instance(n, d, seed=1, n_requests=16)`` with a greedy
+#: placement.  ``test_objective_route_and_latency_match_scalar`` is its
+#: bit-identity gate.
+BENCH_OBJECTIVE_SHAPES = [(3, 4), (4, 5), (6, 8), (8, 16), (10, 24), (10, 32)]
 
 
 def bit_identity_cases():

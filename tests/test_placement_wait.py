@@ -29,6 +29,7 @@ from repro.core.placement.optimal import optimal_placement
 from repro.core.placement.problem import PlacementProblem
 from repro.core.placement.replicas import (
     _ReplicaSearch,
+    replica_aware_greedy,
     replica_branch_and_bound,
     replica_brute_force,
     replica_optimal_placement,
@@ -554,15 +555,24 @@ class TestReplicaEnvelope:
 
     def test_base_envelope_5x8_mc2_holds(self):
         instance = synthetic_instance(5, 8, seed=1, n_requests=6)
+        requests = list(instance.requests)
         start = time.perf_counter()
         placement, objective = replica_branch_and_bound(
-            instance.problem, list(instance.requests), instance.network,
+            instance.problem, requests, instance.network,
             max_copies=2,
         )
         wall = time.perf_counter() - start
-        # The BENCH_replicas.json solver_sweep value for this exact instance.
+        # The BENCH_replicas.json solver_sweep value for this exact instance,
+        # and that row's gates: no worse than either greedy.
         assert objective == 2.4204013233939565
         assert wall < 90.0, f"base 5x8/mc=2 took {wall:.1f}s (documented ~9s)"
+        model = LatencyModel(instance.problem, instance.network)
+        _, greedy = replica_aware_greedy(
+            instance.problem, requests, instance.network, max_copies=2, tensors=model.tensors
+        )
+        assert objective <= greedy + 1e-12
+        single_copy = model.replica_objective(requests, greedy_placement(instance.problem))
+        assert objective <= single_copy + 1e-12
 
     def test_queue_aware_envelope_3x4_mc2(self):
         """Queue-aware exactness at a scale brute force can verify quickly."""
